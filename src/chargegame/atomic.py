@@ -26,13 +26,13 @@ from typing import Iterable, Iterator, Optional, Union
 import numpy as np
 
 from .model import (
-    IDENTITY,
     AtomicInstance,
     ChargingConfiguration,
     GridCostFunction,
     Number,
     StrategyProfile,
     _coerce_profile,
+    _window_cost,
     action_set,
     grid_total_cost,
     load,
@@ -59,7 +59,7 @@ class IterationBudgetError(RuntimeError):
     """Best-response dynamics exceeded its sweep budget.
 
     The potential argument guarantees termination, so hitting this means the
-    improvement test is broken (e.g. a non-monotone pricing map was supplied).
+    improvement test is broken.
     """
 
 
@@ -70,11 +70,13 @@ class EquilibriumSet:
     ``equilibria`` holds one ``ChargingConfiguration`` per distinct Nash
     equilibrium (profiles that permute identical players are collapsed),
     sorted by start counts so the listing does not depend on the scan method.
-    ``complete`` is False when the budget stopped the scan early, in which
-    case the set is a lower bound only.
+    ``costs`` holds the scan's own total grid cost of each, in the same
+    order.  ``complete`` is False when the budget stopped the scan early, in
+    which case the set is a lower bound only.
     """
 
     equilibria: tuple[ChargingConfiguration, ...]
+    costs: tuple[Number, ...]
     complete: bool
     examined: int
     space_size: int
@@ -113,44 +115,6 @@ def resolve_budget(budget: Optional[int], default: int = DEFAULT_BUDGET) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _loads_without(instance: AtomicInstance, profile: StrategyProfile, player: int) -> list:
-    loads = list(load(instance, profile))
-    s = profile.starts[player]
-    for t in range(s, s + instance.durations[player]):
-        loads[t - 1] -= instance.power
-    return loads
-
-
-def _window_sum(cost: GridCostFunction, loads, start: int, duration: int, shift):
-    return sum(cost(loads[t - 1] + shift) for t in range(start, start + duration))
-
-
-def best_response(
-    instance: AtomicInstance,
-    cost: GridCostFunction,
-    profile,
-    player: int,
-    pricing=IDENTITY,
-) -> int:
-    """Best start slot for ``player`` against the others' current choices.
-
-    Ties break toward the smallest slot.  The pricing map cannot change the
-    argmin (it is strictly increasing), so comparisons stay on raw costs.
-    """
-    del pricing
-    profile = _coerce_profile(instance, profile)
-    loads = _loads_without(instance, profile, player)
-    P = instance.power
-    C = instance.durations[player]
-    best_slot = None
-    best_cost = None
-    for t in action_set(instance, player):
-        cand = _window_sum(cost, loads, t, C, P)
-        if best_cost is None or cand < best_cost:
-            best_slot, best_cost = t, cand
-    return best_slot
-
-
 _REL_MARGIN = 1e-12
 
 
@@ -167,25 +131,42 @@ def _strictly_less(new, cur):
     return new < cur
 
 
-def is_nash(
-    instance: AtomicInstance,
-    cost: GridCostFunction,
-    profile,
-    pricing=IDENTITY,
-) -> bool:
-    """True when no player has a strictly improving unilateral deviation."""
-    del pricing
+def _deviations(instance: AtomicInstance, cost: GridCostFunction, loads, starts, player: int):
+    """Current window cost of ``player`` and a lazy ``(slot, cost)`` stream.
+
+    ``loads`` is the full load vector of ``starts``.  The stream visits the
+    player's whole action set in slot order, current slot included, and
+    gives the raw window cost with the player moved there.  ``_eval_block``
+    is the vectorised twin for symmetric blocks.
+    """
+    s, C, P = starts[player], instance.durations[player], instance.power
+    # load in each slot once the player charges there: its own window already
+    # carries it, every other slot gains P
+    moved = [L + P for L in loads]
+    moved[s - 1 : s - 1 + C] = loads[s - 1 : s - 1 + C]
+    stream = ((t, _window_cost(cost, moved, t, C)) for t in action_set(instance, player))
+    return _window_cost(cost, loads, s, C), stream
+
+
+def best_response(instance: AtomicInstance, cost: GridCostFunction, profile, player: int) -> int:
+    """Best start slot for ``player`` against the others' current choices.
+
+    Ties break toward the smallest slot.  No pricing map is needed: any
+    strictly increasing one keeps the argmin of the raw window cost.
+    """
     profile = _coerce_profile(instance, profile)
-    P = instance.power
+    _, stream = _deviations(instance, cost, load(instance, profile), profile.starts, player)
+    return min(stream, key=lambda slot_cost: slot_cost[1])[0]
+
+
+def is_nash(instance: AtomicInstance, cost: GridCostFunction, profile) -> bool:
+    """True when no player has a strictly improving unilateral deviation."""
+    profile = _coerce_profile(instance, profile)
+    loads = load(instance, profile)
     for i in range(instance.I):
-        loads = _loads_without(instance, profile, i)
-        C = instance.durations[i]
-        current = _window_sum(cost, loads, profile.starts[i], C, P)
-        for t in action_set(instance, i):
-            if t == profile.starts[i]:
-                continue
-            if _strictly_less(_window_sum(cost, loads, t, C, P), current):
-                return False
+        current, stream = _deviations(instance, cost, loads, profile.starts, i)
+        if any(_strictly_less(c, current) for _, c in stream):
+            return False
     return True
 
 
@@ -193,7 +174,6 @@ def best_response_dynamics(
     instance: AtomicInstance,
     cost: GridCostFunction,
     profile,
-    pricing=IDENTITY,
     max_sweeps: int = 10_000,
 ) -> tuple[StrategyProfile, tuple[Number, ...]]:
     """Round-robin best-response dynamics from a starting profile.
@@ -203,26 +183,17 @@ def best_response_dynamics(
     the potential trace (initial value plus one entry per accepted move); the
     trace is strictly increasing, which is what guarantees termination.
     """
-    del pricing
     profile = _coerce_profile(instance, profile)
     starts = list(profile.starts)
-    P = instance.power
-    trace = [potential_atomic(instance, cost, StrategyProfile(tuple(starts)))]
+    trace = [potential_atomic(instance, cost, profile)]
     for _ in range(max_sweeps):
         moved = False
         for i in range(instance.I):
-            current_profile = StrategyProfile(tuple(starts))
-            loads = _loads_without(instance, current_profile, i)
-            C = instance.durations[i]
-            current = _window_sum(cost, loads, starts[i], C, P)
-            best_slot, best_cost = starts[i], current
-            for t in action_set(instance, i):
-                cand = _window_sum(cost, loads, t, C, P)
-                if cand < best_cost:
-                    best_slot, best_cost = t, cand
-            if _strictly_less(best_cost, current):
-                starts[i] = best_slot
-                trace.append(potential_atomic(instance, cost, StrategyProfile(tuple(starts))))
+            current, stream = _deviations(instance, cost, load(instance, starts), starts, i)
+            slot, best = min(stream, key=lambda slot_cost: slot_cost[1])
+            if _strictly_less(best, current):
+                starts[i] = slot
+                trace.append(potential_atomic(instance, cost, starts))
                 moved = True
         if not moved:
             return StrategyProfile(tuple(starts)), tuple(trace)
@@ -463,8 +434,11 @@ def _scan(instance: AtomicInstance, cost: GridCostFunction, budget: Optional[int
     return ne_configs, ne_costs, ne_count, best, examined, space, complete, method
 
 
-def _ordered(ne_configs) -> tuple:
-    return tuple(sorted(ne_configs, key=lambda c: c.start_counts))
+def _equilibrium_set(ne_configs, ne_costs, complete, examined, space, method) -> EquilibriumSet:
+    pairs = sorted(zip(ne_configs, ne_costs), key=lambda pair: pair[0].start_counts)
+    configs = tuple(config for config, _ in pairs)
+    costs = tuple(cost for _, cost in pairs)
+    return EquilibriumSet(configs, costs, complete, examined, space, method)
 
 
 def enumerate_equilibria(
@@ -480,10 +454,10 @@ def enumerate_equilibria(
     ``"profiles"`` (always valid, exponentially larger), or ``"auto"``.
     When the budget runs out first the returned set is flagged incomplete.
     """
-    ne_configs, _, _, _, examined, space, complete, method = _scan(
+    ne_configs, ne_costs, _, _, examined, space, complete, method = _scan(
         instance, cost, budget, threads, method
     )
-    return EquilibriumSet(_ordered(ne_configs), complete, examined, space, method)
+    return _equilibrium_set(ne_configs, ne_costs, complete, examined, space, method)
 
 
 def social_optimum(
@@ -525,7 +499,7 @@ def efficiency(
     ne_configs, ne_costs, _, best, examined, space, complete, method = _scan(
         instance, cost, budget, threads, method
     )
-    eq_set = EquilibriumSet(_ordered(ne_configs), complete, examined, space, method)
+    eq_set = _equilibrium_set(ne_configs, ne_costs, complete, examined, space, method)
     if not complete:
         raise BudgetExceededError(
             f"efficiency scan stopped after {examined} of {space} configurations",

@@ -84,9 +84,7 @@ def _cmd_solve_atomic(args) -> int:
     eq_set = report.equilibria
     data = {
         "equilibria": [_config_dict(c) for c in eq_set.equilibria],
-        "equilibrium_costs": [
-            float(grid_cost) for grid_cost in _equilibrium_costs(instance, cost, eq_set)
-        ],
+        "equilibrium_costs": [float(c) for c in eq_set.costs],
         "complete": eq_set.complete,
         "examined": eq_set.examined,
         "space_size": eq_set.space_size,
@@ -99,12 +97,6 @@ def _cmd_solve_atomic(args) -> int:
     }
     _emit_or_print(data, args.out)
     return 0
-
-
-def _equilibrium_costs(instance, cost, eq_set):
-    from .model import grid_total_cost
-
-    return [grid_total_cost(instance, cost, c) for c in eq_set.equilibria]
 
 
 def _cmd_solve_nonatomic(args) -> int:

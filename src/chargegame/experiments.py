@@ -130,67 +130,45 @@ def _run_jobs(jobs, threads: int):
         return list(pool.map(lambda job: job(), jobs))
 
 
-def _atomic_point(spec: SweepSpec, I: int, C: int, cost: GridCostFunction, what: str):
+def _atomic_point(spec: SweepSpec, I: int, C: int, cost: GridCostFunction):
     instance = AtomicInstance.symmetric(
         spec.T, I, C, power=spec.power, exogenous=spec.exogenous, departure=spec.departure
     )
-    if what == "proportion":
+    if spec.kind == "ne-proportion":
         return ne_proportion(instance, cost, budget=spec.budget)
     return efficiency(instance, cost, budget=spec.budget).value
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[DataSeries, ...]:
     """Evaluate a sweep; one thread per grid point at most."""
-    if spec.kind in ("ne-proportion", "efficiency-vs-I"):
-        what = "proportion" if spec.kind == "ne-proportion" else "efficiency"
-        grid = [(C, I) for C in spec.C_values for I in spec.I_values]
-        jobs = [
-            (lambda I=I, C=C: _atomic_point(spec, I, C, spec.cost, what)) for C, I in grid
-        ]
+    if spec.kind == "efficiency-vs-power" and len(spec.I_values) != 1:
+        raise ValueError("efficiency-vs-power sweeps need exactly one player count")
+    coeff = spec.cost.coefficient if isinstance(spec.cost, Monomial) else 1
+    by_C = (spec.I_values, "C", spec.C_values, lambda C, I: _atomic_point(spec, I, C, spec.cost), ())
+    grids = {
+        # kind: (x values, series prefix, series values, point(series value, x), meta)
+        "ne-proportion": by_C,
+        "efficiency-vs-I": by_C,
+        "efficiency-vs-C": (
+            spec.C_values, "I", spec.I_values, lambda I, C: _atomic_point(spec, I, C, spec.cost), ()
+        ),
+        "efficiency-vs-power": (
+            spec.exponents,
+            "C",
+            spec.C_values,
+            lambda C, k: _atomic_point(spec, spec.I_values[0], C, Monomial(coeff, k)),
+            tuple(("I", str(I)) for I in spec.I_values),
+        ),
+    }
+    if spec.kind in grids:
+        xs, prefix, keys, point, meta = grids[spec.kind]
+        jobs = [(lambda key=key, x=x: point(key, x)) for key in keys for x in xs]
         values = _run_jobs(jobs, threads)
-        series = []
-        for C in spec.C_values:
-            ys = [v for (c, _), v in zip(grid, values) if c == C]
-            series.append(DataSeries(spec.label, f"C{C}", tuple(spec.I_values), tuple(ys)))
-        return tuple(series)
-
-    if spec.kind == "efficiency-vs-C":
-        grid = [(I, C) for I in spec.I_values for C in spec.C_values]
-        jobs = [
-            (lambda I=I, C=C: _atomic_point(spec, I, C, spec.cost, "efficiency"))
-            for I, C in grid
-        ]
-        values = _run_jobs(jobs, threads)
-        series = []
-        for I in spec.I_values:
-            ys = [v for (i, _), v in zip(grid, values) if i == I]
-            series.append(DataSeries(spec.label, f"I{I}", tuple(spec.C_values), tuple(ys)))
-        return tuple(series)
-
-    if spec.kind == "efficiency-vs-power":
-        if len(spec.I_values) != 1:
-            raise ValueError("efficiency-vs-power sweeps need exactly one player count")
-        I = spec.I_values[0]
-        coeff = spec.cost.coefficient if isinstance(spec.cost, Monomial) else 1
-        grid = [(C, k) for C in spec.C_values for k in spec.exponents]
-        jobs = [
-            (lambda C=C, k=k: _atomic_point(spec, I, C, Monomial(coeff, k), "efficiency"))
-            for C, k in grid
-        ]
-        values = _run_jobs(jobs, threads)
-        series = []
-        for C in spec.C_values:
-            ys = [v for (c, _), v in zip(grid, values) if c == C]
-            series.append(
-                DataSeries(
-                    spec.label,
-                    f"C{C}",
-                    tuple(spec.exponents),
-                    tuple(ys),
-                    meta=(("I", str(I)),),
-                )
-            )
-        return tuple(series)
+        n = len(xs)
+        return tuple(
+            DataSeries(spec.label, f"{prefix}{key}", xs, tuple(values[j * n : (j + 1) * n]), meta)
+            for j, key in enumerate(keys)
+        )
 
     if spec.kind == "nonatomic-counterexample":
         if len(spec.C_values) != 1 or not spec.costs:

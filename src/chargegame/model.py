@@ -399,15 +399,29 @@ def _pricing_for(pricing, index: int) -> PricingFunction:
 # ---------------------------------------------------------------------------
 
 
+def _is_finite(v) -> bool:
+    # NaN is the only value unequal to itself; exact ints never overflow here
+    return v == v and abs(v) != math.inf
+
+
 def _validate_exogenous(exogenous, T: int) -> tuple[Number, ...]:
     if exogenous is None:
         return (0,) * T
     exo = tuple(_as_int_if_integral(v) for v in exogenous)
     if len(exo) != T:
         raise ValueError(f"exogenous load has {len(exo)} entries for a {T}-slot horizon")
+    if not all(_is_finite(v) for v in exo):
+        raise ValueError("exogenous load must be finite")
     if any(v < 0 for v in exo):
         raise ValueError("exogenous load must be nonnegative")
     return exo
+
+
+def _validate_power(power) -> Number:
+    power = _as_int_if_integral(power)
+    if not _is_finite(power) or power <= 0:
+        raise ValueError("charging power must be positive and finite")
+    return power
 
 
 def _validate_window(a: int, d: int, C: int, T: int, who: str) -> None:
@@ -441,7 +455,7 @@ class AtomicInstance:
         object.__setattr__(self, "arrivals", tuple(self.arrivals))
         object.__setattr__(self, "departures", tuple(self.departures))
         object.__setattr__(self, "durations", tuple(self.durations))
-        object.__setattr__(self, "power", _as_int_if_integral(self.power))
+        object.__setattr__(self, "power", _validate_power(self.power))
         T = self.horizon.T
         if not (len(self.arrivals) == len(self.departures) == len(self.durations)):
             raise ValueError("arrivals, departures and durations must have equal length")
@@ -449,8 +463,6 @@ class AtomicInstance:
             raise ValueError("an atomic instance needs at least one player")
         for i, (a, d, C) in enumerate(zip(self.arrivals, self.departures, self.durations)):
             _validate_window(a, d, C, T, f"player {i}")
-        if self.power <= 0:
-            raise ValueError("charging power must be positive")
         object.__setattr__(self, "exogenous", _validate_exogenous(self.exogenous or None, T))
 
     @property
@@ -516,7 +528,7 @@ class NonatomicInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "power", _as_int_if_integral(self.power))
+        object.__setattr__(self, "power", _validate_power(self.power))
         T = self.horizon.T
         if not self.classes:
             raise ValueError("a nonatomic instance needs at least one class")
@@ -525,8 +537,6 @@ class NonatomicInstance:
         total = math.fsum(c.weight for c in self.classes)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"class weights must sum to 1, got {total!r}")
-        if self.power <= 0:
-            raise ValueError("charging power must be positive")
         object.__setattr__(self, "exogenous", _validate_exogenous(self.exogenous or None, T))
 
     @property
@@ -742,7 +752,7 @@ def grid_total_cost(instance: Instance, cost: GridCostFunction, profile):
 
 
 def _window_cost(cost: GridCostFunction, loads, start: int, duration: int):
-    return sum(cost(loads[t - 1]) for t in range(start, start + duration))
+    return sum(map(cost, loads[start - 1 : start - 1 + duration]))
 
 
 def utility_atomic(

@@ -31,8 +31,9 @@ from chargegame import (
     ne_proportion,
     potential_atomic,
     social_optimum,
+    utility_atomic,
 )
-from chargegame.atomic import resolve_budget
+from chargegame.atomic import _scan_dtype, resolve_budget
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +139,7 @@ def test_best_response_matches_oracle():
 
 
 def test_best_response_ignores_monotone_pricing():
+    # the first slot maximising the priced utility is the best response
     rng = random.Random(102)
     f = Monomial(1, 2)
     cube = PricingMap(lambda x: x**3, "cube")
@@ -145,9 +147,13 @@ def test_best_response_ignores_monotone_pricing():
         inst = random_heterogeneous_instance(rng)
         starts = tuple(rng.choice(list(action_set(inst, i))) for i in range(inst.I))
         for i in range(inst.I):
-            plain = best_response(inst, f, StrategyProfile(starts), i)
-            priced = best_response(inst, f, StrategyProfile(starts), i, pricing=cube)
-            assert plain == priced
+
+            def priced(t):
+                moved = starts[:i] + (t,) + starts[i + 1 :]
+                return utility_atomic(inst, f, moved, i, pricing=cube)
+
+            first_argmax = max(action_set(inst, i), key=priced)
+            assert first_argmax == best_response(inst, f, StrategyProfile(starts), i)
 
 
 def test_is_nash_matches_oracle():
@@ -285,6 +291,28 @@ def test_float_cost_path():
     report = efficiency(inst, f)
     assert report.exact is None
     assert report.value == pytest.approx(max(ne.values()) / opt)
+
+
+@pytest.mark.parametrize(
+    "inst, f, dtype",
+    [
+        # T * f(max load) = 4 * 3**37 < 2**62 <= 4 * 3**38: the switch from both sides
+        (AtomicInstance.symmetric(4, 2, 2), Monomial(1, 37), np.int64),
+        (AtomicInstance.symmetric(4, 2, 2), Monomial(1, 38), object),
+        (AtomicInstance.symmetric(4, 2, 2, exogenous=(0.5, 1.25, 0.75, 2.5)), SquareRoot(), np.float64),
+    ],
+)
+def test_block_kernel_matches_scalar_kernel_on_every_dtype(inst, f, dtype):
+    assert _scan_dtype(inst, f) is dtype
+    by_configs = enumerate_equilibria(inst, f, method="configurations")
+    by_profiles = enumerate_equilibria(inst, f, method="profiles")
+    assert by_configs.equilibria == by_profiles.equilibria
+    assert by_configs.costs == pytest.approx(by_profiles.costs, rel=1e-12)
+    if dtype is not np.float64:
+        assert by_configs.costs == by_profiles.costs
+        exact = efficiency(inst, f, method="configurations").exact
+        assert exact is not None
+        assert exact == efficiency(inst, f, method="profiles").exact
 
 
 def test_threaded_scan_is_deterministic():

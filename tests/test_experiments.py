@@ -2,16 +2,19 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from chargegame import (
     AtomicInstance,
+    ChargingConfiguration,
     CostSum,
     Monomial,
     NonatomicInstance,
     SquareRoot,
     efficiency,
+    grid_total_cost,
     ne_proportion,
     solve_equilibrium,
 )
@@ -34,6 +37,8 @@ from chargegame.fileio import (
     instance_to_dict,
     load_instance,
 )
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 # ---------------------------------------------------------------------------
 # sweep specs
@@ -235,6 +240,17 @@ def test_sweep_thread_determinism(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("spec_name", ["equilibrium_proportion", "efficiency_vs_exponent"])
+def test_committed_sweep_outputs_reproduce_byte_for_byte(tmp_path, spec_name):
+    spec = SweepSpec.from_dict(json.loads((DEMOS / "specs" / f"{spec_name}.json").read_text()))
+    emit_data(run_sweep(spec), tmp_path, spec=spec)
+    emitted = sorted(p.name for p in tmp_path.iterdir())
+    committed = sorted(p.name for p in (DEMOS / "out").glob(f"{spec.label}_*"))
+    assert emitted == committed
+    for name in emitted:
+        assert (tmp_path / name).read_bytes() == (DEMOS / "out" / name).read_bytes(), name
+
+
 def test_emit_data_manifest_hashes(tmp_path):
     series = run_sweep(ATOMIC_COUNTEREXAMPLE)
     manifest_path = emit_data(series, tmp_path, spec=ATOMIC_COUNTEREXAMPLE)
@@ -397,6 +413,22 @@ def test_cli_solve_atomic(tmp_path):
     assert data["optimum_cost"] == 56.0
     report = efficiency(inst, Monomial(1, 2))
     assert data["worst_equilibrium_cost"] == float(report.worst_cost)
+
+
+def test_cli_solve_atomic_reports_the_scan_costs(tmp_path):
+    # float data: recomputing the totals can differ from the scan's in the last ulp
+    inst = AtomicInstance.symmetric(4, 1, 3, exogenous=(3.707, 1.545, 2.167, 2.881))
+    cost = Monomial(1, 3)
+    inst_path = tmp_path / "inst.json"
+    dump_json(instance_to_dict(inst, cost), inst_path)
+    out = tmp_path / "report.json"
+    assert main(["solve-atomic", str(inst_path), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert max(data["equilibrium_costs"]) == data["worst_equilibrium_cost"]
+    assert len(data["equilibrium_costs"]) == len(data["equilibria"])
+    for config, total in zip(data["equilibria"], data["equilibrium_costs"]):
+        config = ChargingConfiguration(config["start_counts"], config["occupancy"])
+        assert total == pytest.approx(grid_total_cost(inst, cost, config), rel=1e-12)
 
 
 def test_cli_solve_atomic_rejects_nonatomic_instance(tmp_path, capsys):

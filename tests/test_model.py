@@ -176,6 +176,18 @@ def test_atomic_instance_rejects_bad_windows():
         AtomicInstance.symmetric(T=6, I=2, C=2, exogenous=(1, 2, 3))  # wrong exo length
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_instances_reject_non_finite_data(bad):
+    with pytest.raises(ValueError):
+        AtomicInstance.symmetric(4, 2, 2, exogenous=[bad] * 4)
+    with pytest.raises(ValueError):
+        AtomicInstance.symmetric(4, 2, 2, power=bad)
+    with pytest.raises(ValueError):
+        NonatomicInstance.symmetric(4, 2, exogenous=[bad] * 4)
+    with pytest.raises(ValueError):
+        NonatomicInstance.symmetric(4, 2, power=bad)
+
+
 def test_duration_equal_to_window_gives_singleton_action_set():
     inst = AtomicInstance.symmetric(T=10, I=2, C=10)
     assert list(action_set(inst, 0)) == [1]
