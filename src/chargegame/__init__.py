@@ -57,10 +57,8 @@ from .nonatomic import (
     ConvergenceError,
     InvarianceConditionError,
     PositivityCertificateError,
-    EuclideanSplit,
     SymmetricLinearSystem,
     NonatomicEquilibrium,
-    euclidean_split,
     solve_equilibrium,
     is_wardrop_equilibrium,
     wardrop_gap,

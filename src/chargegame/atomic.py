@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent import futures
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -238,27 +237,6 @@ def _composition_blocks(total: int, parts: int, max_rows: int) -> Iterator[np.nd
             yield np.hstack([col, sub])
 
 
-def _ordered_parallel(fn, items: Iterable, threads: int) -> Iterator:
-    # ordered map with a bounded in-flight window; result order == input order
-    if threads <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    items = iter(items)
-    with futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        window: list = []
-        for item in items:
-            window.append(pool.submit(fn, item))
-            if len(window) >= threads * 2:
-                break
-        while window:
-            result = window.pop(0).result()
-            for item in items:
-                window.append(pool.submit(fn, item))
-                break
-            yield result
-
-
 def _scan_dtype(instance: AtomicInstance, cost: GridCostFunction):
     # int64 when every intermediate fits comfortably, exact objects otherwise
     if not _is_exact(instance, cost):
@@ -331,7 +309,7 @@ def _eval_block(instance: AtomicInstance, cost: GridCostFunction, counts: np.nda
             else:
                 new_cost = gsum(cj2)
             ne &= ~(occupied & (new_cost < bar))
-    return counts, ne, tc, occ
+    return ne, tc, occ
 
 
 def _config_from_counts(instance: AtomicInstance, counts, occ) -> ChargingConfiguration:
@@ -343,40 +321,30 @@ def _config_from_counts(instance: AtomicInstance, counts, occ) -> ChargingConfig
     return ChargingConfiguration(tuple(start_counts), tuple(int(v) for v in occ))
 
 
-def _scan_symmetric(instance: AtomicInstance, cost: GridCostFunction, budget: int, threads: int):
+def _scan_symmetric(instance: AtomicInstance, cost: GridCostFunction, budget: int):
     a, d, C = instance.window(0)
     A = d - C + 2 - a
     I = instance.I
     space = _composition_count(I, A)
     dtype = _scan_dtype(instance, cost)
 
-    block_rows = 1 << 15
-    remaining = [min(budget, space)]
-
-    def trimmed_blocks():
-        for block in _composition_blocks(I, A, block_rows):
-            if remaining[0] <= 0:
-                return
-            if block.shape[0] > remaining[0]:
-                block = block[: remaining[0]]
-            remaining[0] -= block.shape[0]
-            yield block
-
     ne_configs: list[ChargingConfiguration] = []
     ne_costs: list = []
     best = None  # (cost, counts tuple, occ)
     examined = 0
-    evaluate = lambda block: _eval_block(instance, cost, block, dtype)
-    for counts, ne, tc, occ in _ordered_parallel(evaluate, trimmed_blocks(), threads):
+    for counts in _composition_blocks(I, A, 1 << 15):  # bounded blocks keep memory flat
+        if examined >= budget:
+            break
+        counts = counts[: budget - examined]
+        ne, tc, occ = _eval_block(instance, cost, counts, dtype)
         examined += counts.shape[0]
         for idx in np.flatnonzero(ne):
             ne_configs.append(_config_from_counts(instance, counts[idx], occ[idx]))
             ne_costs.append(tc[idx].item() if dtype is not object else tc[idx])
-        if counts.shape[0]:
-            idx = int(np.argmin(tc))  # first occurrence: lexicographically smallest counts
-            block_cost = tc[idx].item() if dtype is not object else tc[idx]
-            if best is None or block_cost < best[0]:
-                best = (block_cost, tuple(int(v) for v in counts[idx]), occ[idx].copy())
+        idx = int(np.argmin(tc))  # first occurrence: lexicographically smallest counts
+        block_cost = tc[idx].item() if dtype is not object else tc[idx]
+        if best is None or block_cost < best[0]:
+            best = (block_cost, tuple(int(v) for v in counts[idx]), occ[idx].copy())
     complete = examined >= space
     return ne_configs, ne_costs, best, examined, space, complete
 
@@ -412,16 +380,14 @@ def _scan_profiles(instance: AtomicInstance, cost: GridCostFunction, budget: int
     return ne_configs, ne_costs, ne_count, best, examined, space, complete
 
 
-def _scan(instance: AtomicInstance, cost: GridCostFunction, budget: Optional[int], threads: int, method: str):
+def _scan(instance: AtomicInstance, cost: GridCostFunction, budget: Optional[int], method: str):
     budget = resolve_budget(budget)
     if method == "auto":
         method = "configurations" if instance.is_symmetric else "profiles"
     if method == "configurations":
         if not instance.is_symmetric:
             raise ValueError("configuration-space enumeration requires a symmetric instance")
-        ne_configs, ne_costs, best, examined, space, complete = _scan_symmetric(
-            instance, cost, budget, threads
-        )
+        ne_configs, ne_costs, best, examined, space, complete = _scan_symmetric(instance, cost, budget)
         ne_count = len(ne_configs)
         if best is not None:
             best = (best[0], _config_from_counts(instance, best[1], best[2]))
@@ -445,7 +411,6 @@ def enumerate_equilibria(
     instance: AtomicInstance,
     cost: GridCostFunction,
     budget: Optional[int] = None,
-    threads: int = 1,
     method: str = "auto",
 ) -> EquilibriumSet:
     """All Nash-equilibrium configurations, by exhaustive deterministic scan.
@@ -455,7 +420,7 @@ def enumerate_equilibria(
     When the budget runs out first the returned set is flagged incomplete.
     """
     ne_configs, ne_costs, _, _, examined, space, complete, method = _scan(
-        instance, cost, budget, threads, method
+        instance, cost, budget, method
     )
     return _equilibrium_set(ne_configs, ne_costs, complete, examined, space, method)
 
@@ -464,7 +429,6 @@ def social_optimum(
     instance: AtomicInstance,
     cost: GridCostFunction,
     budget: Optional[int] = None,
-    threads: int = 1,
     method: str = "auto",
 ) -> tuple[ChargingConfiguration, Number]:
     """Configuration minimizing total grid cost, with its cost.
@@ -475,7 +439,7 @@ def social_optimum(
     ``BudgetExceededError`` if the scan could not finish: a partial minimum
     is not an optimum.
     """
-    _, _, _, best, examined, space, complete, _ = _scan(instance, cost, budget, threads, method)
+    _, _, _, best, examined, space, complete, _ = _scan(instance, cost, budget, method)
     if not complete:
         raise BudgetExceededError(
             f"social optimum scan stopped after {examined} of {space} configurations",
@@ -488,7 +452,6 @@ def efficiency(
     instance: AtomicInstance,
     cost: GridCostFunction,
     budget: Optional[int] = None,
-    threads: int = 1,
     method: str = "auto",
 ) -> EfficiencyReport:
     """Worst-case Nash total cost over the social optimum, exhaustively.
@@ -497,7 +460,7 @@ def efficiency(
     Raises ``BudgetExceededError`` on an incomplete scan.
     """
     ne_configs, ne_costs, _, best, examined, space, complete, method = _scan(
-        instance, cost, budget, threads, method
+        instance, cost, budget, method
     )
     eq_set = _equilibrium_set(ne_configs, ne_costs, complete, examined, space, method)
     if not complete:
@@ -531,7 +494,6 @@ def ne_proportion(
     instance: AtomicInstance,
     cost: GridCostFunction,
     budget: Optional[int] = None,
-    threads: int = 1,
     method: str = "auto",
 ) -> float:
     """Fraction of the scanned space that is a Nash equilibrium.
@@ -539,9 +501,7 @@ def ne_proportion(
     The numerator matches the method's unit: equilibrium configurations out
     of all configurations, or equilibrium profiles out of all profiles.
     """
-    _, _, ne_count, _, examined, space, complete, method = _scan(
-        instance, cost, budget, threads, method
-    )
+    _, _, ne_count, _, examined, space, complete, method = _scan(instance, cost, budget, method)
     if not complete:
         raise BudgetExceededError(
             f"proportion scan stopped after {examined} of {space} configurations",

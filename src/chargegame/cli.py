@@ -47,10 +47,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_counterexamples(args) -> int:
-    summary = run_counterexamples(threads=args.threads, budget=args.budget)
+    summary = run_counterexamples(budget=args.budget)
     if args.out:
         for spec in (ATOMIC_COUNTEREXAMPLE, NONATOMIC_COUNTEREXAMPLE):
-            emit_data(run_sweep(spec, threads=args.threads), args.out, spec=spec)
+            emit_data(run_sweep(spec), args.out, spec=spec)
     atomic_ok = summary["atomic"]["multiple_equilibria"]
     nonatomic_ok = summary["nonatomic"]["cost_dependent"]
     configs = summary["atomic"]["equilibria"]
@@ -80,7 +80,7 @@ def _cmd_solve_atomic(args) -> int:
         print("solve-atomic expects an instance with a 'players' list", file=sys.stderr)
         return 2
     cost = cost if cost is not None else Monomial(1, 2)
-    report = efficiency(instance, cost, budget=args.budget, threads=args.threads)
+    report = efficiency(instance, cost, budget=args.budget)
     eq_set = report.equilibria
     data = {
         "equilibria": [_config_dict(c) for c in eq_set.equilibria],
@@ -129,12 +129,17 @@ def _cmd_solve_nonatomic(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chargegame", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_out_dir=False):
-        p.add_argument("--threads", type=int, default=1, help="worker threads where applicable")
         p.add_argument("--budget", type=int, default=None, help="search/evaluation budget cap")
         if needs_out_dir:
             p.add_argument("--out", required=True, help="output directory for .dat files")
@@ -143,11 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a sweep spec and emit data files")
     p.add_argument("spec", help="sweep spec JSON file")
+    p.add_argument("--threads", type=_positive_int, default=1, help="grid points run at once")
     common(p, needs_out_dir=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("counterexamples", help="reproduce the bundled counter-examples")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out", default=None, help="also emit .dat files into this directory")
     p.set_defaults(func=_cmd_counterexamples)

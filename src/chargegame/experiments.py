@@ -210,7 +210,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[DataSeries, ...]:
         exogenous=spec.exogenous,
         departure=spec.departure,
     )
-    report = efficiency(instance, spec.cost, budget=spec.budget, threads=threads)
+    report = efficiency(instance, spec.cost, budget=spec.budget)
     slots = tuple(range(1, spec.T + 1))
     series = [
         DataSeries(
@@ -265,7 +265,7 @@ NONATOMIC_COUNTEREXAMPLE = SweepSpec(
 )
 
 
-def run_counterexamples(threads: int = 1, tol: float = 1e-9, budget: Optional[int] = None):
+def run_counterexamples(tol: float = 1e-9, budget: Optional[int] = None):
     """Re-derive both bundled counter-examples; returns a summary dict.
 
     atomic: the equilibrium set has several distinct configurations, so
@@ -277,7 +277,7 @@ def run_counterexamples(threads: int = 1, tol: float = 1e-9, budget: Optional[in
     instance_a = AtomicInstance.symmetric(
         spec_a.T, spec_a.I_values[0], spec_a.C_values[0], exogenous=spec_a.exogenous
     )
-    report = efficiency(instance_a, spec_a.cost, budget=budget, threads=threads)
+    report = efficiency(instance_a, spec_a.cost, budget=budget)
     atomic_summary = {
         "report": report,
         "equilibria": report.equilibria.equilibria,

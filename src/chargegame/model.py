@@ -12,7 +12,8 @@ Conventions used throughout the package:
   times the mass of users charging in ``t`` (nonatomic case).
 
 All instance and profile types are immutable; every derived quantity is a pure
-function of its inputs, which keeps the solvers safe to share across threads.
+function of its inputs, which keeps them safe to share between the grid points
+that a sweep evaluates concurrently.
 
 Arithmetic is exact whenever the data allow it: integer loads fed to an
 integer-coefficient polynomial cost stay Python integers, so equilibrium

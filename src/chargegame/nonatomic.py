@@ -77,41 +77,6 @@ class PositivityCertificateError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EuclideanSplit:
-    """Euclidean division of the start-slot count by the duration.
-
-    For a horizon of ``T`` slots and duration ``C`` there are ``T - C + 1``
-    admissible starts; the split ``T - C + 1 = quotient * C + remainder``
-    (``0 <= remainder < C``) drives both the invariance inequality and the
-    shape of the invariant linear system.
-    """
-
-    T: int
-    C: int
-    quotient: int
-    remainder: int
-
-    def __post_init__(self) -> None:
-        if self.C < 1 or self.T < self.C:
-            raise ValueError(f"need 1 <= C <= T, got C={self.C}, T={self.T}")
-        n = self.T - self.C + 1
-        if self.quotient * self.C + self.remainder != n or not (0 <= self.remainder < self.C):
-            raise ValueError("inconsistent Euclidean split")
-
-    @property
-    def start_slots(self) -> int:
-        return self.T - self.C + 1
-
-
-def euclidean_split(T: int, C: int) -> EuclideanSplit:
-    """Split ``T - C + 1`` by ``C``: the quotient/remainder pair used throughout."""
-    if C < 1 or T < C:
-        raise ValueError(f"need 1 <= C <= T, got C={C}, T={T}")
-    q, r = divmod(T - C + 1, C)
-    return EuclideanSplit(T=T, C=C, quotient=q, remainder=r)
-
-
-@dataclass(frozen=True)
 class SymmetricLinearSystem:
     """The banded system whose solution is the cost-independent equilibrium.
 
@@ -245,23 +210,20 @@ def wardrop_gap(
 # ---------------------------------------------------------------------------
 
 
-def _newton_equal_cost(exo, P, weights, durations, act_idx, g, Y, supports, evals):
+def _newton_equal_cost(evaluate, g, P, weights, durations, Y, supports):
     """Newton iterations on the equal-cost system restricted to the support.
 
     Unknowns are the supported start masses and one multiplier per class;
     equations ask every supported start to cost exactly the multiplier and
     every class to have unit mass.  Returns the multipliers on success.
     """
-    K, T = Y.shape
+    K = Y.shape[0]
     offsets = np.cumsum([0] + [len(s) for s in supports])
     nvar = offsets[-1] + K
     lam = np.zeros(K)
 
     def residual_and_costs():
-        x = _occupancy_from(Y, weights, durations)
-        loads = exo + P * x
-        costs = _class_cost_vectors(g, loads, durations, act_idx, T)
-        evals[0] += 1
+        loads, costs = evaluate(Y)
         r = np.empty(nvar)
         for k, sup in enumerate(supports):
             r[offsets[k] : offsets[k + 1]] = costs[k][sup] - lam[k]
@@ -307,7 +269,7 @@ def _newton_equal_cost(exo, P, weights, durations, act_idx, g, Y, supports, eval
     return None
 
 
-def _polish(exo, P, weights, durations, act_idx, g, Y, evals):
+def _polish(evaluate, g, P, weights, durations, act_idx, Y):
     """Active-set refinement: returns a polished copy of Y or None."""
     K, T = Y.shape
     work = Y.copy()
@@ -318,7 +280,7 @@ def _polish(exo, P, weights, durations, act_idx, g, Y, evals):
             sup = np.array([act_idx[k][int(np.argmax(work[k, act_idx[k]]))]])
         supports.append(sup)
     for _ in range(8 * T):
-        lam = _newton_equal_cost(exo, P, weights, durations, act_idx, g, work, supports, evals)
+        lam = _newton_equal_cost(evaluate, g, P, weights, durations, work, supports)
         if lam is None:
             return None
         changed = False
@@ -334,9 +296,7 @@ def _polish(exo, P, weights, durations, act_idx, g, Y, evals):
         if changed:
             continue
         work = np.maximum(work, 0.0)
-        x = _occupancy_from(work, weights, durations)
-        costs = _class_cost_vectors(g, exo + P * x, durations, act_idx, T)
-        evals[0] += 1
+        _, costs = evaluate(work)
         for k in range(K):
             outside = np.setdiff1d(act_idx[k], supports[k], assume_unique=True)
             if outside.size == 0:
@@ -365,37 +325,44 @@ def _solve_potential(
     for k, idx in enumerate(act_idx):
         Y[k, idx] = 1.0 / idx.size
 
-    evals = [0]
+    evals = 0
     best = (math.inf, None)
 
+    def evaluate(Ymat):
+        # loads and per-class start costs: the one place that spends budget
+        nonlocal evals
+        if evals >= budget:
+            profile = _profile_from_matrix(instance, best[1]) if best[1] is not None else None
+            raise ConvergenceError(
+                f"no equilibrium within gap {tol:g} after {evals} cost evaluations"
+                f" (best gap {best[0]:.3e})",
+                profile,
+                best[0],
+            )
+        evals += 1
+        loads = exo + P * _occupancy_from(Ymat, weights, durations)
+        return loads, _class_cost_vectors(g, loads, durations, act_idx, T)
+
     def gap_and_costs(Ymat):
-        x = _occupancy_from(Ymat, weights, durations)
-        costs = _class_cost_vectors(g, exo + P * x, durations, act_idx, T)
-        evals[0] += 1
-        return _wardrop_gap_of(costs, Ymat, support_threshold), costs
+        nonlocal best
+        _, costs = evaluate(Ymat)
+        gap = _wardrop_gap_of(costs, Ymat, support_threshold)
+        if gap < best[0]:
+            best = (gap, Ymat.copy())
+        return gap, costs
 
     iteration = 0
     next_polish = 0
     while True:
         gap, costs = gap_and_costs(Y)
-        if gap < best[0]:
-            best = (gap, Y.copy())
         if gap <= tol:
-            return Y, gap, costs, iteration, evals[0]
-        if evals[0] >= budget:
-            profile = _profile_from_matrix(instance, best[1]) if best[1] is not None else None
-            raise ConvergenceError(
-                f"no equilibrium within gap {tol:g} after {evals[0]} cost evaluations"
-                f" (best gap {best[0]:.3e})",
-                profile,
-                best[0],
-            )
+            return Y, gap, costs, iteration, evals
         if iteration >= next_polish:
-            polished = _polish(exo, P, weights, durations, act_idx, g, Y, evals)
+            polished = _polish(evaluate, g, P, weights, durations, act_idx, Y)
             if polished is not None:
                 pgap, pcosts = gap_and_costs(polished)
                 if pgap <= tol:
-                    return polished, pgap, pcosts, iteration, evals[0]
+                    return polished, pgap, pcosts, iteration, evals
                 if pgap < gap:
                     Y = polished
                     gap, costs = pgap, pcosts
@@ -408,9 +375,7 @@ def _solve_potential(
         D = V - Y
 
         def slope(gamma):
-            x = _occupancy_from(Y + gamma * D, weights, durations)
-            cg = _class_cost_vectors(g, exo + P * x, durations, act_idx, T)
-            evals[0] += 1
+            _, cg = evaluate(Y + gamma * D)
             s = 0.0
             for k, idx in enumerate(act_idx):
                 s += weights[k] * float(np.dot(cg[k][idx], D[k, idx]))
@@ -484,14 +449,15 @@ class InvarianceCheck:
 
     Truthiness is the conjunction of the three sub-checks, so plain
     ``if check_invariance_condition(inst):`` reads naturally; ``lhs`` is the
-    inequality's left side in power-normalized units.
+    inequality's left side in power-normalized units and ``quotient`` its
+    ``q = (T - C + 1) // C``.
     """
 
     nondecreasing: bool
     convex: bool
     inequality_holds: bool
     lhs: float
-    split: EuclideanSplit
+    quotient: int
 
     def __bool__(self) -> bool:
         return bool(self.nondecreasing and self.convex and self.inequality_holds)
@@ -509,18 +475,17 @@ def check_invariance_condition(instance: NonatomicInstance) -> InvarianceCheck:
     numbered from one.  The condition is sufficient, not tight: the
     elimination certificate in ``solve_symmetric_invariant`` is what finally
     vouches for the solution.  Raises ``ValueError`` when the geometry makes
-    index ``T-1-qC`` fall off the horizon (only possible when
-    ``C + remainder < 3``).
+    index ``T-1-qC`` fall off the horizon (only possible when ``C`` plus the
+    remainder of that division is below 3).
     """
     T, C = _require_symmetric_full_window(instance)
-    split = euclidean_split(T, C)
-    q = split.quotient
+    q = (T - C + 1) // C
     e = [v / instance.power for v in instance.exogenous] if instance.exogenous else [0.0] * T
     diffs = [b - a for a, b in zip(e, e[1:])]
     nondecreasing = all(d >= 0.0 for d in diffs)
     convex = all(d2 >= d1 for d1, d2 in zip(diffs, diffs[1:]))
     if q == 0:
-        return InvarianceCheck(bool(nondecreasing), bool(convex), True, 0.0, split)
+        return InvarianceCheck(bool(nondecreasing), bool(convex), True, 0.0, q)
     if T < 2 or T - 1 - q * C < 1:
         raise ValueError(
             f"invariance condition is undefined for T={T}, C={C}: "
@@ -528,7 +493,7 @@ def check_invariance_condition(instance: NonatomicInstance) -> InvarianceCheck:
         )
     lhs = q * e[T - 2] - sum(e[T - 2 - k * C] for k in range(1, q + 1))
     # bool()/float() strip numpy scalars when the exogenous load is an ndarray
-    return InvarianceCheck(bool(nondecreasing), bool(convex), bool(lhs < 1.0), float(lhs), split)
+    return InvarianceCheck(bool(nondecreasing), bool(convex), bool(lhs < 1.0), float(lhs), q)
 
 
 def _eliminate_with_certificate(A: np.ndarray, b: np.ndarray):

@@ -309,7 +309,7 @@ def test_efficiency_band_and_global_decrease():
     for C in (3, 4, 5):
         vals = []
         for I in range(1, 21):
-            report = efficiency(AtomicInstance.symmetric(10, I, C), Monomial(1, 2), threads=4)
+            report = efficiency(AtomicInstance.symmetric(10, I, C), Monomial(1, 2))
             assert isinstance(report.exact, Fraction), (
                 f"C={C}, I={I}: integral data gave an inexact ratio {report.value!r}"
             )
@@ -378,7 +378,7 @@ def test_efficiency_not_monotone_in_cost_exponent():
     nonmono = {}
     for C in (3, 4, 5):
         vals = [
-            efficiency(AtomicInstance.symmetric(10, 12, C), Monomial(1, k), threads=4).value
+            efficiency(AtomicInstance.symmetric(10, 12, C), Monomial(1, k)).value
             for k in range(2, 11)
         ]
         nonmono[C] = any(b < a for a, b in zip(vals, vals[1:]))

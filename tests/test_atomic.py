@@ -315,18 +315,6 @@ def test_block_kernel_matches_scalar_kernel_on_every_dtype(inst, f, dtype):
         assert exact == efficiency(inst, f, method="profiles").exact
 
 
-def test_threaded_scan_is_deterministic():
-    inst = AtomicInstance.symmetric(T=8, I=5, C=3, exogenous=(2, 0, 1, 3, 0, 1, 2, 0))
-    f = Monomial(1, 2)
-    runs = [enumerate_equilibria(inst, f, threads=k) for k in (1, 2, 4)]
-    first = [c.occupancy for c in runs[0].equilibria]
-    for other in runs[1:]:
-        assert [c.occupancy for c in other.equilibria] == first
-    reports = [efficiency(inst, f, threads=k) for k in (1, 4)]
-    assert reports[0].exact == reports[1].exact
-    assert reports[0].optimum.start_counts == reports[1].optimum.start_counts
-
-
 # ---------------------------------------------------------------------------
 # budgets
 

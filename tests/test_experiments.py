@@ -396,6 +396,14 @@ def test_cli_sweep(tmp_path):
     assert float(rows[1].split()[1]) == ne_proportion(inst, Monomial(1, 2))
     manifest = json.loads((out / "tiny_manifest.json").read_text())
     assert manifest["spec"]["kind"] == "ne-proportion"
+    pooled = tmp_path / "pooled"
+    assert main(["sweep", str(spec_path), "--out", str(pooled), "--threads", "2"]) == 0
+    for path in out.iterdir():
+        assert (pooled / path.name).read_bytes() == path.read_bytes()
+    for bad in ("0", "-3"):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", str(spec_path), "--out", str(pooled), "--threads", bad])
+        assert err.value.code == 2
 
 
 def test_cli_solve_atomic(tmp_path):

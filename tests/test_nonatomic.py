@@ -17,7 +17,6 @@ from chargegame import (
     build_symmetric_system,
     check_invariance_condition,
     efficiency_nonatomic,
-    euclidean_split,
     grid_total_cost,
     is_wardrop_equilibrium,
     potential_nonatomic,
@@ -52,16 +51,13 @@ def random_feasible_profile(rng, inst):
 
 
 # ---------------------------------------------------------------------------
-# euclidean split and the invariance condition
+# the invariance condition
 
 
-def test_euclidean_split_values():
-    s = euclidean_split(10, 3)
-    assert (s.quotient, s.remainder) == (2, 2)
-    assert euclidean_split(11, 5).quotient == 1
-    assert euclidean_split(10, 5).remainder == 1
-    with pytest.raises(ValueError):
-        euclidean_split(3, 4)
+@pytest.mark.parametrize("T, C, q", [(10, 3, 2), (11, 5, 1), (10, 5, 1)])
+def test_invariance_quotient(T, C, q):
+    inst = NonatomicInstance.symmetric(T=T, C=C, exogenous=tuple([1.0] * T))
+    assert check_invariance_condition(inst).quotient == q
 
 
 def test_invariance_condition_constant_exogenous():
@@ -70,7 +66,7 @@ def test_invariance_condition_constant_exogenous():
     assert check
     assert check.nondecreasing and check.convex and check.inequality_holds
     assert check.lhs == pytest.approx(0.0)
-    assert check.split.quotient == 2
+    assert check.quotient == 2
 
 
 STEEP_CONVEX_EXO = (0.0,) * 7 + (1.0, 3.0, 6.0)
@@ -260,6 +256,20 @@ def test_solver_budget_exhaustion():
         solve_equilibrium(inst, Monomial(1, 8), tol=1e-15, budget=1)
     assert err.value.profile is not None
     assert err.value.gap >= 0
+
+
+def test_solver_never_spends_past_its_budget():
+    inst = cost_dependent_instance()
+    unbudgeted = solve_equilibrium(inst, Monomial(1, 8))
+    for budget in range(1, 41):
+        try:
+            eq = solve_equilibrium(inst, Monomial(1, 8), budget=budget)
+        except ConvergenceError:
+            assert budget < unbudgeted.cost_evaluations
+            continue
+        assert eq.cost_evaluations <= budget
+        if budget >= unbudgeted.cost_evaluations:
+            assert eq.profile.start_mass().tolist() == unbudgeted.profile.start_mass().tolist()
 
 
 def test_equilibrium_report_fields():
