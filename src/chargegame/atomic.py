@@ -16,6 +16,7 @@ and budget-capped.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -102,11 +103,16 @@ class EfficiencyReport:
 
 
 def resolve_budget(budget: Optional[int], default: int = DEFAULT_BUDGET) -> int:
-    """Explicit argument, else ``CHARGE_GAME_BUDGET`` env var, else the default."""
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else default
+    """Explicit argument, else ``CHARGE_GAME_BUDGET`` env var, else the default.
+
+    Raises ``ValueError`` on a budget below 1, whichever source it came from.
+    """
+    if budget is None:
+        budget = os.environ.get(BUDGET_ENV_VAR) or default
+    budget = int(budget)
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -215,26 +221,20 @@ def _composition_count(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
 
 
-def _compositions_full(total: int, parts: int) -> np.ndarray:
-    # all count vectors of length `parts` summing to `total`, lexicographic
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    blocks = []
-    for c in range(total + 1):
-        sub = _compositions_full(total - c, parts - 1)
-        col = np.full((sub.shape[0], 1), c, dtype=np.int64)
-        blocks.append(np.hstack([col, sub]))
-    return np.vstack(blocks)
-
-
 def _composition_blocks(total: int, parts: int, max_rows: int) -> Iterator[np.ndarray]:
-    if parts == 1 or _composition_count(total, parts) <= max_rows:
-        yield _compositions_full(total, parts)
-        return
-    for c in range(total + 1):
-        for sub in _composition_blocks(total - c, parts - 1, max_rows):
-            col = np.full((sub.shape[0], 1), c, dtype=np.int64)
-            yield np.hstack([col, sub])
+    # all count vectors of length `parts` summing to `total`, lexicographic,
+    # in int64 blocks of at most `max_rows` rows.  Stars and bars: the bar
+    # positions come out of `combinations` in lexicographic order, which is
+    # the lexicographic order of the counts between them.
+    n = total + parts - 1
+    bars = itertools.combinations(range(n), parts - 1)
+    left = _composition_count(total, parts)
+    while left:
+        m = min(left, max_rows)
+        flat = itertools.chain.from_iterable(itertools.islice(bars, m))
+        positions = np.fromiter(flat, np.int64, m * (parts - 1)).reshape(m, parts - 1)
+        yield np.diff(positions, axis=1, prepend=-1, append=n) - 1
+        left -= m
 
 
 def _scan_dtype(instance: AtomicInstance, cost: GridCostFunction):
@@ -332,7 +332,7 @@ def _scan_symmetric(instance: AtomicInstance, cost: GridCostFunction, budget: in
     ne_costs: list = []
     best = None  # (cost, counts tuple, occ)
     examined = 0
-    for counts in _composition_blocks(I, A, 1 << 15):  # bounded blocks keep memory flat
+    for counts in _composition_blocks(I, A, 1 << 13):  # bounded blocks keep memory flat
         if examined >= budget:
             break
         counts = counts[: budget - examined]
@@ -350,8 +350,6 @@ def _scan_symmetric(instance: AtomicInstance, cost: GridCostFunction, budget: in
 
 
 def _scan_profiles(instance: AtomicInstance, cost: GridCostFunction, budget: int):
-    import itertools
-
     spaces = [list(action_set(instance, i)) for i in range(instance.I)]
     space = math.prod(len(s) for s in spaces)
     # NE status is a property of the profile, not the configuration, once

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .atomic import efficiency
+from .atomic import BudgetExceededError, efficiency
 from .experiments import (
     ATOMIC_COUNTEREXAMPLE,
     NONATOMIC_COUNTEREXAMPLE,
@@ -24,7 +24,7 @@ from .experiments import (
 )
 from .fileio import dump_json, load_instance
 from .model import AtomicInstance, Monomial
-from .nonatomic import social_optimum_nonatomic, solve_equilibrium
+from .nonatomic import ConvergenceError, social_optimum_nonatomic, solve_equilibrium
 
 
 def _emit_or_print(data: dict, out: str | None) -> None:
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_out_dir=False):
-        p.add_argument("--budget", type=int, default=None, help="search/evaluation budget cap")
+        p.add_argument("--budget", type=_positive_int, default=None, help="search/evaluation budget cap")
         if needs_out_dir:
             p.add_argument("--out", required=True, help="output directory for .dat files")
         else:
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("counterexamples", help="reproduce the bundled counter-examples")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--out", default=None, help="also emit .dat files into this directory")
     p.set_defaults(func=_cmd_counterexamples)
 
@@ -173,7 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (BudgetExceededError, ConvergenceError) as err:
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

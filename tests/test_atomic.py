@@ -33,7 +33,7 @@ from chargegame import (
     social_optimum,
     utility_atomic,
 )
-from chargegame.atomic import _scan_dtype, resolve_budget
+from chargegame.atomic import _composition_blocks, _scan_dtype, resolve_budget
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +315,18 @@ def test_block_kernel_matches_scalar_kernel_on_every_dtype(inst, f, dtype):
         assert exact == efficiency(inst, f, method="profiles").exact
 
 
+@pytest.mark.parametrize("max_rows", [1, 3, 7, 10**6])
+def test_composition_blocks_match_brute_force(max_rows):
+    for total in range(5):
+        for parts in range(1, 5):
+            blocks = list(_composition_blocks(total, parts, max_rows))
+            assert all(b.dtype == np.int64 and 1 <= b.shape[0] <= max_rows for b in blocks)
+            brute = [
+                row for row in itertools.product(range(total + 1), repeat=parts) if sum(row) == total
+            ]
+            assert np.vstack(blocks).tolist() == [list(row) for row in brute]
+
+
 # ---------------------------------------------------------------------------
 # budgets
 
@@ -347,6 +359,39 @@ def test_resolve_budget_sources(monkeypatch):
     monkeypatch.setenv("CHARGE_GAME_BUDGET", "777")
     assert resolve_budget(None) == 777
     assert resolve_budget(42) == 42  # explicit argument still wins
+
+
+def test_resolve_budget_rejects_budgets_below_one(monkeypatch):
+    monkeypatch.delenv("CHARGE_GAME_BUDGET", raising=False)
+    for bad in (0, -5):
+        with pytest.raises(ValueError):
+            resolve_budget(bad)
+    monkeypatch.setenv("CHARGE_GAME_BUDGET", "-5")
+    with pytest.raises(ValueError):
+        resolve_budget(None)
+
+
+def test_budget_is_exact_across_block_edges():
+    # 50,388 configurations; the scan evaluates them in blocks of 8,192
+    inst = AtomicInstance.symmetric(10, 12, 3)
+    f = Monomial(1, 2)
+    full = enumerate_equilibria(inst, f)
+    assert full.complete and full.examined == full.space_size == 50388
+    for budget in (8191, 8192, 8193, 50387, 50388):
+        eq = enumerate_equilibria(inst, f, budget=budget)
+        assert eq.examined == min(budget, full.space_size)
+        assert eq.complete is (budget == 50388)
+        assert set(eq.equilibria) <= set(full.equilibria)
+        if eq.complete:
+            assert eq.equilibria == full.equilibria and eq.costs == full.costs
+
+
+def test_budgeted_scan_never_builds_the_whole_space():
+    # 2.2e34 configurations: the scan must stop at the budget, not build them
+    eq = enumerate_equilibria(AtomicInstance.symmetric(96, 40, 2), Monomial(1, 2), budget=20000)
+    assert eq.examined == 20000
+    assert eq.space_size == 22463319921506831425909253320240400
+    assert eq.complete is False
 
 
 def test_budget_env_var_reaches_the_scan(monkeypatch):

@@ -240,7 +240,9 @@ def test_sweep_thread_determinism(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("spec_name", ["equilibrium_proportion", "efficiency_vs_exponent"])
+@pytest.mark.parametrize(
+    "spec_name", ["equilibrium_proportion", "efficiency_vs_exponent", "efficiency_vs_players"]
+)
 def test_committed_sweep_outputs_reproduce_byte_for_byte(tmp_path, spec_name):
     spec = SweepSpec.from_dict(json.loads((DEMOS / "specs" / f"{spec_name}.json").read_text()))
     emit_data(run_sweep(spec), tmp_path, spec=spec)
@@ -475,6 +477,36 @@ def test_cli_solve_nonatomic_rejects_atomic_instance(tmp_path, capsys):
     _write_atomic_instance(inst_path)
     assert main(["solve-nonatomic", str(inst_path)]) == 2
     assert "classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "equilibrium_proportion.json", "--out", "out"],
+        ["counterexamples"],
+        ["solve-atomic", "valley_three_players.json"],
+        ["solve-nonatomic", "evening_continuum.json"],
+    ],
+)
+def test_cli_rejects_a_negative_budget(args):
+    with pytest.raises(SystemExit) as err:
+        main([*args, "--budget", "-5"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, spec_name, error",
+    [
+        ("solve-atomic", "valley_three_players", "BudgetExceededError"),
+        ("solve-nonatomic", "evening_continuum", "ConvergenceError"),
+    ],
+)
+def test_cli_reports_a_refusal_in_one_line(capsys, command, spec_name, error):
+    spec = DEMOS / "specs" / f"{spec_name}.json"
+    assert main([command, str(spec), "--budget", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"{error}: ") and err.count("\n") == 1
 
 
 def test_cli_counterexamples(tmp_path, capsys):
