@@ -30,7 +30,7 @@ print(f"{I} EVs, duration {C}, horizon {T}, exogenous load {EXOGENOUS}, cost L^2
 print()
 
 eq_set = enumerate_equilibria(instance, COST)
-print(f"exhaustive scan ({eq_set.method}, {eq_set.examined} of {eq_set.space_size}):")
+print(f"exhaustive scan, {eq_set.examined} of {eq_set.space_size} configurations:")
 for config in eq_set.equilibria:
     tc = grid_total_cost(instance, COST, config)
     print(f"  starts {config.start_counts}  occupancy {config.occupancy}  total cost {tc}")

@@ -6,12 +6,14 @@ cost strictly decreases", and raw window costs stay exact integers whenever
 the instance data and the cost function are integral.  All comparisons below
 are therefore free of floating-point ties on integer instances.
 
-Symmetric instances (every player shares the same window and duration) are
-enumerated in configuration space: a configuration counts how many players
-start in each slot, which shrinks the search from ``A**I`` profiles to
-``C(I+A-1, A-1)`` compositions.  Asymmetric instances fall back to the full
-profile product space.  Both enumerations are deterministic (lexicographic)
-and budget-capped.
+The exhaustive scans run over class configurations.  Players that share a
+window ``(a, d, C)`` form a group and are interchangeable, so a class
+configuration says only how many players of each group start in each slot:
+one composition per group.  A group of ``n`` players with ``A`` start slots
+has ``C(n+A-1, A-1)`` compositions in place of ``A**n`` profiles; a
+symmetric instance is the one-group case, and an instance whose windows are
+all distinct scans its profile space itself.  The scan is deterministic
+(lexicographic, groups in sorted window order) and budget-capped.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -34,9 +37,7 @@ from .model import (
     _coerce_profile,
     _window_cost,
     action_set,
-    grid_total_cost,
     load,
-    occupancy,
     potential_atomic,
 )
 
@@ -69,10 +70,11 @@ class EquilibriumSet:
 
     ``equilibria`` holds one ``ChargingConfiguration`` per distinct Nash
     equilibrium (profiles that permute identical players are collapsed),
-    sorted by start counts so the listing does not depend on the scan method.
-    ``costs`` holds the scan's own total grid cost of each, in the same
-    order.  ``complete`` is False when the budget stopped the scan early, in
-    which case the set is a lower bound only.
+    sorted by start counts, then occupancy, so the listing does not depend
+    on the scan order.  ``costs`` holds the scan's own total grid cost of
+    each, in the same order.  ``examined`` and ``space_size`` count class
+    configurations.  ``complete`` is False when the budget stopped the scan
+    early, in which case the set is a lower bound only.
     """
 
     equilibria: tuple[ChargingConfiguration, ...]
@@ -80,7 +82,6 @@ class EquilibriumSet:
     complete: bool
     examined: int
     space_size: int
-    method: str
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,8 @@ def _strictly_less(new, cur):
 
     Rounding in float window sums can turn an exact tie into a phantom
     improvement of a few ulp, which would misclassify equilibria and make
-    the scan methods disagree; floats must clear ``1e-12 * scale``.  Exact
-    integer and Fraction costs compare exactly.
+    the scalar and block kernels disagree; floats must clear
+    ``1e-12 * scale``.  Exact integer and Fraction costs compare exactly.
     """
     if isinstance(new, float) or isinstance(cur, float):
         return new < cur - _REL_MARGIN * max(1.0, abs(cur))
@@ -142,7 +143,7 @@ def _deviations(instance: AtomicInstance, cost: GridCostFunction, loads, starts,
     ``loads`` is the full load vector of ``starts``.  The stream visits the
     player's whole action set in slot order, current slot included, and
     gives the raw window cost with the player moved there.  ``_eval_block``
-    is the vectorised twin for symmetric blocks.
+    is the vectorised twin for blocks of class configurations.
     """
     s, C, P = starts[player], instance.durations[player], instance.power
     # load in each slot once the player charges there: its own window already
@@ -237,6 +238,37 @@ def _composition_blocks(total: int, parts: int, max_rows: int) -> Iterator[np.nd
         left -= m
 
 
+def _configuration_blocks(shape, max_rows: int) -> Iterator[np.ndarray]:
+    # the product of the groups' compositions, one (total, parts) pair per
+    # group: each row is one composition per group side by side, the rows in
+    # lexicographic order, in int64 blocks of at most `max_rows` rows
+    (total, parts), rest = shape[0], shape[1:]
+    if not rest:
+        yield from _composition_blocks(total, parts, max_rows)
+        return
+    tail_size = math.prod(_composition_count(*group) for group in rest)
+    for heads in _composition_blocks(total, parts, max(1, max_rows // tail_size)):
+        for tail in _configuration_blocks(rest, max_rows):
+            # every head row followed by every tail row, heads varying slowest
+            yield np.concatenate([np.repeat(heads, len(tail), axis=0), np.tile(tail, (len(heads), 1))], axis=1)
+
+
+def _class_groups(instance: AtomicInstance) -> list[tuple[int, int, int, int, int]]:
+    """Players grouped by window, in sorted window order.
+
+    One ``(a, C, n, first, A)`` per group: ``n`` players with duration ``C``
+    and start slots ``a..a+A-1``, whose start counts sit in the columns
+    ``first..first+A-1`` of a class configuration.
+    """
+    windows = Counter(zip(instance.arrivals, instance.departures, instance.durations))
+    groups, first = [], 0
+    for (a, d, C), n in sorted(windows.items()):
+        A = d - C + 2 - a
+        groups.append((a, C, n, first, A))
+        first += A
+    return groups
+
+
 def _scan_dtype(instance: AtomicInstance, cost: GridCostFunction):
     # int64 when every intermediate fits comfortably, exact objects otherwise
     if not _is_exact(instance, cost):
@@ -247,200 +279,157 @@ def _scan_dtype(instance: AtomicInstance, cost: GridCostFunction):
     return object
 
 
-def _eval_block(instance: AtomicInstance, cost: GridCostFunction, counts: np.ndarray, dtype):
-    """NE flags and total costs for a block of symmetric configurations."""
-    a, d, C = instance.window(0)
+def _eval_block(instance: AtomicInstance, cost: GridCostFunction, groups, counts: np.ndarray, dtype):
+    """NE flags, total costs and occupancy for a block of class configurations.
+
+    Each row of ``counts`` holds one composition per group of
+    ``_class_groups``: column ``first + j`` counts the group's players
+    starting in slot ``a + j``.
+    """
     T = instance.horizon.T
-    A = counts.shape[1]
     P = instance.power
     m = counts.shape[0]
 
-    if dtype is np.float64:
-        work = counts.astype(np.float64)
-        exo = np.asarray(instance.exogenous, dtype=np.float64)
-    elif dtype is object:
-        work = counts.astype(object)
-        exo = np.array([int(v) for v in instance.exogenous], dtype=object)
-    else:
-        work = counts
-        exo = np.asarray(instance.exogenous, dtype=np.int64)
+    work = counts.astype(dtype, copy=False)
+    exo = np.asarray(instance.exogenous, dtype=dtype)
 
-    # occupancy per slot: windowed sum of start counts; starts sit in columns
-    # a-1 .. a+A-2 of the horizon
-    starts_full = np.zeros((m, T), dtype=dtype if dtype is not object else object)
-    starts_full[:, a - 1 : a - 1 + A] = work
-    spre = np.concatenate([np.zeros((m, 1), dtype=starts_full.dtype), np.cumsum(starts_full, axis=1)], axis=1)
+    # occupancy per slot: each group's start counts summed over its own
+    # duration, added up over the groups.  Slot column t holds the group's
+    # starts in columns t-a-C+2 .. t-a+1 of its block.  The fancy indexing
+    # makes occ column-major, like everything derived from it, which the
+    # deviation loop's whole-column reads depend on for speed.
     cols = np.arange(T)
-    lo = np.maximum(cols - C + 1, 0)
-    occ = spre[:, cols + 1] - spre[:, lo]
+    occ = 0
+    for a, C, _, first, A in groups:
+        spre = np.concatenate([np.zeros((m, 1), dtype=work.dtype), np.cumsum(work[:, first : first + A], axis=1)], axis=1)
+        occ = occ + spre[:, np.clip(cols - a + 2, 0, A)] - spre[:, np.clip(cols - a - C + 2, 0, A)]
 
     loads = exo[None, :] + P * occ
     F = cost(loads)
     G = cost(loads + P)
-    zero = np.zeros((m, 1), dtype=F.dtype if dtype is not object else object)
+    zero = np.zeros((m, 1), dtype=F.dtype)
     Fpre = np.concatenate([zero, np.cumsum(F, axis=1)], axis=1)
     Gpre = np.concatenate([zero, np.cumsum(G, axis=1)], axis=1)
 
-    def fsum(col: int):  # sum of F over horizon columns [col, col+C)
-        return Fpre[:, col + C] - Fpre[:, col]
-
-    def gsum(col: int):
-        return Gpre[:, col + C] - Gpre[:, col]
-
     tc = Fpre[:, T]
     ne = np.ones(m, dtype=bool)
-    for j in range(A):
-        occupied = counts[:, j] > 0
-        if not occupied.any():
-            continue
-        cj = a - 1 + j
-        current = fsum(cj)
-        if dtype is np.float64:
-            bar = current - _REL_MARGIN * np.maximum(1.0, np.abs(current))
-        else:
-            bar = current
-        for j2 in range(A):
-            if j2 == j:
+    for a, C, _, first, A in groups:
+        for j in range(A):
+            occupied = counts[:, first + j] > 0
+            if not occupied.any():
                 continue
-            cj2 = a - 1 + j2
-            olo, ohi = max(cj, cj2), min(cj, cj2) + C
-            if ohi > olo:
-                new_cost = gsum(cj2) - (Gpre[:, ohi] - Gpre[:, olo]) + (Fpre[:, ohi] - Fpre[:, olo])
+            cj = a - 1 + j
+            current = Fpre[:, cj + C] - Fpre[:, cj]
+            if dtype is np.float64:
+                bar = current - _REL_MARGIN * np.maximum(1.0, np.abs(current))
             else:
-                new_cost = gsum(cj2)
-            ne &= ~(occupied & (new_cost < bar))
+                bar = current
+            for j2 in range(A):
+                if j2 == j:
+                    continue
+                # moving one player from horizon column cj to cj2: the new
+                # window gains P except where it overlaps the old one
+                cj2 = a - 1 + j2
+                new_cost = Gpre[:, cj2 + C] - Gpre[:, cj2]
+                olo, ohi = max(cj, cj2), min(cj, cj2) + C
+                if ohi > olo:
+                    new_cost = new_cost - (Gpre[:, ohi] - Gpre[:, olo]) + (Fpre[:, ohi] - Fpre[:, olo])
+                ne &= ~(occupied & (new_cost < bar))
     return ne, tc, occ
 
 
-def _config_from_counts(instance: AtomicInstance, counts, occ) -> ChargingConfiguration:
-    a, _, _ = instance.window(0)
-    T = instance.horizon.T
-    start_counts = [0] * T
-    for j, c in enumerate(counts):
-        start_counts[a - 1 + j] = int(c)
+def _config_from_counts(instance: AtomicInstance, groups, counts, occ) -> ChargingConfiguration:
+    start_counts = [0] * instance.horizon.T
+    for a, _, _, first, A in groups:
+        for j in range(A):
+            start_counts[a - 1 + j] += int(counts[first + j])
     return ChargingConfiguration(tuple(start_counts), tuple(int(v) for v in occ))
 
 
-def _scan_symmetric(instance: AtomicInstance, cost: GridCostFunction, budget: int):
-    a, d, C = instance.window(0)
-    A = d - C + 2 - a
-    I = instance.I
-    space = _composition_count(I, A)
+def _profile_count(groups, counts) -> int:
+    # profiles behind one class configuration: a multinomial per group
+    return math.prod(
+        math.factorial(n) // math.prod(math.factorial(c) for c in counts[first : first + A].tolist())
+        for _, _, n, first, A in groups
+    )
+
+
+def _scan(instance: AtomicInstance, cost: GridCostFunction, budget: Optional[int]):
+    """Scan the class configurations in lexicographic order, up to the budget.
+
+    Returns the equilibrium set, the number of NE profiles behind it, and
+    the first minimum-cost class configuration as ``(cost, configuration)``.
+    Players sharing a window are interchangeable, so NE status and cost
+    depend on the class configuration alone; distinct class configurations
+    can still share a ``ChargingConfiguration``, which is listed once.
+    """
+    budget = resolve_budget(budget)
+    groups = _class_groups(instance)
+    shape = [(n, A) for _, _, n, _, A in groups]
+    space = math.prod(_composition_count(n, A) for n, A in shape)
     dtype = _scan_dtype(instance, cost)
 
-    ne_configs: list[ChargingConfiguration] = []
-    ne_costs: list = []
-    best = None  # (cost, counts tuple, occ)
+    def native(v):
+        return v if dtype is object else v.item()
+
+    ne_found: dict[ChargingConfiguration, Number] = {}
+    ne_profiles = 0
+    best = None  # (cost, configuration)
     examined = 0
-    for counts in _composition_blocks(I, A, 1 << 13):  # bounded blocks keep memory flat
+    for counts in _configuration_blocks(shape, 1 << 13):  # bounded blocks keep memory flat
         if examined >= budget:
             break
         counts = counts[: budget - examined]
-        ne, tc, occ = _eval_block(instance, cost, counts, dtype)
+        ne, tc, occ = _eval_block(instance, cost, groups, counts, dtype)
         examined += counts.shape[0]
         for idx in np.flatnonzero(ne):
-            ne_configs.append(_config_from_counts(instance, counts[idx], occ[idx]))
-            ne_costs.append(tc[idx].item() if dtype is not object else tc[idx])
-        idx = int(np.argmin(tc))  # first occurrence: lexicographically smallest counts
-        block_cost = tc[idx].item() if dtype is not object else tc[idx]
-        if best is None or block_cost < best[0]:
-            best = (block_cost, tuple(int(v) for v in counts[idx]), occ[idx].copy())
-    complete = examined >= space
-    return ne_configs, ne_costs, best, examined, space, complete
+            ne_profiles += _profile_count(groups, counts[idx])
+            config = _config_from_counts(instance, groups, counts[idx], occ[idx])
+            ne_found.setdefault(config, native(tc[idx]))
+        idx = int(np.argmin(tc))  # first occurrence: first in scan order
+        if best is None or native(tc[idx]) < best[0]:
+            best = (native(tc[idx]), _config_from_counts(instance, groups, counts[idx], occ[idx]))
 
-
-def _scan_profiles(instance: AtomicInstance, cost: GridCostFunction, budget: int):
-    spaces = [list(action_set(instance, i)) for i in range(instance.I)]
-    space = math.prod(len(s) for s in spaces)
-    # NE status is a property of the profile, not the configuration, once
-    # players are heterogeneous: dedup only among profiles that ARE equilibria
-    ne_seen: set[ChargingConfiguration] = set()
-    ne_configs: list[ChargingConfiguration] = []
-    ne_costs: list = []
-    ne_count = 0  # NE profiles, the unit matching ``space`` for this method
-    best = None  # (cost, config)
-    examined = 0
-    for starts in itertools.product(*spaces):
-        if examined >= budget:
-            break
-        examined += 1
-        config = occupancy(instance, StrategyProfile(starts))
-        tc = grid_total_cost(instance, cost, config)
-        if best is None or tc < best[0]:
-            best = (tc, config)
-        if is_nash(instance, cost, StrategyProfile(starts)):
-            ne_count += 1
-            if config not in ne_seen:
-                ne_seen.add(config)
-                ne_configs.append(config)
-                ne_costs.append(tc)
-    complete = examined >= space
-    return ne_configs, ne_costs, ne_count, best, examined, space, complete
-
-
-def _scan(instance: AtomicInstance, cost: GridCostFunction, budget: Optional[int], method: str):
-    budget = resolve_budget(budget)
-    if method == "auto":
-        method = "configurations" if instance.is_symmetric else "profiles"
-    if method == "configurations":
-        if not instance.is_symmetric:
-            raise ValueError("configuration-space enumeration requires a symmetric instance")
-        ne_configs, ne_costs, best, examined, space, complete = _scan_symmetric(instance, cost, budget)
-        ne_count = len(ne_configs)
-        if best is not None:
-            best = (best[0], _config_from_counts(instance, best[1], best[2]))
-    elif method == "profiles":
-        ne_configs, ne_costs, ne_count, best, examined, space, complete = _scan_profiles(
-            instance, cost, budget
-        )
-    else:
-        raise ValueError(f"unknown enumeration method {method!r}")
-    return ne_configs, ne_costs, ne_count, best, examined, space, complete, method
-
-
-def _equilibrium_set(ne_configs, ne_costs, complete, examined, space, method) -> EquilibriumSet:
-    pairs = sorted(zip(ne_configs, ne_costs), key=lambda pair: pair[0].start_counts)
-    configs = tuple(config for config, _ in pairs)
-    costs = tuple(cost for _, cost in pairs)
-    return EquilibriumSet(configs, costs, complete, examined, space, method)
+    # listed by start counts, then occupancy, whatever the scan order
+    listing = sorted(ne_found.items(), key=lambda pair: (pair[0].start_counts, pair[0].occupancy))
+    eq_set = EquilibriumSet(
+        equilibria=tuple(config for config, _ in listing),
+        costs=tuple(c for _, c in listing),
+        complete=examined >= space,
+        examined=examined,
+        space_size=space,
+    )
+    return eq_set, ne_profiles, best
 
 
 def enumerate_equilibria(
     instance: AtomicInstance,
     cost: GridCostFunction,
     budget: Optional[int] = None,
-    method: str = "auto",
 ) -> EquilibriumSet:
     """All Nash-equilibrium configurations, by exhaustive deterministic scan.
 
-    ``method`` is ``"configurations"`` (symmetric instances only),
-    ``"profiles"`` (always valid, exponentially larger), or ``"auto"``.
     When the budget runs out first the returned set is flagged incomplete.
     """
-    ne_configs, ne_costs, _, _, examined, space, complete, method = _scan(
-        instance, cost, budget, method
-    )
-    return _equilibrium_set(ne_configs, ne_costs, complete, examined, space, method)
+    return _scan(instance, cost, budget)[0]
 
 
 def social_optimum(
     instance: AtomicInstance,
     cost: GridCostFunction,
     budget: Optional[int] = None,
-    method: str = "auto",
 ) -> tuple[ChargingConfiguration, Number]:
     """Configuration minimizing total grid cost, with its cost.
 
-    Ties break deterministically: configuration scans keep the
-    lexicographically smallest start-count vector, profile scans the first
-    minimizing profile in lexicographic start order.  Raises
-    ``BudgetExceededError`` if the scan could not finish: a partial minimum
-    is not an optimum.
+    Ties break toward the first class configuration in scan order; on a
+    symmetric instance that is the lexicographically smallest start-count
+    vector.  Raises ``BudgetExceededError`` if the scan could not finish: a
+    partial minimum is not an optimum.
     """
-    _, _, _, best, examined, space, complete, _ = _scan(instance, cost, budget, method)
-    if not complete:
+    eq_set, _, best = _scan(instance, cost, budget)
+    if not eq_set.complete:
         raise BudgetExceededError(
-            f"social optimum scan stopped after {examined} of {space} configurations",
+            f"social optimum scan stopped after {eq_set.examined} of {eq_set.space_size} configurations",
             partial=best,
         )
     return best[1], best[0]
@@ -450,26 +439,23 @@ def efficiency(
     instance: AtomicInstance,
     cost: GridCostFunction,
     budget: Optional[int] = None,
-    method: str = "auto",
 ) -> EfficiencyReport:
     """Worst-case Nash total cost over the social optimum, exhaustively.
 
-    Exact rational arithmetic is used whenever both costs are integers.
-    Raises ``BudgetExceededError`` on an incomplete scan.
+    The worst equilibrium is the first costliest one in the listing order of
+    ``EquilibriumSet``.  Exact rational arithmetic is used whenever both
+    costs are integers.  Raises ``BudgetExceededError`` on an incomplete scan.
     """
-    ne_configs, ne_costs, _, best, examined, space, complete, method = _scan(
-        instance, cost, budget, method
-    )
-    eq_set = _equilibrium_set(ne_configs, ne_costs, complete, examined, space, method)
-    if not complete:
+    eq_set, _, best = _scan(instance, cost, budget)
+    if not eq_set.complete:
         raise BudgetExceededError(
-            f"efficiency scan stopped after {examined} of {space} configurations",
+            f"efficiency scan stopped after {eq_set.examined} of {eq_set.space_size} configurations",
             partial=eq_set,
         )
-    if not ne_configs:
+    if not eq_set.equilibria:
         raise RuntimeError("no Nash equilibrium found; the potential argument forbids this")
-    worst_idx = max(range(len(ne_costs)), key=lambda i: ne_costs[i])
-    worst_cost = ne_costs[worst_idx]
+    worst_idx = max(range(len(eq_set.costs)), key=eq_set.costs.__getitem__)
+    worst_cost = eq_set.costs[worst_idx]
     opt_config, opt_cost = best[1], best[0]
     if isinstance(worst_cost, (int, np.integer)) and isinstance(opt_cost, (int, np.integer)):
         exact = Fraction(int(worst_cost), int(opt_cost))
@@ -480,7 +466,7 @@ def efficiency(
     return EfficiencyReport(
         value=value,
         exact=exact,
-        worst_equilibrium=ne_configs[worst_idx],
+        worst_equilibrium=eq_set.equilibria[worst_idx],
         worst_cost=worst_cost,
         optimum=opt_config,
         optimum_cost=opt_cost,
@@ -492,17 +478,19 @@ def ne_proportion(
     instance: AtomicInstance,
     cost: GridCostFunction,
     budget: Optional[int] = None,
-    method: str = "auto",
 ) -> float:
-    """Fraction of the scanned space that is a Nash equilibrium.
+    """Fraction of the game's outcomes that are Nash equilibria.
 
-    The numerator matches the method's unit: equilibrium configurations out
-    of all configurations, or equilibrium profiles out of all profiles.
+    A symmetric instance counts configurations: equilibrium configurations
+    out of all configurations.  Any other instance counts profiles:
+    equilibrium profiles out of all profiles.
     """
-    _, _, ne_count, _, examined, space, complete, method = _scan(instance, cost, budget, method)
-    if not complete:
+    eq_set, ne_profiles, _ = _scan(instance, cost, budget)
+    if not eq_set.complete:
         raise BudgetExceededError(
-            f"proportion scan stopped after {examined} of {space} configurations",
+            f"proportion scan stopped after {eq_set.examined} of {eq_set.space_size} configurations",
             partial=None,
         )
-    return ne_count / space
+    if instance.is_symmetric:
+        return len(eq_set.equilibria) / eq_set.space_size
+    return ne_profiles / math.prod(len(action_set(instance, i)) for i in range(instance.I))

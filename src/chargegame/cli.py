@@ -36,8 +36,12 @@ def _emit_or_print(data: dict, out: str | None) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.spec) as fh:
-        spec = SweepSpec.from_dict(json.load(fh))
+    try:
+        with open(args.spec) as fh:
+            spec = SweepSpec.from_dict(json.load(fh))
+    except ValueError as err:
+        print(f"{args.spec}: {err}", file=sys.stderr)
+        return 2
     if args.budget is not None:
         spec = SweepSpec.from_dict({**spec.to_dict(), "budget": args.budget})
     series = run_sweep(spec, threads=args.threads)
@@ -88,7 +92,6 @@ def _cmd_solve_atomic(args) -> int:
         "complete": eq_set.complete,
         "examined": eq_set.examined,
         "space_size": eq_set.space_size,
-        "method": eq_set.method,
         "optimum": _config_dict(report.optimum),
         "optimum_cost": float(report.optimum_cost),
         "worst_equilibrium_cost": float(report.worst_cost),

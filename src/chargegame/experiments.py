@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .atomic import efficiency, ne_proportion
+from .atomic import efficiency, ne_proportion, resolve_budget
 from .fileio import cost_from_dict, cost_label, cost_to_dict, dump_json
 from .model import (
     AtomicInstance,
@@ -74,6 +74,8 @@ class SweepSpec:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.exogenous is not None:
             object.__setattr__(self, "exogenous", tuple(self.exogenous))
+        if self.budget is not None:
+            resolve_budget(self.budget)  # the scans' rule: at least 1
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":

@@ -33,7 +33,7 @@ from chargegame import (
     social_optimum,
     utility_atomic,
 )
-from chargegame.atomic import _composition_blocks, _scan_dtype, resolve_budget
+from chargegame.atomic import _composition_blocks, _configuration_blocks, _scan_dtype, resolve_budget
 
 
 # ---------------------------------------------------------------------------
@@ -86,21 +86,53 @@ def oracle_occupancy(inst, starts):
     return tuple(occ)
 
 
+def oracle_configuration(inst, starts):
+    """(start counts, occupancy) of a profile."""
+    counts = [0] * inst.horizon.T
+    for s in starts:
+        counts[s - 1] += 1
+    return tuple(counts), oracle_occupancy(inst, starts)
+
+
 def oracle_scan(inst, cost):
-    """Distinct NE occupancies with costs, NE profile count, optimum cost."""
+    """Distinct NE configurations with costs, NE profile count, optimum cost."""
     spaces = [list(action_set(inst, i)) for i in range(inst.I)]
     ne = {}
     ne_profiles = 0
     opt = None
     for starts in itertools.product(*spaces):
-        occ = oracle_occupancy(inst, starts)
         tc = sum(cost(v) for v in oracle_loads(inst, starts))
         if opt is None or tc < opt:
             opt = tc
         if oracle_is_ne(inst, cost, starts):
             ne_profiles += 1
-            ne[occ] = tc
+            ne[oracle_configuration(inst, starts)] = tc
     return ne, ne_profiles, opt
+
+
+def listed(eq):
+    """An equilibrium set as the oracle keys it: configuration -> cost."""
+    return {(c.start_counts, c.occupancy): cost for c, cost in zip(eq.equilibria, eq.costs)}
+
+
+def one_profile(inst, config):
+    """Some profile with ``config``'s start counts and occupancy, by search."""
+
+    def search(i, left, starts):
+        if i == inst.I:
+            return starts if oracle_occupancy(inst, starts) == config.occupancy else None
+        # players sharing a window are interchangeable: keep their starts sorted
+        lowest = starts[-1] if i and inst.window(i) == inst.window(i - 1) else 0
+        for s in action_set(inst, i):
+            if s >= lowest and left[s - 1]:
+                left[s - 1] -= 1
+                found = search(i + 1, left, starts + (s,))
+                left[s - 1] += 1
+                if found:
+                    return found
+        return None
+
+    return search(0, list(config.start_counts), ())
 
 
 def random_symmetric_instance(rng, max_T=7, max_I=4, max_C=3):
@@ -119,6 +151,20 @@ def random_heterogeneous_instance(rng, max_T=7, max_I=3):
         d = rng.randint(a + 1, T)
         C = rng.randint(1, d - a + 1)
         players.append((a, d, C))
+    exo = tuple(rng.randint(0, 4) for _ in range(T))
+    return AtomicInstance.create(T=T, players=players, exogenous=exo)
+
+
+def random_repeated_window_instance(rng, max_T=7, max_I=5, pool=3):
+    # players draw their windows from a pool of at most `pool`, so windows
+    # repeat and the scan's groups hold several players
+    T = rng.randint(3, max_T)
+    windows = []
+    for _ in range(rng.randint(2, pool)):
+        a = rng.randint(1, T - 1)
+        d = rng.randint(a + 1, T)
+        windows.append((a, d, rng.randint(1, min(3, d - a))))  # at least two start slots
+    players = [rng.choice(windows) for _ in range(rng.randint(2, max_I))]
     exo = tuple(rng.randint(0, 4) for _ in range(T))
     return AtomicInstance.create(T=T, players=players, exogenous=exo)
 
@@ -197,7 +243,6 @@ def test_dynamics_reaches_equilibrium_with_increasing_trace():
 def test_dynamics_from_equilibrium_is_a_fixed_point():
     inst = AtomicInstance.symmetric(T=6, I=3, C=2, exogenous=(1, 2, 3, 2, 1, 3))
     f = Monomial(1, 2)
-    eq = enumerate_equilibria(inst, f, method="profiles")
     start = StrategyProfile((1, 4, 5))
     assert is_nash(inst, f, start)
     final, trace = best_response_dynamics(inst, f, start)
@@ -216,19 +261,29 @@ def test_dynamics_sweep_budget():
 # exhaustive scans against the oracle
 
 
-@pytest.mark.parametrize("method", ["configurations", "profiles"])
-def test_enumeration_matches_oracle_symmetric(method):
+@pytest.mark.parametrize("view", ["configurations", "profiles"])
+def test_enumeration_matches_oracle_symmetric(view):
+    # configurations: the listing and the optimum; profiles: the profiles
+    # behind the listing are exactly the oracle's NE profiles
     rng = random.Random(105)
     f = Monomial(1, 2)
     for _ in range(25):
         inst = random_symmetric_instance(rng)
         ne, ne_profiles, opt = oracle_scan(inst, f)
-        eq = enumerate_equilibria(inst, f, method=method)
+        eq = enumerate_equilibria(inst, f)
         assert eq.complete
-        assert {c.occupancy for c in eq.equilibria} == set(ne)
-        opt_config, opt_cost = social_optimum(inst, f, method=method)
-        assert opt_cost == opt
-        assert sum(opt_config.occupancy) == inst.I * inst.durations[0]
+        assert set(listed(eq)) == set(ne)
+        if view == "configurations":
+            assert listed(eq) == ne
+            opt_config, opt_cost = social_optimum(inst, f)
+            assert opt_cost == opt
+            assert sum(opt_config.occupancy) == inst.I * inst.durations[0]
+        else:
+            behind = 0
+            for config in eq.equilibria:
+                assert oracle_is_ne(inst, f, one_profile(inst, config))
+                behind += math.factorial(inst.I) // math.prod(map(math.factorial, config.start_counts))
+            assert behind == ne_profiles
 
 
 def test_enumeration_matches_oracle_heterogeneous():
@@ -238,10 +293,59 @@ def test_enumeration_matches_oracle_heterogeneous():
         inst = random_heterogeneous_instance(rng)
         ne, ne_profiles, opt = oracle_scan(inst, f)
         eq = enumerate_equilibria(inst, f)
-        assert eq.method == ("configurations" if inst.is_symmetric else "profiles")
-        assert {c.occupancy for c in eq.equilibria} == set(ne)
+        assert listed(eq) == ne
         _, opt_cost = social_optimum(inst, f)
         assert opt_cost == opt
+
+
+def test_scan_matches_oracle_on_every_small_symmetric_instance():
+    # T <= 8, every duration, I <= 4, three exogenous loads each; one profile
+    # per multiset of starts stands for its configuration in the oracle
+    rng = np.random.default_rng(7103)
+    f = Monomial(1, 2)
+    for T in range(2, 9):
+        for C in range(1, T + 1):
+            exos = [(0,) * T] + [tuple(int(v) for v in rng.integers(0, 5, size=T)) for _ in range(2)]
+            for I in range(1, 5):
+                for exo in exos:
+                    inst = AtomicInstance.symmetric(T, I, C, exogenous=exo)
+                    ne = {
+                        oracle_configuration(inst, starts): sum(map(f, oracle_loads(inst, starts)))
+                        for starts in itertools.combinations_with_replacement(action_set(inst, 0), I)
+                        if oracle_is_ne(inst, f, starts)
+                    }
+                    eq = enumerate_equilibria(inst, f)
+                    assert eq.complete and listed(eq) == ne, (T, C, I, exo)
+
+
+@pytest.mark.parametrize("f", [Monomial(1, 2), SquareRoot()], ids=["L2", "sqrtL"])
+def test_repeated_window_scan_matches_oracle(f):
+    rng = random.Random(110)
+    exact = isinstance(f, Monomial)
+    for _ in range(60):
+        inst = random_repeated_window_instance(rng)
+        ne, ne_profiles, opt = oracle_scan(inst, f)
+        report = efficiency(inst, f)
+        eq = report.equilibria
+        got = listed(eq)
+        assert eq.complete and set(got) == set(ne)
+        if exact:
+            assert got == ne
+            assert social_optimum(inst, f)[1] == opt
+            assert report.exact == Fraction(max(ne.values()), opt)
+        else:
+            assert [got[k] for k in ne] == pytest.approx(list(ne.values()), rel=1e-12)
+            assert social_optimum(inst, f)[1] == pytest.approx(opt, rel=1e-12)
+            assert report.value == pytest.approx(max(ne.values()) / opt, rel=1e-12)
+        # listed by start counts, then occupancy; the worst is the first costliest
+        assert list(got) == sorted(got)
+        assert report.worst_equilibrium == eq.equilibria[eq.costs.index(max(eq.costs))]
+        spaces = [len(action_set(inst, i)) for i in range(inst.I)]
+        if inst.is_symmetric:  # one group: configurations, as for any symmetric game
+            expected = len(ne) / math.comb(inst.I + spaces[0] - 1, spaces[0] - 1)
+        else:
+            expected = ne_profiles / math.prod(spaces)
+        assert ne_proportion(inst, f) == pytest.approx(expected, rel=1e-15)
 
 
 def test_efficiency_matches_oracle_exactly():
@@ -266,9 +370,14 @@ def test_ne_proportion_units():
         A, I = spaces[0], inst.I
         config_space = math.comb(I + A - 1, A - 1)
         assert ne_proportion(inst, f) == pytest.approx(len(ne) / config_space)
-        assert ne_proportion(inst, f, method="profiles") == pytest.approx(
-            ne_profiles / math.prod(spaces)
-        )
+    # any other instance counts profiles
+    for _ in range(10):
+        inst = random_heterogeneous_instance(rng, max_T=6)
+        if inst.is_symmetric:
+            continue
+        ne, ne_profiles, _ = oracle_scan(inst, f)
+        spaces = [len(action_set(inst, i)) for i in range(inst.I)]
+        assert ne_proportion(inst, f) == pytest.approx(ne_profiles / math.prod(spaces))
 
 
 def test_big_exponent_uses_exact_arithmetic():
@@ -287,7 +396,7 @@ def test_float_cost_path():
     f = SquareRoot()
     ne, _, opt = oracle_scan(inst, f)
     eq = enumerate_equilibria(inst, f)
-    assert {c.occupancy for c in eq.equilibria} == set(ne)
+    assert set(listed(eq)) == set(ne)
     report = efficiency(inst, f)
     assert report.exact is None
     assert report.value == pytest.approx(max(ne.values()) / opt)
@@ -300,19 +409,22 @@ def test_float_cost_path():
         (AtomicInstance.symmetric(4, 2, 2), Monomial(1, 37), np.int64),
         (AtomicInstance.symmetric(4, 2, 2), Monomial(1, 38), object),
         (AtomicInstance.symmetric(4, 2, 2, exogenous=(0.5, 1.25, 0.75, 2.5)), SquareRoot(), np.float64),
+        # the same switch with two window groups
+        (AtomicInstance.create(4, [(1, 4, 2), (2, 4, 1)]), Monomial(1, 37), np.int64),
+        (AtomicInstance.create(4, [(1, 4, 2), (2, 4, 1)]), Monomial(1, 38), object),
+        (AtomicInstance.create(4, [(1, 4, 2), (2, 4, 1)], exogenous=(0.5, 1.25, 0.75, 2.5)), SquareRoot(), np.float64),
     ],
 )
 def test_block_kernel_matches_scalar_kernel_on_every_dtype(inst, f, dtype):
     assert _scan_dtype(inst, f) is dtype
-    by_configs = enumerate_equilibria(inst, f, method="configurations")
-    by_profiles = enumerate_equilibria(inst, f, method="profiles")
-    assert by_configs.equilibria == by_profiles.equilibria
-    assert by_configs.costs == pytest.approx(by_profiles.costs, rel=1e-12)
+    ne, _, opt = oracle_scan(inst, f)
+    eq = enumerate_equilibria(inst, f)
+    assert set(listed(eq)) == set(ne)
+    assert all(is_nash(inst, f, one_profile(inst, c)) for c in eq.equilibria)
+    assert [listed(eq)[k] for k in ne] == pytest.approx([ne[k] for k in ne], rel=1e-12)
     if dtype is not np.float64:
-        assert by_configs.costs == by_profiles.costs
-        exact = efficiency(inst, f, method="configurations").exact
-        assert exact is not None
-        assert exact == efficiency(inst, f, method="profiles").exact
+        assert listed(eq) == ne
+        assert efficiency(inst, f).exact == Fraction(max(ne.values()), opt)
 
 
 @pytest.mark.parametrize("max_rows", [1, 3, 7, 10**6])
@@ -325,6 +437,32 @@ def test_composition_blocks_match_brute_force(max_rows):
                 row for row in itertools.product(range(total + 1), repeat=parts) if sum(row) == total
             ]
             assert np.vstack(blocks).tolist() == [list(row) for row in brute]
+
+
+@pytest.mark.parametrize("max_rows", [1, 3, 7, 10**6])
+def test_configuration_blocks_match_product_of_compositions(max_rows):
+    def compositions(total, parts):
+        return [list(r) for r in itertools.product(range(total + 1), repeat=parts) if sum(r) == total]
+
+    for shape in ([(2, 3)], [(2, 3), (1, 2)], [(1, 1), (2, 2), (1, 3)], [(3, 2), (2, 3)]):
+        blocks = list(_configuration_blocks(shape, max_rows))
+        assert all(b.dtype == np.int64 and 1 <= b.shape[0] <= max_rows for b in blocks)
+        brute = [sum(rows, []) for rows in itertools.product(*(compositions(*g) for g in shape))]
+        assert np.vstack(blocks).tolist() == brute
+
+
+def test_two_durations_scan_at_a_new_scale():
+    # 4 EVs at C=2 and 4 at C=3 on the full T=10 window: two groups whose
+    # class configurations are far fewer than the profiles
+    inst = AtomicInstance.create(10, [(1, 10, 2)] * 4 + [(1, 10, 3)] * 4)
+    f = Monomial(1, 2)
+    eq = enumerate_equilibria(inst, f)
+    assert eq.complete
+    assert eq.space_size == math.comb(12, 4) * math.comb(11, 4) == 163350
+    assert math.prod(len(action_set(inst, i)) for i in range(inst.I)) == 26873856
+    assert eq.equilibria
+    for config in eq.equilibria:
+        assert is_nash(inst, f, one_profile(inst, config))
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +519,20 @@ def test_budget_is_exact_across_block_edges():
         eq = enumerate_equilibria(inst, f, budget=budget)
         assert eq.examined == min(budget, full.space_size)
         assert eq.complete is (budget == 50388)
+        assert set(eq.equilibria) <= set(full.equilibria)
+        if eq.complete:
+            assert eq.equilibria == full.equilibria and eq.costs == full.costs
+
+
+def test_budget_is_exact_across_multi_group_block_edges():
+    # two groups, 495 x 330 class configurations in blocks of 24 x 330 = 7920
+    inst = AtomicInstance.create(10, [(1, 10, 2)] * 4 + [(1, 10, 3)] * 4)
+    f = Monomial(1, 2)
+    full = enumerate_equilibria(inst, f)
+    for budget in (7919, 7920, 7921, 163349, 163350):
+        eq = enumerate_equilibria(inst, f, budget=budget)
+        assert eq.examined == budget
+        assert eq.complete is (budget == 163350)
         assert set(eq.equilibria) <= set(full.equilibria)
         if eq.complete:
             assert eq.equilibria == full.equilibria and eq.costs == full.costs

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -415,7 +416,6 @@ def test_cli_solve_atomic(tmp_path):
     assert main(["solve-atomic", str(inst_path), "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["complete"] is True
-    assert data["method"] == "configurations"
     assert len(data["equilibria"]) == 3
     assert data["efficiency"] == 1.0
     assert data["efficiency_exact"] == "1"
@@ -507,6 +507,29 @@ def test_cli_reports_a_refusal_in_one_line(capsys, command, spec_name, error):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(f"{error}: ") and err.count("\n") == 1
+
+
+def test_sweep_spec_rejects_a_budget_below_one():
+    with pytest.raises(ValueError, match="budget"):
+        SweepSpec(kind="ne-proportion", label="tiny", T=4, I_values=(1,), C_values=(2,), budget=0)
+
+
+@pytest.mark.parametrize("bad", [{"budget": 0}, {"kind": "no-such-kind"}], ids=["budget-0", "unknown-kind"])
+def test_cli_sweep_rejects_a_bad_spec_in_one_line(tmp_path, capsys, bad):
+    spec = {**json.loads((DEMOS / "specs" / "equilibrium_proportion.json").read_text()), **bad}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["sweep", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("demo", ["equilibrium_tour.py", "invariance_tour.py"])
+def test_demo_tour_runs(demo, capsys):
+    # a demo that reads a removed attribute or option fails here
+    runpy.run_path(str(DEMOS / demo), run_name="__main__")
+    assert capsys.readouterr().out
 
 
 def test_cli_counterexamples(tmp_path, capsys):
