@@ -22,9 +22,23 @@ from .experiments import (
     run_counterexamples,
     run_sweep,
 )
-from .fileio import dump_json, load_instance
+from .fileio import dump_json, instance_from_dict
 from .model import AtomicInstance, Monomial
 from .nonatomic import ConvergenceError, social_optimum_nonatomic, solve_equilibrium
+
+
+class _BadInput(Exception):
+    """An input file that cannot be read; ``main`` prints it and exits 2."""
+
+
+def _read(path: str, parse):
+    """``parse`` applied to the JSON file at ``path``, or ``_BadInput``
+    carrying ``<path>: <message>``."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError) as err:
+        raise _BadInput(f"{path}: {err}") from None
 
 
 def _emit_or_print(data: dict, out: str | None) -> None:
@@ -36,12 +50,7 @@ def _emit_or_print(data: dict, out: str | None) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        with open(args.spec) as fh:
-            spec = SweepSpec.from_dict(json.load(fh))
-    except ValueError as err:
-        print(f"{args.spec}: {err}", file=sys.stderr)
-        return 2
+    spec = _read(args.spec, SweepSpec.from_dict)
     if args.budget is not None:
         spec = SweepSpec.from_dict({**spec.to_dict(), "budget": args.budget})
     series = run_sweep(spec, threads=args.threads)
@@ -79,7 +88,7 @@ def _config_dict(config) -> dict:
 
 
 def _cmd_solve_atomic(args) -> int:
-    instance, cost = load_instance(args.instance)
+    instance, cost = _read(args.instance, instance_from_dict)
     if not isinstance(instance, AtomicInstance):
         print("solve-atomic expects an instance with a 'players' list", file=sys.stderr)
         return 2
@@ -105,7 +114,7 @@ def _cmd_solve_atomic(args) -> int:
 def _cmd_solve_nonatomic(args) -> int:
     from .model import grid_total_cost
 
-    instance, cost = load_instance(args.instance)
+    instance, cost = _read(args.instance, instance_from_dict)
     if isinstance(instance, AtomicInstance):
         print("solve-nonatomic expects an instance with a 'classes' list", file=sys.stderr)
         return 2
@@ -178,6 +187,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _BadInput as err:
+        print(err, file=sys.stderr)
+        return 2
     except (BudgetExceededError, ConvergenceError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 3

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -79,6 +79,9 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown sweep spec keys {unknown}")
         data = dict(data)
         if "cost" in data:
             data["cost"] = cost_from_dict(data["cost"])

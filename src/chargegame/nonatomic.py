@@ -7,14 +7,13 @@ admits the strictly concave potential
 
 (x the occupancy mass), the Wardrop equilibria are exactly the maximizers of
 Phi, and the occupancy at equilibrium is unique whenever the cost is strictly
-increasing.  ``solve_equilibrium`` exploits this twice over:
-
-* a Frank-Wolfe phase (towards-the-cheapest-start direction, exact line
-  search by bisection on the directional derivative) provides global progress
-  from any feasible point;
-* an active-set Newton phase then solves the equal-cost optimality system on
-  the current support to machine precision, dropping supports that go
-  negative and admitting cheaper unsupported slots as needed.
+increasing.  ``solve_equilibrium`` finds them with one active-set Newton
+method started from the uniform profile: each step linearizes the
+equal-cost optimality system on the active set (every active start of a
+class costs the same, every class keeps unit mass), a step that would make
+a mass negative is shortened to the boundary and drops the blocking start,
+and once the system holds, the cheapest inactive start of each class enters
+if it undercuts the class's active starts.
 
 The termination certificate is the Wardrop gap: the worst, over classes, of
 (most expensive supported start) minus (cheapest available start).
@@ -99,7 +98,9 @@ class NonatomicEquilibrium:
 
     ``class_costs[k][t-1]`` is the cost of starting at slot ``t`` for class
     ``k`` (infinite outside the action set); ``wardrop_gap`` is the
-    termination certificate actually achieved.
+    termination certificate actually achieved.  ``iterations`` counts the
+    solver's Newton steps and ``cost_evaluations`` its cost-vector
+    evaluations, the quantity ``budget`` caps.
     """
 
     profile: MixedProfile
@@ -119,7 +120,7 @@ def _instance_arrays(instance: NonatomicInstance):
     exo = np.asarray(instance.exogenous, dtype=float)
     P = float(instance.power)
     weights = np.array([c.weight for c in instance.classes])
-    durations = [c.duration for c in instance.classes]
+    durations = np.array([c.duration for c in instance.classes])
     act_idx = [np.array(action_set(instance, k)) - 1 for k in range(instance.K)]
     return exo, P, weights, durations, act_idx
 
@@ -135,32 +136,22 @@ def _occupancy_from(Y: np.ndarray, weights, durations) -> np.ndarray:
     return x
 
 
-def _class_cost_vectors(cost, loads, durations, act_idx, T):
-    """Cost of each start slot per class; +inf outside the action set."""
+def _class_cost_vectors(cost, loads, durations, act_idx, T) -> np.ndarray:
+    """Cost of each start slot per class (row); +inf outside the action set."""
     fv = np.concatenate(([0.0], np.cumsum(cost(loads))))
-    out = []
+    out = np.full((len(act_idx), T), math.inf)
     for k, idx in enumerate(act_idx):
-        row = np.full(T, math.inf)
-        row[idx] = fv[idx + durations[k]] - fv[idx]
-        out.append(row)
+        out[k, idx] = fv[idx + durations[k]] - fv[idx]
     return out
 
 
-def _wardrop_gap_of(costs, Y, support_eps: float) -> float:
-    gap = 0.0
-    for k, row in enumerate(costs):
-        supported = Y[k] > support_eps
-        if not supported.any():
-            continue
-        gap = max(gap, float(np.max(row[supported]) - np.min(row)))
-    return gap
+def _wardrop_gap_of(costs: np.ndarray, Y: np.ndarray, support_eps: float) -> float:
+    priciest = np.where(Y > support_eps, costs, -math.inf).max(axis=1)
+    return max(0.0, float(np.max(priciest - costs.min(axis=1))))
 
 
 def _profile_from_matrix(instance: NonatomicInstance, Y: np.ndarray) -> MixedProfile:
-    Yc = np.where(np.abs(Y) < 1e-15, 0.0, Y)
-    Yc = np.maximum(Yc, 0.0)
-    Yc /= Yc.sum(axis=1, keepdims=True)
-    return MixedProfile(instance, tuple(tuple(float(v) for v in row) for row in Yc))
+    return MixedProfile(instance, tuple(tuple(float(v) for v in row) for row in Y))
 
 
 # ---------------------------------------------------------------------------
@@ -210,107 +201,6 @@ def wardrop_gap(
 # ---------------------------------------------------------------------------
 
 
-def _newton_equal_cost(evaluate, g, P, weights, durations, Y, supports):
-    """Newton iterations on the equal-cost system restricted to the support.
-
-    Unknowns are the supported start masses and one multiplier per class;
-    equations ask every supported start to cost exactly the multiplier and
-    every class to have unit mass.  Returns the multipliers on success.
-    """
-    K = Y.shape[0]
-    offsets = np.cumsum([0] + [len(s) for s in supports])
-    nvar = offsets[-1] + K
-    lam = np.zeros(K)
-
-    def residual_and_costs():
-        loads, costs = evaluate(Y)
-        r = np.empty(nvar)
-        for k, sup in enumerate(supports):
-            r[offsets[k] : offsets[k + 1]] = costs[k][sup] - lam[k]
-            r[offsets[-1] + k] = Y[k, sup].sum() - 1.0
-        return r, loads, costs
-
-    r, loads, costs = residual_and_costs()
-    for k in range(K):
-        sup = supports[k]
-        lam[k] = float(np.mean(costs[k][sup]))
-        r[offsets[k] : offsets[k + 1]] = costs[k][sup] - lam[k]
-
-    scale = max(1.0, max(float(np.max(np.abs(c[np.isfinite(c)]))) for c in costs))
-    for _ in range(60):
-        if not np.isfinite(r).all():
-            return None
-        if float(np.max(np.abs(r))) <= 1e-13 * scale:
-            return lam
-        gp = g.deriv(loads)
-        if not np.isfinite(gp).all():
-            return None
-        gpre = np.concatenate(([0.0], np.cumsum(gp)))
-        J = np.zeros((nvar, nvar))
-        for k, sup in enumerate(supports):
-            Ck = durations[k]
-            for a, u in enumerate(sup):
-                row = offsets[k] + a
-                for k2, sup2 in enumerate(supports):
-                    C2 = durations[k2]
-                    w2 = P * weights[k2]
-                    for b, u2 in enumerate(sup2):
-                        lo = max(u, u2)
-                        hi = min(u + Ck, u2 + C2)
-                        if hi > lo:
-                            J[row, offsets[k2] + b] = w2 * (gpre[hi] - gpre[lo])
-                J[row, offsets[-1] + k] = -1.0
-            J[offsets[-1] + k, offsets[k] : offsets[k + 1]] = 1.0
-        step = np.linalg.lstsq(J, -r, rcond=None)[0]
-        for k, sup in enumerate(supports):
-            Y[k, sup] += step[offsets[k] : offsets[k + 1]]
-            lam[k] += step[offsets[-1] + k]
-        r, loads, costs = residual_and_costs()
-    return None
-
-
-def _polish(evaluate, g, P, weights, durations, act_idx, Y):
-    """Active-set refinement: returns a polished copy of Y or None."""
-    K, T = Y.shape
-    work = Y.copy()
-    supports = []
-    for k in range(K):
-        sup = act_idx[k][work[k, act_idx[k]] > 1e-10]
-        if sup.size == 0:
-            sup = np.array([act_idx[k][int(np.argmax(work[k, act_idx[k]]))]])
-        supports.append(sup)
-    for _ in range(8 * T):
-        lam = _newton_equal_cost(evaluate, g, P, weights, durations, work, supports)
-        if lam is None:
-            return None
-        changed = False
-        for k in range(K):
-            mask = work[k, supports[k]] < -1e-12
-            if mask.any():
-                drop = supports[k][int(np.argmin(work[k, supports[k]]))]
-                work[k, drop] = 0.0
-                supports[k] = supports[k][supports[k] != drop]
-                if supports[k].size == 0:
-                    return None
-                changed = True
-        if changed:
-            continue
-        work = np.maximum(work, 0.0)
-        _, costs = evaluate(work)
-        for k in range(K):
-            outside = np.setdiff1d(act_idx[k], supports[k], assume_unique=True)
-            if outside.size == 0:
-                continue
-            cheapest = outside[int(np.argmin(costs[k][outside]))]
-            if costs[k][cheapest] < lam[k] - 1e-12 * max(1.0, abs(lam[k])):
-                supports[k] = np.sort(np.append(supports[k], cheapest))
-                changed = True
-        if changed:
-            continue
-        return work
-    return None
-
-
 def _solve_potential(
     instance: NonatomicInstance,
     g: GridCostFunction,
@@ -318,84 +208,97 @@ def _solve_potential(
     budget: int,
     support_threshold: float,
 ):
-    """Maximize the potential built on per-slot cost ``g``; core of both solvers."""
+    """Maximize the potential built on per-slot cost ``g``; core of both solvers.
+
+    Active-set Newton from the uniform profile.  Each pass evaluates the
+    costs of the row-normalised masses, the matrix that is certified and
+    returned.  Until every active start of a class costs the same to float
+    resolution, it takes one Newton step, shortened so that no mass turns
+    negative (the blocking start leaves the active set); then it admits each
+    class's cheapest inactive start that undercuts the active ones.
+    """
     exo, P, weights, durations, act_idx = _instance_arrays(instance)
     K, T = instance.K, instance.horizon.T
-    Y = np.zeros((K, T))
+    slots = np.arange(T)
+    active = np.zeros((K, T), dtype=bool)
     for k, idx in enumerate(act_idx):
-        Y[k, idx] = 1.0 / idx.size
+        active[k, idx] = True
+    allowed = active.copy()
+    Y = active / active.sum(axis=1, keepdims=True)
+    evals = steps = 0
+    best = (math.inf, Y)
 
-    evals = 0
-    best = (math.inf, None)
+    def refuse(why: str):
+        raise ConvergenceError(
+            f"no equilibrium within gap {tol:g} after {evals} cost evaluations"
+            f" (best gap {best[0]:.3e}): {why}",
+            _profile_from_matrix(instance, best[1]),
+            best[0],
+        )
 
-    def evaluate(Ymat):
-        # loads and per-class start costs: the one place that spends budget
-        nonlocal evals
-        if evals >= budget:
-            profile = _profile_from_matrix(instance, best[1]) if best[1] is not None else None
-            raise ConvergenceError(
-                f"no equilibrium within gap {tol:g} after {evals} cost evaluations"
-                f" (best gap {best[0]:.3e})",
-                profile,
-                best[0],
-            )
-        evals += 1
-        loads = exo + P * _occupancy_from(Ymat, weights, durations)
-        return loads, _class_cost_vectors(g, loads, durations, act_idx, T)
-
-    def gap_and_costs(Ymat):
-        nonlocal best
-        _, costs = evaluate(Ymat)
-        gap = _wardrop_gap_of(costs, Ymat, support_threshold)
-        if gap < best[0]:
-            best = (gap, Ymat.copy())
-        return gap, costs
-
-    iteration = 0
-    next_polish = 0
     while True:
-        gap, costs = gap_and_costs(Y)
-        if gap <= tol:
-            return Y, gap, costs, iteration, evals
-        if iteration >= next_polish:
-            polished = _polish(evaluate, g, P, weights, durations, act_idx, Y)
-            if polished is not None:
-                pgap, pcosts = gap_and_costs(polished)
-                if pgap <= tol:
-                    return polished, pgap, pcosts, iteration, evals
-                if pgap < gap:
-                    Y = polished
-                    gap, costs = pgap, pcosts
-            next_polish = iteration + 25
+        Y /= Y.sum(axis=1, keepdims=True)
+        if evals >= budget:
+            refuse("budget spent")
+        evals += 1
+        loads = exo + P * _occupancy_from(Y, weights, durations)
+        costs = _class_cost_vectors(g, loads, durations, act_idx, T)
+        gap = _wardrop_gap_of(costs, Y, support_threshold)
+        if gap < best[0]:
+            best = (gap, Y.copy())
+        scale = max(1.0, float(np.max(np.abs(costs[allowed]))))
+        owner, starts = np.nonzero(active)
+        c = costs[owner, starts]
+        level = np.bincount(owner, c, K) / np.bincount(owner, minlength=K)
+        if float(np.max(np.abs(c - level[owner]))) <= 1e-13 * scale:
+            if gap <= tol:
+                return Y, gap, costs, steps, evals
+            undercut = np.where(allowed & ~active, costs, math.inf)
+            cheapest = undercut.argmin(axis=1)
+            enters = undercut[np.arange(K), cheapest] < level - 1e-12 * np.maximum(1.0, np.abs(level))
+            if not enters.any():
+                refuse("the active set is solved and no cheaper start enters")
+            active[enters, cheapest[enters]] = True
+            owner, starts = np.nonzero(active)
+            c = costs[owner, starts]
 
-        # Frank-Wolfe step with exact line search
-        V = np.zeros_like(Y)
-        for k, idx in enumerate(act_idx):
-            V[k, idx[int(np.argmin(costs[k][idx]))]] = 1.0
-        D = V - Y
-
-        def slope(gamma):
-            _, cg = evaluate(Y + gamma * D)
-            s = 0.0
-            for k, idx in enumerate(act_idx):
-                s += weights[k] * float(np.dot(cg[k][idx], D[k, idx]))
-            return s
-
-        if slope(1.0) <= 0.0:
-            gamma = 1.0
-        else:
-            lo_g, hi_g = 0.0, 1.0
-            for _ in range(70):
-                mid = 0.5 * (lo_g + hi_g)
-                if slope(mid) <= 0.0:
-                    lo_g = mid
-                else:
-                    hi_g = mid
-                if hi_g - lo_g <= 1e-16:
-                    break
-            gamma = lo_g
-        Y = Y + gamma * D
-        iteration += 1
+        # Newton step on the equal-cost equations over mass-preserving
+        # moves: each class's first active start (its base) balances the
+        # others, and a move shifts mass from the base to another start.
+        # The class multipliers drop out, so the least-squares system has no
+        # border whose scale differs from the costs'.  Its matrix is the
+        # Jacobian (B * g') @ B.T * P * weight taken between moves, with B
+        # replaced by D, the difference of the two windows a move connects.
+        # g' is taken at a tiny positive load where the load is zero: it may
+        # be infinite there (square root), and an empty slot must still fill.
+        n = owner.size
+        first = np.searchsorted(owner, owner)
+        moved = np.flatnonzero(first != np.arange(n))
+        base = first[moved]
+        ends = (starts + durations[owner])[:, None]
+        B = (slots >= starts[:, None]) & (slots < ends)
+        D = B[moved].astype(float) - B[base]
+        gp = g.deriv(np.maximum(loads, 1e-12 * loads.max()))
+        try:
+            z = np.linalg.lstsq(
+                (D * gp) @ D.T * (P * weights[owner[moved]]), c[base] - c[moved], rcond=None
+            )[0]
+        except np.linalg.LinAlgError as err:
+            refuse(f"the Newton system could not be solved ({err})")
+        dy = np.zeros(n)
+        dy[moved] = z
+        dy -= np.bincount(base, z, n)
+        y = Y[owner, starts]
+        ratios = np.full(n, math.inf)
+        shrinking = dy < 0
+        ratios[shrinking] = y[shrinking] / -dy[shrinking]
+        hit = int(np.argmin(ratios))
+        alpha = min(1.0, float(ratios[hit]))
+        Y[owner, starts] = np.maximum(y + alpha * dy, 0.0)
+        if alpha < 1.0:
+            Y[owner[hit], starts[hit]] = 0.0
+            active[owner[hit], starts[hit]] = False
+        steps += 1
 
 
 def solve_equilibrium(

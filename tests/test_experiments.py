@@ -514,7 +514,17 @@ def test_sweep_spec_rejects_a_budget_below_one():
         SweepSpec(kind="ne-proportion", label="tiny", T=4, I_values=(1,), C_values=(2,), budget=0)
 
 
-@pytest.mark.parametrize("bad", [{"budget": 0}, {"kind": "no-such-kind"}], ids=["budget-0", "unknown-kind"])
+def test_sweep_spec_rejects_unknown_keys():
+    spec = json.loads((DEMOS / "specs" / "equilibrium_proportion.json").read_text())
+    with pytest.raises(ValueError, match="budgett"):
+        SweepSpec.from_dict({**spec, "budgett": 3})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"budget": 0}, {"kind": "no-such-kind"}, {"budgett": 3}],
+    ids=["budget-0", "unknown-kind", "budgett"],
+)
 def test_cli_sweep_rejects_a_bad_spec_in_one_line(tmp_path, capsys, bad):
     spec = {**json.loads((DEMOS / "specs" / "equilibrium_proportion.json").read_text()), **bad}
     spec_path = tmp_path / "spec.json"
@@ -523,6 +533,22 @@ def test_cli_sweep_rejects_a_bad_spec_in_one_line(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, spec_name, section",
+    [("solve-atomic", "valley_three_players", "players"), ("solve-nonatomic", "evening_continuum", "classes")],
+    ids=["solve-atomic", "solve-nonatomic"],
+)
+def test_cli_solve_rejects_a_bad_instance_in_one_line(tmp_path, capsys, command, spec_name, section):
+    data = json.loads((DEMOS / "specs" / f"{spec_name}.json").read_text())
+    data[section][0].update(departure=2, duration=5)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith(f"{path}: ") and "duration 5" in err
 
 
 @pytest.mark.parametrize("demo", ["equilibrium_tour.py", "invariance_tour.py"])

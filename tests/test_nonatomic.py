@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -215,7 +216,7 @@ def test_solver_equilibrium_maximizes_the_potential():
 
 def test_solver_handles_multiple_classes():
     rng = random.Random(202)
-    for trial in range(5):
+    for trial in range(40):
         T = rng.randint(6, 10)
         classes = []
         K = rng.randint(2, 3)
@@ -229,16 +230,73 @@ def test_solver_handles_multiple_classes():
             classes[k][0] = w / sum(weights)
         exo = tuple(0.5 * rng.random() for _ in range(T))
         inst = NonatomicInstance.create(T=T, classes=[tuple(c) for c in classes], exogenous=exo)
-        eq = solve_equilibrium(inst, Monomial(1, 2), tol=1e-9)
-        assert eq.wardrop_gap <= 1e-9
-        assert is_wardrop_equilibrium(inst, Monomial(1, 2), eq.profile, tol=1e-8)
-        # every class's support pays that class's minimal cost
-        for k in range(inst.K):
-            costs = eq.class_costs[k]
-            finite = [c for c in costs if math.isfinite(c)]
-            for t, m in enumerate(eq.profile.distributions[k], start=1):
-                if m > 1e-8:
-                    assert costs[t - 1] <= min(finite) + 1e-8 * max(1.0, abs(min(finite)))
+        for cost in (Monomial(1, 2), SquareRoot()):
+            eq = solve_equilibrium(inst, cost, tol=1e-9)
+            assert eq.wardrop_gap <= 1e-9
+            assert is_wardrop_equilibrium(inst, cost, eq.profile, tol=1e-8)
+            # every class's support pays that class's minimal cost
+            for k in range(inst.K):
+                costs = eq.class_costs[k]
+                finite = [c for c in costs if math.isfinite(c)]
+                for t, m in enumerate(eq.profile.distributions[k], start=1):
+                    if m > 1e-8:
+                        assert costs[t - 1] <= min(finite) + 1e-8 * max(1.0, abs(min(finite)))
+
+
+def test_solver_handles_empty_slots_under_a_square_root():
+    # zero exogenous load leaves slots empty, where sqrt(L) has an infinite
+    # derivative; costs that undercut through an empty slot must still fill it
+    rng = random.Random(204)
+    for trial in range(40):
+        T = rng.randint(4, 12)
+        K = rng.randint(1, 3)
+        raw = [rng.random() + 0.1 for _ in range(K)]
+        classes = []
+        for w in raw:
+            a = rng.randint(1, T - 1)
+            d = rng.randint(a + 1, T)
+            classes.append((w / sum(raw), a, d, rng.randint(1, d - a + 1)))
+        exo = tuple(0.0 if rng.random() < 0.6 else rng.random() for _ in range(T))
+        inst = NonatomicInstance.create(T=T, classes=classes, exogenous=exo)
+        eq = solve_equilibrium(inst, SquareRoot())
+        assert wardrop_gap(inst, SquareRoot(), eq.profile) <= 1e-9
+
+
+def low_load_fleet(seed=12, base=0.8, swing=0.5):
+    """T=96 fleet of eight classes with narrow windows under a daily sine load.
+
+    Draws in the order of the benchmark's fleet generator, so seed 12 is its
+    low-load probe fleet: there an undamped Newton step drives masses
+    negative and the square-root cost is evaluated at negative loads.
+    """
+    rng = random.Random(seed)
+    T = 96
+    phase = rng.uniform(0, 2 * math.pi)
+    exo = [
+        max(0.05, base + swing * math.sin(2 * math.pi * t / T + phase) + rng.gauss(0, 0.05))
+        for t in range(T)
+    ]
+    spans = [6, 8, 10, 12, 6, 8, 10, 12]
+    durations = [4, 6, 8, 10, 4, 6, 8, 10]
+    rng.shuffle(spans)
+    rng.shuffle(durations)
+    raw = [rng.uniform(0.5, 1.5) for _ in spans]
+    weights = [w / sum(raw) for w in raw]
+    weights[-1] = 1.0 - sum(weights[:-1])
+    classes = []
+    for w, n, C in zip(weights, spans, durations):
+        a = rng.randint(1, T - (n + C - 1) + 1)
+        classes.append((w, a, a + n + C - 2, C))
+    return NonatomicInstance.create(T, classes, exogenous=exo)
+
+
+def test_solver_keeps_loads_nonnegative_on_a_low_load_fleet():
+    inst = low_load_fleet()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        eq = solve_equilibrium(inst, SquareRoot())
+    assert wardrop_gap(inst, SquareRoot(), eq.profile) <= 1e-9
+    assert min(min(row) for row in eq.profile.distributions) >= 0.0
 
 
 def test_wardrop_checker_rejects_non_equilibria():
@@ -249,8 +307,8 @@ def test_wardrop_checker_rejects_non_equilibria():
 
 
 def test_solver_budget_exhaustion():
-    # budget=1 exhausts on the very first gap evaluation, before any polish
-    # step has a chance to hit the tolerance exactly.
+    # budget=1 allows only the evaluation of the uniform start, which is far
+    # from the tolerance, so the solver refuses before its second evaluation.
     inst = cost_dependent_instance()
     with pytest.raises(ConvergenceError) as err:
         solve_equilibrium(inst, Monomial(1, 8), tol=1e-15, budget=1)
@@ -270,6 +328,20 @@ def test_solver_never_spends_past_its_budget():
         assert eq.cost_evaluations <= budget
         if budget >= unbudgeted.cost_evaluations:
             assert eq.profile.start_mass().tolist() == unbudgeted.profile.start_mass().tolist()
+
+
+def test_solver_certifies_only_the_profile_it_returns_at_large_cost_scale():
+    # at cost scale 4e13 a unit-mass error hides below a relative residual
+    # test; the solver must either return a profile whose independent gap
+    # meets the tolerance or refuse
+    exo = tuple(40 + v for v in COST_DEPENDENT_EXO)
+    inst = NonatomicInstance.symmetric(T=11, C=5, exogenous=exo, departure=10)
+    try:
+        eq = solve_equilibrium(inst, Monomial(1, 8), budget=100)
+    except ConvergenceError as err:
+        assert err.profile is not None and err.gap > 1e-9
+        return
+    assert wardrop_gap(inst, Monomial(1, 8), eq.profile) <= 1e-9
 
 
 def test_equilibrium_report_fields():
