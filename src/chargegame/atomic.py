@@ -14,6 +14,9 @@ has ``C(n+A-1, A-1)`` compositions in place of ``A**n`` profiles; a
 symmetric instance is the one-group case, and an instance whose windows are
 all distinct scans its profile space itself.  The scan is deterministic
 (lexicographic, groups in sorted window order) and budget-capped.
+
+Past int64, a float64 pass with a rigorous error bound (``_eval_block``) rules
+out most configurations; exact integers decide the rest and give every answer.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -38,6 +42,7 @@ from .model import (
     _window_cost,
     action_set,
     load,
+    occupancy,
     potential_atomic,
 )
 
@@ -75,6 +80,9 @@ class EquilibriumSet:
     each, in the same order.  ``examined`` and ``space_size`` count class
     configurations.  ``complete`` is False when the budget stopped the scan
     early, in which case the set is a lower bound only.
+
+    ``stats`` counts ``blocks`` and the ``exact_rows`` the float pass left to
+    integers, and times generation, evaluation and reduction; never compared.
     """
 
     equilibria: tuple[ChargingConfiguration, ...]
@@ -82,6 +90,7 @@ class EquilibriumSet:
     complete: bool
     examined: int
     space_size: int
+    stats: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -191,15 +200,22 @@ def best_response_dynamics(
     """
     profile = _coerce_profile(instance, profile)
     starts = list(profile.starts)
-    trace = [potential_atomic(instance, cost, profile)]
+    config = occupancy(instance, profile)
+    occ = list(config.occupancy)  # follows each accepted move, like the loads
+    loads, trace = load(instance, config), [potential_atomic(instance, cost, config)]
     for _ in range(max_sweeps):
         moved = False
         for i in range(instance.I):
-            current, stream = _deviations(instance, cost, load(instance, starts), starts, i)
+            current, stream = _deviations(instance, cost, loads, starts, i)
             slot, best = min(stream, key=lambda slot_cost: slot_cost[1])
             if _strictly_less(best, current):
+                for t in range(instance.durations[i]):
+                    occ[starts[i] - 1 + t] -= 1
+                    occ[slot - 1 + t] += 1
                 starts[i] = slot
-                trace.append(potential_atomic(instance, cost, starts))
+                config = ChargingConfiguration(tuple(map(starts.count, range(1, len(occ) + 1))), tuple(occ))
+                loads = load(instance, config)
+                trace.append(potential_atomic(instance, cost, config))
                 moved = True
         if not moved:
             return StrategyProfile(tuple(starts)), tuple(trace)
@@ -211,11 +227,6 @@ def best_response_dynamics(
 # ---------------------------------------------------------------------------
 # exhaustive scans
 # ---------------------------------------------------------------------------
-
-
-def _is_exact(instance: AtomicInstance, cost: GridCostFunction) -> bool:
-    data = (*instance.exogenous, instance.power)
-    return cost.is_exact_for_integers and all(isinstance(v, int) for v in data)
 
 
 def _composition_count(total: int, parts: int) -> int:
@@ -271,7 +282,7 @@ def _class_groups(instance: AtomicInstance) -> list[tuple[int, int, int, int, in
 
 def _scan_dtype(instance: AtomicInstance, cost: GridCostFunction):
     # int64 when every intermediate fits comfortably, exact objects otherwise
-    if not _is_exact(instance, cost):
+    if not (cost.is_exact_for_integers and all(isinstance(v, int) for v in (*instance.exogenous, instance.power))):
         return np.float64
     max_load = max(instance.exogenous) + instance.power * (instance.I + 1)
     if instance.horizon.T * cost(max_load) < 2**62:
@@ -279,19 +290,17 @@ def _scan_dtype(instance: AtomicInstance, cost: GridCostFunction):
     return object
 
 
-def _eval_block(instance: AtomicInstance, cost: GridCostFunction, groups, counts: np.ndarray, dtype):
-    """NE flags, total costs and occupancy for a block of class configurations.
+def _eval_block(groups, table: np.ndarray, counts: np.ndarray, certify: bool = False):
+    """NE flags, total costs, occupancy and error bounds for a block.
 
     Each row of ``counts`` holds one composition per group of
     ``_class_groups``: column ``first + j`` counts the group's players
-    starting in slot ``a + j``.
+    starting in slot ``a + j``; ``table[t, v]`` is slot ``t``'s cost at
+    occupancy ``v``.  With ``certify`` (a float image of an exact table) a
+    row is non-NE only if a deviation gains more than its error bound ``err``.
     """
-    T = instance.horizon.T
-    P = instance.power
+    T = table.shape[0]
     m = counts.shape[0]
-
-    work = counts.astype(dtype, copy=False)
-    exo = np.asarray(instance.exogenous, dtype=dtype)
 
     # occupancy per slot: each group's start counts summed over its own
     # duration, added up over the groups.  Slot column t holds the group's
@@ -301,15 +310,25 @@ def _eval_block(instance: AtomicInstance, cost: GridCostFunction, groups, counts
     cols = np.arange(T)
     occ = 0
     for a, C, _, first, A in groups:
-        spre = np.concatenate([np.zeros((m, 1), dtype=work.dtype), np.cumsum(work[:, first : first + A], axis=1)], axis=1)
+        spre = np.concatenate([np.zeros((m, 1), dtype=counts.dtype), np.cumsum(counts[:, first : first + A], axis=1)], axis=1)
         occ = occ + spre[:, np.clip(cols - a + 2, 0, A)] - spre[:, np.clip(cols - a - C + 2, 0, A)]
 
-    loads = exo[None, :] + P * occ
-    F = cost(loads)
-    G = cost(loads + P)
+    F = table[cols, occ]
+    G = table[cols, occ + 1]
     zero = np.zeros((m, 1), dtype=F.dtype)
     Fpre = np.concatenate([zero, np.cumsum(F, axis=1)], axis=1)
     Gpre = np.concatenate([zero, np.cumsum(G, axis=1)], axis=1)
+
+    # Error bound of a certified row: u = 2**-53, eta = 2**-1074, S_X the
+    # row's sum of |X| for X = F, G, and S = S_F + S_G.  A table entry is off
+    # by at most u|x| + eta/2 (correct rounding, underflow).  cumsum adds in
+    # order, so a prefix of k <= T entries is off from the exact sum of its
+    # rounded entries by (k-1)u/(1-(k-1)u) times their absolute sum at most
+    # (Higham 2002, 4.2); a prefix of X is off by at most Tu(1+Tu)S_X +
+    # T eta/2.  A deviation test puts four F and four G prefixes through seven
+    # roundings of values below 2S: off by at most 4Tu(1+Tu)S + 14uS + 4T eta,
+    # under err/2 for T < 2**31 (room to round S and err); a total, by less.
+    err = (8 * T + 32) * 2.0**-53 * (abs(F).sum(1) + abs(G).sum(1)) + 16 * T * 2.0**-1074 if certify else None
 
     tc = Fpre[:, T]
     ne = np.ones(m, dtype=bool)
@@ -320,7 +339,9 @@ def _eval_block(instance: AtomicInstance, cost: GridCostFunction, groups, counts
                 continue
             cj = a - 1 + j
             current = Fpre[:, cj + C] - Fpre[:, cj]
-            if dtype is np.float64:
+            if certify:
+                bar = current - err
+            elif table.dtype == np.float64:
                 bar = current - _REL_MARGIN * np.maximum(1.0, np.abs(current))
             else:
                 bar = current
@@ -335,7 +356,7 @@ def _eval_block(instance: AtomicInstance, cost: GridCostFunction, groups, counts
                 if ohi > olo:
                     new_cost = new_cost - (Gpre[:, ohi] - Gpre[:, olo]) + (Fpre[:, ohi] - Fpre[:, olo])
                 ne &= ~(occupied & (new_cost < bar))
-    return ne, tc, occ
+    return ne, tc, occ, err
 
 
 def _config_from_counts(instance: AtomicInstance, groups, counts, occ) -> ChargingConfiguration:
@@ -368,20 +389,33 @@ def _scan(instance: AtomicInstance, cost: GridCostFunction, budget: Optional[int
     shape = [(n, A) for _, _, n, _, A in groups]
     space = math.prod(_composition_count(n, A) for n, A in shape)
     dtype = _scan_dtype(instance, cost)
-
-    def native(v):
-        return v if dtype is object else v.item()
+    # table[t, v] = f(exo_t + P v), v = 0..I+1, as `cost` gives it in this dtype
+    v = np.arange(instance.I + 2).astype(dtype)
+    table = cost(np.asarray(instance.exogenous, dtype=dtype)[:, None] + instance.power * v)
+    # int / int rounds correctly; the shift by a power of two keeps row sums finite
+    shift = max(0, max(abs(int(x)).bit_length() for x in table.flat) - 960) if dtype is object else 0
+    approx = np.array([int(x) / (1 << shift) for x in table.flat]).reshape(table.shape) if dtype is object else None
+    native = float if dtype is np.float64 else int
 
     ne_found: dict[ChargingConfiguration, Number] = {}
     ne_profiles = 0
     best = None  # (cost, configuration)
     examined = 0
+    stats = {"blocks": 0, "exact_rows": 0, "generate_s": 0.0, "evaluate_s": 0.0, "reduce_s": 0.0}
+    t0 = time.perf_counter()
     for counts in _configuration_blocks(shape, 1 << 13):  # bounded blocks keep memory flat
         if examined >= budget:
             break
+        t1 = time.perf_counter()
         counts = counts[: budget - examined]
-        ne, tc, occ = _eval_block(instance, cost, groups, counts, dtype)
         examined += counts.shape[0]
+        if approx is not None:
+            # exact integers decide the rows that may be NE or tie the minimum
+            maybe_ne, tc, _, err = _eval_block(groups, approx, counts, certify=True)
+            counts = counts[maybe_ne | (tc - err <= np.min(tc + err))]
+            stats["exact_rows"] += counts.shape[0]
+        ne, tc, occ, _ = _eval_block(groups, table, counts)
+        t2 = time.perf_counter()
         for idx in np.flatnonzero(ne):
             ne_profiles += _profile_count(groups, counts[idx])
             config = _config_from_counts(instance, groups, counts[idx], occ[idx])
@@ -389,6 +423,11 @@ def _scan(instance: AtomicInstance, cost: GridCostFunction, budget: Optional[int
         idx = int(np.argmin(tc))  # first occurrence: first in scan order
         if best is None or native(tc[idx]) < best[0]:
             best = (native(tc[idx]), _config_from_counts(instance, groups, counts[idx], occ[idx]))
+        stats["blocks"] += 1
+        stats["generate_s"] += t1 - t0
+        stats["evaluate_s"] += t2 - t1
+        t0 = time.perf_counter()
+        stats["reduce_s"] += t0 - t2
 
     # listed by start counts, then occupancy, whatever the scan order
     listing = sorted(ne_found.items(), key=lambda pair: (pair[0].start_counts, pair[0].occupancy))
@@ -398,6 +437,7 @@ def _scan(instance: AtomicInstance, cost: GridCostFunction, budget: Optional[int
         complete=examined >= space,
         examined=examined,
         space_size=space,
+        stats=stats,
     )
     return eq_set, ne_profiles, best
 

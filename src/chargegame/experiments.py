@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from concurrent import futures
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -82,6 +82,9 @@ class SweepSpec:
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown sweep spec keys {unknown}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        if missing:
+            raise ValueError(f"sweep spec is missing {', '.join(map(repr, missing))}")
         data = dict(data)
         if "cost" in data:
             data["cost"] = cost_from_dict(data["cost"])

@@ -40,6 +40,17 @@ from .model import (
 )
 
 
+def _fields(data, keys, what: str) -> tuple:
+    """The values of ``keys`` in ``data``, or a ``ValueError`` naming the
+    missing ones."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
+    return tuple(data[k] for k in keys)
+
+
 def cost_to_dict(cost: GridCostFunction) -> dict:
     if isinstance(cost, Monomial):
         return {"kind": "monomial", "coefficient": cost.coefficient, "exponent": cost.exponent}
@@ -57,7 +68,7 @@ def cost_from_dict(data: dict) -> GridCostFunction:
     if kind == "sqrt":
         return SquareRoot(data.get("coefficient", 1))
     if kind == "sum":
-        return CostSum(tuple(cost_from_dict(t) for t in data["terms"]))
+        return CostSum(tuple(cost_from_dict(t) for t in _fields(data, ("terms",), "sum cost")[0]))
     raise ValueError(f"unknown cost kind {kind!r}")
 
 
@@ -97,16 +108,19 @@ def instance_to_dict(instance: Union[AtomicInstance, NonatomicInstance], cost: O
 
 def instance_from_dict(data: dict):
     """Returns (instance, cost-or-None); picks atomic vs nonatomic from the keys."""
-    T = data["T"]
+    (T,) = _fields(data, ("T",), "instance")
     power = data.get("power", 1)
     exogenous = data.get("exogenous")
     cost = cost_from_dict(data["cost"]) if "cost" in data else None
     if "players" in data:
-        players = [(p["arrival"], p["departure"], p["duration"]) for p in data["players"]]
+        players = [
+            _fields(p, ("arrival", "departure", "duration"), f"player {i}") for i, p in enumerate(data["players"])
+        ]
         return AtomicInstance.create(T, players, power=power, exogenous=exogenous), cost
     if "classes" in data:
         classes = [
-            (c["weight"], c["arrival"], c["departure"], c["duration"]) for c in data["classes"]
+            _fields(c, ("weight", "arrival", "departure", "duration"), f"class {k}")
+            for k, c in enumerate(data["classes"])
         ]
         return NonatomicInstance.create(T, classes, power=power, exogenous=exogenous), cost
     raise ValueError("instance needs a 'players' or 'classes' list")

@@ -5,6 +5,7 @@ plain Python (no numpy, no shared kernels) so the vectorized scans are
 checked against an independent implementation.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -389,6 +390,67 @@ def test_big_exponent_uses_exact_arithmetic():
     assert report.exact == Fraction(max(ne.values()), opt)
     assert max(ne.values()) > 2**62  # the scan really left the int64 range
     assert isinstance(report.worst_cost, int)
+
+
+@pytest.mark.parametrize("base", [2**31, 2**40, 3**30, 2**52], ids=["2^31", "2^40", "3^30", "2^52"])
+@pytest.mark.parametrize("f", [Monomial(1, 2), Monomial(1, 3)], ids=["L2", "L3"])
+def test_float_filter_matches_oracle_on_near_ties(base, f):
+    # exogenous loads a few units above a large base: window costs differ in
+    # the last bits of a float64, so the filter must hand near ties to exact
+    # integers rather than decide them
+    rng = random.Random(base % 1009 + f.exponent)
+    for _ in range(50):
+        T, I = rng.randint(3, 7), rng.randint(2, 4)
+        exo = tuple(base + rng.randint(0, 3) for _ in range(T))
+        inst = AtomicInstance.symmetric(T, I, rng.randint(1, min(3, T)), exogenous=exo)
+        assert _scan_dtype(inst, f) is object
+        ne, _, opt = oracle_scan(inst, f)
+        report = efficiency(inst, f)
+        assert listed(report.equilibria) == ne
+        assert report.optimum_cost == opt
+        assert report.exact == Fraction(max(ne.values()), opt)
+
+
+def test_float_filter_survives_costs_beyond_the_float_range():
+    # every cost exceeds the largest float64: a plain float copy of the cost
+    # table would overflow
+    inst = AtomicInstance.symmetric(T=6, I=4, C=2, exogenous=(5, 4, 6, 4, 5, 4))
+    f = Monomial(1, 400)
+    ne, _, opt = oracle_scan(inst, f)
+    report = efficiency(inst, f)
+    assert listed(report.equilibria) == ne
+    assert report.exact == Fraction(max(ne.values()), opt)
+    assert report.optimum_cost == opt > 2**1024
+
+
+def test_float_filter_keeps_an_optimum_that_is_no_equilibrium():
+    # the optimum costs less than every equilibrium, so only the optimum
+    # race, not the NE test, can keep its row for the exact pass
+    inst = AtomicInstance.symmetric(T=6, I=2, C=4, exogenous=(0, 6, 6, 4, 3, 6))
+    f = Monomial(3**40, 2)
+    assert _scan_dtype(inst, f) is object
+    ne, _, opt = oracle_scan(inst, f)
+    assert min(ne.values()) > opt
+    report = efficiency(inst, f)
+    assert report.optimum_cost == opt
+    assert report.exact == Fraction(max(ne.values()), opt)
+
+
+def test_float_filter_sends_few_rows_to_exact_integers():
+    inst = AtomicInstance.symmetric(T=10, I=12, C=3, exogenous=(2, 0, 3, 1, 0, 2, 3, 1, 0, 2))
+    eq = enumerate_equilibria(inst, Monomial(1, 24))
+    assert _scan_dtype(inst, Monomial(1, 24)) is object
+    assert eq.examined == eq.space_size == 50388
+    assert eq.stats["blocks"] == 7
+    assert 0 < eq.stats["exact_rows"] < 0.01 * eq.examined
+    assert min(eq.stats[k] for k in ("generate_s", "evaluate_s", "reduce_s")) > 0
+
+
+def test_scan_stats_stay_out_of_comparisons():
+    eq = enumerate_equilibria(AtomicInstance.symmetric(T=6, I=3, C=2, exogenous=(1, 2, 3, 2, 1, 3)), Monomial(1, 2))
+    assert eq.stats["blocks"] == 1 and eq.stats["exact_rows"] == 0  # int64 scans need no exact pass
+    assert dataclasses.replace(eq, stats={}) == eq
+    assert "stats" not in repr(eq)
 
 
 def test_float_cost_path():

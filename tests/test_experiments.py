@@ -535,6 +535,31 @@ def test_cli_sweep_rejects_a_bad_spec_in_one_line(tmp_path, capsys, bad):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_sweep_names_a_missing_key_in_one_line(tmp_path, capsys):
+    spec = json.loads((DEMOS / "specs" / "equilibrium_proportion.json").read_text())
+    del spec["T"]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["sweep", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{spec_path}: sweep spec is missing 'T'\n"
+
+
+@pytest.mark.parametrize(
+    "drop, message",
+    [(lambda data: data.pop("T"), "instance is missing 'T'"),
+     (lambda data: data["players"][1].pop("arrival"), "player 1 is missing 'arrival'")],
+    ids=["no-T", "player-without-arrival"],
+)
+def test_cli_solve_names_a_missing_key_in_one_line(tmp_path, capsys, drop, message):
+    data = json.loads((DEMOS / "specs" / "valley_three_players.json").read_text())
+    drop(data)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve-atomic", str(path)]) == 2
+    assert capsys.readouterr().err == f"{path}: {message}\n"
+
+
 @pytest.mark.parametrize(
     "command, spec_name, section",
     [("solve-atomic", "valley_three_players", "players"), ("solve-nonatomic", "evening_continuum", "classes")],
