@@ -25,6 +25,7 @@ from .model import (
     Monomial,
     NonatomicInstance,
     SquareRoot,
+    TimeHorizon,
 )
 from .nonatomic import solve_equilibrium
 
@@ -71,11 +72,24 @@ class SweepSpec:
         if self.kind not in SWEEP_KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}; pick one of {SWEEP_KINDS}")
         for name in ("I_values", "C_values", "exponents", "costs"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {values!r}")
+            object.__setattr__(self, name, tuple(values))
         if self.exogenous is not None:
             object.__setattr__(self, "exogenous", tuple(self.exogenous))
         if self.budget is not None:
             resolve_budget(self.budget)  # the scans' rule: at least 1
+        # build every instance the sweep will solve, so that a grid point
+        # that cannot exist is refused here rather than midway through it
+        TimeHorizon(self.T)
+        if self.kind == "nonatomic-counterexample":
+            for C in self.C_values:
+                _nonatomic_instance(self, C)
+        else:
+            for I in self.I_values:
+                for C in self.C_values:
+                    _atomic_instance(self, I, C)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
@@ -138,10 +152,20 @@ def _run_jobs(jobs, threads: int):
         return list(pool.map(lambda job: job(), jobs))
 
 
-def _atomic_point(spec: SweepSpec, I: int, C: int, cost: GridCostFunction):
-    instance = AtomicInstance.symmetric(
+def _atomic_instance(spec: SweepSpec, I: int, C: int) -> AtomicInstance:
+    return AtomicInstance.symmetric(
         spec.T, I, C, power=spec.power, exogenous=spec.exogenous, departure=spec.departure
     )
+
+
+def _nonatomic_instance(spec: SweepSpec, C: int) -> NonatomicInstance:
+    return NonatomicInstance.symmetric(
+        spec.T, C, power=spec.power, exogenous=spec.exogenous, departure=spec.departure
+    )
+
+
+def _atomic_point(spec: SweepSpec, I: int, C: int, cost: GridCostFunction):
+    instance = _atomic_instance(spec, I, C)
     if spec.kind == "ne-proportion":
         return ne_proportion(instance, cost, budget=spec.budget)
     return efficiency(instance, cost, budget=spec.budget).value
@@ -183,10 +207,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[DataSeries, ...]:
             raise ValueError(
                 "nonatomic-counterexample sweeps need exactly one duration and a costs list"
             )
-        C = spec.C_values[0]
-        instance = NonatomicInstance.symmetric(
-            spec.T, C, power=spec.power, exogenous=spec.exogenous, departure=spec.departure
-        )
+        instance = _nonatomic_instance(spec, spec.C_values[0])
         jobs = [
             (lambda c=c: solve_equilibrium(instance, c, tol=spec.tol, budget=spec.budget))
             for c in spec.costs
@@ -210,14 +231,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[DataSeries, ...]:
     # atomic-counterexample
     if len(spec.I_values) != 1 or len(spec.C_values) != 1:
         raise ValueError("atomic-counterexample sweeps need a single I and a single C")
-    instance = AtomicInstance.symmetric(
-        spec.T,
-        spec.I_values[0],
-        spec.C_values[0],
-        power=spec.power,
-        exogenous=spec.exogenous,
-        departure=spec.departure,
-    )
+    instance = _atomic_instance(spec, spec.I_values[0], spec.C_values[0])
     report = efficiency(instance, spec.cost, budget=spec.budget)
     slots = tuple(range(1, spec.T + 1))
     series = [

@@ -51,6 +51,13 @@ def _fields(data, keys, what: str) -> tuple:
     return tuple(data[k] for k in keys)
 
 
+def _list(value, what: str) -> list:
+    """``value`` itself, or a ``ValueError`` unless it is a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
 def cost_to_dict(cost: GridCostFunction) -> dict:
     if isinstance(cost, Monomial):
         return {"kind": "monomial", "coefficient": cost.coefficient, "exponent": cost.exponent}
@@ -62,13 +69,14 @@ def cost_to_dict(cost: GridCostFunction) -> dict:
 
 
 def cost_from_dict(data: dict) -> GridCostFunction:
-    kind = data.get("kind")
+    (kind,) = _fields(data, ("kind",), "cost")
     if kind == "monomial":
         return Monomial(data.get("coefficient", 1), data.get("exponent", 1))
     if kind == "sqrt":
         return SquareRoot(data.get("coefficient", 1))
     if kind == "sum":
-        return CostSum(tuple(cost_from_dict(t) for t in _fields(data, ("terms",), "sum cost")[0]))
+        (terms,) = _fields(data, ("terms",), "sum cost")
+        return CostSum(tuple(cost_from_dict(t) for t in _list(terms, "sum cost 'terms'")))
     raise ValueError(f"unknown cost kind {kind!r}")
 
 
@@ -111,16 +119,19 @@ def instance_from_dict(data: dict):
     (T,) = _fields(data, ("T",), "instance")
     power = data.get("power", 1)
     exogenous = data.get("exogenous")
+    if exogenous is not None:
+        _list(exogenous, "'exogenous'")
     cost = cost_from_dict(data["cost"]) if "cost" in data else None
     if "players" in data:
         players = [
-            _fields(p, ("arrival", "departure", "duration"), f"player {i}") for i, p in enumerate(data["players"])
+            _fields(p, ("arrival", "departure", "duration"), f"player {i}")
+            for i, p in enumerate(_list(data["players"], "'players'"))
         ]
         return AtomicInstance.create(T, players, power=power, exogenous=exogenous), cost
     if "classes" in data:
         classes = [
             _fields(c, ("weight", "arrival", "departure", "duration"), f"class {k}")
-            for k, c in enumerate(data["classes"])
+            for k, c in enumerate(_list(data["classes"], "'classes'"))
         ]
         return NonatomicInstance.create(T, classes, power=power, exogenous=exogenous), cost
     raise ValueError("instance needs a 'players' or 'classes' list")

@@ -24,6 +24,7 @@ gracefully to float results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -47,10 +48,6 @@ class TimeHorizon:
         if not isinstance(self.T, int) or self.T < 1:
             raise ValueError(f"horizon length must be a positive integer, got {self.T!r}")
 
-    def slots(self) -> range:
-        """All slot labels, ``1..T``."""
-        return range(1, self.T + 1)
-
 
 # ---------------------------------------------------------------------------
 # grid cost functions
@@ -58,74 +55,61 @@ class TimeHorizon:
 
 
 class GridCostFunction:
-    """Per-slot grid cost ``f(load)``.
+    """Per-slot grid cost ``f(load)``: a positive sum of power terms ``c * load**k``.
 
-    Subclasses evaluate elementwise on scalars and numpy arrays alike.  Two
-    structural flags describe which standing assumptions a cost satisfies:
+    Every cost is given by ``powers``, its ``(coefficient, exponent)`` pairs
+    with ``c > 0`` and ``k >= 0``, and evaluates itself elementwise on
+    scalars and numpy arrays alike through ``__call__``, which keeps exact
+    integer arithmetic when ``is_exact_for_integers`` holds and the load is
+    an integer.  Everything else is read off the exponents.  Each term is
+    nondecreasing, so the two standing assumptions become:
 
     ``satisfies_a1``
-        continuous and strictly increasing on ``load >= 0``.
+        continuous and strictly increasing on ``load >= 0``: some ``k > 0``.
     ``satisfies_a2``
-        continuously differentiable and strictly convex on ``load >= 0``
-        (implies the marginal-cost constructions below are usable).
+        continuously differentiable and strictly convex on ``load >= 0``:
+        no concave term (``0 < k < 1``) and some ``k > 1``.
 
-    ``value``/``__call__`` preserve exact integer arithmetic when
-    ``is_exact_for_integers`` is true and the load is an integer.
+    ``__call__`` stays per subclass, written out for its own terms: the
+    atomic dynamics call it once per slot of every window they try, and a
+    shared loop over ``powers`` would make that path about twice as slow.
     """
 
-    def __call__(self, load):
-        raise NotImplementedError
-
-    def value(self, load):
-        """Alias of ``__call__`` for call sites that read better with a name."""
-        return self(load)
-
     def deriv(self, load):
-        """First derivative ``f'(load)``, elementwise."""
-        raise NotImplementedError
+        """First derivative ``f'(load)``, elementwise in float; infinite at
+        zero load when some term has ``0 < k < 1``."""
+        x = np.asarray(load, dtype=float)
+        with np.errstate(divide="ignore"):
+            return sum((c * k * x ** (k - 1) for c, k in self.powers if k), 0.0 * x)
 
     def antiderivative(self, load):
         """``F(load)`` with ``F(0) = 0`` and ``F' = f``, elementwise."""
-        raise NotImplementedError
+        return sum(c / (k + 1) * load ** (k + 1) for c, k in self.powers)
 
     def derivative(self) -> "GridCostFunction":
         """Return ``f'`` as a grid cost function in its own right.
 
-        Only meaningful when the derivative is itself a nondecreasing cost,
-        i.e. when the primal cost is convex; non-convex costs raise
-        ``ValueError``.
+        Only a cost whose every exponent is at least 1 has a derivative that
+        is again a sum of nonnegative powers; any other raises ``ValueError``.
         """
-        raise NotImplementedError
+        if any(k < 1 for _, k in self.powers):
+            raise ValueError(f"the derivative of {self!r} has a term that is not a grid cost")
+        terms = tuple(Monomial(c * k, k - 1) for c, k in self.powers)
+        return terms[0] if len(terms) == 1 else CostSum(terms)
 
     @property
     def satisfies_a1(self) -> bool:
-        raise NotImplementedError
+        return any(k > 0 for _, k in self.powers)
 
     @property
     def satisfies_a2(self) -> bool:
-        raise NotImplementedError
+        ks = [k for _, k in self.powers]
+        return not any(0 < k < 1 for k in ks) and any(k > 1 for k in ks)
 
     @property
     def is_exact_for_integers(self) -> bool:
         """True when integer loads produce exact integer values."""
-        return False
-
-    # internal structural helpers used by CostSum flag logic
-    @property
-    def _nondecreasing(self) -> bool:
-        raise NotImplementedError
-
-    @property
-    def _strictly_increasing(self) -> bool:
-        raise NotImplementedError
-
-    @property
-    def _convex(self) -> bool:
-        raise NotImplementedError
-
-    @property
-    def _strictly_convex(self) -> bool:
-        raise NotImplementedError
+        return all(isinstance(c, int) and isinstance(k, int) for c, k in self.powers)
 
 
 def _as_int_if_integral(x: Number) -> Number:
@@ -134,85 +118,49 @@ def _as_int_if_integral(x: Number) -> Number:
     return x
 
 
+def _is_finite(v) -> bool:
+    # NaN is the only value unequal to itself; exact ints never overflow here
+    return v == v and abs(v) != math.inf
+
+
+def _is_real(v) -> bool:
+    # JSON true/false arrive as bool, which Python counts as an int
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _real(value, what: str) -> Number:
+    """``value`` as an int when integral, or ``ValueError`` unless it is a
+    finite real number."""
+    if not (_is_real(value) and _is_finite(value)):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return _as_int_if_integral(value)
+
+
 @dataclass(frozen=True)
 class Monomial(GridCostFunction):
     """``f(L) = coefficient * L ** exponent`` with positive coefficient.
 
-    ``exponent >= 1`` gives a cost satisfying assumption A1, ``exponent > 1``
-    additionally satisfies A2.  ``exponent == 0`` (a positive constant) is
-    allowed so that derivatives of linear terms remain representable, but such
-    a cost is flagged as satisfying neither assumption.
+    ``exponent == 0`` (a positive constant) is allowed so that derivatives of
+    linear terms remain representable.
     """
 
     coefficient: Number = 1
     exponent: Number = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficient", _as_int_if_integral(self.coefficient))
-        object.__setattr__(self, "exponent", _as_int_if_integral(self.exponent))
+        object.__setattr__(self, "coefficient", _real(self.coefficient, "coefficient"))
+        object.__setattr__(self, "exponent", _real(self.exponent, "exponent"))
         if self.coefficient <= 0:
             raise ValueError(f"coefficient must be positive, got {self.coefficient!r}")
         if self.exponent < 0:
             raise ValueError(f"exponent must be nonnegative, got {self.exponent!r}")
 
+    @property
+    def powers(self):
+        return ((self.coefficient, self.exponent),)
+
     def __call__(self, load):
         return self.coefficient * load**self.exponent
-
-    def deriv(self, load):
-        k = self.exponent
-        if k == 0:
-            return np.zeros_like(load, dtype=float) if isinstance(load, np.ndarray) else 0.0
-        if k == 1:
-            if isinstance(load, np.ndarray):
-                return np.full_like(load, self.coefficient, dtype=float)
-            return float(self.coefficient)
-        if isinstance(load, np.ndarray):
-            out = np.zeros(load.shape, dtype=float)
-            pos = load > 0
-            out[pos] = self.coefficient * k * load[pos] ** (k - 1)
-            if k < 1:
-                out[~pos] = math.inf
-            return out
-        if load == 0:
-            return math.inf if k < 1 else 0.0
-        return self.coefficient * k * load ** (k - 1)
-
-    def antiderivative(self, load):
-        k1 = self.exponent + 1
-        return (self.coefficient / k1) * load**k1
-
-    def derivative(self) -> GridCostFunction:
-        if self.exponent < 1:
-            raise ValueError("derivative of a sub-linear monomial is not a usable grid cost")
-        return Monomial(self.coefficient * self.exponent, self.exponent - 1)
-
-    @property
-    def satisfies_a1(self) -> bool:
-        return self.exponent > 0
-
-    @property
-    def satisfies_a2(self) -> bool:
-        return self.exponent > 1
-
-    @property
-    def is_exact_for_integers(self) -> bool:
-        return isinstance(self.coefficient, int) and isinstance(self.exponent, int)
-
-    @property
-    def _nondecreasing(self) -> bool:
-        return True
-
-    @property
-    def _strictly_increasing(self) -> bool:
-        return self.exponent > 0
-
-    @property
-    def _convex(self) -> bool:
-        return self.exponent >= 1 or self.exponent == 0
-
-    @property
-    def _strictly_convex(self) -> bool:
-        return self.exponent > 1
 
 
 @dataclass(frozen=True)
@@ -226,52 +174,16 @@ class SquareRoot(GridCostFunction):
     coefficient: Number = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficient", _as_int_if_integral(self.coefficient))
+        object.__setattr__(self, "coefficient", _real(self.coefficient, "coefficient"))
         if self.coefficient <= 0:
             raise ValueError(f"coefficient must be positive, got {self.coefficient!r}")
 
+    @property
+    def powers(self):
+        return ((self.coefficient, 0.5),)
+
     def __call__(self, load):
         return self.coefficient * load**0.5
-
-    def deriv(self, load):
-        if isinstance(load, np.ndarray):
-            out = np.full(load.shape, math.inf)
-            pos = load > 0
-            out[pos] = 0.5 * self.coefficient / np.sqrt(load[pos].astype(float))
-            return out
-        if load == 0:
-            return math.inf
-        return 0.5 * self.coefficient / math.sqrt(load)
-
-    def antiderivative(self, load):
-        return (2.0 / 3.0) * self.coefficient * load**1.5
-
-    def derivative(self) -> GridCostFunction:
-        raise ValueError("derivative of a square-root cost is decreasing, not a grid cost")
-
-    @property
-    def satisfies_a1(self) -> bool:
-        return True
-
-    @property
-    def satisfies_a2(self) -> bool:
-        return False
-
-    @property
-    def _nondecreasing(self) -> bool:
-        return True
-
-    @property
-    def _strictly_increasing(self) -> bool:
-        return True
-
-    @property
-    def _convex(self) -> bool:
-        return False
-
-    @property
-    def _strictly_convex(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -289,56 +201,12 @@ class CostSum(GridCostFunction):
             if not isinstance(term, GridCostFunction):
                 raise TypeError(f"CostSum terms must be grid cost functions, got {term!r}")
 
+    @property
+    def powers(self):
+        return tuple(p for term in self.terms for p in term.powers)
+
     def __call__(self, load):
-        total = self.terms[0](load)
-        for term in self.terms[1:]:
-            total = total + term(load)
-        return total
-
-    def deriv(self, load):
-        total = self.terms[0].deriv(load)
-        for term in self.terms[1:]:
-            total = total + term.deriv(load)
-        return total
-
-    def antiderivative(self, load):
-        total = self.terms[0].antiderivative(load)
-        for term in self.terms[1:]:
-            total = total + term.antiderivative(load)
-        return total
-
-    def derivative(self) -> GridCostFunction:
-        return CostSum(tuple(term.derivative() for term in self.terms))
-
-    @property
-    def satisfies_a1(self) -> bool:
-        return all(t._nondecreasing for t in self.terms) and any(
-            t._strictly_increasing for t in self.terms
-        )
-
-    @property
-    def satisfies_a2(self) -> bool:
-        return all(t._convex for t in self.terms) and any(t._strictly_convex for t in self.terms)
-
-    @property
-    def is_exact_for_integers(self) -> bool:
-        return all(t.is_exact_for_integers for t in self.terms)
-
-    @property
-    def _nondecreasing(self) -> bool:
-        return all(t._nondecreasing for t in self.terms)
-
-    @property
-    def _strictly_increasing(self) -> bool:
-        return self.satisfies_a1
-
-    @property
-    def _convex(self) -> bool:
-        return all(t._convex for t in self.terms)
-
-    @property
-    def _strictly_convex(self) -> bool:
-        return self.satisfies_a2
+        return sum(term(load) for term in self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -400,28 +268,21 @@ def _pricing_for(pricing, index: int) -> PricingFunction:
 # ---------------------------------------------------------------------------
 
 
-def _is_finite(v) -> bool:
-    # NaN is the only value unequal to itself; exact ints never overflow here
-    return v == v and abs(v) != math.inf
-
-
 def _validate_exogenous(exogenous, T: int) -> tuple[Number, ...]:
     if exogenous is None:
         return (0,) * T
-    exo = tuple(_as_int_if_integral(v) for v in exogenous)
+    exo = tuple(_real(v, "exogenous load") for v in exogenous)
     if len(exo) != T:
         raise ValueError(f"exogenous load has {len(exo)} entries for a {T}-slot horizon")
-    if not all(_is_finite(v) for v in exo):
-        raise ValueError("exogenous load must be finite")
     if any(v < 0 for v in exo):
         raise ValueError("exogenous load must be nonnegative")
     return exo
 
 
 def _validate_power(power) -> Number:
-    power = _as_int_if_integral(power)
-    if not _is_finite(power) or power <= 0:
-        raise ValueError("charging power must be positive and finite")
+    power = _real(power, "charging power")
+    if power <= 0:
+        raise ValueError(f"charging power must be positive, got {power!r}")
     return power
 
 
@@ -509,7 +370,7 @@ class UserClass:
     duration: int
 
     def __post_init__(self) -> None:
-        if not (0 < self.weight <= 1):
+        if not (_is_real(self.weight) and 0 < self.weight <= 1):
             raise ValueError(f"class weight must lie in (0, 1], got {self.weight!r}")
 
 

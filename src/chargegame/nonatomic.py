@@ -53,6 +53,8 @@ from .model import (
 )
 
 DEFAULT_SOLVER_BUDGET = 10**6
+# a start slot carrying more than this share of its class counts as used
+SUPPORT_THRESHOLD = 1e-8
 
 
 class ConvergenceError(RuntimeError):
@@ -145,8 +147,8 @@ def _class_cost_vectors(cost, loads, durations, act_idx, T) -> np.ndarray:
     return out
 
 
-def _wardrop_gap_of(costs: np.ndarray, Y: np.ndarray, support_eps: float) -> float:
-    priciest = np.where(Y > support_eps, costs, -math.inf).max(axis=1)
+def _wardrop_gap_of(costs: np.ndarray, Y: np.ndarray) -> float:
+    priciest = np.where(Y > SUPPORT_THRESHOLD, costs, -math.inf).max(axis=1)
     return max(0.0, float(np.max(priciest - costs.min(axis=1))))
 
 
@@ -165,21 +167,19 @@ def is_wardrop_equilibrium(
     cost: GridCostFunction,
     profile: MixedProfile,
     tol: float = 1e-9,
-    support_threshold: float = 1e-8,
 ) -> bool:
     """Check the equilibrium condition directly from the definition.
 
-    Every start slot carrying more than ``support_threshold`` of its class
+    Every start slot carrying more than ``SUPPORT_THRESHOLD`` of its class
     must cost within ``tol`` of the cheapest start available to that class.
     """
-    return wardrop_gap(instance, cost, profile, support_threshold) <= tol
+    return wardrop_gap(instance, cost, profile) <= tol
 
 
 def wardrop_gap(
     instance: NonatomicInstance,
     cost: GridCostFunction,
     profile: MixedProfile,
-    support_threshold: float = 1e-8,
 ) -> float:
     """Worst excess of a supported start's cost over the class minimum."""
     loads = np.asarray(instance.exogenous, dtype=float) + instance.power * profile.occupancy_mass()
@@ -191,7 +191,7 @@ def wardrop_gap(
             costs[t] = float(sum(cost(loads[tau - 1]) for tau in range(t, t + C)))
         cheapest = min(costs.values())
         for t, sigma in enumerate(profile.distributions[k], start=1):
-            if sigma > support_threshold:
+            if sigma > SUPPORT_THRESHOLD:
                 worst = max(worst, costs[t] - cheapest)
     return worst
 
@@ -206,7 +206,6 @@ def _solve_potential(
     g: GridCostFunction,
     tol: float,
     budget: int,
-    support_threshold: float,
 ):
     """Maximize the potential built on per-slot cost ``g``; core of both solvers.
 
@@ -243,7 +242,7 @@ def _solve_potential(
         evals += 1
         loads = exo + P * _occupancy_from(Y, weights, durations)
         costs = _class_cost_vectors(g, loads, durations, act_idx, T)
-        gap = _wardrop_gap_of(costs, Y, support_threshold)
+        gap = _wardrop_gap_of(costs, Y)
         if gap < best[0]:
             best = (gap, Y.copy())
         scale = max(1.0, float(np.max(np.abs(costs[allowed]))))
@@ -306,7 +305,6 @@ def solve_equilibrium(
     cost: GridCostFunction,
     tol: float = 1e-9,
     budget: Optional[int] = None,
-    support_threshold: float = 1e-8,
 ) -> NonatomicEquilibrium:
     """Wardrop equilibrium of the nonatomic game to gap ``tol``.
 
@@ -319,7 +317,7 @@ def solve_equilibrium(
     if not cost.satisfies_a1:
         raise ValueError("equilibrium solving needs a strictly increasing grid cost")
     budget = resolve_budget(budget, DEFAULT_SOLVER_BUDGET)
-    Y, gap, costs, iters, evals = _solve_potential(instance, cost, tol, budget, support_threshold)
+    Y, gap, costs, iters, evals = _solve_potential(instance, cost, tol, budget)
     profile = _profile_from_matrix(instance, Y)
     return NonatomicEquilibrium(
         profile=profile,
@@ -383,7 +381,7 @@ def check_invariance_condition(instance: NonatomicInstance) -> InvarianceCheck:
     """
     T, C = _require_symmetric_full_window(instance)
     q = (T - C + 1) // C
-    e = [v / instance.power for v in instance.exogenous] if instance.exogenous else [0.0] * T
+    e = [v / instance.power for v in instance.exogenous]
     diffs = [b - a for a, b in zip(e, e[1:])]
     nondecreasing = all(d >= 0.0 for d in diffs)
     convex = all(d2 >= d1 for d1, d2 in zip(diffs, diffs[1:]))
@@ -523,7 +521,7 @@ def social_optimum_nonatomic(
         raise ValueError("social optimum needs a convex (A2) grid cost")
     budget = resolve_budget(budget, DEFAULT_SOLVER_BUDGET)
     marginal = cost.derivative()
-    Y, gap, _, _, _ = _solve_potential(instance, marginal, tol, budget, 1e-8)
+    Y, gap, _, _, _ = _solve_potential(instance, marginal, tol, budget)
     profile = _profile_from_matrix(instance, Y)
     if not is_wardrop_equilibrium(instance, marginal, profile, tol=max(1e-7, 10 * gap)):
         raise RuntimeError("optimum candidate fails the marginal-cost Wardrop check")

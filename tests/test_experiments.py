@@ -522,8 +522,9 @@ def test_sweep_spec_rejects_unknown_keys():
 
 @pytest.mark.parametrize(
     "bad",
-    [{"budget": 0}, {"kind": "no-such-kind"}, {"budgett": 3}],
-    ids=["budget-0", "unknown-kind", "budgett"],
+    [{"budget": 0}, {"kind": "no-such-kind"}, {"budgett": 3}, {"T": 0}, {"C_values": [20]},
+     {"I_values": [0]}, {"I_values": 5}, {"cost": 5}],
+    ids=["budget-0", "unknown-kind", "budgett", "T-0", "C-past-T", "I-0", "I-not-a-list", "cost-not-an-object"],
 )
 def test_cli_sweep_rejects_a_bad_spec_in_one_line(tmp_path, capsys, bad):
     spec = {**json.loads((DEMOS / "specs" / "equilibrium_proportion.json").read_text()), **bad}
@@ -576,10 +577,44 @@ def test_cli_solve_rejects_a_bad_instance_in_one_line(tmp_path, capsys, command,
     assert err.startswith(f"{path}: ") and "duration 5" in err
 
 
+@pytest.mark.parametrize(
+    "command, spec_name, change",
+    [
+        ("solve-atomic", "valley_three_players", {"players": 5}),
+        ("solve-nonatomic", "evening_continuum", {"classes": 5}),
+        ("solve-atomic", "valley_three_players", {"exogenous": 5}),
+        ("solve-atomic", "valley_three_players", {"cost": 5}),
+        ("solve-atomic", "valley_three_players", {"cost": {"kind": "monomial", "exponent": "x"}}),
+        ("solve-atomic", "valley_three_players", {"power": "x"}),
+        ("solve-nonatomic", "evening_continuum",
+         {"classes": [{"weight": "x", "arrival": 1, "departure": 10, "duration": 5}]}),
+        ("solve-atomic", "valley_three_players", {"exogenous": ["x"] * 6}),
+    ],
+    ids=["players-5", "classes-5", "exogenous-5", "cost-5", "exponent-x", "power-x", "weight-x",
+         "exogenous-strings"],
+)
+def test_cli_solve_rejects_a_malformed_instance_in_one_line(tmp_path, capsys, command, spec_name, change):
+    data = {**json.loads((DEMOS / "specs" / f"{spec_name}.json").read_text()), **change}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith(f"{path}: ")
+
+
 @pytest.mark.parametrize("demo", ["equilibrium_tour.py", "invariance_tour.py"])
 def test_demo_tour_runs(demo, capsys):
     # a demo that reads a removed attribute or option fails here
     runpy.run_path(str(DEMOS / demo), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_readme_quick_start_runs(capsys):
+    # a renamed constructor or argument breaks the documented example here
+    readme = (DEMOS.parent / "README.md").read_text()
+    code = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out
 
 

@@ -64,7 +64,8 @@ def test_sqrt_cost():
 def test_derivatives_match_numerically():
     rng = random.Random(7)
     funcs = [Monomial(1, 2), Monomial(3, 4), Monomial(2, 1), SquareRoot(2),
-             CostSum((Monomial(1, 2), Monomial(2, 1)))]
+             CostSum((Monomial(1, 2), Monomial(2, 1))), CostSum((SquareRoot(), Monomial(1, 2))),
+             CostSum((Monomial(5, 0), Monomial(1, 2))), CostSum((Monomial(5, 0),)), Monomial(1, 0.5)]
     for f in funcs:
         for _ in range(20):
             x = 0.5 + 4.0 * rng.random()
@@ -74,7 +75,9 @@ def test_derivatives_match_numerically():
 
 
 def test_antiderivative_matches_numerically():
-    funcs = [Monomial(1, 2), Monomial(1, 8), SquareRoot(), CostSum((Monomial(1, 3), SquareRoot(2)))]
+    funcs = [Monomial(1, 2), Monomial(1, 8), SquareRoot(), CostSum((Monomial(1, 3), SquareRoot(2))),
+             CostSum((SquareRoot(), Monomial(1, 2))), CostSum((Monomial(5, 0), Monomial(1, 2))),
+             CostSum((Monomial(5, 0),)), Monomial(1, 0.5)]
     rng = random.Random(11)
     for f in funcs:
         for _ in range(10):
@@ -94,6 +97,20 @@ def test_derivative_object_round_trip():
         SquareRoot().derivative()
     with pytest.raises(ValueError):
         Monomial(1, 0).derivative()
+    with pytest.raises(ValueError):
+        CostSum((SquareRoot(), Monomial(1, 2))).derivative()
+    with pytest.raises(ValueError):
+        CostSum((Monomial(5, 0), Monomial(1, 2))).derivative()
+    sum_ = CostSum((Monomial(1, 1), Monomial(3, 4)))
+    for x in (0.5, 1.0, 3.0):
+        assert sum_.derivative()(x) == pytest.approx(sum_.deriv(x))
+    # a square root written as a monomial is the same cost
+    for x in (0.0, 0.25, 2.0, 9.0):
+        assert Monomial(1, 0.5)(x) == SquareRoot()(x)
+        assert Monomial(1, 0.5).antiderivative(x) == pytest.approx(SquareRoot().antiderivative(x))
+    for x in (0.25, 2.0, 9.0):
+        assert Monomial(1, 0.5).deriv(x) == pytest.approx(SquareRoot().deriv(x))
+    assert Monomial(1, 0.5).deriv(0.0) == SquareRoot().deriv(0.0) == math.inf
 
 
 def test_assumption_flags():
@@ -108,6 +125,16 @@ def test_assumption_flags():
     assert not Monomial(5, 0).satisfies_a2
     mix = CostSum((Monomial(1, 2), Monomial(2, 1)))
     assert mix.satisfies_a1 and mix.satisfies_a2
+    # a concave term spoils convexity; a constant one spoils nothing
+    concave = CostSum((SquareRoot(), Monomial(1, 2)))
+    assert concave.satisfies_a1 and not concave.satisfies_a2
+    shifted = CostSum((Monomial(5, 0), Monomial(1, 2)))
+    assert shifted.satisfies_a1 and shifted.satisfies_a2
+    constant = CostSum((Monomial(5, 0),))
+    assert not constant.satisfies_a1 and not constant.satisfies_a2
+    root = Monomial(1, 0.5)
+    assert (root.satisfies_a1, root.satisfies_a2) == (SquareRoot().satisfies_a1, SquareRoot().satisfies_a2)
+    assert root.is_exact_for_integers == SquareRoot().is_exact_for_integers
 
 
 def test_cost_sum_values():
@@ -121,6 +148,12 @@ def test_monomial_rejects_bad_parameters():
         Monomial(-1, 2)
     with pytest.raises(ValueError):
         Monomial(1, -1)
+    with pytest.raises(ValueError):
+        Monomial("x", 2)
+    with pytest.raises(ValueError):
+        Monomial(1, "x")
+    with pytest.raises(ValueError):
+        SquareRoot("x")
 
 
 def test_pricing_functions():
@@ -176,7 +209,7 @@ def test_atomic_instance_rejects_bad_windows():
         AtomicInstance.symmetric(T=6, I=2, C=2, exogenous=(1, 2, 3))  # wrong exo length
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x"])
 def test_instances_reject_non_finite_data(bad):
     with pytest.raises(ValueError):
         AtomicInstance.symmetric(4, 2, 2, exogenous=[bad] * 4)
@@ -200,6 +233,8 @@ def test_nonatomic_instance_weights():
     assert inst.window(1) == (2, 5, 3)
     with pytest.raises(ValueError):
         NonatomicInstance.create(T=6, classes=[(0.5, 1, 6, 2)])  # mass != 1
+    with pytest.raises(ValueError):
+        UserClass("x", 1, 6, 2)
 
 
 def test_nonatomic_symmetric_builder():
