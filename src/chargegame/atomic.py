@@ -119,7 +119,10 @@ def resolve_budget(budget: Optional[int], default: int = DEFAULT_BUDGET) -> int:
     """
     if budget is None:
         budget = os.environ.get(BUDGET_ENV_VAR) or default
-    budget = int(budget)
+    try:
+        budget = int(budget)
+    except (TypeError, ValueError):
+        raise ValueError(f"budget must be an integer, got {budget!r}") from None
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     return budget

@@ -12,16 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
-from .atomic import BudgetExceededError, efficiency
-from .experiments import (
-    ATOMIC_COUNTEREXAMPLE,
-    NONATOMIC_COUNTEREXAMPLE,
-    SweepSpec,
-    emit_data,
-    run_counterexamples,
-    run_sweep,
-)
+from .atomic import BUDGET_ENV_VAR, BudgetExceededError, efficiency, resolve_budget
+from .experiments import SweepSpec, emit_data, run_counterexamples, run_sweep
 from .fileio import dump_json, instance_from_dict
 from .model import AtomicInstance, Monomial
 from .nonatomic import ConvergenceError, social_optimum_nonatomic, solve_equilibrium
@@ -52,7 +46,7 @@ def _emit_or_print(data: dict, out: str | None) -> None:
 def _cmd_sweep(args) -> int:
     spec = _read(args.spec, SweepSpec.from_dict)
     if args.budget is not None:
-        spec = SweepSpec.from_dict({**spec.to_dict(), "budget": args.budget})
+        spec = replace(spec, budget=args.budget)
     series = run_sweep(spec, threads=args.threads)
     manifest = emit_data(series, args.out, spec=spec)
     print(manifest)
@@ -61,25 +55,24 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_counterexamples(args) -> int:
     summary = run_counterexamples(budget=args.budget)
+    atomic, nonatomic = summary["atomic"], summary["nonatomic"]
     if args.out:
-        for spec in (ATOMIC_COUNTEREXAMPLE, NONATOMIC_COUNTEREXAMPLE):
-            emit_data(run_sweep(spec), args.out, spec=spec)
-    atomic_ok = summary["atomic"]["multiple_equilibria"]
-    nonatomic_ok = summary["nonatomic"]["cost_dependent"]
-    configs = summary["atomic"]["equilibria"]
-    print(f"atomic: {len(configs)} distinct equilibrium configurations "
+        for side in (atomic, nonatomic):
+            emit_data(side["series"], args.out, spec=side["spec"])
+    atomic_ok = atomic["multiple_equilibria"]
+    nonatomic_ok = nonatomic["cost_dependent"]
+    print(f"atomic: {len(atomic['equilibria'])} distinct equilibrium configurations "
           f"(several -> equilibrium selection matters): {'ok' if atomic_ok else 'FAILED'}")
-    for config in configs:
-        print(f"  occupancy {config.occupancy}  starts {config.start_counts}")
-    print(f"atomic efficiency: {summary['atomic']['report'].value:.6f}")
-    spread = summary["nonatomic"]["mass_spread"]
+    for s in atomic["equilibria"]:
+        starts = tuple(int(v) for v in dict(s.meta)["start_counts"].split(","))
+        print(f"  occupancy {tuple(int(v) for v in s.y)}  starts {starts}")
+    print(f"atomic efficiency: {atomic['efficiency']:.6f}")
     print(f"nonatomic: equilibrium moves with the cost curve "
-          f"(max start-mass shift {spread:.4f}): {'ok' if nonatomic_ok else 'FAILED'}")
-    for label, support in summary["nonatomic"]["supports"].items():
-        eq = summary["nonatomic"]["equilibria"][label]
-        mass = eq.profile.start_mass()
-        head = ", ".join(f"slot {t}: {mass[t - 1]:.4f}" for t in support)
-        print(f"  {label}: support {support} ({head})")
+          f"(max start-mass shift {nonatomic['mass_spread']:.4f}): {'ok' if nonatomic_ok else 'FAILED'}")
+    for s in nonatomic["series"]:
+        support = nonatomic["supports"][s.label]
+        head = ", ".join(f"slot {t}: {s.y[t - 1]:.4f}" for t in support)
+        print(f"  {s.label}: support {support} ({head})")
     return 0 if (atomic_ok and nonatomic_ok) else 1
 
 
@@ -185,6 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        resolve_budget(None)  # refuse a bad environment budget before any work
+    except ValueError as err:
+        print(f"{BUDGET_ENV_VAR}: {err}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except _BadInput as err:

@@ -10,8 +10,9 @@ wall clock, so reruns are byte-identical.
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent import futures
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -25,18 +26,19 @@ from .model import (
     Monomial,
     NonatomicInstance,
     SquareRoot,
-    TimeHorizon,
 )
-from .nonatomic import solve_equilibrium
+from .nonatomic import SUPPORT_THRESHOLD, solve_equilibrium
 
-SWEEP_KINDS = (
-    "ne-proportion",
-    "efficiency-vs-I",
-    "efficiency-vs-C",
-    "efficiency-vs-power",
-    "nonatomic-counterexample",
-    "atomic-counterexample",
-)
+# kind: the grid fields it reads, each with the number of values it must
+# hold (None: at least one)
+SWEEP_KINDS = {
+    "ne-proportion": {"I_values": None, "C_values": None},
+    "efficiency-vs-I": {"I_values": None, "C_values": None},
+    "efficiency-vs-C": {"I_values": None, "C_values": None},
+    "efficiency-vs-power": {"I_values": 1, "C_values": None, "exponents": None},
+    "nonatomic-counterexample": {"C_values": 1, "costs": None},
+    "atomic-counterexample": {"I_values": 1, "C_values": 1},
+}
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,13 @@ class SweepSpec:
     efficiency-vs-power              x = cost exponent, one series per C
                                      (exactly one player count)
     nonatomic-counterexample         x = slot, one series per cost in ``costs``
+                                     (exactly one duration)
     atomic-counterexample            x = slot, one series per equilibrium
+                                     (exactly one player count and duration)
+
+    Every rule is checked when the spec is built, down to building each
+    instance and grid cost the sweep will solve, so ``run_sweep`` never
+    refuses a spec midway.
     """
 
     kind: str
@@ -69,23 +77,33 @@ class SweepSpec:
     budget: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in SWEEP_KINDS:
-            raise ValueError(f"unknown sweep kind {self.kind!r}; pick one of {SWEEP_KINDS}")
-        for name in ("I_values", "C_values", "exponents", "costs"):
+        if not isinstance(self.kind, str) or self.kind not in SWEEP_KINDS:
+            raise ValueError(f"unknown sweep kind {self.kind!r}; pick one of {tuple(SWEEP_KINDS)}")
+        if not (isinstance(self.label, str) and self.label) or set(self.label) & set("/\\"):
+            raise ValueError(f"label must be a non-empty name without / or \\, got {self.label!r}")
+        for name in ("exogenous", "I_values", "C_values", "exponents", "costs"):
             values = getattr(self, name)
+            if values is None and name == "exogenous":
+                continue
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {values!r}")
             object.__setattr__(self, name, tuple(values))
-        if self.exogenous is not None:
-            object.__setattr__(self, "exogenous", tuple(self.exogenous))
+        for name, count in SWEEP_KINDS[self.kind].items():
+            n = len(getattr(self, name))
+            if n == 0 if count is None else n != count:
+                need = "exactly one value" if count else "at least one value"
+                raise ValueError(f"{self.kind} sweeps need {need} in {name}, got {n}")
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+            raise ValueError(f"tol must be a finite number above 0, got {self.tol!r}")
         if self.budget is not None:
             resolve_budget(self.budget)  # the scans' rule: at least 1
-        # build every instance the sweep will solve, so that a grid point
-        # that cannot exist is refused here rather than midway through it
-        TimeHorizon(self.T)
+        # build every grid cost and instance the sweep will solve, so that a
+        # grid point that cannot exist is refused here rather than midway
+        for k in self.exponents:
+            _power_cost(self, k)
         if self.kind == "nonatomic-counterexample":
-            for C in self.C_values:
-                _nonatomic_instance(self, C)
+            _nonatomic_instance(self, self.C_values[0])
         else:
             for I in self.I_values:
                 for C in self.C_values:
@@ -102,30 +120,23 @@ class SweepSpec:
         data = dict(data)
         if "cost" in data:
             data["cost"] = cost_from_dict(data["cost"])
-        if "costs" in data:
-            data["costs"] = tuple(cost_from_dict(c) for c in data["costs"])
+        if isinstance(data.get("costs"), list):  # anything else is refused by the constructor
+            data["costs"] = [cost_from_dict(c) for c in data["costs"]]
         return cls(**data)
 
     def to_dict(self) -> dict:
-        data = {
-            "kind": self.kind,
-            "label": self.label,
-            "T": self.T,
-            "power": self.power,
-            "cost": cost_to_dict(self.cost),
-            "tol": self.tol,
-        }
-        if self.exogenous is not None:
-            data["exogenous"] = list(self.exogenous)
-        if self.departure is not None:
-            data["departure"] = self.departure
-        for name in ("I_values", "C_values", "exponents"):
-            if getattr(self, name):
-                data[name] = list(getattr(self, name))
-        if self.costs:
-            data["costs"] = [cost_to_dict(c) for c in self.costs]
-        if self.budget is not None:
-            data["budget"] = self.budget
+        data = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None or value == ():
+                continue
+            if f.name == "cost":
+                value = cost_to_dict(value)
+            elif f.name == "costs":
+                value = [cost_to_dict(c) for c in value]
+            elif isinstance(value, tuple):
+                value = list(value)
+            data[f.name] = value
         return data
 
 
@@ -164,6 +175,12 @@ def _nonatomic_instance(spec: SweepSpec, C: int) -> NonatomicInstance:
     )
 
 
+def _power_cost(spec: SweepSpec, k) -> Monomial:
+    # an efficiency-vs-power grid cost: the spec cost's coefficient, exponent k
+    coeff = spec.cost.coefficient if isinstance(spec.cost, Monomial) else 1
+    return Monomial(coeff, k)
+
+
 def _atomic_point(spec: SweepSpec, I: int, C: int, cost: GridCostFunction):
     instance = _atomic_instance(spec, I, C)
     if spec.kind == "ne-proportion":
@@ -173,9 +190,6 @@ def _atomic_point(spec: SweepSpec, I: int, C: int, cost: GridCostFunction):
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[DataSeries, ...]:
     """Evaluate a sweep; one thread per grid point at most."""
-    if spec.kind == "efficiency-vs-power" and len(spec.I_values) != 1:
-        raise ValueError("efficiency-vs-power sweeps need exactly one player count")
-    coeff = spec.cost.coefficient if isinstance(spec.cost, Monomial) else 1
     by_C = (spec.I_values, "C", spec.C_values, lambda C, I: _atomic_point(spec, I, C, spec.cost), ())
     grids = {
         # kind: (x values, series prefix, series values, point(series value, x), meta)
@@ -188,7 +202,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[DataSeries, ...]:
             spec.exponents,
             "C",
             spec.C_values,
-            lambda C, k: _atomic_point(spec, spec.I_values[0], C, Monomial(coeff, k)),
+            lambda C, k: _atomic_point(spec, spec.I_values[0], C, _power_cost(spec, k)),
             tuple(("I", str(I)) for I in spec.I_values),
         ),
     }
@@ -202,38 +216,27 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[DataSeries, ...]:
             for j, key in enumerate(keys)
         )
 
+    slots = tuple(range(1, spec.T + 1))
     if spec.kind == "nonatomic-counterexample":
-        if len(spec.C_values) != 1 or not spec.costs:
-            raise ValueError(
-                "nonatomic-counterexample sweeps need exactly one duration and a costs list"
-            )
         instance = _nonatomic_instance(spec, spec.C_values[0])
         jobs = [
             (lambda c=c: solve_equilibrium(instance, c, tol=spec.tol, budget=spec.budget))
             for c in spec.costs
         ]
-        results = _run_jobs(jobs, threads)
-        slots = tuple(range(1, spec.T + 1))
-        series = []
-        for c, eq in zip(spec.costs, results):
-            mass = tuple(float(v) for v in eq.profile.start_mass())
-            series.append(
-                DataSeries(
-                    spec.label,
-                    cost_label(c),
-                    slots,
-                    mass,
-                    meta=(("wardrop_gap", f"{eq.wardrop_gap:.3e}"),),
-                )
+        return tuple(
+            DataSeries(
+                spec.label,
+                cost_label(c),
+                slots,
+                tuple(float(v) for v in eq.profile.start_mass()),
+                meta=(("wardrop_gap", f"{eq.wardrop_gap:.3e}"),),
             )
-        return tuple(series)
+            for c, eq in zip(spec.costs, _run_jobs(jobs, threads))
+        )
 
     # atomic-counterexample
-    if len(spec.I_values) != 1 or len(spec.C_values) != 1:
-        raise ValueError("atomic-counterexample sweeps need a single I and a single C")
     instance = _atomic_instance(spec, spec.I_values[0], spec.C_values[0])
     report = efficiency(instance, spec.cost, budget=spec.budget)
-    slots = tuple(range(1, spec.T + 1))
     series = [
         DataSeries(
             spec.label,
@@ -288,49 +291,41 @@ NONATOMIC_COUNTEREXAMPLE = SweepSpec(
 
 
 def run_counterexamples(tol: float = 1e-9, budget: Optional[int] = None):
-    """Re-derive both bundled counter-examples; returns a summary dict.
+    """Re-derive both bundled counter-examples through ``run_sweep``; returns
+    a summary dict whose two sides carry the ``spec`` solved and the
+    ``series`` it gave, ready for ``emit_data``.
 
     atomic: the equilibrium set has several distinct configurations, so
     "which equilibrium" matters (their total costs differ).
     nonatomic: the equilibrium start mass changes with the cost function,
     so no cost-independent equilibrium exists for that exogenous load.
     """
-    spec_a = ATOMIC_COUNTEREXAMPLE
-    instance_a = AtomicInstance.symmetric(
-        spec_a.T, spec_a.I_values[0], spec_a.C_values[0], exogenous=spec_a.exogenous
-    )
-    report = efficiency(instance_a, spec_a.cost, budget=budget)
+    atomic_spec = replace(ATOMIC_COUNTEREXAMPLE, budget=budget)
+    atomic = run_sweep(atomic_spec)
+    *equilibria, optimum = atomic
     atomic_summary = {
-        "report": report,
-        "equilibria": report.equilibria.equilibria,
-        "multiple_equilibria": len(report.equilibria.equilibria) >= 2,
+        "spec": atomic_spec,
+        "series": atomic,
+        "equilibria": tuple(equilibria),
+        "multiple_equilibria": len(equilibria) >= 2,
+        "efficiency": float(dict(optimum.meta)["efficiency"]),
     }
 
-    spec_n = NONATOMIC_COUNTEREXAMPLE
-    instance_n = NonatomicInstance.symmetric(
-        spec_n.T, spec_n.C_values[0], exogenous=spec_n.exogenous, departure=spec_n.departure
-    )
-    per_cost = {}
-    masses = []
-    for c in spec_n.costs:
-        eq = solve_equilibrium(instance_n, c, tol=tol, budget=budget)
-        per_cost[cost_label(c)] = eq
-        masses.append(eq.profile.start_mass())
-    spread = max(
-        float(np.max(np.abs(m1 - m2))) for i, m1 in enumerate(masses) for m2 in masses[i + 1 :]
-    )
-    first_component = max(
-        abs(float(m1[0] - m2[0])) for i, m1 in enumerate(masses) for m2 in masses[i + 1 :]
-    )
+    nonatomic_spec = replace(NONATOMIC_COUNTEREXAMPLE, tol=tol, budget=budget)
+    nonatomic = run_sweep(nonatomic_spec)
+    masses = [np.array(s.y) for s in nonatomic]
+    pairs = [(m1, m2) for i, m1 in enumerate(masses) for m2 in masses[i + 1 :]]
+    first_component = max(abs(float(m1[0] - m2[0])) for m1, m2 in pairs)
     nonatomic_summary = {
-        "equilibria": per_cost,
+        "spec": nonatomic_spec,
+        "series": nonatomic,
         "supports": {
-            label: tuple(int(t) for t in np.flatnonzero(eq.profile.start_mass() > 1e-8) + 1)
-            for label, eq in per_cost.items()
+            s.label: tuple(int(t) for t in np.flatnonzero(m > SUPPORT_THRESHOLD) + 1)
+            for s, m in zip(nonatomic, masses)
         },
         "cost_dependent": first_component >= 0.01,
         "first_component_difference": first_component,
-        "mass_spread": spread,
+        "mass_spread": max(float(np.max(np.abs(m1 - m2))) for m1, m2 in pairs),
     }
     return {"atomic": atomic_summary, "nonatomic": nonatomic_summary}
 

@@ -356,6 +356,8 @@ class AtomicInstance:
     @classmethod
     def symmetric(cls, T, I, C, power=1, exogenous=None, arrival=1, departure=None) -> "AtomicInstance":
         """``I`` identical players, full-horizon window unless told otherwise."""
+        if not isinstance(I, numbers.Integral):
+            raise ValueError(f"player count must be an integer, got {I!r}")
         d = T if departure is None else departure
         return cls.create(T, [(arrival, d, C)] * I, power=power, exogenous=exogenous)
 
@@ -506,6 +508,19 @@ def occupancy(instance: AtomicInstance, profile) -> ChargingConfiguration:
     return ChargingConfiguration(tuple(started), tuple(occupied))
 
 
+def windowed_occupancy(Y: np.ndarray, weights, durations) -> np.ndarray:
+    """Mass charging in each slot for the K×T start matrix ``Y``: slot t
+    collects class k's starts in t-C_k+1..t, scaled by the class weight."""
+    T = Y.shape[1]
+    x = np.zeros(T)
+    idx = np.arange(T)
+    for k in range(Y.shape[0]):
+        csum = np.concatenate(([0.0], np.cumsum(weights[k] * Y[k])))
+        lo = np.maximum(idx - durations[k] + 1, 0)
+        x += csum[idx + 1] - csum[lo]
+    return x
+
+
 @dataclass(frozen=True)
 class MixedProfile:
     """Per-class start-slot distributions for a nonatomic instance.
@@ -549,16 +564,9 @@ class MixedProfile:
 
     def occupancy_mass(self) -> np.ndarray:
         """Mass charging in each slot (windowed sum of weighted start masses)."""
-        inst = self.instance
-        T = inst.horizon.T
-        out = np.zeros(T)
-        for cls_, row in zip(inst.classes, self.distributions):
-            mass = cls_.weight * np.asarray(row)
-            # slot t collects starts in t-C+1..t
-            csum = np.concatenate(([0.0], np.cumsum(mass)))
-            lo = np.maximum(np.arange(T) - cls_.duration + 1, 0)
-            out += csum[np.arange(1, T + 1)] - csum[lo]
-        return out
+        classes = self.instance.classes
+        weights, durations = [c.weight for c in classes], [c.duration for c in classes]
+        return windowed_occupancy(np.asarray(self.distributions), weights, durations)
 
     @classmethod
     def from_start_mass(cls, instance: NonatomicInstance, mass) -> "MixedProfile":

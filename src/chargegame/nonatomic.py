@@ -21,9 +21,9 @@ The termination certificate is the Wardrop gap: the worst, over classes, of
 For symmetric instances whose exogenous load satisfies the invariance
 inequality checked by ``check_invariance_condition``, the equilibrium does
 not depend on the cost function at all and solves a small banded linear
-system; ``solve_symmetric_invariant`` builds it, solves it, and certifies the
-solution is nonnegative by a pivot-free Gaussian elimination argument rather
-than by inspection of one floating-point solve.
+system; ``solve_symmetric_invariant`` builds it and solves it by one
+pivot-free Gaussian elimination whose signs certify the solution
+nonnegative, rather than by inspection of a floating-point solve.
 
 Social optima reuse the same machinery through marginal pricing: minimizing
 total grid cost is the same program as equilibrating the game whose per-slot
@@ -50,6 +50,7 @@ from .model import (
     action_set,
     grid_total_cost,
     potential_nonatomic,
+    windowed_occupancy,
 )
 
 DEFAULT_SOLVER_BUDGET = 10**6
@@ -125,17 +126,6 @@ def _instance_arrays(instance: NonatomicInstance):
     durations = np.array([c.duration for c in instance.classes])
     act_idx = [np.array(action_set(instance, k)) - 1 for k in range(instance.K)]
     return exo, P, weights, durations, act_idx
-
-
-def _occupancy_from(Y: np.ndarray, weights, durations) -> np.ndarray:
-    T = Y.shape[1]
-    x = np.zeros(T)
-    idx = np.arange(T)
-    for k in range(Y.shape[0]):
-        csum = np.concatenate(([0.0], np.cumsum(weights[k] * Y[k])))
-        lo = np.maximum(idx - durations[k] + 1, 0)
-        x += csum[idx + 1] - csum[lo]
-    return x
 
 
 def _class_cost_vectors(cost, loads, durations, act_idx, T) -> np.ndarray:
@@ -240,7 +230,7 @@ def _solve_potential(
         if evals >= budget:
             refuse("budget spent")
         evals += 1
-        loads = exo + P * _occupancy_from(Y, weights, durations)
+        loads = exo + P * windowed_occupancy(Y, weights, durations)
         costs = _class_cost_vectors(g, loads, durations, act_idx, T)
         gap = _wardrop_gap_of(costs, Y)
         if gap < best[0]:
@@ -398,12 +388,14 @@ def check_invariance_condition(instance: NonatomicInstance) -> InvarianceCheck:
 
 
 def _eliminate_with_certificate(A: np.ndarray, b: np.ndarray):
-    """Pivot-free Gaussian elimination in natural row order.
+    """Pivot-free Gaussian elimination in natural row order, then
+    back-substitution.
 
-    Returns (pivots, certified): the certificate holds when every pivot is
-    positive, the transformed right-hand side stays nonnegative and the
-    remaining above-diagonal entries are nonpositive, which together make
-    back-substitution produce a nonnegative solution.
+    Returns (pivots, certified, solution): the certificate holds when every
+    pivot is positive, the transformed right-hand side stays nonnegative and
+    the remaining above-diagonal entries are nonpositive, which together make
+    the back-substituted solution nonnegative.  ``solution`` is None when a
+    pivot vanishes.
     """
     n = A.shape[0]
     M = A.astype(float).copy()
@@ -412,7 +404,7 @@ def _eliminate_with_certificate(A: np.ndarray, b: np.ndarray):
     for t in range(n):
         pivot = M[t, t]
         if pivot <= tol:
-            return tuple(np.diag(M)), False
+            return tuple(np.diag(M)), False, None
         for j in range(t + 1, n):
             if M[j, t] != 0.0:
                 ratio = M[j, t] / pivot
@@ -425,7 +417,10 @@ def _eliminate_with_certificate(A: np.ndarray, b: np.ndarray):
         and np.all(v >= -tol)
         and all(M[t, u] <= tol for t in range(n) for u in range(t + 1, n))
     )
-    return pivots, certified
+    x = np.zeros(n)
+    for t in reversed(range(n)):
+        x[t] = (v[t] - M[t, t + 1 :] @ x[t + 1 :]) / M[t, t]
+    return pivots, certified, x
 
 
 def build_symmetric_system(instance: NonatomicInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -466,15 +461,14 @@ def solve_symmetric_invariant(
             f"inequality={check.inequality_holds})"
         )
     A, b = build_symmetric_system(instance)
-    x = np.linalg.solve(A, b)
-    residual = float(np.max(np.abs(A @ x - b)))
-    if residual > 1e-9:
-        raise RuntimeError(f"linear solve residual {residual:.3e} is suspiciously large")
-    pivots, certified = _eliminate_with_certificate(A, b)
+    pivots, certified, x = _eliminate_with_certificate(A, b)
     if not certified:
         raise PositivityCertificateError(
             "elimination could not certify a nonnegative start-mass solution"
         )
+    residual = float(np.max(np.abs(A @ x - b)))
+    if residual > 1e-9:
+        raise RuntimeError(f"linear solve residual {residual:.3e} is suspiciously large")
 
     N = T - C + 1
     mass = np.zeros(T)

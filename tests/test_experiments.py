@@ -150,20 +150,17 @@ def test_efficiency_vs_power_sweep():
 
 
 def test_efficiency_vs_power_needs_single_player_count():
-    spec = SweepSpec(
-        kind="efficiency-vs-power", label="pow", T=6, I_values=(2, 3), C_values=(2,), exponents=(2,)
-    )
     with pytest.raises(ValueError):
-        run_sweep(spec)
+        SweepSpec(
+            kind="efficiency-vs-power", label="pow", T=6, I_values=(2, 3), C_values=(2,), exponents=(2,)
+        )
 
 
 def test_counterexample_sweep_validation():
     with pytest.raises(ValueError):
-        run_sweep(SweepSpec(kind="nonatomic-counterexample", label="x", T=11, C_values=(5, 6)))
+        SweepSpec(kind="nonatomic-counterexample", label="x", T=11, C_values=(5, 6))
     with pytest.raises(ValueError):
-        run_sweep(
-            SweepSpec(kind="atomic-counterexample", label="x", T=6, I_values=(3,), C_values=(2, 3))
-        )
+        SweepSpec(kind="atomic-counterexample", label="x", T=6, I_values=(3,), C_values=(2, 3))
 
 
 def test_bundled_atomic_counterexample_series():
@@ -188,6 +185,8 @@ def test_bundled_nonatomic_counterexample_series():
         assert s.x == tuple(range(1, 12))
         assert abs(sum(s.y) - 1.0) < 1e-12
         assert float(dict(s.meta)["wardrop_gap"]) <= 1e-9
+    for s in series:
+        assert tuple(t for t, m in zip(s.x, s.y) if m > 1e-8) == (1, 6)
     # the slot-1 mass moves with the cost curve; frozen solver outputs
     assert series[0].y[0] == pytest.approx(0.452706, abs=1e-5)
     assert series[1].y[0] == pytest.approx(0.419959, abs=1e-5)
@@ -198,7 +197,7 @@ def test_run_counterexamples_summary():
     atomic = summary["atomic"]
     assert atomic["multiple_equilibria"]
     assert len(atomic["equilibria"]) == 3
-    assert atomic["report"].value == 1.0
+    assert atomic["efficiency"] == 1.0
 
     nonatomic = summary["nonatomic"]
     assert nonatomic["cost_dependent"]
@@ -520,14 +519,33 @@ def test_sweep_spec_rejects_unknown_keys():
         SweepSpec.from_dict({**spec, "budgett": 3})
 
 
+_SPEC_BASES = {
+    "proportion": lambda: json.loads((DEMOS / "specs" / "equilibrium_proportion.json").read_text()),
+    "power": lambda: json.loads((DEMOS / "specs" / "efficiency_vs_exponent.json").read_text()),
+    "atomic-ce": ATOMIC_COUNTEREXAMPLE.to_dict,
+    "nonatomic-ce": NONATOMIC_COUNTEREXAMPLE.to_dict,
+}
+
+
 @pytest.mark.parametrize(
-    "bad",
-    [{"budget": 0}, {"kind": "no-such-kind"}, {"budgett": 3}, {"T": 0}, {"C_values": [20]},
-     {"I_values": [0]}, {"I_values": 5}, {"cost": 5}],
-    ids=["budget-0", "unknown-kind", "budgett", "T-0", "C-past-T", "I-0", "I-not-a-list", "cost-not-an-object"],
+    "base, bad",
+    [("proportion", {"budget": 0}), ("proportion", {"kind": "no-such-kind"}),
+     ("proportion", {"budgett": 3}), ("proportion", {"T": 0}), ("proportion", {"C_values": [20]}),
+     ("proportion", {"I_values": [0]}), ("proportion", {"I_values": 5}), ("proportion", {"cost": 5}),
+     ("proportion", {"exogenous": 5}), ("power", {"exponents": ["x"]}),
+     ("power", {"exponents": [-1]}), ("power", {"I_values": [2, 3]}),
+     ("nonatomic-ce", {"C_values": [2, 3]}), ("nonatomic-ce", {"C_values": []}),
+     ("atomic-ce", {"C_values": [2, 3]}), ("nonatomic-ce", {"costs": 5}),
+     ("nonatomic-ce", {"tol": "x"}), ("proportion", {"label": "a/b"}),
+     ("proportion", {"C_values": []}), ("proportion", {"I_values": ["x"]}),
+     ("proportion", {"budget": [1]}), ("proportion", {"kind": ["x"]})],
+    ids=["budget-0", "unknown-kind", "budgett", "T-0", "C-past-T", "I-0", "I-not-a-list",
+         "cost-not-an-object", "exogenous-5", "exponent-x", "exponent-negative", "power-two-I",
+         "nonatomic-two-C", "nonatomic-no-C", "atomic-two-C", "costs-5", "tol-x", "label-slash",
+         "grid-no-C", "I-not-a-number", "budget-a-list", "kind-a-list"],
 )
-def test_cli_sweep_rejects_a_bad_spec_in_one_line(tmp_path, capsys, bad):
-    spec = {**json.loads((DEMOS / "specs" / "equilibrium_proportion.json").read_text()), **bad}
+def test_cli_sweep_rejects_a_bad_spec_in_one_line(tmp_path, capsys, base, bad):
+    spec = {**_SPEC_BASES[base](), **bad}
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     assert main(["sweep", str(spec_path), "--out", str(tmp_path / "out")]) == 2
@@ -616,6 +634,47 @@ def test_readme_quick_start_runs(capsys):
     code = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+@pytest.mark.parametrize(
+    "command, spec_name",
+    [("solve-atomic", "valley_three_players"), ("solve-nonatomic", "evening_continuum"),
+     ("sweep", "equilibrium_proportion")],
+    ids=["solve-atomic", "solve-nonatomic", "sweep"],
+)
+def test_cli_rejects_a_bad_budget_variable_in_one_line(tmp_path, capsys, monkeypatch, command, spec_name, value):
+    monkeypatch.setenv("CHARGE_GAME_BUDGET", value)
+    out = tmp_path / "out"
+    assert main([command, str(DEMOS / "specs" / f"{spec_name}.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("CHARGE_GAME_BUDGET: ")
+    assert not out.exists()
+
+
+def test_cli_counterexamples_solves_each_counterexample_once(tmp_path, monkeypatch):
+    import chargegame.experiments as experiments
+
+    budgets = {"solve_equilibrium": [], "efficiency": []}
+
+    def counted(name):
+        real = getattr(experiments, name)
+
+        def wrapper(*args, **kwargs):
+            budgets[name].append(kwargs["budget"])
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in budgets:
+        monkeypatch.setattr(experiments, name, counted(name))
+    out = tmp_path / "ce"
+    assert main(["counterexamples", "--budget", "1000", "--out", str(out)]) == 0
+    # the printed claims and the emitted files come from the same solves
+    assert budgets == {"solve_equilibrium": [1000, 1000], "efficiency": [1000]}
+    for manifest in out.glob("*_manifest.json"):
+        assert json.loads(manifest.read_text())["spec"]["budget"] == 1000
 
 
 def test_cli_counterexamples(tmp_path, capsys):

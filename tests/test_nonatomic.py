@@ -126,6 +126,9 @@ def test_invariant_solution_duration_three():
     profile, system = solve_symmetric_invariant(inst)
     expected = (0.25, 1 / 12, 0.0, 1 / 6, 1 / 6, 0.0, 1 / 12, 0.25)
     assert np.allclose(profile.start_mass()[:8], expected, atol=1e-9)
+    # the certified elimination's own solution is the one returned
+    assert min(system.solution) >= -1e-11
+    assert np.allclose(system.solution, expected, atol=1e-12)
     assert system.certified
     assert all(p > 0 for p in system.pivots)
 
@@ -175,10 +178,11 @@ def test_invariant_solver_requires_full_window_single_class():
 
 def test_elimination_certificate_rejects_negative_solutions():
     A = np.array([[1.0, 0.0], [0.0, 1.0]])
-    pivots, certified = _eliminate_with_certificate(A, np.array([1.0, -1.0]))
+    pivots, certified, _ = _eliminate_with_certificate(A, np.array([1.0, -1.0]))
     assert not certified
-    pivots, certified = _eliminate_with_certificate(A, np.array([1.0, 1.0]))
+    pivots, certified, solution = _eliminate_with_certificate(A, np.array([1.0, 1.0]))
     assert certified and list(pivots) == [1.0, 1.0]
+    assert list(solution) == [1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
