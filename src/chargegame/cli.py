@@ -18,7 +18,7 @@ from .atomic import BUDGET_ENV_VAR, BudgetExceededError, efficiency, resolve_bud
 from .experiments import SweepSpec, emit_data, run_counterexamples, run_sweep
 from .fileio import dump_json, instance_from_dict
 from .model import AtomicInstance, Monomial
-from .nonatomic import ConvergenceError, social_optimum_nonatomic, solve_equilibrium
+from .nonatomic import ConvergenceError, check_tol, social_optimum_nonatomic, solve_equilibrium
 
 
 class _BadInput(Exception):
@@ -35,12 +35,16 @@ def _read(path: str, parse):
         raise _BadInput(f"{path}: {err}") from None
 
 
-def _emit_or_print(data: dict, out: str | None) -> None:
-    if out:
-        dump_json(data, out)
+def _emit_or_print(data: dict, args, stats: dict) -> None:
+    """Write ``data`` to ``--out`` or stdout; with ``--stats``, ``stats``
+    goes to stderr as one JSON line."""
+    if args.out:
+        dump_json(data, args.out)
     else:
         json.dump(data, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
+    if args.stats:
+        print(json.dumps(stats, sort_keys=True), file=sys.stderr)
 
 
 def _cmd_sweep(args) -> int:
@@ -100,7 +104,7 @@ def _cmd_solve_atomic(args) -> int:
         "efficiency": report.value,
         "efficiency_exact": str(report.exact) if report.exact is not None else None,
     }
-    _emit_or_print(data, args.out)
+    _emit_or_print(data, args, eq_set.stats)
     return 0
 
 
@@ -130,7 +134,7 @@ def _cmd_solve_nonatomic(args) -> int:
         data["optimum_mass"] = [float(v) for v in opt_profile.start_mass()]
         data["optimum_cost"] = float(opt_cost)
         data["efficiency"] = data["total_cost"] / float(opt_cost)
-    _emit_or_print(data, args.out)
+    _emit_or_print(data, args, eq.stats)
     return 0
 
 
@@ -138,6 +142,13 @@ def _positive_int(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
+
+
+def _tol(text: str) -> float:
+    try:
+        return check_tol(float(text))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,6 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", required=True, help="output directory for .dat files")
         else:
             p.add_argument("--out", default=None, help="write JSON here instead of stdout")
+            p.add_argument("--stats", action="store_true",
+                           help="print the solver's counters and phase times to stderr as one JSON line")
 
     p = sub.add_parser("sweep", help="run a sweep spec and emit data files")
     p.add_argument("spec", help="sweep spec JSON file")
@@ -169,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-nonatomic", help="Wardrop equilibrium of a continuum instance")
     p.add_argument("instance", help="instance JSON file (with a 'classes' list)")
-    p.add_argument("--tol", type=float, default=1e-9, help="Wardrop gap tolerance")
+    p.add_argument("--tol", type=_tol, default=1e-9, help="Wardrop gap tolerance")
     common(p)
     p.set_defaults(func=_cmd_solve_nonatomic)
 

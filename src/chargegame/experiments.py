@@ -10,7 +10,6 @@ wall clock, so reruns are byte-identical.
 from __future__ import annotations
 
 import hashlib
-import math
 from concurrent import futures
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
@@ -27,7 +26,7 @@ from .model import (
     NonatomicInstance,
     SquareRoot,
 )
-from .nonatomic import SUPPORT_THRESHOLD, solve_equilibrium
+from .nonatomic import SUPPORT_THRESHOLD, check_tol, solve_equilibrium
 
 # kind: the grid fields it reads, each with the number of values it must
 # hold (None: at least one)
@@ -93,9 +92,7 @@ class SweepSpec:
             if n == 0 if count is None else n != count:
                 need = "exactly one value" if count else "at least one value"
                 raise ValueError(f"{self.kind} sweeps need {need} in {name}, got {n}")
-        tol = self.tol
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
-            raise ValueError(f"tol must be a finite number above 0, got {self.tol!r}")
+        check_tol(self.tol)
         if self.budget is not None:
             resolve_budget(self.budget)  # the scans' rule: at least 1
         # build every grid cost and instance the sweep will solve, so that a

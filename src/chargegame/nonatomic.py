@@ -10,10 +10,13 @@ Phi, and the occupancy at equilibrium is unique whenever the cost is strictly
 increasing.  ``solve_equilibrium`` finds them with one active-set Newton
 method started from the uniform profile: each step linearizes the
 equal-cost optimality system on the active set (every active start of a
-class costs the same, every class keeps unit mass), a step that would make
-a mass negative is shortened to the boundary and drops the blocking start,
-and once the system holds, the cheapest inactive start of each class enters
-if it undercuts the class's active starts.
+class costs the same, every class keeps unit mass).  A full step that would
+make masses negative is projected: every blocking start is clipped to zero
+and leaves the active set at once, and the projection is kept when it
+strictly raises Phi, the merit function (projected Newton, Bertsekas 1982).
+Otherwise the step is shortened to the boundary and drops the first blocking
+start only.  Once the system holds, the cheapest inactive start of each
+class enters if it undercuts the class's active starts.
 
 The termination certificate is the Wardrop gap: the worst, over classes, of
 (most expensive supported start) minus (cheapest available start).
@@ -35,7 +38,8 @@ checker.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -56,6 +60,14 @@ from .model import (
 DEFAULT_SOLVER_BUDGET = 10**6
 # a start slot carrying more than this share of its class counts as used
 SUPPORT_THRESHOLD = 1e-8
+
+
+def check_tol(tol) -> float:
+    """``tol`` itself when it is a finite number above 0 (not a bool);
+    ``ValueError`` otherwise."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite number above 0, got {tol!r}")
+    return tol
 
 
 class ConvergenceError(RuntimeError):
@@ -104,6 +116,13 @@ class NonatomicEquilibrium:
     termination certificate actually achieved.  ``iterations`` counts the
     solver's Newton steps and ``cost_evaluations`` its cost-vector
     evaluations, the quantity ``budget`` caps.
+
+    ``stats`` counts ``steps``, the ``projected`` steps kept and the
+    ``fallbacks`` shortened instead, the starts that ``drops`` and
+    ``entries`` move out of and into the active set, and ``evals``.  It
+    times the Jacobian assembly (``jacobian_s``), its ``lstsq`` solve
+    (``solve_s``), cost and potential evaluations (``cost_s``) and the
+    gap and balance checks (``check_s``); never compared.
     """
 
     profile: MixedProfile
@@ -112,6 +131,7 @@ class NonatomicEquilibrium:
     class_costs: tuple[tuple[float, ...], ...]
     iterations: int
     cost_evaluations: int
+    stats: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +222,15 @@ def _solve_potential(
     Active-set Newton from the uniform profile.  Each pass evaluates the
     costs of the row-normalised masses, the matrix that is certified and
     returned.  Until every active start of a class costs the same to float
-    resolution, it takes one Newton step, shortened so that no mass turns
-    negative (the blocking start leaves the active set); then it admits each
-    class's cheapest inactive start that undercuts the active ones.
+    resolution, it takes one Newton step.  A full step that would make masses
+    negative is first projected: those masses are clipped to zero, their
+    starts leave the active set together, and each class is renormalised.
+    The projection is kept only if it strictly raises the potential (one
+    cost evaluation); otherwise the step is shortened so that no mass turns
+    negative and only the first blocking start leaves.  Once the system
+    holds, each class's cheapest inactive start enters if it undercuts the
+    class's active ones.  Returns the matrix, its gap, its costs and the
+    ``stats`` counters and phase times.
     """
     exo, P, weights, durations, act_idx = _instance_arrays(instance)
     K, T = instance.K, instance.horizon.T
@@ -214,24 +240,30 @@ def _solve_potential(
         active[k, idx] = True
     allowed = active.copy()
     Y = active / active.sum(axis=1, keepdims=True)
-    evals = steps = 0
+    stats = dict.fromkeys(("steps", "projected", "fallbacks", "drops", "entries", "evals"), 0)
+    stats.update(dict.fromkeys(("jacobian_s", "solve_s", "cost_s", "check_s"), 0.0))
     best = (math.inf, Y)
 
     def refuse(why: str):
         raise ConvergenceError(
-            f"no equilibrium within gap {tol:g} after {evals} cost evaluations"
+            f"no equilibrium within gap {tol:g} after {stats['evals']} cost evaluations"
             f" (best gap {best[0]:.3e}): {why}",
             _profile_from_matrix(instance, best[1]),
             best[0],
         )
 
+    def loads_of(Y: np.ndarray) -> np.ndarray:
+        if stats["evals"] >= budget:
+            refuse("budget spent")
+        stats["evals"] += 1
+        return exo + P * windowed_occupancy(Y, weights, durations)
+
     while True:
         Y /= Y.sum(axis=1, keepdims=True)
-        if evals >= budget:
-            refuse("budget spent")
-        evals += 1
-        loads = exo + P * windowed_occupancy(Y, weights, durations)
+        t0 = time.perf_counter()
+        loads = loads_of(Y)
         costs = _class_cost_vectors(g, loads, durations, act_idx, T)
+        t1 = time.perf_counter()
         gap = _wardrop_gap_of(costs, Y)
         if gap < best[0]:
             best = (gap, Y.copy())
@@ -239,15 +271,20 @@ def _solve_potential(
         owner, starts = np.nonzero(active)
         c = costs[owner, starts]
         level = np.bincount(owner, c, K) / np.bincount(owner, minlength=K)
-        if float(np.max(np.abs(c - level[owner]))) <= 1e-13 * scale:
+        balanced = float(np.max(np.abs(c - level[owner]))) <= 1e-13 * scale
+        t2 = time.perf_counter()
+        stats["cost_s"] += t1 - t0
+        stats["check_s"] += t2 - t1
+        if balanced:
             if gap <= tol:
-                return Y, gap, costs, steps, evals
+                return Y, gap, costs, stats
             undercut = np.where(allowed & ~active, costs, math.inf)
             cheapest = undercut.argmin(axis=1)
             enters = undercut[np.arange(K), cheapest] < level - 1e-12 * np.maximum(1.0, np.abs(level))
             if not enters.any():
                 refuse("the active set is solved and no cheaper start enters")
             active[enters, cheapest[enters]] = True
+            stats["entries"] += int(enters.sum())
             owner, starts = np.nonzero(active)
             c = costs[owner, starts]
 
@@ -268,26 +305,55 @@ def _solve_potential(
         B = (slots >= starts[:, None]) & (slots < ends)
         D = B[moved].astype(float) - B[base]
         gp = g.deriv(np.maximum(loads, 1e-12 * loads.max()))
+        J = (D * gp) @ D.T * (P * weights[owner[moved]])
+        t3 = time.perf_counter()
         try:
-            z = np.linalg.lstsq(
-                (D * gp) @ D.T * (P * weights[owner[moved]]), c[base] - c[moved], rcond=None
-            )[0]
+            z = np.linalg.lstsq(J, c[base] - c[moved], rcond=None)[0]
         except np.linalg.LinAlgError as err:
             refuse(f"the Newton system could not be solved ({err})")
+        del J  # the largest array of a pass; the next pass builds its own
+        t4 = time.perf_counter()
+        stats["jacobian_s"] += t3 - t2
+        stats["solve_s"] += t4 - t3
+        stats["steps"] += 1
         dy = np.zeros(n)
         dy[moved] = z
         dy -= np.bincount(base, z, n)
         y = Y[owner, starts]
+        full = y + dy
+        blocked = full < 0
+        if not blocked.any():
+            Y[owner, starts] = np.maximum(full, 0.0)
+            continue
+
+        # projected step: drop every blocking start at once, kept only if
+        # the potential -sum F(load) strictly rises (F(exo) cancels out)
+        trial = Y.copy()
+        trial[owner, starts] = np.maximum(full, 0.0)
+        trial /= trial.sum(axis=1, keepdims=True)
+        t5 = time.perf_counter()
+        rises = np.sum(g.antiderivative(loads_of(trial))) < np.sum(g.antiderivative(loads))
+        stats["cost_s"] += time.perf_counter() - t5
+        if rises:
+            Y = trial
+            active[owner[blocked], starts[blocked]] = False
+            stats["projected"] += 1
+            stats["drops"] += int(blocked.sum())
+            continue
+
+        # fallback: shorten the step so that no mass turns negative; the
+        # first blocking start leaves the active set
         ratios = np.full(n, math.inf)
         shrinking = dy < 0
         ratios[shrinking] = y[shrinking] / -dy[shrinking]
         hit = int(np.argmin(ratios))
         alpha = min(1.0, float(ratios[hit]))
         Y[owner, starts] = np.maximum(y + alpha * dy, 0.0)
+        stats["fallbacks"] += 1
         if alpha < 1.0:
             Y[owner[hit], starts[hit]] = 0.0
             active[owner[hit], starts[hit]] = False
-        steps += 1
+            stats["drops"] += 1
 
 
 def solve_equilibrium(
@@ -304,18 +370,20 @@ def solve_equilibrium(
     applies when unset); exceeding it raises ``ConvergenceError`` with the
     best iterate attached.
     """
+    check_tol(tol)
     if not cost.satisfies_a1:
         raise ValueError("equilibrium solving needs a strictly increasing grid cost")
     budget = resolve_budget(budget, DEFAULT_SOLVER_BUDGET)
-    Y, gap, costs, iters, evals = _solve_potential(instance, cost, tol, budget)
+    Y, gap, costs, stats = _solve_potential(instance, cost, tol, budget)
     profile = _profile_from_matrix(instance, Y)
     return NonatomicEquilibrium(
         profile=profile,
         wardrop_gap=gap,
         potential_value=potential_nonatomic(instance, cost, profile),
         class_costs=tuple(tuple(float(v) for v in row) for row in costs),
-        iterations=iters,
-        cost_evaluations=evals,
+        iterations=stats["steps"],
+        cost_evaluations=stats["evals"],
+        stats=stats,
     )
 
 
@@ -511,11 +579,12 @@ def social_optimum_nonatomic(
     optimum is therefore computed by the equilibrium solver under f' and
     independently re-checked against the Wardrop definition.
     """
+    check_tol(tol)
     if not cost.satisfies_a2:
         raise ValueError("social optimum needs a convex (A2) grid cost")
     budget = resolve_budget(budget, DEFAULT_SOLVER_BUDGET)
     marginal = cost.derivative()
-    Y, gap, _, _, _ = _solve_potential(instance, marginal, tol, budget)
+    Y, gap, _, _ = _solve_potential(instance, marginal, tol, budget)
     profile = _profile_from_matrix(instance, Y)
     if not is_wardrop_equilibrium(instance, marginal, profile, tol=max(1e-7, 10 * gap)):
         raise RuntimeError("optimum candidate fails the marginal-cost Wardrop check")

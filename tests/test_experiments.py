@@ -508,6 +508,35 @@ def test_cli_reports_a_refusal_in_one_line(capsys, command, spec_name, error):
     assert err.startswith(f"{error}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+def test_cli_solve_nonatomic_rejects_a_bad_tol(capsys, tol):
+    spec = DEMOS / "specs" / "evening_continuum.json"
+    with pytest.raises(SystemExit) as err:
+        main(["solve-nonatomic", str(spec), "--tol", tol])
+    assert err.value.code == 2
+    assert "tol must be a finite number above 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, spec_name, keys",
+    [
+        ("solve-atomic", "valley_three_players", {"blocks", "exact_rows", "evaluate_s"}),
+        ("solve-nonatomic", "evening_continuum", {"steps", "projected", "fallbacks", "solve_s"}),
+    ],
+)
+def test_cli_stats_go_to_stderr_only(tmp_path, capsys, command, spec_name, keys):
+    spec = str(DEMOS / "specs" / f"{spec_name}.json")
+    assert main([command, spec]) == 0
+    plain = capsys.readouterr()
+    assert main([command, spec, "--stats"]) == 0
+    counted = capsys.readouterr()
+    assert counted.out == plain.out and plain.err == ""
+    assert counted.err.count("\n") == 1 and keys <= json.loads(counted.err).keys()
+    assert main([command, spec, "--out", str(tmp_path / "plain.json")]) == 0
+    assert main([command, spec, "--out", str(tmp_path / "counted.json"), "--stats"]) == 0
+    assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "counted.json").read_bytes()
+
+
 def test_sweep_spec_rejects_a_budget_below_one():
     with pytest.raises(ValueError, match="budget"):
         SweepSpec(kind="ne-proportion", label="tiny", T=4, I_values=(1,), C_values=(2,), budget=0)

@@ -266,12 +266,18 @@ def test_solver_handles_empty_slots_under_a_square_root():
         assert wardrop_gap(inst, SquareRoot(), eq.profile) <= 1e-9
 
 
-def low_load_fleet(seed=12, base=0.8, swing=0.5):
-    """T=96 fleet of eight classes with narrow windows under a daily sine load.
+NARROW_SPANS = (6, 8, 10, 12, 6, 8, 10, 12)
+WIDE_SPANS = (16, 20, 24, 28, 16, 20, 24, 28)
 
-    Draws in the order of the benchmark's fleet generator, so seed 12 is its
-    low-load probe fleet: there an undamped Newton step drives masses
-    negative and the square-root cost is evaluated at negative loads.
+
+def daily_fleet(seed, spans, base=2.0, swing=0.8):
+    """T=96 fleet of eight classes under a noisy daily sine load.
+
+    ``spans`` gives each class's number of start slots.  Draws in the order
+    of the benchmark's fleet generator, so ``daily_fleet(12, NARROW_SPANS,
+    0.8, 0.5)`` is its low-load probe fleet: there an undamped Newton step
+    drives masses negative and the square-root cost is evaluated at
+    negative loads.
     """
     rng = random.Random(seed)
     T = 96
@@ -280,7 +286,7 @@ def low_load_fleet(seed=12, base=0.8, swing=0.5):
         max(0.05, base + swing * math.sin(2 * math.pi * t / T + phase) + rng.gauss(0, 0.05))
         for t in range(T)
     ]
-    spans = [6, 8, 10, 12, 6, 8, 10, 12]
+    spans = list(spans)
     durations = [4, 6, 8, 10, 4, 6, 8, 10]
     rng.shuffle(spans)
     rng.shuffle(durations)
@@ -295,12 +301,68 @@ def low_load_fleet(seed=12, base=0.8, swing=0.5):
 
 
 def test_solver_keeps_loads_nonnegative_on_a_low_load_fleet():
-    inst = low_load_fleet()
+    inst = daily_fleet(12, NARROW_SPANS, base=0.8, swing=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         eq = solve_equilibrium(inst, SquareRoot())
     assert wardrop_gap(inst, SquareRoot(), eq.profile) <= 1e-9
     assert min(min(row) for row in eq.profile.distributions) >= 0.0
+
+
+def test_solver_drops_every_blocking_start_in_one_step_on_a_wide_fleet():
+    # from the uniform profile the equilibrium support is about 170 starts
+    # smaller; dropping one start per step took 170 steps here
+    inst = daily_fleet(5, WIDE_SPANS)
+    eq = solve_equilibrium(inst, Monomial(1, 2))
+    assert eq.iterations <= 50
+    assert wardrop_gap(inst, Monomial(1, 2), eq.profile) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "inst, cost",
+    [(daily_fleet(5, WIDE_SPANS), Monomial(1, 2)), (cost_dependent_instance(), SquareRoot())],
+    ids=["wide-fleet-L2", "cost-dependent-sqrt"],
+)
+def test_solver_stats_show_projected_and_fallback_steps(inst, cost):
+    eq = solve_equilibrium(inst, cost)
+    stats = eq.stats
+    assert (stats["steps"], stats["evals"]) == (eq.iterations, eq.cost_evaluations)
+    assert stats["projected"] >= 1 and stats["fallbacks"] >= 1
+    # a fallback drops at most one start, so some kept projection dropped several
+    assert stats["drops"] - stats["fallbacks"] > stats["projected"]
+    assert stats["projected"] + stats["fallbacks"] <= stats["steps"]
+    assert all(stats[k] >= 0.0 for k in ("jacobian_s", "solve_s", "cost_s", "check_s"))
+    assert wardrop_gap(inst, cost, eq.profile) <= 1e-9
+
+
+def test_solver_matches_the_invariant_solution():
+    # the invariant equilibrium is an oracle for the Newton solver: under
+    # every admissible cost both must give the same (unique) occupancy
+    rng = random.Random(205)
+    checked = 0
+    while checked < 12:
+        T = rng.randint(6, 14)
+        C = rng.randint(2, 5)
+        slope, curve = rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.01)
+        exo = tuple(0.5 + slope * t + curve * t * t for t in range(T))
+        inst = NonatomicInstance.symmetric(T=T, C=C, exogenous=exo)
+        try:
+            expected = solve_symmetric_invariant(inst)[0].occupancy_mass()
+        except (ValueError, PositivityCertificateError):
+            continue  # the condition fails or is undefined, or is not certified
+        for cost in (Monomial(1, 2), Monomial(1, 4), SquareRoot()):
+            eq = solve_equilibrium(inst, cost)
+            assert np.max(np.abs(eq.profile.occupancy_mass() - expected)) <= 1e-9
+        checked += 1
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+def test_solvers_reject_a_bad_tol(tol):
+    inst = cost_dependent_instance()
+    with pytest.raises(ValueError, match="tol must be a finite number above 0"):
+        solve_equilibrium(inst, Monomial(1, 2), tol=tol)
+    with pytest.raises(ValueError, match="tol must be a finite number above 0"):
+        social_optimum_nonatomic(inst, Monomial(1, 2), tol=tol)
 
 
 def test_wardrop_checker_rejects_non_equilibria():
