@@ -13,10 +13,13 @@ one composition per group.  A group of ``n`` players with ``A`` start slots
 has ``C(n+A-1, A-1)`` compositions in place of ``A**n`` profiles; a
 symmetric instance is the one-group case, and an instance whose windows are
 all distinct scans its profile space itself.  The scan is deterministic
-(lexicographic, groups in sorted window order) and budget-capped.
+(lexicographic, groups in sorted window order) and budget-capped.  It runs
+over blocks of 4,096 configurations, and ``_BlockKernel`` evaluates each block
+slot-major: one array row per slot, one column per configuration.
 
-Past int64, a float64 pass with a rigorous error bound (``_eval_block``) rules
-out most configurations; exact integers decide the rest and give every answer.
+Past int64, a float64 pass with a rigorous error bound (``_BlockKernel`` with
+``certify``) rules out most configurations; exact integers decide the rest and
+give every answer.
 """
 
 from __future__ import annotations
@@ -154,7 +157,7 @@ def _deviations(instance: AtomicInstance, cost: GridCostFunction, loads, starts,
 
     ``loads`` is the full load vector of ``starts``.  The stream visits the
     player's whole action set in slot order, current slot included, and
-    gives the raw window cost with the player moved there.  ``_eval_block``
+    gives the raw window cost with the player moved there.  ``_BlockKernel``
     is the vectorised twin for blocks of class configurations.
     """
     s, C, P = starts[player], instance.durations[player], instance.power
@@ -232,24 +235,58 @@ def best_response_dynamics(
 # ---------------------------------------------------------------------------
 
 
+# rows of a scan block, and most rows of a composition tail table: the block
+# kernel's arrays, sized by the block, set a scan's peak memory
+_BLOCK_ROWS = 1 << 12
+
+
 def _composition_count(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
 
 
 def _composition_blocks(total: int, parts: int, max_rows: int) -> Iterator[np.ndarray]:
     # all count vectors of length `parts` summing to `total`, lexicographic,
-    # in int64 blocks of at most `max_rows` rows.  Stars and bars: the bar
-    # positions come out of `combinations` in lexicographic order, which is
-    # the lexicographic order of the counts between them.
-    n = total + parts - 1
-    bars = itertools.combinations(range(n), parts - 1)
-    left = _composition_count(total, parts)
-    while left:
-        m = min(left, max_rows)
-        flat = itertools.chain.from_iterable(itertools.islice(bars, m))
-        positions = np.fromiter(flat, np.int64, m * (parts - 1)).reshape(m, parts - 1)
-        yield np.diff(positions, axis=1, prepend=-1, append=n) - 1
-        left -= m
+    # in int64 blocks of `max_rows` rows (the last one shorter).  Stars and
+    # bars: the k = parts - 1 bar positions, lexicographic combinations of
+    # range(n), give the counts between them in lexicographic order.  The
+    # last h bars come from one table of the h-combinations of range(n), at
+    # most _BLOCK_ROWS long: the rows whose first entry is at least c are the
+    # table's last comb(n - c, h), in order, so a head of k - h bars ending
+    # at c - 1 is followed by exactly that suffix.  Only the heads come out
+    # of `combinations` one by one.
+    n, k = total + parts - 1, parts - 1
+    h = max(h for h in range(k + 1) if math.comb(n, h) <= _BLOCK_ROWS)
+    size = math.comb(n, h)
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), h)), np.int64, size * h)
+    # the counts after each tail's first bar, and before it as if no bar came
+    # earlier: a head ending at c - 1 takes c off that first count
+    tails = np.diff(bars.reshape(size, h), axis=1, prepend=-1, append=n) - 1
+    pieces, rows = [], 0  # (head, c, first, stop): the head over tails[first:stop]
+    for head in itertools.combinations(range(n - h), k - h):
+        c = head[-1] + 1 if head else 0
+        first = size - math.comb(n - c, h)
+        while first < size:
+            stop = min(size, first + max_rows - rows)
+            pieces.append((head, c, first, stop))
+            rows += stop - first
+            first = stop
+            if rows == max_rows:
+                yield _join_pieces(pieces, tails)
+                pieces, rows = [], 0
+    if pieces:
+        yield _join_pieces(pieces, tails)
+
+
+def _join_pieces(pieces, tails: np.ndarray) -> np.ndarray:
+    # each head's counts repeated over its tail rows, the tails by one fancy index
+    heads = np.array([head for head, *_ in pieces], dtype=np.int64)
+    c, first, stop = np.array([piece[1:] for piece in pieces], dtype=np.int64).T
+    lens = stop - first
+    at = np.arange(lens.sum()) + np.repeat(first - (np.cumsum(lens) - lens), lens)
+    head_counts = np.diff(heads, axis=1, prepend=-1) - 1
+    counts = np.concatenate([np.repeat(head_counts, lens, axis=0), tails[at]], axis=1)
+    counts[:, heads.shape[1]] -= np.repeat(c, lens)
+    return counts
 
 
 def _configuration_blocks(shape, max_rows: int) -> Iterator[np.ndarray]:
@@ -293,73 +330,131 @@ def _scan_dtype(instance: AtomicInstance, cost: GridCostFunction):
     return object
 
 
-def _eval_block(groups, table: np.ndarray, counts: np.ndarray, certify: bool = False):
-    """NE flags, total costs, occupancy and error bounds for a block.
+class _BlockKernel:
+    """NE flags, total costs, occupancy and error bounds, block by block.
 
-    Each row of ``counts`` holds one composition per group of
-    ``_class_groups``: column ``first + j`` counts the group's players
-    starting in slot ``a + j``; ``table[t, v]`` is slot ``t``'s cost at
-    occupancy ``v``.  With ``certify`` (a float image of an exact table) a
-    row is non-NE only if a deviation gains more than its error bound ``err``.
+    Each row of a block holds one composition per group of ``_class_groups``:
+    column ``first + j`` counts the group's players starting in slot
+    ``a + j``; ``table[t, v]`` is slot ``t``'s cost at occupancy ``v``.  With
+    ``certify`` (a float image of an exact table) a row is non-NE only if a
+    deviation gains more than its error bound ``err``.
+
+    The work is slot-major: every array holds one row per slot (or start)
+    and one column per configuration, so each step is a whole-row numpy
+    operation on contiguous memory.  The arrays are allocated for the
+    largest block so far, and every call writes into them: touching fresh
+    pages costs more than the arithmetic on them.  A call returns
+    ``(ne, tc, occ, err)``, views that the next call overwrites; ``occ`` is
+    ``(m, T)``.
     """
-    T = table.shape[0]
-    m = counts.shape[0]
 
-    # occupancy per slot: each group's start counts summed over its own
-    # duration, added up over the groups.  Slot column t holds the group's
-    # starts in columns t-a-C+2 .. t-a+1 of its block.  The fancy indexing
-    # makes occ column-major, like everything derived from it, which the
-    # deviation loop's whole-column reads depend on for speed.
-    cols = np.arange(T)
-    occ = 0
-    for a, C, _, first, A in groups:
-        spre = np.concatenate([np.zeros((m, 1), dtype=counts.dtype), np.cumsum(counts[:, first : first + A], axis=1)], axis=1)
-        occ = occ + spre[:, np.clip(cols - a + 2, 0, A)] - spre[:, np.clip(cols - a - C + 2, 0, A)]
+    def __init__(self, groups, table: np.ndarray, certify: bool = False):
+        self.groups, self.table, self.certify = groups, table, certify
+        T, V = table.shape
+        self.offsets = np.arange(0, T * V, V)[:, None]  # flat index of table[t, 0]
+        self.rows = 0
 
-    F = table[cols, occ]
-    G = table[cols, occ + 1]
-    zero = np.zeros((m, 1), dtype=F.dtype)
-    Fpre = np.concatenate([zero, np.cumsum(F, axis=1)], axis=1)
-    Gpre = np.concatenate([zero, np.cumsum(G, axis=1)], axis=1)
+    def _allocate(self, rows: int):
+        T, dtype = self.table.shape[0], self.table.dtype
+        A = max(A for *_, A in self.groups)
+        self.rows = rows
+        self.starts = np.empty((sum(A for *_, A in self.groups), rows), dtype=np.int64)  # counts.T
+        self.occ = np.empty((T, rows), dtype=np.int64)
+        self.at = np.empty((T, rows), dtype=np.int64)
+        # Fpre[k], Gpre[k]: sums of F = table[t, occ[t]] and G = table[t, occ[t] + 1]
+        # over the slots t < k; row 0 stays zero
+        self.Fpre = np.zeros((T + 1, rows), dtype=dtype)
+        self.Gpre = np.zeros((T + 1, rows), dtype=dtype)
+        self.bar, self.moved, self.og, self.of, self.tmp = (np.empty((A, rows), dtype=dtype) for _ in range(5))
+        self.better = np.empty((A, rows), dtype=bool)
+        self.hit = np.empty((A, rows), dtype=bool)
+        self.ne = np.empty(rows, dtype=bool)
 
-    # Error bound of a certified row: u = 2**-53, eta = 2**-1074, S_X the
-    # row's sum of |X| for X = F, G, and S = S_F + S_G.  A table entry is off
-    # by at most u|x| + eta/2 (correct rounding, underflow).  cumsum adds in
-    # order, so a prefix of k <= T entries is off from the exact sum of its
-    # rounded entries by (k-1)u/(1-(k-1)u) times their absolute sum at most
-    # (Higham 2002, 4.2); a prefix of X is off by at most Tu(1+Tu)S_X +
-    # T eta/2.  A deviation test puts four F and four G prefixes through seven
-    # roundings of values below 2S: off by at most 4Tu(1+Tu)S + 14uS + 4T eta,
-    # under err/2 for T < 2**31 (room to round S and err); a total, by less.
-    err = (8 * T + 32) * 2.0**-53 * (abs(F).sum(1) + abs(G).sum(1)) + 16 * T * 2.0**-1074 if certify else None
+    def __call__(self, counts: np.ndarray):
+        table = self.table
+        T = table.shape[0]
+        m = counts.shape[0]
+        if m > self.rows:
+            self._allocate(m)
+        starts = self.starts[:, :m]
+        np.copyto(starts, counts.T)
 
-    tc = Fpre[:, T]
-    ne = np.ones(m, dtype=bool)
-    for a, C, _, first, A in groups:
-        for j in range(A):
-            occupied = counts[:, first + j] > 0
-            if not occupied.any():
-                continue
-            cj = a - 1 + j
-            current = Fpre[:, cj + C] - Fpre[:, cj]
-            if certify:
-                bar = current - err
+        # occupancy: each start count covers its group's C slots
+        occ = self.occ[:, :m]
+        occ.fill(0)
+        for a, C, _, first, A in self.groups:
+            for j in range(A):
+                occ[a - 1 + j : a - 1 + j + C] += starts[first + j]
+
+        # F and G land in the prefix rows, which then add up in place.  The
+        # indices are in range: "clip" only spares `take` a buffer for `out`.
+        at = np.add(occ, self.offsets, out=self.at[:, :m])
+        Fpre, Gpre = self.Fpre[:, :m], self.Gpre[:, :m]
+        table.take(at, out=Fpre[1:], mode="clip")
+        at += 1
+        table.take(at, out=Gpre[1:], mode="clip")
+
+        # Error bound of a certified row: u = 2**-53, eta = 2**-1074, S_X the
+        # row's sum of |X| for X = F, G, and S = S_F + S_G.  A table entry is off
+        # by at most u|x| + eta/2 (correct rounding, underflow).  The prefixes add
+        # in order, so a prefix of k <= T entries is off from the exact sum of its
+        # rounded entries by (k-1)u/(1-(k-1)u) times their absolute sum at most
+        # (Higham 2002, 4.2); a prefix of X is off by at most Tu(1+Tu)S_X +
+        # T eta/2.  A deviation test puts four F and four G prefixes through seven
+        # roundings of values below 2S: off by at most 4Tu(1+Tu)S + 14uS + 4T eta,
+        # under err/2 for T < 2**31 (room to round S and err); a total, by less.
+        # The slot-major layout leaves this intact: each element is the same
+        # expression, each prefix adds in cumsum's order, and S is summed per
+        # configuration over a row-major copy, the order numpy sums a row in.
+        err = None
+        if self.certify:
+            S = np.abs(Fpre[1:]).T.copy().sum(1) + np.abs(Gpre[1:]).T.copy().sum(1)
+            err = (8 * T + 32) * 2.0**-53 * S + 16 * T * 2.0**-1074
+        for k in range(1, T):  # cumsum's order, as x + y rounds like y + x
+            Fpre[k + 1] += Fpre[k]
+            Gpre[k + 1] += Gpre[k]
+
+        ne = self.ne[:m]
+        ne.fill(True)
+        hit = self.hit[:, :m]
+        for a, C, _, first, A in self.groups:
+            lo = a - 1
+            # window cost at each start as it is (turned into the bar a move
+            # must get under) and with one more player
+            bar = np.subtract(Fpre[lo + C : lo + C + A], Fpre[lo : lo + A], out=self.bar[:A, :m])
+            moved = np.subtract(Gpre[lo + C : lo + C + A], Gpre[lo : lo + A], out=self.moved[:A, :m])
+            if self.certify:
+                bar -= err
             elif table.dtype == np.float64:
-                bar = current - _REL_MARGIN * np.maximum(1.0, np.abs(current))
-            else:
-                bar = current
-            for j2 in range(A):
-                if j2 == j:
-                    continue
-                # moving one player from horizon column cj to cj2: the new
-                # window gains P except where it overlaps the old one
-                cj2 = a - 1 + j2
-                new_cost = Gpre[:, cj2 + C] - Gpre[:, cj2]
-                olo, ohi = max(cj, cj2), min(cj, cj2) + C
-                if ohi > olo:
-                    new_cost = new_cost - (Gpre[:, ohi] - Gpre[:, olo]) + (Fpre[:, ohi] - Fpre[:, olo])
-                ne &= ~(occupied & (new_cost < bar))
-    return ne, tc, occ, err
+                bar -= _REL_MARGIN * np.maximum(1.0, np.abs(bar))
+            better = self.better[:A, :m]  # some move from the start gains
+            better.fill(False)
+            # targets at least C away share no slot with the mover's window:
+            # the cheapest of them on either side decides.  fmin never rounds,
+            # and it skips NaN, which no comparison finds smaller.
+            if A > C:
+                cheapest = self.tmp[: A - C, :m]
+                np.copyto(cheapest, moved[: A - C])  # cheapest of moved[0..i]
+                for i in range(1, A - C):
+                    np.fmin(cheapest[i - 1], cheapest[i], out=cheapest[i])
+                better[C:] |= np.less(cheapest, bar[C:], out=hit[: A - C])
+                np.copyto(cheapest, moved[C:])  # cheapest of moved[i+C..A-1]
+                for i in range(A - C - 1, 0, -1):
+                    np.fmin(cheapest[i], cheapest[i - 1], out=cheapest[i - 1])
+                better[: A - C] |= np.less(cheapest, bar[: A - C], out=hit[: A - C])
+            # starts p and p + d < p + C share the slots lo+p+d .. lo+p+C-1, in
+            # either direction of the move: the new window gains P except there
+            for d in range(1, min(A, C)):
+                n = A - d
+                og = np.subtract(Gpre[lo + C : lo + C + n], Gpre[lo + d : lo + A], out=self.og[:n, :m])
+                of = np.subtract(Fpre[lo + C : lo + C + n], Fpre[lo + d : lo + A], out=self.of[:n, :m])
+                for target, mover in ((slice(d, A), slice(0, n)), (slice(0, n), slice(d, A))):
+                    new = np.subtract(moved[target], og, out=self.tmp[:n, :m])
+                    new += of
+                    better[mover] |= np.less(new, bar[mover], out=hit[:n])
+            better &= np.greater(starts[first : first + A], 0, out=hit[:A])
+            ne &= ~better.any(0)
+        return ne, Fpre[T], occ.T, err
 
 
 def _config_from_counts(instance: AtomicInstance, groups, counts, occ) -> ChargingConfiguration:
@@ -405,19 +500,21 @@ def _scan(instance: AtomicInstance, cost: GridCostFunction, budget: Optional[int
     best = None  # (cost, configuration)
     examined = 0
     stats = {"blocks": 0, "exact_rows": 0, "generate_s": 0.0, "evaluate_s": 0.0, "reduce_s": 0.0}
+    evaluate = _BlockKernel(groups, table)
+    prefilter = _BlockKernel(groups, approx, certify=True) if approx is not None else None
     t0 = time.perf_counter()
-    for counts in _configuration_blocks(shape, 1 << 13):  # bounded blocks keep memory flat
+    for counts in _configuration_blocks(shape, _BLOCK_ROWS):
         if examined >= budget:
             break
         t1 = time.perf_counter()
         counts = counts[: budget - examined]
         examined += counts.shape[0]
-        if approx is not None:
+        if prefilter is not None:
             # exact integers decide the rows that may be NE or tie the minimum
-            maybe_ne, tc, _, err = _eval_block(groups, approx, counts, certify=True)
+            maybe_ne, tc, _, err = prefilter(counts)
             counts = counts[maybe_ne | (tc - err <= np.min(tc + err))]
             stats["exact_rows"] += counts.shape[0]
-        ne, tc, occ, _ = _eval_block(groups, table, counts)
+        ne, tc, occ, _ = evaluate(counts)
         t2 = time.perf_counter()
         for idx in np.flatnonzero(ne):
             ne_profiles += _profile_count(groups, counts[idx])

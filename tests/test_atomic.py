@@ -9,6 +9,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,12 +30,22 @@ from chargegame import (
     enumerate_equilibria,
     grid_total_cost,
     is_nash,
+    load,
     ne_proportion,
+    occupancy,
     potential_atomic,
     social_optimum,
     utility_atomic,
 )
-from chargegame.atomic import _composition_blocks, _configuration_blocks, _scan_dtype, resolve_budget
+from chargegame import atomic
+from chargegame.atomic import (
+    _BlockKernel,
+    _class_groups,
+    _composition_blocks,
+    _configuration_blocks,
+    _scan_dtype,
+    resolve_budget,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +452,7 @@ def test_float_filter_sends_few_rows_to_exact_integers():
     eq = enumerate_equilibria(inst, Monomial(1, 24))
     assert _scan_dtype(inst, Monomial(1, 24)) is object
     assert eq.examined == eq.space_size == 50388
-    assert eq.stats["blocks"] == 7
+    assert eq.stats["blocks"] == 13  # 50,388 rows in blocks of 4,096
     assert 0 < eq.stats["exact_rows"] < 0.01 * eq.examined
     assert min(eq.stats[k] for k in ("generate_s", "evaluate_s", "reduce_s")) > 0
 
@@ -489,6 +500,84 @@ def test_block_kernel_matches_scalar_kernel_on_every_dtype(inst, f, dtype):
         assert efficiency(inst, f).exact == Fraction(max(ne.values()), opt)
 
 
+def row_oracle(inst, cost, groups, row, margin):
+    """NE flag, total cost and occupancy of one class configuration.
+
+    Plain Python from the definitions: the row becomes a profile, every
+    window cost is summed off ``load`` of that profile or of the profile
+    with one player moved, and a move gains when it clears the relative
+    ``margin``.
+    """
+    queues = {}  # window (a, d, C) -> the starts its players take
+    for a, C, _, first, A in groups:
+        queues[a, a + A + C - 2, C] = [a + j for j in range(A) for _ in range(int(row[first + j]))]
+    starts = [queues[inst.window(i)].pop() for i in range(inst.I)]
+    loads = load(inst, starts)
+    is_ne = True
+    for i, s in enumerate(starts):
+        C = inst.durations[i]
+        here = sum(cost(L) for L in loads[s - 1 : s - 1 + C])
+        for s2 in action_set(inst, i):
+            moved = load(inst, starts[:i] + [s2] + starts[i + 1 :])
+            if sum(cost(L) for L in moved[s2 - 1 : s2 - 1 + C]) < here - margin * max(1, abs(here)):
+                is_ne = False
+    return is_ne, sum(cost(L) for L in loads), list(occupancy(inst, starts).occupancy)
+
+
+@pytest.mark.parametrize("dtype", ["int64", "object", "float64", "certified"])
+def test_block_kernel_matches_plain_python_rows(dtype):
+    # random symmetric and multi-group instances, some where no target lies
+    # a whole window away (A <= C) and some with targets on both sides
+    # (A > 2C); one kernel evaluates every block of an instance, blocks cut
+    # small and thinned like the exact pass, so its arrays are reused and grow
+    rng = random.Random(3301)
+    cost = {"int64": Monomial(1, 3), "object": Monomial(1, 38), "float64": SquareRoot(), "certified": Monomial(1, 38)}[dtype]
+    shapes = {"A<=C": 0, "A>2C": 0}
+    for trial in range(24):
+        T = rng.randint(3, 11)
+        if trial % 2:
+            C = rng.randint(1, max(1, (T - 1) // 3))  # A = T - C + 1 > 2C
+            windows = [(1, T, C)] * rng.randint(1, 4)
+        else:
+            windows = []
+            for _ in range(rng.randint(1, 3)):
+                a = rng.randint(1, T - 1)
+                d = rng.randint(a, T)
+                windows += [(a, d, rng.randint(max(1, (d - a + 2) // 2), d - a + 1))] * rng.randint(1, 2)
+        exo = [rng.randint(0, 3) if dtype != "float64" else rng.uniform(0.0, 3.0) for _ in range(T)]
+        inst = AtomicInstance.create(T, windows, exogenous=exo)
+        groups = _class_groups(inst)
+        for a, C, _, _, A in groups:
+            shapes["A<=C"] += A <= C
+            shapes["A>2C"] += A > 2 * C
+        # table[t, v]: slot t's cost at occupancy v, as the scan builds it
+        scan_dtype = {"int64": np.int64, "float64": np.float64}.get(dtype, object)
+        v = np.arange(inst.I + 2).astype(scan_dtype)
+        table = cost(np.asarray(inst.exogenous, dtype=scan_dtype)[:, None] + inst.power * v)
+        if dtype == "certified":
+            kernel = _BlockKernel(groups, table.astype(np.float64), certify=True)
+        else:
+            kernel = _BlockKernel(groups, table)
+        margin = 1e-12 if dtype == "float64" else 0  # the scan's margin on float costs
+        for block in _configuration_blocks([(n, A) for _, _, n, _, A in groups], rng.randint(1, 7)):
+            block = block[sorted(rng.sample(range(len(block)), rng.randint(1, len(block))))]
+            ne, tc, occ, err = kernel(block)
+            for r, row in enumerate(block):
+                is_ne, total, occupied = row_oracle(inst, cost, groups, row, margin)
+                assert occ[r].tolist() == occupied
+                if dtype == "certified":
+                    # a row is ruled out only on a gain beyond its error bound
+                    assert ne[r] or not is_ne
+                    assert abs(Fraction(tc[r]) - total) <= Fraction(err[r])
+                else:
+                    assert ne[r] == is_ne
+                    if dtype == "float64":
+                        assert tc[r] == pytest.approx(total, rel=1e-13)
+                    else:
+                        assert tc[r] == total
+    assert min(shapes.values()) > 0
+
+
 @pytest.mark.parametrize("max_rows", [1, 3, 7, 10**6])
 def test_composition_blocks_match_brute_force(max_rows):
     for total in range(5):
@@ -499,6 +588,32 @@ def test_composition_blocks_match_brute_force(max_rows):
                 row for row in itertools.product(range(total + 1), repeat=parts) if sum(row) == total
             ]
             assert np.vstack(blocks).tolist() == [list(row) for row in brute]
+
+
+def lexicographic_compositions(total, parts):
+    """Count vectors of length ``parts`` summing to ``total``, lexicographic."""
+    if parts == 1:
+        yield [total]
+        return
+    for head in range(total + 1):
+        for rest in lexicographic_compositions(total - head, parts - 1):
+            yield [head] + rest
+
+
+@pytest.mark.parametrize("table_rows", [1, 5, 36, 1 << 12])
+def test_composition_blocks_cut_every_tail_table(monkeypatch, table_rows):
+    # the tail table holds at most `table_rows` rows: at 1 every row is a
+    # head of its own, at 5 and 36 most blocks join several heads, and any
+    # table longer than `max_rows` puts one head's tail in several blocks
+    monkeypatch.setattr(atomic, "_BLOCK_ROWS", table_rows)
+    for parts in range(1, 10):
+        for total in range(5):
+            brute = list(lexicographic_compositions(total, parts))
+            for max_rows in range(1, 51):
+                blocks = list(_composition_blocks(total, parts, max_rows))
+                assert all(b.dtype == np.int64 and 1 <= len(b) <= max_rows for b in blocks)
+                assert all(len(b) == max_rows for b in blocks[:-1])  # only the last block is short
+                assert np.vstack(blocks).tolist() == brute
 
 
 @pytest.mark.parametrize("max_rows", [1, 3, 7, 10**6])
@@ -572,12 +687,12 @@ def test_resolve_budget_rejects_budgets_below_one(monkeypatch):
 
 
 def test_budget_is_exact_across_block_edges():
-    # 50,388 configurations; the scan evaluates them in blocks of 8,192
+    # 50,388 configurations; the scan evaluates them in blocks of 4,096
     inst = AtomicInstance.symmetric(10, 12, 3)
     f = Monomial(1, 2)
     full = enumerate_equilibria(inst, f)
     assert full.complete and full.examined == full.space_size == 50388
-    for budget in (8191, 8192, 8193, 50387, 50388):
+    for budget in (4095, 4096, 4097, 8191, 8192, 8193, 50387, 50388):
         eq = enumerate_equilibria(inst, f, budget=budget)
         assert eq.examined == min(budget, full.space_size)
         assert eq.complete is (budget == 50388)
@@ -587,17 +702,30 @@ def test_budget_is_exact_across_block_edges():
 
 
 def test_budget_is_exact_across_multi_group_block_edges():
-    # two groups, 495 x 330 class configurations in blocks of 24 x 330 = 7920
+    # two groups, 495 x 330 class configurations in blocks of 12 x 330 = 3960
     inst = AtomicInstance.create(10, [(1, 10, 2)] * 4 + [(1, 10, 3)] * 4)
     f = Monomial(1, 2)
     full = enumerate_equilibria(inst, f)
-    for budget in (7919, 7920, 7921, 163349, 163350):
+    for budget in (3959, 3960, 3961, 7919, 7920, 7921, 163349, 163350):
         eq = enumerate_equilibria(inst, f, budget=budget)
         assert eq.examined == budget
         assert eq.complete is (budget == 163350)
         assert set(eq.equilibria) <= set(full.equilibria)
         if eq.complete:
             assert eq.equilibria == full.equilibria and eq.costs == full.costs
+
+
+def test_scan_memory_stays_flat():
+    # the block kernel's arrays set a scan's peak memory, and so its peak RSS
+    inst, f = AtomicInstance.symmetric(10, 12, 3), Monomial(1, 2)
+    efficiency(inst, f)  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        efficiency(inst, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20
 
 
 def test_budgeted_scan_never_builds_the_whole_space():
