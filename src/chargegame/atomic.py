@@ -20,6 +20,11 @@ slot-major: one array row per slot, one column per configuration.
 Past int64, a float64 pass with a rigorous error bound (``_BlockKernel`` with
 ``certify``) rules out most configurations; exact integers decide the rest and
 give every answer.
+
+The single-profile functions (``best_response``, ``is_nash``,
+``best_response_dynamics``) read the same slot-cost table as the scan,
+``f(exo_t + P v)`` for ``v = 0..I+1``, built by one ``cost`` call per call
+in the data's own number types (int, Fraction or float, never rounded).
 """
 
 from __future__ import annotations
@@ -42,11 +47,7 @@ from .model import (
     Number,
     StrategyProfile,
     _coerce_profile,
-    _window_cost,
     action_set,
-    load,
-    occupancy,
-    potential_atomic,
 )
 
 BUDGET_ENV_VAR = "CHARGE_GAME_BUDGET"
@@ -152,41 +153,70 @@ def _strictly_less(new, cur):
     return new < cur
 
 
-def _deviations(instance: AtomicInstance, cost: GridCostFunction, loads, starts, player: int):
-    """Current window cost of ``player`` and a lazy ``(slot, cost)`` stream.
+def _window_costs(F, G, s: int, C: int, targets: range):
+    """A player's window cost at start ``s``, and at each start of ``targets``.
 
-    ``loads`` is the full load vector of ``starts``.  The stream visits the
-    player's whole action set in slot order, current slot included, and
-    gives the raw window cost with the player moved there.  ``_BlockKernel``
-    is the vectorised twin for blocks of class configurations.
+    ``F[t]`` and ``G[t]`` are slot ``t``'s cost at its occupancy and with one
+    more player.  Moved to a target, the player's own window keeps its
+    occupancy and every other slot gains it.  Sums run in slot order.
     """
-    s, C, P = starts[player], instance.durations[player], instance.power
-    # load in each slot once the player charges there: its own window already
-    # carries it, every other slot gains P
-    moved = [L + P for L in loads]
-    moved[s - 1 : s - 1 + C] = loads[s - 1 : s - 1 + C]
-    stream = ((t, _window_cost(cost, moved, t, C)) for t in action_set(instance, player))
-    return _window_cost(cost, loads, s, C), stream
+    lo, hi = s - 1, s - 1 + C
+    moved = G[:lo] + F[lo:hi] + G[hi:]
+    return sum(F[lo:hi]), [sum(moved[t - 1 : t - 1 + C]) for t in targets]
+
+
+def _slot_state(instance: AtomicInstance, cost: GridCostFunction, starts):
+    """Slot-cost table, occupancy of ``starts``, and its ``F`` and ``G`` rows.
+
+    ``rows[t][v] = f(exo_t + P v)`` for ``v = 0..I+1`` is the scan's table,
+    from one ``cost`` call on objects: every entry is the Python number (int,
+    Fraction or float) that ``potential_atomic`` computes for that slot and
+    occupancy.  ``F[t] = rows[t][occ[t]]`` and ``G[t] = rows[t][occ[t] + 1]``;
+    all four are plain lists.
+    """
+    v = np.array(range(instance.I + 2), dtype=object)
+    rows = cost(np.array(instance.exogenous, dtype=object)[:, None] + instance.power * v).tolist()
+    occ = [0] * instance.horizon.T
+    for s, C in zip(starts, instance.durations):
+        for t in range(s - 1, s - 1 + C):
+            occ[t] += 1
+    return rows, occ, [row[n] for row, n in zip(rows, occ)], [row[n + 1] for row, n in zip(rows, occ)]
+
+
+def _potential(rows, occ) -> Number:
+    # potential_atomic's sum, term by term in its order, off the table
+    total = 0
+    for row, n in zip(rows, occ):
+        for x in row[: n + 1]:
+            total += x
+    return -total
 
 
 def best_response(instance: AtomicInstance, cost: GridCostFunction, profile, player: int) -> int:
     """Best start slot for ``player`` against the others' current choices.
 
     Ties break toward the smallest slot.  No pricing map is needed: any
-    strictly increasing one keeps the argmin of the raw window cost.
+    strictly increasing one keeps the argmin of the raw window cost.  Window
+    costs are read off the slot-cost table of ``_slot_state``.
     """
     profile = _coerce_profile(instance, profile)
-    _, stream = _deviations(instance, cost, load(instance, profile), profile.starts, player)
-    return min(stream, key=lambda slot_cost: slot_cost[1])[0]
+    _, _, F, G = _slot_state(instance, cost, profile.starts)
+    targets = action_set(instance, player)
+    _, costs = _window_costs(F, G, profile.starts[player], instance.durations[player], targets)
+    return targets[costs.index(min(costs))]
 
 
 def is_nash(instance: AtomicInstance, cost: GridCostFunction, profile) -> bool:
-    """True when no player has a strictly improving unilateral deviation."""
+    """True when no player has a strictly improving unilateral deviation.
+
+    One slot-cost table serves every player: ``cost`` runs once per call.
+    """
     profile = _coerce_profile(instance, profile)
-    loads = load(instance, profile)
-    for i in range(instance.I):
-        current, stream = _deviations(instance, cost, loads, profile.starts, i)
-        if any(_strictly_less(c, current) for _, c in stream):
+    _, _, F, G = _slot_state(instance, cost, profile.starts)
+    for i, (s, C) in enumerate(zip(profile.starts, instance.durations)):
+        current, costs = _window_costs(F, G, s, C, action_set(instance, i))
+        # a strict gain needs some cost below the current one; most calls stop here
+        if min(costs) < current and any(_strictly_less(c, current) for c in costs):
             return False
     return True
 
@@ -203,25 +233,34 @@ def best_response_dynamics(
     response strictly lowers its window cost.  Returns the final profile and
     the potential trace (initial value plus one entry per accepted move); the
     trace is strictly increasing, which is what guarantees termination.
+
+    Costs come from one slot-cost table per call.  A move updates the
+    occupancy of the slots it touches, and each trace entry adds up the
+    table in ``potential_atomic``'s order, so it equals that potential.
     """
     profile = _coerce_profile(instance, profile)
     starts = list(profile.starts)
-    config = occupancy(instance, profile)
-    occ = list(config.occupancy)  # follows each accepted move, like the loads
-    loads, trace = load(instance, config), [potential_atomic(instance, cost, config)]
+    rows, occ, F, G = _slot_state(instance, cost, profile.starts)
+    trace = [_potential(rows, occ)]
+    players = [(i, C, action_set(instance, i)) for i, C in enumerate(instance.durations)]
     for _ in range(max_sweeps):
         moved = False
-        for i in range(instance.I):
-            current, stream = _deviations(instance, cost, loads, starts, i)
-            slot, best = min(stream, key=lambda slot_cost: slot_cost[1])
+        for i, C, targets in players:
+            s = starts[i]
+            current, costs = _window_costs(F, G, s, C, targets)
+            best = min(costs)
             if _strictly_less(best, current):
-                for t in range(instance.durations[i]):
-                    occ[starts[i] - 1 + t] -= 1
-                    occ[slot - 1 + t] += 1
+                slot = targets[costs.index(best)]
+                # the mover's old window, then its new one
+                touched = (*range(s - 1, s - 1 + C), *range(slot - 1, slot - 1 + C))
+                for t in touched[:C]:
+                    occ[t] -= 1
+                for t in touched[C:]:
+                    occ[t] += 1
+                for t in touched:
+                    F[t], G[t] = rows[t][occ[t]], rows[t][occ[t] + 1]
                 starts[i] = slot
-                config = ChargingConfiguration(tuple(map(starts.count, range(1, len(occ) + 1))), tuple(occ))
-                loads = load(instance, config)
-                trace.append(potential_atomic(instance, cost, config))
+                trace.append(_potential(rows, occ))
                 moved = True
         if not moved:
             return StrategyProfile(tuple(starts)), tuple(trace)
@@ -298,8 +337,10 @@ def _configuration_blocks(shape, max_rows: int) -> Iterator[np.ndarray]:
         yield from _composition_blocks(total, parts, max_rows)
         return
     tail_size = math.prod(_composition_count(*group) for group in rest)
+    # a tail that fits in one block is built once and serves every head block
+    tails = list(_configuration_blocks(rest, max_rows)) if tail_size <= max_rows else None
     for heads in _composition_blocks(total, parts, max(1, max_rows // tail_size)):
-        for tail in _configuration_blocks(rest, max_rows):
+        for tail in tails or _configuration_blocks(rest, max_rows):
             # every head row followed by every tail row, heads varying slowest
             yield np.concatenate([np.repeat(heads, len(tail), axis=0), np.tile(tail, (len(heads), 1))], axis=1)
 

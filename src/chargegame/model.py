@@ -70,9 +70,9 @@ class GridCostFunction:
         continuously differentiable and strictly convex on ``load >= 0``:
         no concave term (``0 < k < 1``) and some ``k > 1``.
 
-    ``__call__`` stays per subclass, written out for its own terms: the
-    atomic dynamics call it once per slot of every window they try, and a
-    shared loop over ``powers`` would make that path about twice as slow.
+    ``__call__`` stays per subclass, written out for its own terms:
+    ``potential_atomic`` and ``utility_atomic`` call it once per slot, and a
+    shared loop over ``powers`` would make those calls about twice as slow.
     """
 
     def deriv(self, load):

@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,8 @@ import pytest
 from chargegame import (
     AtomicInstance,
     BudgetExceededError,
+    CostSum,
+    GridCostFunction,
     IterationBudgetError,
     Monomial,
     PricingMap,
@@ -67,13 +70,14 @@ def oracle_window_cost(inst, cost, starts, i):
     return sum(cost(loads[t - 1]) for t in range(s, s + C))
 
 
-def oracle_is_ne(inst, cost, starts):
+def oracle_is_ne(inst, cost, starts, margin=0):
+    # a deviation gains when it clears the relative `margin`
     for i in range(inst.I):
         here = oracle_window_cost(inst, cost, starts, i)
         for alt in action_set(inst, i):
             trial = list(starts)
             trial[i] = alt
-            if oracle_window_cost(inst, cost, tuple(trial), i) < here:
+            if oracle_window_cost(inst, cost, tuple(trial), i) < here - margin * max(1, abs(here)):
                 return False
     return True
 
@@ -87,6 +91,30 @@ def oracle_best_response(inst, cost, starts, i):
         if best_cost is None or c < best_cost:
             best_slot, best_cost = alt, c
     return best_slot
+
+
+def oracle_potential(inst, cost, starts):
+    """``-sum_t sum_{v <= n_t} f(exo_t + P v)``, straight from the definition."""
+    return -sum(
+        cost(e + inst.power * v) for e, n in zip(inst.exogenous, oracle_occupancy(inst, starts)) for v in range(n + 1)
+    )
+
+
+def oracle_dynamics(inst, cost, starts, margin=0):
+    """Round-robin best responses, each taken when it clears ``margin``."""
+    starts = list(starts)
+    trace = [oracle_potential(inst, cost, starts)]
+    moved = True
+    while moved:
+        moved = False
+        for i in range(inst.I):
+            here = oracle_window_cost(inst, cost, tuple(starts), i)
+            trial = starts[:i] + [oracle_best_response(inst, cost, tuple(starts), i)] + starts[i + 1 :]
+            if oracle_window_cost(inst, cost, tuple(trial), i) < here - margin * max(1, abs(here)):
+                starts = trial
+                trace.append(oracle_potential(inst, cost, starts))
+                moved = True
+    return tuple(starts), trace
 
 
 def oracle_occupancy(inst, starts):
@@ -267,6 +295,77 @@ def test_dynamics_sweep_budget():
     f = Monomial(1, 2)
     with pytest.raises(IterationBudgetError):
         best_response_dynamics(inst, f, StrategyProfile((1, 1, 1)), max_sweeps=0)
+
+
+TABLE_PATH_DATA = {
+    # exogenous loads and power of each kind of data; √L turns exact loads into floats
+    "int": (lambda rng, T: [rng.randint(0, 4) for _ in range(T)], lambda rng: rng.randint(1, 3)),
+    "fraction": (
+        lambda rng, T: [Fraction(rng.randint(0, 12), rng.randint(1, 5)) for _ in range(T)],
+        lambda rng: Fraction(rng.randint(1, 5), rng.randint(1, 3)),
+    ),
+    "float-exogenous": (lambda rng, T: [rng.uniform(0.0, 4.0) for _ in range(T)], lambda rng: 1),
+    "float-power": (lambda rng, T: [rng.randint(0, 4) for _ in range(T)], lambda rng: 0.7),
+}
+
+
+@pytest.mark.parametrize("data", sorted(TABLE_PATH_DATA))
+@pytest.mark.parametrize(
+    "f", [Monomial(1, 2), Monomial(1, 3), SquareRoot(), CostSum((Monomial(1, 1), Monomial(2, 2)))], ids=repr
+)
+def test_table_path_matches_oracle(data, f):
+    # best_response, is_nash and best_response_dynamics read one slot-cost
+    # table per call; the oracles sum window costs off plain load lists
+    rng = random.Random(f"{data} {f!r}")
+    make_exo, make_power = TABLE_PATH_DATA[data]
+    exact = data in ("int", "fraction") and f.is_exact_for_integers
+    margin = 0 if exact else 1e-12  # the margin the scalar path puts on inexact costs
+    for _ in range(12):
+        inst = random_heterogeneous_instance(rng, max_T=8, max_I=4)
+        inst = dataclasses.replace(inst, exogenous=tuple(make_exo(rng, inst.horizon.T)), power=make_power(rng))
+        starts = tuple(rng.choice(list(action_set(inst, i))) for i in range(inst.I))
+        for i in range(inst.I):
+            slot, expected = best_response(inst, f, starts, i), oracle_best_response(inst, f, starts, i)
+            if exact:
+                assert slot == expected
+            else:  # rounding may break an exact tie either way
+                moved_to = [oracle_window_cost(inst, f, starts[:i] + (t,) + starts[i + 1 :], i) for t in (slot, expected)]
+                assert moved_to[0] == pytest.approx(moved_to[1], rel=1e-12)
+        assert is_nash(inst, f, starts) == oracle_is_ne(inst, f, starts, margin)
+        final, trace = best_response_dynamics(inst, f, starts)
+        final_oracle, trace_oracle = oracle_dynamics(inst, f, starts, margin)
+        assert final.starts == final_oracle
+        assert is_nash(inst, f, final) and oracle_is_ne(inst, f, final.starts, margin)
+        assert trace[-1] == potential_atomic(inst, f, final)  # the same sum, in the same order
+        if exact:
+            assert list(trace) == trace_oracle
+            if data == "fraction":
+                assert all(type(phi) is Fraction for phi in trace)
+        else:
+            assert list(trace) == pytest.approx(trace_oracle, rel=1e-12)
+
+
+class CountingSquare(GridCostFunction):
+    """``L**2`` that counts the slot costs it evaluates."""
+
+    powers = ((1, 2),)
+
+    def __init__(self):
+        self.evaluated = 0
+
+    def __call__(self, load):
+        self.evaluated += np.size(load)
+        return load**2
+
+
+def test_is_nash_evaluates_one_table_of_slot_costs():
+    # T=10, I=6, C=3: one cost per slot and occupancy 0..I+1 at most, not one
+    # per slot of every window tried (6 players x 9 windows x 3 slots)
+    inst = AtomicInstance.symmetric(10, 6, 3, exogenous=(3, 1, 0, 2, 4, 1, 0, 3, 2, 1))
+    config = enumerate_equilibria(inst, Monomial(1, 2)).equilibria[0]
+    f = CountingSquare()
+    assert is_nash(inst, f, one_profile(inst, config))
+    assert 0 < f.evaluated <= 10 * (6 + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +725,26 @@ def test_configuration_blocks_match_product_of_compositions(max_rows):
         assert all(b.dtype == np.int64 and 1 <= b.shape[0] <= max_rows for b in blocks)
         brute = [sum(rows, []) for rows in itertools.product(*(compositions(*g) for g in shape))]
         assert np.vstack(blocks).tolist() == brute
+
+
+def test_configuration_blocks_build_a_fitting_tail_once(monkeypatch):
+    # 495 x 330 class configurations: the 330-row tail fits in one block, so
+    # each group's compositions are generated once, not once per head block
+    calls = Counter()
+
+    def counted(total, parts, max_rows):
+        calls[total, parts] += 1
+        return _composition_blocks(total, parts, max_rows)
+
+    monkeypatch.setattr(atomic, "_composition_blocks", counted)
+    inst = AtomicInstance.create(10, [(1, 10, 2)] * 4 + [(1, 10, 3)] * 4)
+    assert enumerate_equilibria(inst, Monomial(1, 2)).complete
+    assert calls == {(4, 9): 1, (4, 8): 1}
+    # the stream and its block cuts: 12 head rows over the whole tail a block
+    blocks = list(_configuration_blocks([(4, 9), (4, 8)], atomic._BLOCK_ROWS))
+    assert [len(b) for b in blocks] == [12 * 330] * 41 + [3 * 330]
+    brute = [h + t for h, t in itertools.product(lexicographic_compositions(4, 9), lexicographic_compositions(4, 8))]
+    assert np.vstack(blocks).tolist() == brute
 
 
 def test_two_durations_scan_at_a_new_scale():
