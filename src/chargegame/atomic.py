@@ -138,6 +138,8 @@ def resolve_budget(budget: Optional[int], default: int = DEFAULT_BUDGET) -> int:
 
 
 _REL_MARGIN = 1e-12
+# round-robin sweeps best-response dynamics may take before giving up
+_MAX_SWEEPS = 10_000
 
 
 def _strictly_less(new, cur):
@@ -210,13 +212,14 @@ def is_nash(instance: AtomicInstance, cost: GridCostFunction, profile) -> bool:
     """True when no player has a strictly improving unilateral deviation.
 
     One slot-cost table serves every player: ``cost`` runs once per call.
+    As in ``best_response_dynamics``, a player's cheapest target must clear
+    ``_strictly_less`` against its current cost.
     """
     profile = _coerce_profile(instance, profile)
     _, _, F, G = _slot_state(instance, cost, profile.starts)
     for i, (s, C) in enumerate(zip(profile.starts, instance.durations)):
         current, costs = _window_costs(F, G, s, C, action_set(instance, i))
-        # a strict gain needs some cost below the current one; most calls stop here
-        if min(costs) < current and any(_strictly_less(c, current) for c in costs):
+        if _strictly_less(min(costs), current):
             return False
     return True
 
@@ -225,7 +228,6 @@ def best_response_dynamics(
     instance: AtomicInstance,
     cost: GridCostFunction,
     profile,
-    max_sweeps: int = 10_000,
 ) -> tuple[StrategyProfile, tuple[Number, ...]]:
     """Round-robin best-response dynamics from a starting profile.
 
@@ -237,13 +239,14 @@ def best_response_dynamics(
     Costs come from one slot-cost table per call.  A move updates the
     occupancy of the slots it touches, and each trace entry adds up the
     table in ``potential_atomic``'s order, so it equals that potential.
+    ``IterationBudgetError`` after ``_MAX_SWEEPS`` sweeps without settling.
     """
     profile = _coerce_profile(instance, profile)
     starts = list(profile.starts)
     rows, occ, F, G = _slot_state(instance, cost, profile.starts)
     trace = [_potential(rows, occ)]
     players = [(i, C, action_set(instance, i)) for i, C in enumerate(instance.durations)]
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         moved = False
         for i, C, targets in players:
             s = starts[i]
@@ -265,7 +268,7 @@ def best_response_dynamics(
         if not moved:
             return StrategyProfile(tuple(starts)), tuple(trace)
     raise IterationBudgetError(
-        f"best-response dynamics did not settle within {max_sweeps} sweeps"
+        f"best-response dynamics did not settle within {_MAX_SWEEPS} sweeps"
     )
 
 

@@ -287,7 +287,7 @@ NONATOMIC_COUNTEREXAMPLE = SweepSpec(
 )
 
 
-def run_counterexamples(tol: float = 1e-9, budget: Optional[int] = None):
+def run_counterexamples(budget: Optional[int] = None):
     """Re-derive both bundled counter-examples through ``run_sweep``; returns
     a summary dict whose two sides carry the ``spec`` solved and the
     ``series`` it gave, ready for ``emit_data``.
@@ -308,7 +308,7 @@ def run_counterexamples(tol: float = 1e-9, budget: Optional[int] = None):
         "efficiency": float(dict(optimum.meta)["efficiency"]),
     }
 
-    nonatomic_spec = replace(NONATOMIC_COUNTEREXAMPLE, tol=tol, budget=budget)
+    nonatomic_spec = replace(NONATOMIC_COUNTEREXAMPLE, budget=budget)
     nonatomic = run_sweep(nonatomic_spec)
     masses = [np.array(s.y) for s in nonatomic]
     pairs = [(m1, m2) for i, m1 in enumerate(masses) for m2 in masses[i + 1 :]]

@@ -508,19 +508,6 @@ def occupancy(instance: AtomicInstance, profile) -> ChargingConfiguration:
     return ChargingConfiguration(tuple(started), tuple(occupied))
 
 
-def windowed_occupancy(Y: np.ndarray, weights, durations) -> np.ndarray:
-    """Mass charging in each slot for the K×T start matrix ``Y``: slot t
-    collects class k's starts in t-C_k+1..t, scaled by the class weight."""
-    T = Y.shape[1]
-    x = np.zeros(T)
-    idx = np.arange(T)
-    for k in range(Y.shape[0]):
-        csum = np.concatenate(([0.0], np.cumsum(weights[k] * Y[k])))
-        lo = np.maximum(idx - durations[k] + 1, 0)
-        x += csum[idx + 1] - csum[lo]
-    return x
-
-
 @dataclass(frozen=True)
 class MixedProfile:
     """Per-class start-slot distributions for a nonatomic instance.
@@ -563,10 +550,15 @@ class MixedProfile:
         return out
 
     def occupancy_mass(self) -> np.ndarray:
-        """Mass charging in each slot (windowed sum of weighted start masses)."""
-        classes = self.instance.classes
-        weights, durations = [c.weight for c in classes], [c.duration for c in classes]
-        return windowed_occupancy(np.asarray(self.distributions), weights, durations)
+        """Mass charging in each slot: slot ``t`` collects class ``k``'s
+        start masses in ``t-C_k+1..t``, scaled by the class weight (a
+        cumulative-sum difference per class)."""
+        idx = np.arange(self.instance.horizon.T)
+        x = np.zeros(idx.size)
+        for cls_, row in zip(self.instance.classes, self.distributions):
+            csum = np.concatenate(([0.0], np.cumsum(cls_.weight * np.asarray(row))))
+            x += csum[idx + 1] - csum[np.maximum(idx - cls_.duration + 1, 0)]
+        return x
 
     @classmethod
     def from_start_mass(cls, instance: NonatomicInstance, mass) -> "MixedProfile":

@@ -54,7 +54,6 @@ from .model import (
     action_set,
     grid_total_cost,
     potential_nonatomic,
-    windowed_occupancy,
 )
 
 DEFAULT_SOLVER_BUDGET = 10**6
@@ -139,24 +138,6 @@ class NonatomicEquilibrium:
 # ---------------------------------------------------------------------------
 
 
-def _instance_arrays(instance: NonatomicInstance):
-    exo = np.asarray(instance.exogenous, dtype=float)
-    P = float(instance.power)
-    weights = np.array([c.weight for c in instance.classes])
-    durations = np.array([c.duration for c in instance.classes])
-    act_idx = [np.array(action_set(instance, k)) - 1 for k in range(instance.K)]
-    return exo, P, weights, durations, act_idx
-
-
-def _class_cost_vectors(cost, loads, durations, act_idx, T) -> np.ndarray:
-    """Cost of each start slot per class (row); +inf outside the action set."""
-    fv = np.concatenate(([0.0], np.cumsum(cost(loads))))
-    out = np.full((len(act_idx), T), math.inf)
-    for k, idx in enumerate(act_idx):
-        out[k, idx] = fv[idx + durations[k]] - fv[idx]
-    return out
-
-
 def _wardrop_gap_of(costs: np.ndarray, Y: np.ndarray) -> float:
     priciest = np.where(Y > SUPPORT_THRESHOLD, costs, -math.inf).max(axis=1)
     return max(0.0, float(np.max(priciest - costs.min(axis=1))))
@@ -231,14 +212,21 @@ def _solve_potential(
     holds, each class's cheapest inactive start enters if it undercuts the
     class's active ones.  Returns the matrix, its gap, its costs and the
     ``stats`` counters and phase times.
+
+    The window-incidence matrix ``W``, built once, has one row per allowed
+    (class, start) pair in ``np.nonzero`` order and a 1 in each slot that
+    start charges in; it gives the loads, the start costs and Newton rows.
     """
-    exo, P, weights, durations, act_idx = _instance_arrays(instance)
+    exo = np.asarray(instance.exogenous, dtype=float)
+    P = float(instance.power)
+    weights = np.array([c.weight for c in instance.classes])
     K, T = instance.K, instance.horizon.T
+    allowed = np.array([[t in action_set(instance, k) for t in range(1, T + 1)] for k in range(K)])
+    owner, starts = np.nonzero(allowed)
+    ends = starts + np.array([c.duration for c in instance.classes])[owner]
     slots = np.arange(T)
-    active = np.zeros((K, T), dtype=bool)
-    for k, idx in enumerate(act_idx):
-        active[k, idx] = True
-    allowed = active.copy()
+    W = ((slots >= starts[:, None]) & (slots < ends[:, None])).astype(float)
+    active = allowed.copy()
     Y = active / active.sum(axis=1, keepdims=True)
     stats = dict.fromkeys(("steps", "projected", "fallbacks", "drops", "entries", "evals"), 0)
     stats.update(dict.fromkeys(("jacobian_s", "solve_s", "cost_s", "check_s"), 0.0))
@@ -256,13 +244,14 @@ def _solve_potential(
         if stats["evals"] >= budget:
             refuse("budget spent")
         stats["evals"] += 1
-        return exo + P * windowed_occupancy(Y, weights, durations)
+        return exo + P * ((weights[:, None] * Y)[allowed] @ W)
 
     while True:
         Y /= Y.sum(axis=1, keepdims=True)
         t0 = time.perf_counter()
         loads = loads_of(Y)
-        costs = _class_cost_vectors(g, loads, durations, act_idx, T)
+        costs = np.full((K, T), math.inf)
+        costs[allowed] = W @ g(loads)
         t1 = time.perf_counter()
         gap = _wardrop_gap_of(costs, Y)
         if gap < best[0]:
@@ -293,17 +282,16 @@ def _solve_potential(
         # others, and a move shifts mass from the base to another start.
         # The class multipliers drop out, so the least-squares system has no
         # border whose scale differs from the costs'.  Its matrix is the
-        # Jacobian (B * g') @ B.T * P * weight taken between moves, with B
-        # replaced by D, the difference of the two windows a move connects.
+        # Jacobian (W * g') @ W.T * P * weight taken between moves: the rows
+        # of W become D, the difference of the two rows a move connects.
         # g' is taken at a tiny positive load where the load is zero: it may
         # be infinite there (square root), and an empty slot must still fill.
         n = owner.size
         first = np.searchsorted(owner, owner)
         moved = np.flatnonzero(first != np.arange(n))
         base = first[moved]
-        ends = (starts + durations[owner])[:, None]
-        B = (slots >= starts[:, None]) & (slots < ends)
-        D = B[moved].astype(float) - B[base]
+        at = np.flatnonzero(active[allowed])  # the W row of each active start
+        D = W[at[moved]] - W[at[base]]
         gp = g.deriv(np.maximum(loads, 1e-12 * loads.max()))
         J = (D * gp) @ D.T * (P * weights[owner[moved]])
         t3 = time.perf_counter()

@@ -290,11 +290,28 @@ def test_dynamics_from_equilibrium_is_a_fixed_point():
     assert len(trace) == 1
 
 
-def test_dynamics_sweep_budget():
+def test_dynamics_sweep_budget(monkeypatch):
     inst = AtomicInstance.symmetric(T=6, I=3, C=2, exogenous=(1, 2, 3, 2, 1, 3))
     f = Monomial(1, 2)
+    monkeypatch.setattr(atomic, "_MAX_SWEEPS", 0)
     with pytest.raises(IterationBudgetError):
-        best_response_dynamics(inst, f, StrategyProfile((1, 1, 1)), max_sweeps=0)
+        best_response_dynamics(inst, f, StrategyProfile((1, 1, 1)))
+
+
+def test_dynamics_is_nash_and_scan_agree_on_mixed_fraction_float_costs():
+    # slot 2 is an exact Fraction gain below the float margin over slot 1,
+    # slot 3 a float one: no start is a strict gain over another under the
+    # margin, so every start is an equilibrium for all three
+    inst = AtomicInstance.create(
+        3, [(1, 3, 1)], exogenous=(Fraction(1), 1 - Fraction(1, 10**14), 1 - 2e-14)
+    )
+    f = Monomial(1, 1)
+    listed_starts = {conf.start_counts.index(1) + 1 for conf in enumerate_equilibria(inst, f).equilibria}
+    assert listed_starts == {1, 2, 3}
+    for s in (1, 2, 3):
+        final, _ = best_response_dynamics(inst, f, StrategyProfile((s,)))
+        assert final.starts == (s,)
+        assert is_nash(inst, f, (s,))
 
 
 TABLE_PATH_DATA = {

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,11 +16,13 @@ from chargegame import (
     NonatomicInstance,
     PositivityCertificateError,
     SquareRoot,
+    action_set,
     build_symmetric_system,
     check_invariance_condition,
     efficiency_nonatomic,
     grid_total_cost,
     is_wardrop_equilibrium,
+    load,
     potential_nonatomic,
     social_optimum_nonatomic,
     solve_equilibrium,
@@ -316,6 +319,48 @@ def test_solver_drops_every_blocking_start_in_one_step_on_a_wide_fleet():
     eq = solve_equilibrium(inst, Monomial(1, 2))
     assert eq.iterations <= 50
     assert wardrop_gap(inst, Monomial(1, 2), eq.profile) <= 1e-9
+
+
+def test_solver_memory_stays_small_on_a_wide_fleet():
+    # W over the allowed starts only: one row per (class, start) of all K*T
+    # pairs would push the peak past the bound
+    inst, cost = daily_fleet(5, WIDE_SPANS), Monomial(1, 2)
+    solve_equilibrium(inst, cost)  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        solve_equilibrium(inst, cost)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
+@pytest.mark.parametrize("cost", [Monomial(1, 2), SquareRoot()], ids=["L2", "sqrtL"])
+def test_class_costs_are_window_sums_of_the_slot_costs(cost):
+    # windows inside slots 2..T-1 leave starts outside every action set at
+    # both ends, so a start cost read off the wrong window shows here
+    rng = random.Random(206)
+    for _ in range(20):
+        T, K = rng.randint(6, 14), rng.randint(2, 4)
+        raw = [rng.random() + 0.1 for _ in range(K)]
+        classes = []
+        for w in raw:
+            a = rng.randint(2, T - 2)
+            d = rng.randint(a + 1, T - 1)
+            classes.append((w / sum(raw), a, d, rng.randint(1, d - a + 1)))
+        exo = tuple(rng.uniform(0.2, 2.0) for _ in range(T))
+        inst = NonatomicInstance.create(T=T, classes=classes, exogenous=exo)
+        eq = solve_equilibrium(inst, cost)
+        slot_costs = cost(load(inst, eq.profile))
+        for k in range(K):
+            C, acts = inst.classes[k].duration, action_set(inst, k)
+            for t in range(1, T + 1):
+                got = eq.class_costs[k][t - 1]
+                if t in acts:
+                    want = sum(float(slot_costs[tau - 1]) for tau in range(t, t + C))
+                    assert abs(got - want) <= 1e-12 * want
+                else:
+                    assert got == math.inf
 
 
 @pytest.mark.parametrize(
