@@ -51,6 +51,7 @@ from .atomic import (
     enumerate_equilibria,
     social_optimum,
     efficiency,
+    efficiencies,
     ne_proportion,
 )
 from .nonatomic import (

@@ -14,8 +14,11 @@ has ``C(n+A-1, A-1)`` compositions in place of ``A**n`` profiles; a
 symmetric instance is the one-group case, and an instance whose windows are
 all distinct scans its profile space itself.  The scan is deterministic
 (lexicographic, groups in sorted window order) and budget-capped.  It runs
-over blocks of 4,096 configurations, and ``_BlockKernel`` evaluates each block
-slot-major: one array row per slot, one column per configuration.
+over blocks of 4,096 configurations, slot-major: one array row per slot, one
+column per configuration.  One scan serves any number of grid costs
+(``efficiencies``): ``_Block`` loads each block's start counts and occupancy
+once, and ``_BlockKernel`` evaluates every cost's slot-cost table on them.
+The one-cost functions are that scan with a single cost.
 
 Past int64, a float64 pass with a rigorous error bound (``_BlockKernel`` with
 ``certify``) rules out most configurations; exact integers decide the rest and
@@ -85,8 +88,13 @@ class EquilibriumSet:
     configurations.  ``complete`` is False when the budget stopped the scan
     early, in which case the set is a lower bound only.
 
-    ``stats`` counts ``blocks`` and the ``exact_rows`` the float pass left to
-    integers, and times generation, evaluation and reduction; never compared.
+    ``stats`` is never compared.  ``blocks`` and ``generate_s`` describe the
+    configuration stream, which every cost of one scan shares
+    (``efficiencies``): the blocks scanned, and the seconds spent generating
+    them and loading their start counts and occupancy.  The other keys are
+    this cost's own work: the ``exact_rows`` its float pass left to
+    integers, and the seconds spent evaluating its table (``evaluate_s``,
+    exact rows included) and reducing the results (``reduce_s``).
     """
 
     equilibria: tuple[ChargingConfiguration, ...]
@@ -374,69 +382,96 @@ def _scan_dtype(instance: AtomicInstance, cost: GridCostFunction):
     return object
 
 
-class _BlockKernel:
-    """NE flags, total costs, occupancy and error bounds, block by block.
+class _Block:
+    """Start counts and occupancy of one block, shared by every table scanned.
 
-    Each row of a block holds one composition per group of ``_class_groups``:
-    column ``first + j`` counts the group's players starting in slot
-    ``a + j``; ``table[t, v]`` is slot ``t``'s cost at occupancy ``v``.  With
-    ``certify`` (a float image of an exact table) a row is non-NE only if a
-    deviation gains more than its error bound ``err``.
-
-    The work is slot-major: every array holds one row per slot (or start)
-    and one column per configuration, so each step is a whole-row numpy
-    operation on contiguous memory.  The arrays are allocated for the
-    largest block so far, and every call writes into them: touching fresh
-    pages costs more than the arithmetic on them.  A call returns
-    ``(ne, tc, occ, err)``, views that the next call overwrites; ``occ`` is
-    ``(m, T)``.
+    Each row of ``counts`` holds one composition per group of
+    ``_class_groups``: column ``first + j`` counts the group's players
+    starting in slot ``a + j``.  ``load`` lays a block out slot-major, one
+    column per configuration: ``present`` has a row per start, true where
+    some player starts there, and ``occ`` a row per slot.  ``at`` holds the
+    flat index of ``table[t, occ[t]]`` in any ``(T, I + 2)`` slot-cost
+    table, so ``at + 1`` is that of ``table[t, occ[t] + 1]``.  The
+    arrays are allocated for the largest block so far and overwritten by the
+    next ``load``.
     """
 
-    def __init__(self, groups, table: np.ndarray, certify: bool = False):
-        self.groups, self.table, self.certify = groups, table, certify
-        T, V = table.shape
+    def __init__(self, groups, T: int, V: int):
+        self.groups = groups
         self.offsets = np.arange(0, T * V, V)[:, None]  # flat index of table[t, 0]
         self.rows = 0
 
     def _allocate(self, rows: int):
-        T, dtype = self.table.shape[0], self.table.dtype
-        A = max(A for *_, A in self.groups)
+        starts, T = sum(A for *_, A in self.groups), self.offsets.shape[0]
         self.rows = rows
-        self.starts = np.empty((sum(A for *_, A in self.groups), rows), dtype=np.int64)  # counts.T
-        self.occ = np.empty((T, rows), dtype=np.int64)
-        self.at = np.empty((T, rows), dtype=np.int64)
-        # Fpre[k], Gpre[k]: sums of F = table[t, occ[t]] and G = table[t, occ[t] + 1]
-        # over the slots t < k; row 0 stays zero
-        self.Fpre = np.zeros((T + 1, rows), dtype=dtype)
-        self.Gpre = np.zeros((T + 1, rows), dtype=dtype)
-        self.bar, self.moved, self.og, self.of, self.tmp = (np.empty((A, rows), dtype=dtype) for _ in range(5))
-        self.better = np.empty((A, rows), dtype=bool)
-        self.hit = np.empty((A, rows), dtype=bool)
-        self.ne = np.empty(rows, dtype=bool)
+        self._starts = np.empty((starts, rows), dtype=np.int64)
+        self._present = np.empty((starts, rows), dtype=bool)
+        self._occ, self._at = (np.empty((T, rows), dtype=np.int64) for _ in range(2))
 
-    def __call__(self, counts: np.ndarray):
-        table = self.table
-        T = table.shape[0]
-        m = counts.shape[0]
+    def load(self, counts: np.ndarray) -> "_Block":
+        m = self.m = counts.shape[0]
         if m > self.rows:
             self._allocate(m)
-        starts = self.starts[:, :m]
+        starts = self._starts[:, :m]  # counts.T
         np.copyto(starts, counts.T)
-
+        self.present = np.greater(starts, 0, out=self._present[:, :m])
         # occupancy: each start count covers its group's C slots
-        occ = self.occ[:, :m]
+        occ = self.occ = self._occ[:, :m]
         occ.fill(0)
         for a, C, _, first, A in self.groups:
             for j in range(A):
                 occ[a - 1 + j : a - 1 + j + C] += starts[first + j]
+        self.at = np.add(occ, self.offsets, out=self._at[:, :m])
+        return self
 
-        # F and G land in the prefix rows, which then add up in place.  The
-        # indices are in range: "clip" only spares `take` a buffer for `out`.
-        at = np.add(occ, self.offsets, out=self.at[:, :m])
+
+class _BlockKernel:
+    """NE flags, total costs and error bounds of a loaded block, per table.
+
+    ``table[t, v]`` is slot ``t``'s cost at occupancy ``v``, of the dtype the
+    kernel was made for.  With ``certify`` (a float image of an exact table)
+    a row is non-NE only if a deviation gains more than its error bound
+    ``err``.
+
+    The work is slot-major: every array holds one row per slot (or start)
+    and one column per configuration, so each step is a whole-row numpy
+    operation on contiguous memory.  The arrays are allocated for the
+    largest block so far, and every call writes into them, whichever table
+    it evaluates: touching fresh pages costs more than the arithmetic on
+    them.  A call returns ``(ne, tc, err)``, views that the next call
+    overwrites.
+    """
+
+    def __init__(self, groups, dtype):
+        self.groups, self.dtype = groups, dtype
+        self.rows = 0
+
+    def _allocate(self, T: int, rows: int):
+        A = max(A for *_, A in self.groups)
+        self.rows = rows
+        # Fpre[k], Gpre[k]: sums of F = table[t, occ[t]] and G = table[t, occ[t] + 1]
+        # over the slots t < k; row 0 stays zero
+        self.Fpre = np.zeros((T + 1, rows), dtype=self.dtype)
+        self.Gpre = np.zeros((T + 1, rows), dtype=self.dtype)
+        self.bar, self.moved, self.og, self.of, self.tmp = (np.empty((A, rows), dtype=self.dtype) for _ in range(5))
+        self.better = np.empty((A, rows), dtype=bool)
+        self.hit = np.empty((A, rows), dtype=bool)
+        self.ne = np.empty(rows, dtype=bool)
+
+    def __call__(self, block: _Block, table: np.ndarray, certify: bool = False):
+        T = table.shape[0]
+        m = block.m
+        if m > self.rows:
+            self._allocate(T, m)
+
+        # F and G land in the prefix rows, which then add up in place; G's
+        # entries sit one place after F's, so it reads the flat table shifted
+        # by one.  The indices are in range: "clip" only spares `take` a
+        # buffer for `out`.
         Fpre, Gpre = self.Fpre[:, :m], self.Gpre[:, :m]
-        table.take(at, out=Fpre[1:], mode="clip")
-        at += 1
-        table.take(at, out=Gpre[1:], mode="clip")
+        flat = table.ravel()
+        flat.take(block.at, out=Fpre[1:], mode="clip")
+        flat[1:].take(block.at, out=Gpre[1:], mode="clip")
 
         # Error bound of a certified row: u = 2**-53, eta = 2**-1074, S_X the
         # row's sum of |X| for X = F, G, and S = S_F + S_G.  A table entry is off
@@ -451,7 +486,7 @@ class _BlockKernel:
         # expression, each prefix adds in cumsum's order, and S is summed per
         # configuration over a row-major copy, the order numpy sums a row in.
         err = None
-        if self.certify:
+        if certify:
             S = np.abs(Fpre[1:]).T.copy().sum(1) + np.abs(Gpre[1:]).T.copy().sum(1)
             err = (8 * T + 32) * 2.0**-53 * S + 16 * T * 2.0**-1074
         for k in range(1, T):  # cumsum's order, as x + y rounds like y + x
@@ -467,9 +502,9 @@ class _BlockKernel:
             # must get under) and with one more player
             bar = np.subtract(Fpre[lo + C : lo + C + A], Fpre[lo : lo + A], out=self.bar[:A, :m])
             moved = np.subtract(Gpre[lo + C : lo + C + A], Gpre[lo : lo + A], out=self.moved[:A, :m])
-            if self.certify:
+            if certify:
                 bar -= err
-            elif table.dtype == np.float64:
+            elif self.dtype == np.float64:
                 bar -= _REL_MARGIN * np.maximum(1.0, np.abs(bar))
             better = self.better[:A, :m]  # some move from the start gains
             better.fill(False)
@@ -496,9 +531,9 @@ class _BlockKernel:
                     new = np.subtract(moved[target], og, out=self.tmp[:n, :m])
                     new += of
                     better[mover] |= np.less(new, bar[mover], out=hit[:n])
-            better &= np.greater(starts[first : first + A], 0, out=hit[:A])
+            better &= block.present[first : first + A]
             ne &= ~better.any(0)
-        return ne, Fpre[T], occ.T, err
+        return ne, Fpre[T], err
 
 
 def _config_from_counts(instance: AtomicInstance, groups, counts, occ) -> ChargingConfiguration:
@@ -517,73 +552,114 @@ def _profile_count(groups, counts) -> int:
     )
 
 
-def _scan(instance: AtomicInstance, cost: GridCostFunction, budget: Optional[int]):
+class _CostScan:
+    """One cost's part of a scan: its slot-cost tables and running answers.
+
+    ``table[t, v] = f(exo_t + P v)`` for ``v = 0..I+1``, as ``cost`` gives
+    it in the scan dtype; past int64, ``approx`` is its float image for the
+    certified pass.  ``add`` folds in the NE flags and total costs of the
+    rows of one block.
+    """
+
+    def __init__(self, instance: AtomicInstance, groups, cost: GridCostFunction):
+        self.instance, self.groups = instance, groups
+        dtype = _scan_dtype(instance, cost)
+        v = np.arange(instance.I + 2).astype(dtype)
+        self.table = table = cost(np.asarray(instance.exogenous, dtype=dtype)[:, None] + instance.power * v)
+        self.approx = None
+        if dtype is object:
+            # int / int rounds correctly; the shift by a power of two keeps row sums finite
+            shift = max(0, max(abs(int(x)).bit_length() for x in table.flat) - 960)
+            self.approx = np.array([int(x) / (1 << shift) for x in table.flat]).reshape(table.shape)
+        self.native = float if dtype is np.float64 else int
+        self.ne_found: dict[ChargingConfiguration, Number] = {}
+        self.ne_profiles = 0
+        self.best = None  # (cost, configuration)
+        self.stats = {"exact_rows": 0, "evaluate_s": 0.0, "reduce_s": 0.0}
+
+    def add(self, counts, ne, tc, occ) -> None:
+        instance, groups, native = self.instance, self.groups, self.native
+        for idx in np.flatnonzero(ne):
+            self.ne_profiles += _profile_count(groups, counts[idx])
+            config = _config_from_counts(instance, groups, counts[idx], occ[idx])
+            self.ne_found.setdefault(config, native(tc[idx]))
+        idx = int(np.argmin(tc))  # first occurrence: first in scan order
+        if self.best is None or native(tc[idx]) < self.best[0]:
+            self.best = (native(tc[idx]), _config_from_counts(instance, groups, counts[idx], occ[idx]))
+
+
+def _scan(instance: AtomicInstance, costs: tuple, budget: Optional[int]):
     """Scan the class configurations in lexicographic order, up to the budget.
 
-    Returns the equilibrium set, the number of NE profiles behind it, and
-    the first minimum-cost class configuration as ``(cost, configuration)``.
-    Players sharing a window are interchangeable, so NE status and cost
-    depend on the class configuration alone; distinct class configurations
-    can still share a ``ChargingConfiguration``, which is listed once.
+    One stream of configurations serves every cost in ``costs``: each block
+    is generated once, its start counts and occupancy are loaded once
+    (``_Block``), and then each cost's slot-cost table is evaluated on them,
+    the tables of one dtype in one reused ``_BlockKernel``.  Past int64 the
+    certified float pass reads the shared block, and the exact kernel loads
+    only the rows that pass leaves to it.  The budget caps the stream, so
+    every cost examines the same configurations.
+
+    Returns, per cost, the equilibrium set, the number of NE profiles behind
+    it, and the first minimum-cost class configuration as
+    ``(cost, configuration)``.  Players sharing a window are interchangeable,
+    so NE status and cost depend on the class configuration alone; distinct
+    class configurations can still share a ``ChargingConfiguration``, which
+    is listed once.
     """
+    if not costs:
+        raise ValueError("an atomic scan needs at least one cost")
     budget = resolve_budget(budget)
     groups = _class_groups(instance)
     shape = [(n, A) for _, _, n, _, A in groups]
     space = math.prod(_composition_count(n, A) for n, A in shape)
-    dtype = _scan_dtype(instance, cost)
-    # table[t, v] = f(exo_t + P v), v = 0..I+1, as `cost` gives it in this dtype
-    v = np.arange(instance.I + 2).astype(dtype)
-    table = cost(np.asarray(instance.exogenous, dtype=dtype)[:, None] + instance.power * v)
-    # int / int rounds correctly; the shift by a power of two keeps row sums finite
-    shift = max(0, max(abs(int(x)).bit_length() for x in table.flat) - 960) if dtype is object else 0
-    approx = np.array([int(x) / (1 << shift) for x in table.flat]).reshape(table.shape) if dtype is object else None
-    native = float if dtype is np.float64 else int
+    T, V = instance.horizon.T, instance.I + 2
+    scans = [_CostScan(instance, groups, cost) for cost in costs]
+    # one kernel, and so one set of scratch arrays, per table dtype
+    tables = [table for scan in scans for table in (scan.table, scan.approx) if table is not None]
+    kernels = {table.dtype: _BlockKernel(groups, table.dtype) for table in tables}
+    stream = _Block(groups, T, V)
+    exact = _Block(groups, T, V)  # the rows a certified pass leaves to integers
 
-    ne_found: dict[ChargingConfiguration, Number] = {}
-    ne_profiles = 0
-    best = None  # (cost, configuration)
-    examined = 0
-    stats = {"blocks": 0, "exact_rows": 0, "generate_s": 0.0, "evaluate_s": 0.0, "reduce_s": 0.0}
-    evaluate = _BlockKernel(groups, table)
-    prefilter = _BlockKernel(groups, approx, certify=True) if approx is not None else None
+    examined, blocks, generate_s = 0, 0, 0.0
     t0 = time.perf_counter()
     for counts in _configuration_blocks(shape, _BLOCK_ROWS):
         if examined >= budget:
             break
-        t1 = time.perf_counter()
         counts = counts[: budget - examined]
         examined += counts.shape[0]
-        if prefilter is not None:
-            # exact integers decide the rows that may be NE or tie the minimum
-            maybe_ne, tc, _, err = prefilter(counts)
-            counts = counts[maybe_ne | (tc - err <= np.min(tc + err))]
-            stats["exact_rows"] += counts.shape[0]
-        ne, tc, occ, _ = evaluate(counts)
-        t2 = time.perf_counter()
-        for idx in np.flatnonzero(ne):
-            ne_profiles += _profile_count(groups, counts[idx])
-            config = _config_from_counts(instance, groups, counts[idx], occ[idx])
-            ne_found.setdefault(config, native(tc[idx]))
-        idx = int(np.argmin(tc))  # first occurrence: first in scan order
-        if best is None or native(tc[idx]) < best[0]:
-            best = (native(tc[idx]), _config_from_counts(instance, groups, counts[idx], occ[idx]))
-        stats["blocks"] += 1
-        stats["generate_s"] += t1 - t0
-        stats["evaluate_s"] += t2 - t1
+        stream.load(counts)
+        blocks += 1
+        generate_s += time.perf_counter() - t0
+        for scan in scans:
+            t1 = time.perf_counter()
+            rows, block = counts, stream
+            if scan.approx is not None:
+                # exact integers decide the rows that may be NE or tie the minimum
+                maybe_ne, tc, err = kernels[scan.approx.dtype](stream, scan.approx, certify=True)
+                rows = counts[maybe_ne | (tc - err <= np.min(tc + err))]
+                scan.stats["exact_rows"] += rows.shape[0]
+                block = exact.load(rows)
+            ne, tc, _ = kernels[scan.table.dtype](block, scan.table)
+            t2 = time.perf_counter()
+            scan.add(rows, ne, tc, block.occ.T)
+            scan.stats["evaluate_s"] += t2 - t1
+            scan.stats["reduce_s"] += time.perf_counter() - t2
         t0 = time.perf_counter()
-        stats["reduce_s"] += t0 - t2
 
-    # listed by start counts, then occupancy, whatever the scan order
-    listing = sorted(ne_found.items(), key=lambda pair: (pair[0].start_counts, pair[0].occupancy))
-    eq_set = EquilibriumSet(
-        equilibria=tuple(config for config, _ in listing),
-        costs=tuple(c for _, c in listing),
-        complete=examined >= space,
-        examined=examined,
-        space_size=space,
-        stats=stats,
-    )
-    return eq_set, ne_profiles, best
+    results = []
+    for scan in scans:
+        # listed by start counts, then occupancy, whatever the scan order
+        listing = sorted(scan.ne_found.items(), key=lambda pair: (pair[0].start_counts, pair[0].occupancy))
+        eq_set = EquilibriumSet(
+            equilibria=tuple(config for config, _ in listing),
+            costs=tuple(c for _, c in listing),
+            complete=examined >= space,
+            examined=examined,
+            space_size=space,
+            stats={"blocks": blocks, "generate_s": generate_s, **scan.stats},
+        )
+        results.append((eq_set, scan.ne_profiles, scan.best))
+    return results
 
 
 def enumerate_equilibria(
@@ -595,7 +671,8 @@ def enumerate_equilibria(
 
     When the budget runs out first the returned set is flagged incomplete.
     """
-    return _scan(instance, cost, budget)[0]
+    ((eq_set, _, _),) = _scan(instance, (cost,), budget)
+    return eq_set
 
 
 def social_optimum(
@@ -610,13 +687,58 @@ def social_optimum(
     vector.  Raises ``BudgetExceededError`` if the scan could not finish: a
     partial minimum is not an optimum.
     """
-    eq_set, _, best = _scan(instance, cost, budget)
+    ((eq_set, _, best),) = _scan(instance, (cost,), budget)
     if not eq_set.complete:
         raise BudgetExceededError(
             f"social optimum scan stopped after {eq_set.examined} of {eq_set.space_size} configurations",
             partial=best,
         )
     return best[1], best[0]
+
+
+def efficiencies(
+    instance: AtomicInstance,
+    costs,
+    budget: Optional[int] = None,
+) -> tuple[EfficiencyReport, ...]:
+    """``efficiency`` under each cost of ``costs``, from one scan.
+
+    The configurations are generated and their occupancy built once, and
+    every cost's slot-cost table is evaluated on them (see ``_scan``); each
+    report equals the one ``efficiency`` gives for its cost alone.  Raises
+    ``ValueError`` on no cost, and ``BudgetExceededError`` when the budget
+    stops the scan, with the first cost's partial equilibrium set.
+    """
+    reports = []
+    for eq_set, _, best in _scan(instance, tuple(costs), budget):
+        if not eq_set.complete:
+            raise BudgetExceededError(
+                f"efficiency scan stopped after {eq_set.examined} of {eq_set.space_size} configurations",
+                partial=eq_set,
+            )
+        if not eq_set.equilibria:
+            raise RuntimeError("no Nash equilibrium found; the potential argument forbids this")
+        worst_idx = max(range(len(eq_set.costs)), key=eq_set.costs.__getitem__)
+        worst_cost = eq_set.costs[worst_idx]
+        opt_config, opt_cost = best[1], best[0]
+        if isinstance(worst_cost, (int, np.integer)) and isinstance(opt_cost, (int, np.integer)):
+            exact = Fraction(int(worst_cost), int(opt_cost))
+            value = float(exact)
+        else:
+            exact = None
+            value = float(worst_cost) / float(opt_cost)
+        reports.append(
+            EfficiencyReport(
+                value=value,
+                exact=exact,
+                worst_equilibrium=eq_set.equilibria[worst_idx],
+                worst_cost=worst_cost,
+                optimum=opt_config,
+                optimum_cost=opt_cost,
+                equilibria=eq_set,
+            )
+        )
+    return tuple(reports)
 
 
 def efficiency(
@@ -630,32 +752,7 @@ def efficiency(
     ``EquilibriumSet``.  Exact rational arithmetic is used whenever both
     costs are integers.  Raises ``BudgetExceededError`` on an incomplete scan.
     """
-    eq_set, _, best = _scan(instance, cost, budget)
-    if not eq_set.complete:
-        raise BudgetExceededError(
-            f"efficiency scan stopped after {eq_set.examined} of {eq_set.space_size} configurations",
-            partial=eq_set,
-        )
-    if not eq_set.equilibria:
-        raise RuntimeError("no Nash equilibrium found; the potential argument forbids this")
-    worst_idx = max(range(len(eq_set.costs)), key=eq_set.costs.__getitem__)
-    worst_cost = eq_set.costs[worst_idx]
-    opt_config, opt_cost = best[1], best[0]
-    if isinstance(worst_cost, (int, np.integer)) and isinstance(opt_cost, (int, np.integer)):
-        exact = Fraction(int(worst_cost), int(opt_cost))
-        value = float(exact)
-    else:
-        exact = None
-        value = float(worst_cost) / float(opt_cost)
-    return EfficiencyReport(
-        value=value,
-        exact=exact,
-        worst_equilibrium=eq_set.equilibria[worst_idx],
-        worst_cost=worst_cost,
-        optimum=opt_config,
-        optimum_cost=opt_cost,
-        equilibria=eq_set,
-    )
+    return efficiencies(instance, (cost,), budget)[0]
 
 
 def ne_proportion(
@@ -669,7 +766,7 @@ def ne_proportion(
     out of all configurations.  Any other instance counts profiles:
     equilibrium profiles out of all profiles.
     """
-    eq_set, ne_profiles, _ = _scan(instance, cost, budget)
+    ((eq_set, ne_profiles, _),) = _scan(instance, (cost,), budget)
     if not eq_set.complete:
         raise BudgetExceededError(
             f"proportion scan stopped after {eq_set.examined} of {eq_set.space_size} configurations",

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .atomic import efficiency, ne_proportion, resolve_budget
+from .atomic import efficiencies, efficiency, ne_proportion, resolve_budget
 from .fileio import cost_from_dict, cost_label, cost_to_dict, dump_json
 from .model import (
     AtomicInstance,
@@ -50,7 +50,8 @@ class SweepSpec:
     ne-proportion, efficiency-vs-I   x = player count, one series per C
     efficiency-vs-C                  x = duration, one series per I
     efficiency-vs-power              x = cost exponent, one series per C
-                                     (exactly one player count)
+                                     (exactly one player count; ``cost``
+                                     a ``Monomial``, whose exponent varies)
     nonatomic-counterexample         x = slot, one series per cost in ``costs``
                                      (exactly one duration)
     atomic-counterexample            x = slot, one series per equilibrium
@@ -95,6 +96,8 @@ class SweepSpec:
         check_tol(self.tol)
         if self.budget is not None:
             resolve_budget(self.budget)  # the scans' rule: at least 1
+        if self.exponents and not isinstance(self.cost, Monomial):
+            raise ValueError(f"exponents vary the exponent of a monomial cost, got cost {cost_label(self.cost)}")
         # build every grid cost and instance the sweep will solve, so that a
         # grid point that cannot exist is refused here rather than midway
         for k in self.exponents:
@@ -173,40 +176,43 @@ def _nonatomic_instance(spec: SweepSpec, C: int) -> NonatomicInstance:
 
 
 def _power_cost(spec: SweepSpec, k) -> Monomial:
-    # an efficiency-vs-power grid cost: the spec cost's coefficient, exponent k
-    coeff = spec.cost.coefficient if isinstance(spec.cost, Monomial) else 1
-    return Monomial(coeff, k)
+    # an efficiency-vs-power grid cost: the spec's monomial with exponent k
+    return Monomial(spec.cost.coefficient, k)
 
 
-def _atomic_point(spec: SweepSpec, I: int, C: int, cost: GridCostFunction):
+def _atomic_point(spec: SweepSpec, I: int, C: int) -> tuple:
+    # one instance's y values: a single one, or one per exponent
     instance = _atomic_instance(spec, I, C)
     if spec.kind == "ne-proportion":
-        return ne_proportion(instance, cost, budget=spec.budget)
-    return efficiency(instance, cost, budget=spec.budget).value
+        return (ne_proportion(instance, spec.cost, budget=spec.budget),)
+    if spec.kind == "efficiency-vs-power":
+        costs = tuple(_power_cost(spec, k) for k in spec.exponents)
+        return tuple(report.value for report in efficiencies(instance, costs, budget=spec.budget))
+    return (efficiency(instance, spec.cost, budget=spec.budget).value,)
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[DataSeries, ...]:
-    """Evaluate a sweep; one thread per grid point at most."""
-    by_C = (spec.I_values, "C", spec.C_values, lambda C, I: _atomic_point(spec, I, C, spec.cost), ())
+    """Evaluate a sweep, up to ``threads`` instances at once.
+
+    Each atomic instance is one job.  An ``efficiency-vs-power`` series has
+    one instance, and ``efficiencies`` scans its configurations once for
+    every exponent; the other kinds solve one instance per grid point.
+    """
+    by_C = [(I, C) for C in spec.C_values for I in spec.I_values]
+    by_I = [(I, C) for I in spec.I_values for C in spec.C_values]
     grids = {
-        # kind: (x values, series prefix, series values, point(series value, x), meta)
-        "ne-proportion": by_C,
-        "efficiency-vs-I": by_C,
-        "efficiency-vs-C": (
-            spec.C_values, "I", spec.I_values, lambda I, C: _atomic_point(spec, I, C, spec.cost), ()
-        ),
-        "efficiency-vs-power": (
-            spec.exponents,
-            "C",
-            spec.C_values,
-            lambda C, k: _atomic_point(spec, spec.I_values[0], C, _power_cost(spec, k)),
-            tuple(("I", str(I)) for I in spec.I_values),
-        ),
+        # kind: (x values, series prefix, series values, (I, C) of each job, meta)
+        "ne-proportion": (spec.I_values, "C", spec.C_values, by_C, ()),
+        "efficiency-vs-I": (spec.I_values, "C", spec.C_values, by_C, ()),
+        "efficiency-vs-C": (spec.C_values, "I", spec.I_values, by_I, ()),
+        # one I: a job per C
+        "efficiency-vs-power": (spec.exponents, "C", spec.C_values, by_I, tuple(("I", str(I)) for I in spec.I_values)),
     }
     if spec.kind in grids:
-        xs, prefix, keys, point, meta = grids[spec.kind]
-        jobs = [(lambda key=key, x=x: point(key, x)) for key in keys for x in xs]
-        values = _run_jobs(jobs, threads)
+        xs, prefix, keys, points, meta = grids[spec.kind]
+        jobs = [(lambda I=I, C=C: _atomic_point(spec, I, C)) for I, C in points]
+        # jobs run series by series, so the y values come out series-major
+        values = [y for ys in _run_jobs(jobs, threads) for y in ys]
         n = len(xs)
         return tuple(
             DataSeries(spec.label, f"{prefix}{key}", xs, tuple(values[j * n : (j + 1) * n]), meta)

@@ -29,6 +29,7 @@ from chargegame import (
     action_set,
     best_response,
     best_response_dynamics,
+    efficiencies,
     efficiency,
     enumerate_equilibria,
     grid_total_cost,
@@ -42,6 +43,7 @@ from chargegame import (
 )
 from chargegame import atomic
 from chargegame.atomic import (
+    _Block,
     _BlockKernel,
     _class_groups,
     _composition_blocks,
@@ -591,6 +593,64 @@ def test_float_cost_path():
     assert report.value == pytest.approx(max(ne.values()) / opt)
 
 
+# a T=10, I=12, C=3 instance: 50,388 configurations, 13 blocks
+MIXED_DATA = dict(T=10, I=12, C=3, exogenous=(2, 0, 3, 1, 0, 2, 3, 1, 0, 2))
+
+
+@pytest.mark.parametrize(
+    "inst, costs",
+    [
+        *[(AtomicInstance.symmetric(10, 12, C), tuple(Monomial(1, k) for k in range(2, 11))) for C in (3, 4, 5)],
+        (AtomicInstance.symmetric(**MIXED_DATA), (Monomial(1, 24),)),
+        (
+            AtomicInstance.symmetric(8, 5, 2, exogenous=(0.5, 1.25, 0.75, 2.5, 0.1, 1.5, 3.25, 0.5)),
+            (SquareRoot(), SquareRoot(2), Monomial(1.5, 2)),
+        ),
+        # int64, object through the float filter, float64: each kind of kernel
+        (AtomicInstance.symmetric(**MIXED_DATA), (Monomial(1, 2), Monomial(1, 24), SquareRoot())),
+        (AtomicInstance.symmetric(**MIXED_DATA), (SquareRoot(), Monomial(1, 24), Monomial(1, 2))),
+        (
+            AtomicInstance.create(10, [(1, 10, 2)] * 3 + [(2, 9, 3)] * 2 + [(3, 10, 4)] * 2),
+            (Monomial(1, 2), Monomial(1, 3), SquareRoot(), Monomial(1, 38)),
+        ),
+    ],
+    ids=["int64-C3", "int64-C4", "int64-C5", "object", "float64", "mixed", "mixed-reversed", "heterogeneous"],
+)
+def test_efficiencies_equal_one_cost_scans(inst, costs):
+    reports = efficiencies(inst, costs)
+    assert len(reports) == len(costs)
+    for report, f in zip(reports, costs):
+        alone = efficiency(inst, f)
+        assert report == alone  # stats stay out of the comparison
+        shared, own = report.equilibria.stats, alone.equilibria.stats
+        assert shared["exact_rows"] == own["exact_rows"]
+        assert shared["blocks"] == own["blocks"]
+    # only big-integer tables leave rows to the exact pass
+    assert [r.equilibria.stats["exact_rows"] > 0 for r in reports] == [_scan_dtype(inst, f) is object for f in costs]
+    # the shared stream's keys are the same for every cost of one scan
+    assert len({(r.equilibria.stats["blocks"], r.equilibria.stats["generate_s"]) for r in reports}) == 1
+
+
+def test_efficiencies_share_the_budget():
+    inst = AtomicInstance.symmetric(**MIXED_DATA)
+    costs = (Monomial(1, 2), Monomial(1, 3), SquareRoot())
+    for budget in (4095, 4096, 4097, 50388):
+        scans = atomic._scan(inst, costs, budget)
+        assert [eq.examined for eq, _, _ in scans] == [min(budget, 50388)] * 3
+        assert [eq.space_size for eq, _, _ in scans] == [50388] * 3
+        if budget < 50388:
+            with pytest.raises(BudgetExceededError) as err:
+                efficiencies(inst, costs, budget=budget)
+            assert err.value.partial.examined == budget
+            for f in costs:
+                with pytest.raises(BudgetExceededError):
+                    efficiency(inst, f, budget=budget)
+        else:
+            assert efficiencies(inst, costs, budget=budget) == tuple(efficiency(inst, f, budget=budget) for f in costs)
+    with pytest.raises(ValueError):
+        efficiencies(inst, ())
+
+
 @pytest.mark.parametrize(
     "inst, f, dtype",
     [
@@ -644,8 +704,9 @@ def row_oracle(inst, cost, groups, row, margin):
 def test_block_kernel_matches_plain_python_rows(dtype):
     # random symmetric and multi-group instances, some where no target lies
     # a whole window away (A <= C) and some with targets on both sides
-    # (A > 2C); one kernel evaluates every block of an instance, blocks cut
-    # small and thinned like the exact pass, so its arrays are reused and grow
+    # (A > 2C); one loader and one kernel take every block of an instance,
+    # blocks cut small and thinned like the exact pass, so their arrays are
+    # reused and grow
     rng = random.Random(3301)
     cost = {"int64": Monomial(1, 3), "object": Monomial(1, 38), "float64": SquareRoot(), "certified": Monomial(1, 38)}[dtype]
     shapes = {"A<=C": 0, "A>2C": 0}
@@ -671,13 +732,13 @@ def test_block_kernel_matches_plain_python_rows(dtype):
         v = np.arange(inst.I + 2).astype(scan_dtype)
         table = cost(np.asarray(inst.exogenous, dtype=scan_dtype)[:, None] + inst.power * v)
         if dtype == "certified":
-            kernel = _BlockKernel(groups, table.astype(np.float64), certify=True)
-        else:
-            kernel = _BlockKernel(groups, table)
+            table = table.astype(np.float64)
+        loaded, kernel = _Block(groups, inst.horizon.T, inst.I + 2), _BlockKernel(groups, table.dtype)
         margin = 1e-12 if dtype == "float64" else 0  # the scan's margin on float costs
         for block in _configuration_blocks([(n, A) for _, _, n, _, A in groups], rng.randint(1, 7)):
             block = block[sorted(rng.sample(range(len(block)), rng.randint(1, len(block))))]
-            ne, tc, occ, err = kernel(block)
+            ne, tc, err = kernel(loaded.load(block), table, certify=dtype == "certified")
+            occ = loaded.occ.T
             for r, row in enumerate(block):
                 is_ne, total, occupied = row_oracle(inst, cost, groups, row, margin)
                 assert occ[r].tolist() == occupied

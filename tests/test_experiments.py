@@ -3,6 +3,7 @@
 import hashlib
 import json
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from chargegame import (
     ne_proportion,
     solve_equilibrium,
 )
+from chargegame import atomic
 from chargegame.cli import main
 from chargegame.experiments import (
     ATOMIC_COUNTEREXAMPLE,
@@ -147,6 +149,23 @@ def test_efficiency_vs_power_sweep():
     for k, y in zip(s.x, s.y):
         inst = AtomicInstance.symmetric(6, 3, 2, exogenous=(1, 2, 3, 2, 1, 3))
         assert y == efficiency(inst, Monomial(1, k)).value
+
+
+def test_power_sweep_scans_each_instance_once(monkeypatch):
+    # 3 values of C times 9 exponents: one configuration stream per C
+    spec = SweepSpec.from_dict(json.loads((DEMOS / "specs" / "efficiency_vs_exponent.json").read_text()))
+    streams = []
+    blocks = atomic._configuration_blocks
+
+    def counted(shape, max_rows):
+        if sys._getframe(1).f_code.co_name == "_scan":  # not its own recursion
+            streams.append(shape)
+        return blocks(shape, max_rows)
+
+    monkeypatch.setattr(atomic, "_configuration_blocks", counted)
+    one_thread = run_sweep(spec, 1)
+    assert len(streams) == 3
+    assert run_sweep(spec, 2) == one_thread
 
 
 def test_efficiency_vs_power_needs_single_player_count():
@@ -567,11 +586,15 @@ _SPEC_BASES = {
      ("atomic-ce", {"C_values": [2, 3]}), ("nonatomic-ce", {"costs": 5}),
      ("nonatomic-ce", {"tol": "x"}), ("proportion", {"label": "a/b"}),
      ("proportion", {"C_values": []}), ("proportion", {"I_values": ["x"]}),
-     ("proportion", {"budget": [1]}), ("proportion", {"kind": ["x"]})],
+     ("proportion", {"budget": [1]}), ("proportion", {"kind": ["x"]}),
+     ("power", {"cost": {"kind": "sqrt", "coefficient": 3}}),
+     ("power", {"cost": {"kind": "sum", "terms": [{"kind": "monomial", "coefficient": 5, "exponent": 1},
+                                                  {"kind": "monomial", "coefficient": 2, "exponent": 2}]}})],
     ids=["budget-0", "unknown-kind", "budgett", "T-0", "C-past-T", "I-0", "I-not-a-list",
          "cost-not-an-object", "exogenous-5", "exponent-x", "exponent-negative", "power-two-I",
          "nonatomic-two-C", "nonatomic-no-C", "atomic-two-C", "costs-5", "tol-x", "label-slash",
-         "grid-no-C", "I-not-a-number", "budget-a-list", "kind-a-list"],
+         "grid-no-C", "I-not-a-number", "budget-a-list", "kind-a-list", "power-sqrt-cost",
+         "power-sum-cost"],
 )
 def test_cli_sweep_rejects_a_bad_spec_in_one_line(tmp_path, capsys, base, bad):
     spec = {**_SPEC_BASES[base](), **bad}
