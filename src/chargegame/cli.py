@@ -18,7 +18,7 @@ from .atomic import BUDGET_ENV_VAR, BudgetExceededError, efficiency, resolve_bud
 from .experiments import SweepSpec, emit_data, run_counterexamples, run_sweep
 from .fileio import dump_json, instance_from_dict
 from .model import AtomicInstance, Monomial
-from .nonatomic import ConvergenceError, check_tol, social_optimum_nonatomic, solve_equilibrium
+from .nonatomic import ConvergenceError, _social_optimum, check_tol, solve_equilibrium
 
 
 class _BadInput(Exception):
@@ -127,14 +127,14 @@ def _cmd_solve_nonatomic(args) -> int:
         "iterations": eq.iterations,
         "cost_evaluations": eq.cost_evaluations,
     }
+    stats = eq.stats
     if cost.satisfies_a2:
-        opt_profile, opt_cost = social_optimum_nonatomic(
-            instance, cost, tol=args.tol, budget=args.budget
-        )
+        opt_profile, opt_cost, opt_stats = _social_optimum(instance, cost, args.tol, args.budget)
         data["optimum_mass"] = [float(v) for v in opt_profile.start_mass()]
         data["optimum_cost"] = float(opt_cost)
         data["efficiency"] = data["total_cost"] / float(opt_cost)
-    _emit_or_print(data, args, eq.stats)
+        stats = {**stats, "optimum": opt_stats}
+    _emit_or_print(data, args, stats)
     return 0
 
 

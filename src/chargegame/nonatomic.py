@@ -10,13 +10,17 @@ Phi, and the occupancy at equilibrium is unique whenever the cost is strictly
 increasing.  ``solve_equilibrium`` finds them with one active-set Newton
 method started from the uniform profile: each step linearizes the
 equal-cost optimality system on the active set (every active start of a
-class costs the same, every class keeps unit mass).  A full step that would
-make masses negative is projected: every blocking start is clipped to zero
-and leaves the active set at once, and the projection is kept when it
-strictly raises Phi, the merit function (projected Newton, Bertsekas 1982).
-Otherwise the step is shortened to the boundary and drops the first blocking
-start only.  Once the system holds, the cheapest inactive start of each
-class enters if it undercuts the class's active starts.
+class costs the same, every class keeps unit mass).  That system has rank at
+most T, and its minimum-norm solution comes from ``eigh`` of a Gram matrix
+in the smaller of the move and slot spaces.  A full step that would make
+masses negative is projected: every blocking start is clipped to zero and
+leaves the active set at once, and the projection is kept when it strictly
+raises Phi, the merit function.  If it does not, the steps of 1/2, 1/4 and
+1/8 of the Newton direction are projected in turn, along the projection arc
+of Bertsekas (1982).  When none of them raises Phi, the step is shortened to
+the boundary and drops the first blocking start only.  Once the system
+holds, the cheapest inactive start of each class enters if it undercuts the
+class's active starts.
 
 The termination certificate is the Wardrop gap: the worst, over classes, of
 (most expensive supported start) minus (cheapest available start).
@@ -116,12 +120,13 @@ class NonatomicEquilibrium:
     solver's Newton steps and ``cost_evaluations`` its cost-vector
     evaluations, the quantity ``budget`` caps.
 
-    ``stats`` counts ``steps``, the ``projected`` steps kept and the
-    ``fallbacks`` shortened instead, the starts that ``drops`` and
-    ``entries`` move out of and into the active set, and ``evals``.  It
-    times the Jacobian assembly (``jacobian_s``), its ``lstsq`` solve
-    (``solve_s``), cost and potential evaluations (``cost_s``) and the
-    gap and balance checks (``check_s``); never compared.
+    ``stats`` counts ``steps``, the ``projected`` steps kept (``arc`` of
+    them shorter than the full Newton step) and the ``fallbacks`` shortened
+    to the boundary instead, the starts that ``drops`` and ``entries`` move
+    out of and into the active set, and ``evals``.  It times the Jacobian
+    assembly (``jacobian_s``), its ``eigh`` solve (``solve_s``), cost and
+    potential evaluations (``cost_s``) and the gap and balance checks
+    (``check_s``); never compared.
     """
 
     profile: MixedProfile
@@ -145,6 +150,24 @@ def _wardrop_gap_of(costs: np.ndarray, Y: np.ndarray) -> float:
 
 def _profile_from_matrix(instance: NonatomicInstance, Y: np.ndarray) -> MixedProfile:
     return MixedProfile(instance, tuple(tuple(float(v) for v in row) for row in Y))
+
+
+def _gram_solve(B: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution ``pinv(B Bᵀ) r`` for an m×T matrix ``B``.
+
+    ``eigh`` of the smaller Gram matrix: ``B Bᵀ`` when m ≤ T, otherwise
+    ``Bᵀ B = V Λ Vᵀ``, from which ``pinv(B Bᵀ) = B V Λ⁻² Vᵀ Bᵀ``.
+    Eigenvalues at or below ``eps · max(m, T) · λmax``, ``lstsq``'s default
+    cutoff, count as zero.
+    """
+    m, T = B.shape
+    small = m <= T
+    lam, V = np.linalg.eigh(B @ B.T if small else B.T @ B)
+    keep = lam > np.finfo(float).eps * max(m, T) * lam[-1]
+    lam, V = lam[keep], V[:, keep]
+    if small:
+        return V @ ((V.T @ r) / lam)
+    return B @ (V @ ((V.T @ (B.T @ r)) / lam**2))
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +230,10 @@ def _solve_potential(
     negative is first projected: those masses are clipped to zero, their
     starts leave the active set together, and each class is renormalised.
     The projection is kept only if it strictly raises the potential (one
-    cost evaluation); otherwise the step is shortened so that no mass turns
-    negative and only the first blocking start leaves.  Once the system
+    cost evaluation); otherwise the projections of the half, quarter and
+    eighth step are tried in turn, one evaluation each.  If none is kept,
+    the step is shortened so that no mass turns negative and only the first
+    blocking start leaves.  Once the system
     holds, each class's cheapest inactive start enters if it undercuts the
     class's active ones.  Returns the matrix, its gap, its costs and the
     ``stats`` counters and phase times.
@@ -221,14 +246,16 @@ def _solve_potential(
     P = float(instance.power)
     weights = np.array([c.weight for c in instance.classes])
     K, T = instance.K, instance.horizon.T
-    allowed = np.array([[t in action_set(instance, k) for t in range(1, T + 1)] for k in range(K)])
-    owner, starts = np.nonzero(allowed)
-    ends = starts + np.array([c.duration for c in instance.classes])[owner]
+    arrival, last, duration = np.array([instance.window(k) for k in range(K)]).T
+    last -= duration - 1  # each class's action set is arrival..last, 1-based
     slots = np.arange(T)
+    allowed = (slots >= arrival[:, None] - 1) & (slots < last[:, None])
+    owner, starts = np.nonzero(allowed)
+    ends = starts + duration[owner]
     W = ((slots >= starts[:, None]) & (slots < ends[:, None])).astype(float)
     active = allowed.copy()
     Y = active / active.sum(axis=1, keepdims=True)
-    stats = dict.fromkeys(("steps", "projected", "fallbacks", "drops", "entries", "evals"), 0)
+    stats = dict.fromkeys(("steps", "projected", "arc", "fallbacks", "drops", "entries", "evals"), 0)
     stats.update(dict.fromkeys(("jacobian_s", "solve_s", "cost_s", "check_s"), 0.0))
     best = (math.inf, Y)
 
@@ -280,26 +307,27 @@ def _solve_potential(
         # Newton step on the equal-cost equations over mass-preserving
         # moves: each class's first active start (its base) balances the
         # others, and a move shifts mass from the base to another start.
-        # The class multipliers drop out, so the least-squares system has no
-        # border whose scale differs from the costs'.  Its matrix is the
-        # Jacobian (W * g') @ W.T * P * weight taken between moves: the rows
-        # of W become D, the difference of the two rows a move connects.
-        # g' is taken at a tiny positive load where the load is zero: it may
-        # be infinite there (square root), and an empty slot must still fill.
+        # The class multipliers drop out, so the system has no border whose
+        # scale differs from the costs'.  Its matrix is the Jacobian
+        # (W * g') @ W.T * P * weight taken between moves: the rows of W
+        # become D, the difference of the two rows a move connects.  With
+        # B = D diag(sqrt(g')) and u = P * weight * z it is B Bᵀ u = r, of
+        # rank at most T, solved at minimum norm in the smaller of the move
+        # and slot spaces.  g' is taken at a tiny positive load where the
+        # load is zero: it may be infinite there (square root), and an empty
+        # slot must still fill.
         n = owner.size
         first = np.searchsorted(owner, owner)
         moved = np.flatnonzero(first != np.arange(n))
         base = first[moved]
         at = np.flatnonzero(active[allowed])  # the W row of each active start
-        D = W[at[moved]] - W[at[base]]
         gp = g.deriv(np.maximum(loads, 1e-12 * loads.max()))
-        J = (D * gp) @ D.T * (P * weights[owner[moved]])
+        B = (W[at[moved]] - W[at[base]]) * np.sqrt(gp)
         t3 = time.perf_counter()
         try:
-            z = np.linalg.lstsq(J, c[base] - c[moved], rcond=None)[0]
+            z = _gram_solve(B, c[base] - c[moved]) / (P * weights[owner[moved]])
         except np.linalg.LinAlgError as err:
             refuse(f"the Newton system could not be solved ({err})")
-        del J  # the largest array of a pass; the next pass builds its own
         t4 = time.perf_counter()
         stats["jacobian_s"] += t3 - t2
         stats["solve_s"] += t4 - t3
@@ -309,24 +337,33 @@ def _solve_potential(
         dy -= np.bincount(base, z, n)
         y = Y[owner, starts]
         full = y + dy
-        blocked = full < 0
-        if not blocked.any():
-            Y[owner, starts] = np.maximum(full, 0.0)
+        if not (full < 0).any():
+            Y[owner, starts] = full
             continue
 
-        # projected step: drop every blocking start at once, kept only if
-        # the potential -sum F(load) strictly rises (F(exo) cancels out)
-        trial = Y.copy()
-        trial[owner, starts] = np.maximum(full, 0.0)
-        trial /= trial.sum(axis=1, keepdims=True)
+        # projected steps along the arc alpha = 1, 1/2, 1/4, 1/8: masses the
+        # step turns negative are clipped to zero and their starts leave the
+        # active set; the first step that strictly raises the potential
+        # -sum F(load) is kept (F(exo) cancels out)
         t5 = time.perf_counter()
-        rises = np.sum(g.antiderivative(loads_of(trial))) < np.sum(g.antiderivative(loads))
+        now = np.sum(g.antiderivative(loads))
+        for alpha in (1.0, 0.5, 0.25, 0.125):
+            step = y + alpha * dy
+            trial = Y.copy()
+            trial[owner, starts] = np.maximum(step, 0.0)
+            trial /= trial.sum(axis=1, keepdims=True)
+            if np.sum(g.antiderivative(loads_of(trial))) < now:
+                break
+        else:
+            alpha = 0.0
         stats["cost_s"] += time.perf_counter() - t5
-        if rises:
+        if alpha:
             Y = trial
-            active[owner[blocked], starts[blocked]] = False
+            clipped = step < 0
+            active[owner[clipped], starts[clipped]] = False
             stats["projected"] += 1
-            stats["drops"] += int(blocked.sum())
+            stats["arc"] += int(alpha < 1.0)
+            stats["drops"] += int(clipped.sum())
             continue
 
         # fallback: shorten the step so that no mass turns negative; the
@@ -567,16 +604,22 @@ def social_optimum_nonatomic(
     optimum is therefore computed by the equilibrium solver under f' and
     independently re-checked against the Wardrop definition.
     """
+    profile, total, _ = _social_optimum(instance, cost, tol, budget)
+    return profile, total
+
+
+def _social_optimum(instance, cost, tol, budget) -> tuple[MixedProfile, float, dict]:
+    """``social_optimum_nonatomic`` plus the solve's ``stats``."""
     check_tol(tol)
     if not cost.satisfies_a2:
         raise ValueError("social optimum needs a convex (A2) grid cost")
     budget = resolve_budget(budget, DEFAULT_SOLVER_BUDGET)
     marginal = cost.derivative()
-    Y, gap, _, _ = _solve_potential(instance, marginal, tol, budget)
+    Y, gap, _, stats = _solve_potential(instance, marginal, tol, budget)
     profile = _profile_from_matrix(instance, Y)
     if not is_wardrop_equilibrium(instance, marginal, profile, tol=max(1e-7, 10 * gap)):
         raise RuntimeError("optimum candidate fails the marginal-cost Wardrop check")
-    return profile, grid_total_cost(instance, cost, profile)
+    return profile, grid_total_cost(instance, cost, profile), stats
 
 
 def efficiency_nonatomic(

@@ -541,16 +541,29 @@ def test_cli_solve_nonatomic_rejects_a_bad_tol(capsys, tol):
     [
         ("solve-atomic", "valley_three_players", {"blocks", "exact_rows", "evaluate_s"}),
         ("solve-nonatomic", "evening_continuum", {"steps", "projected", "fallbacks", "solve_s"}),
+        ("solve-nonatomic", "evening_continuum", {"steps", "arc", "optimum"}),
     ],
 )
 def test_cli_stats_go_to_stderr_only(tmp_path, capsys, command, spec_name, keys):
-    spec = str(DEMOS / "specs" / f"{spec_name}.json")
+    spec = DEMOS / "specs" / f"{spec_name}.json"
+    if "optimum" in keys:
+        # the optimum is solved for a convex cost only, not the spec's sqrt(L)
+        data = {**json.loads(spec.read_text()), "cost": {"kind": "monomial", "coefficient": 1, "exponent": 2}}
+        spec = tmp_path / "convex.json"
+        spec.write_text(json.dumps(data))
+    spec = str(spec)
     assert main([command, spec]) == 0
     plain = capsys.readouterr()
     assert main([command, spec, "--stats"]) == 0
     counted = capsys.readouterr()
     assert counted.out == plain.out and plain.err == ""
-    assert counted.err.count("\n") == 1 and keys <= json.loads(counted.err).keys()
+    stats = json.loads(counted.err)
+    assert counted.err.count("\n") == 1 and keys <= stats.keys()
+    if "optimum" in keys:
+        assert stats["optimum"].keys() == stats.keys() - {"optimum"}
+        assert stats["optimum"]["steps"] >= 1
+    elif command == "solve-nonatomic":
+        assert "optimum" not in stats
     assert main([command, spec, "--out", str(tmp_path / "plain.json")]) == 0
     assert main([command, spec, "--out", str(tmp_path / "counted.json"), "--stats"]) == 0
     assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "counted.json").read_bytes()

@@ -29,7 +29,7 @@ from chargegame import (
     solve_symmetric_invariant,
     wardrop_gap,
 )
-from chargegame.nonatomic import _eliminate_with_certificate
+from chargegame.nonatomic import _eliminate_with_certificate, _gram_solve
 
 COST_DEPENDENT_EXO = (0.1, 0.2, 0.3, 0.4, 0.5, 0.2, 0.2, 0.3, 0.2, 0.1, 0.2)
 
@@ -273,6 +273,15 @@ NARROW_SPANS = (6, 8, 10, 12, 6, 8, 10, 12)
 WIDE_SPANS = (16, 20, 24, 28, 16, 20, 24, 28)
 
 
+def daily_load(rng, T, base, swing):
+    """Exogenous load: a daily sine of random phase plus noise."""
+    phase = rng.uniform(0, 2 * math.pi)
+    return [
+        max(0.05, base + swing * math.sin(2 * math.pi * t / T + phase) + rng.gauss(0, 0.05))
+        for t in range(T)
+    ]
+
+
 def daily_fleet(seed, spans, base=2.0, swing=0.8):
     """T=96 fleet of eight classes under a noisy daily sine load.
 
@@ -284,11 +293,7 @@ def daily_fleet(seed, spans, base=2.0, swing=0.8):
     """
     rng = random.Random(seed)
     T = 96
-    phase = rng.uniform(0, 2 * math.pi)
-    exo = [
-        max(0.05, base + swing * math.sin(2 * math.pi * t / T + phase) + rng.gauss(0, 0.05))
-        for t in range(T)
-    ]
+    exo = daily_load(rng, T, base, swing)
     spans = list(spans)
     durations = [4, 6, 8, 10, 4, 6, 8, 10]
     rng.shuffle(spans)
@@ -364,20 +369,59 @@ def test_class_costs_are_window_sums_of_the_slot_costs(cost):
 
 
 @pytest.mark.parametrize(
-    "inst, cost",
-    [(daily_fleet(5, WIDE_SPANS), Monomial(1, 2)), (cost_dependent_instance(), SquareRoot())],
+    "inst, cost, falls_back",
+    # on the cost-dependent instance a half step along the arc is kept
+    # where the full projected step does not raise the potential
+    [(daily_fleet(5, WIDE_SPANS), Monomial(1, 2), True), (cost_dependent_instance(), SquareRoot(), False)],
     ids=["wide-fleet-L2", "cost-dependent-sqrt"],
 )
-def test_solver_stats_show_projected_and_fallback_steps(inst, cost):
+def test_solver_stats_show_projected_and_fallback_steps(inst, cost, falls_back):
     eq = solve_equilibrium(inst, cost)
     stats = eq.stats
     assert (stats["steps"], stats["evals"]) == (eq.iterations, eq.cost_evaluations)
-    assert stats["projected"] >= 1 and stats["fallbacks"] >= 1
-    # a fallback drops at most one start, so some kept projection dropped several
-    assert stats["drops"] - stats["fallbacks"] > stats["projected"]
+    assert stats["projected"] >= 1 and stats["arc"] >= 1
+    assert (stats["fallbacks"] >= 1) == falls_back
+    # a fallback drops at most one start and an arc step may drop none, so
+    # some full-step projection dropped several
+    assert stats["drops"] - stats["fallbacks"] > stats["projected"] - stats["arc"]
+    assert stats["arc"] <= stats["projected"]
     assert stats["projected"] + stats["fallbacks"] <= stats["steps"]
     assert all(stats[k] >= 0.0 for k in ("jacobian_s", "solve_s", "cost_s", "check_s"))
     assert wardrop_gap(inst, cost, eq.profile) <= 1e-9
+
+
+def many_class_fleet(K, power=20):
+    """T=96 fleet of K classes of weight 1/K under ``daily_fleet``'s load,
+    each with 6-28 start slots and a duration of 4, 6, 8 or 10."""
+    rng = random.Random(K)
+    T = 96
+    exo = daily_load(rng, T, 2.0, 0.8)
+    classes = []
+    for _ in range(K):
+        n, C = rng.randint(6, 28), rng.choice((4, 6, 8, 10))
+        a = rng.randint(1, T - (n + C - 1) + 1)
+        classes.append((1.0 / K, a, a + n + C - 2, C))
+    return NonatomicInstance.create(T, classes, power=power, exogenous=exo)
+
+
+def test_solver_solves_a_many_class_fleet_within_budget():
+    # an n x n least-squares Newton step (n active starts, rank at most T)
+    # needs 781 evaluations here
+    inst, cost = many_class_fleet(128), Monomial(1, 2)
+    eq = solve_equilibrium(inst, cost, budget=500)
+    assert wardrop_gap(inst, cost, eq.profile) <= 1e-9
+
+
+@pytest.mark.parametrize("m", [7, 20, 45], ids=["m<T", "m=T", "m>T"])
+def test_gram_solve_is_the_pseudoinverse_solution(m):
+    rng = np.random.default_rng(m)
+    T = 20
+    for rank in (1, 5, min(m, T) - 1, min(m, T)):
+        B = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, T))
+        for r in (rng.standard_normal(m), B @ rng.standard_normal(T)):
+            want = np.linalg.pinv(B @ B.T) @ r
+            got = _gram_solve(B, r)
+            assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
 
 def test_solver_matches_the_invariant_solution():
