@@ -506,12 +506,19 @@ class _BlockKernel:
                 bar -= err
             elif self.dtype == np.float64:
                 bar -= _REL_MARGIN * np.maximum(1.0, np.abs(bar))
-            better = self.better[:A, :m]  # some move from the start gains
-            better.fill(False)
+            present = block.present[first : first + A]
+            # the prefixes a move within C slots reads: rows lo+1 .. lo+A+C-2
+            Fnear, Gnear = Fpre[lo + 1 : lo + A + C - 1], Gpre[lo + 1 : lo + A + C - 1]
+            cols = None
             # targets at least C away share no slot with the mover's window:
             # the cheapest of them on either side decides.  fmin never rounds,
-            # and it skips NaN, which no comparison finds smaller.
+            # and it skips NaN, which no comparison finds smaller.  On the
+            # bundled sweeps this test leaves a few percent of the rows, so
+            # the nearer moves below see only the columns still NE, gathered
+            # into fresh arrays.
             if A > C:
+                better = self.better[:A, :m]  # some distant move from the start gains
+                better.fill(False)
                 cheapest = self.tmp[: A - C, :m]
                 np.copyto(cheapest, moved[: A - C])  # cheapest of moved[0..i]
                 for i in range(1, A - C):
@@ -521,18 +528,30 @@ class _BlockKernel:
                 for i in range(A - C - 1, 0, -1):
                     np.fmin(cheapest[i], cheapest[i - 1], out=cheapest[i - 1])
                 better[: A - C] |= np.less(cheapest, bar[: A - C], out=hit[: A - C])
+                better &= present
+                ne &= ~better.any(0)
+                cols = np.flatnonzero(ne)
+                if C == 1 or not cols.size:
+                    continue
+                bar, moved, present, Fnear, Gnear = (x.take(cols, axis=1) for x in (bar, moved, present, Fnear, Gnear))
+            k = bar.shape[1]
+            better = self.better[:A, :k]  # some nearer move from the start gains
+            better.fill(False)
             # starts p and p + d < p + C share the slots lo+p+d .. lo+p+C-1, in
             # either direction of the move: the new window gains P except there
             for d in range(1, min(A, C)):
                 n = A - d
-                og = np.subtract(Gpre[lo + C : lo + C + n], Gpre[lo + d : lo + A], out=self.og[:n, :m])
-                of = np.subtract(Fpre[lo + C : lo + C + n], Fpre[lo + d : lo + A], out=self.of[:n, :m])
+                og = np.subtract(Gnear[C - 1 : C - 1 + n], Gnear[d - 1 : A - 1], out=self.og[:n, :k])
+                of = np.subtract(Fnear[C - 1 : C - 1 + n], Fnear[d - 1 : A - 1], out=self.of[:n, :k])
                 for target, mover in ((slice(d, A), slice(0, n)), (slice(0, n), slice(d, A))):
-                    new = np.subtract(moved[target], og, out=self.tmp[:n, :m])
+                    new = np.subtract(moved[target], og, out=self.tmp[:n, :k])
                     new += of
-                    better[mover] |= np.less(new, bar[mover], out=hit[:n])
-            better &= block.present[first : first + A]
-            ne &= ~better.any(0)
+                    better[mover] |= np.less(new, bar[mover], out=hit[:n, :k])
+            better &= present
+            if cols is None:
+                ne &= ~better.any(0)
+            else:
+                ne[cols] = ~better.any(0)
         return ne, Fpre[T], err
 
 

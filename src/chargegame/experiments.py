@@ -3,15 +3,16 @@
 Every sweep produces ``DataSeries`` records; ``emit_data`` serializes them as
 two-column text files named ``<sweep>_<seriesLabel>.dat`` (17 significant
 digits) next to a ``<sweep>_manifest.json`` listing the files with their
-SHA-256 hashes.  Output depends only on the spec, never on thread count or
-wall clock, so reruns are byte-identical.
+SHA-256 hashes.  Output depends only on the spec, never on the number of
+grid points solved at once or on wall clock, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent import futures
+import os
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -155,12 +156,34 @@ class DataSeries:
         return f"{self.sweep}_{self.label}.dat"
 
 
+def _call(job):
+    return job()
+
+
 def _run_jobs(jobs, threads: int):
-    # jobs: list of zero-argument callables; results in submission order
-    if threads <= 1:
-        return [job() for job in jobs]
-    with futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda job: job(), jobs))
+    """Results of ``jobs``, picklable zero-argument callables, in order.
+
+    Up to ``threads`` of them run at once on worker processes forked from
+    this one (copy-on-write, so a worker imports nothing), never more
+    workers than CPUs.  The first job to raise cancels the jobs not yet
+    started, and its exception is raised here.  With one worker, or where
+    ``fork`` is unavailable, the jobs run here one after the other: a
+    spawned worker would import numpy afresh, which takes longer than a
+    bundled sweep.
+    """
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here: they would add tens of milliseconds to every start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                return list(pool.map(_call, jobs, chunksize=1))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [job() for job in jobs]
 
 
 def _atomic_instance(spec: SweepSpec, I: int, C: int) -> AtomicInstance:
@@ -192,11 +215,14 @@ def _atomic_point(spec: SweepSpec, I: int, C: int) -> tuple:
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[DataSeries, ...]:
-    """Evaluate a sweep, up to ``threads`` instances at once.
+    """Evaluate a sweep, up to ``threads`` jobs at once.
 
-    Each atomic instance is one job.  An ``efficiency-vs-power`` series has
-    one instance, and ``efficiencies`` scans its configurations once for
-    every exponent; the other kinds solve one instance per grid point.
+    Each atomic instance is one job, and so is each cost of a nonatomic
+    counter-example.  An ``efficiency-vs-power`` series has one instance,
+    and ``efficiencies`` scans its configurations once for every exponent;
+    the other kinds solve one instance per grid point.  With ``threads``
+    above one the jobs run on forked worker processes, at most one per CPU
+    (see ``_run_jobs``); the result does not depend on ``threads``.
     """
     by_C = [(I, C) for C in spec.C_values for I in spec.I_values]
     by_I = [(I, C) for I in spec.I_values for C in spec.C_values]
@@ -210,7 +236,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[DataSeries, ...]:
     }
     if spec.kind in grids:
         xs, prefix, keys, points, meta = grids[spec.kind]
-        jobs = [(lambda I=I, C=C: _atomic_point(spec, I, C)) for I, C in points]
+        jobs = [partial(_atomic_point, spec, I, C) for I, C in points]
         # jobs run series by series, so the y values come out series-major
         values = [y for ys in _run_jobs(jobs, threads) for y in ys]
         n = len(xs)
@@ -222,10 +248,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[DataSeries, ...]:
     slots = tuple(range(1, spec.T + 1))
     if spec.kind == "nonatomic-counterexample":
         instance = _nonatomic_instance(spec, spec.C_values[0])
-        jobs = [
-            (lambda c=c: solve_equilibrium(instance, c, tol=spec.tol, budget=spec.budget))
-            for c in spec.costs
-        ]
+        jobs = [partial(solve_equilibrium, instance, c, tol=spec.tol, budget=spec.budget) for c in spec.costs]
         return tuple(
             DataSeries(
                 spec.label,

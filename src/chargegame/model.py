@@ -522,7 +522,7 @@ class MixedProfile:
     distributions: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        dists = tuple(tuple(float(v) for v in row) for row in self.distributions)
+        dists = tuple(tuple(map(float, row)) for row in self.distributions)
         object.__setattr__(self, "distributions", dists)
         inst = self.instance
         T = inst.horizon.T
@@ -531,14 +531,17 @@ class MixedProfile:
         for k, row in enumerate(dists):
             if len(row) != T:
                 raise ValueError(f"class {k}: distribution has {len(row)} entries for T={T}")
-            allowed = set(action_set(inst, k))
-            for t, v in enumerate(row, start=1):
-                if v < -1e-12:
-                    raise ValueError(f"class {k}: negative mass {v} in slot {t}")
-                if t not in allowed and abs(v) > 1e-12:
-                    raise ValueError(f"class {k}: mass {v} outside action set in slot {t}")
+            allowed = action_set(inst, k)
+            outside = row[: allowed.start - 1] + row[allowed.stop - 1 :]
+            if min(row) < -1e-12 or max(map(abs, outside), default=0.0) > 1e-12:
+                # the first offending slot names the error
+                for t, v in enumerate(row, start=1):
+                    if v < -1e-12:
+                        raise ValueError(f"class {k}: negative mass {v} in slot {t}")
+                    if t not in allowed and abs(v) > 1e-12:
+                        raise ValueError(f"class {k}: mass {v} outside action set in slot {t}")
             total = math.fsum(row)
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:  # a NaN mass fails here
                 raise ValueError(f"class {k}: start distribution sums to {total!r}, not 1")
 
     def start_mass(self) -> np.ndarray:

@@ -84,6 +84,10 @@ class ConvergenceError(RuntimeError):
         self.profile = profile
         self.gap = gap
 
+    def __reduce__(self):
+        # rebuilt from all three fields, as when a sweep's worker process raises it
+        return type(self), (*self.args, self.profile, self.gap)
+
 
 class InvarianceConditionError(ValueError):
     """The exogenous load fails the invariant-equilibrium inequality."""
@@ -149,7 +153,7 @@ def _wardrop_gap_of(costs: np.ndarray, Y: np.ndarray) -> float:
 
 
 def _profile_from_matrix(instance: NonatomicInstance, Y: np.ndarray) -> MixedProfile:
-    return MixedProfile(instance, tuple(tuple(float(v) for v in row) for row in Y))
+    return MixedProfile(instance, tuple(map(tuple, Y.tolist())))
 
 
 def _gram_solve(B: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -197,12 +201,13 @@ def wardrop_gap(
 ) -> float:
     """Worst excess of a supported start's cost over the class minimum."""
     loads = np.asarray(instance.exogenous, dtype=float) + instance.power * profile.occupancy_mass()
+    slot_costs = cost(loads).tolist()  # one cost call; each window sums in slot order
     worst = 0.0
     for k in range(instance.K):
         C = instance.classes[k].duration
         costs = {}
         for t in action_set(instance, k):
-            costs[t] = float(sum(cost(loads[tau - 1]) for tau in range(t, t + C)))
+            costs[t] = float(sum(slot_costs[t - 1 : t - 1 + C]))
         cheapest = min(costs.values())
         for t, sigma in enumerate(profile.distributions[k], start=1):
             if sigma > SUPPORT_THRESHOLD:
@@ -405,7 +410,7 @@ def solve_equilibrium(
         profile=profile,
         wardrop_gap=gap,
         potential_value=potential_nonatomic(instance, cost, profile),
-        class_costs=tuple(tuple(float(v) for v in row) for row in costs),
+        class_costs=tuple(map(tuple, costs.tolist())),
         iterations=stats["steps"],
         cost_evaluations=stats["evals"],
         stats=stats,

@@ -755,6 +755,41 @@ def test_block_kernel_matches_plain_python_rows(dtype):
     assert min(shapes.values()) > 0
 
 
+@pytest.mark.parametrize("dtype", ["int64", "object", "float64", "certified"])
+@pytest.mark.parametrize("shape", ["A<=C", "A=C+1", "A>>C"])
+def test_block_kernel_screen_keeps_every_flag(dtype, shape):
+    # the distant-move test screens the rows before the nearer moves, which
+    # see only the columns still NE; with A <= C there is no distant target
+    # and nothing is screened.  A second, shorter window on some trials makes
+    # the columns another group refuted drop out of the screen as well
+    rng = random.Random(3302)
+    cost = {"int64": Monomial(1, 3), "object": Monomial(1, 38), "float64": SquareRoot(), "certified": Monomial(1, 38)}[dtype]
+    for trial in range(6):
+        C = rng.randint(1, 4)
+        A = {"A<=C": rng.randint(1, C), "A=C+1": C + 1, "A>>C": 3 * C + rng.randint(1, 3)}[shape]
+        T = A + C - 1
+        windows = [(1, T, C)] * rng.randint(1, 4) + [(2, T, min(C, T - 1))] * (trial % 2)
+        exo = [rng.randint(0, 3) if dtype != "float64" else rng.uniform(0.0, 3.0) for _ in range(T)]
+        inst = AtomicInstance.create(T, windows, exogenous=exo)
+        groups = _class_groups(inst)
+        scan_dtype = {"int64": np.int64, "float64": np.float64}.get(dtype, object)
+        v = np.arange(inst.I + 2).astype(scan_dtype)
+        table = cost(np.asarray(inst.exogenous, dtype=scan_dtype)[:, None] + inst.power * v)
+        if dtype == "certified":
+            table = table.astype(np.float64)
+        loaded, kernel = _Block(groups, T, inst.I + 2), _BlockKernel(groups, table.dtype)
+        margin = 1e-12 if dtype == "float64" else 0
+        for block in _configuration_blocks([(n, A) for _, _, n, _, A in groups], rng.randint(1, 50)):
+            ne, tc, err = kernel(loaded.load(block), table, certify=dtype == "certified")
+            for r, row in enumerate(block):
+                is_ne, total, _ = row_oracle(inst, cost, groups, row, margin)
+                if dtype == "certified":
+                    assert ne[r] or not is_ne
+                    assert abs(Fraction(tc[r]) - total) <= Fraction(err[r])
+                else:
+                    assert ne[r] == is_ne, (T, windows, row.tolist())
+
+
 @pytest.mark.parametrize("max_rows", [1, 3, 7, 10**6])
 def test_composition_blocks_match_brute_force(max_rows):
     for total in range(5):

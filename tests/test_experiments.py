@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
+import pickle
 import runpy
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +25,7 @@ from chargegame import (
     solve_equilibrium,
 )
 from chargegame import atomic
+from chargegame.atomic import BudgetExceededError, IterationBudgetError
 from chargegame.cli import main
 from chargegame.experiments import (
     ATOMIC_COUNTEREXAMPLE,
@@ -31,6 +36,7 @@ from chargegame.experiments import (
     run_counterexamples,
     run_sweep,
 )
+from chargegame.nonatomic import ConvergenceError
 from chargegame.fileio import (
     cost_from_dict,
     cost_label,
@@ -425,6 +431,78 @@ def test_cli_sweep(tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["sweep", str(spec_path), "--out", str(pooled), "--threads", bad])
         assert err.value.code == 2
+
+
+def test_refusals_survive_a_pickle_round_trip():
+    # a sweep's worker process sends its refusal back pickled
+    with pytest.raises(BudgetExceededError) as budget:
+        efficiency(AtomicInstance.symmetric(6, 3, 2), Monomial(1, 2), budget=5)
+    back = pickle.loads(pickle.dumps(budget.value))
+    assert type(back) is BudgetExceededError and str(back) == str(budget.value)
+    assert back.partial is not None and back.partial == budget.value.partial
+
+    instance = NonatomicInstance.symmetric(11, 5, exogenous=NONATOMIC_COUNTEREXAMPLE.exogenous, departure=10)
+    with pytest.raises(ConvergenceError) as convergence:
+        solve_equilibrium(instance, SquareRoot(), budget=1)
+    back = pickle.loads(pickle.dumps(convergence.value))
+    assert type(back) is ConvergenceError and str(back) == str(convergence.value)
+    assert back.profile is not None and back.profile == convergence.value.profile
+    assert back.gap == convergence.value.gap
+
+    back = pickle.loads(pickle.dumps(IterationBudgetError("no equilibrium after 3 sweeps")))
+    assert type(back) is IterationBudgetError and str(back) == "no equilibrium after 3 sweeps"
+
+
+def test_sweep_workers_are_gone_after_a_run_and_after_a_refusal():
+    spec = SweepSpec(kind="ne-proportion", label="tiny", T=5, I_values=(1, 2, 3), C_values=(2, 3))
+    assert run_sweep(spec, threads=2) == run_sweep(spec, threads=1)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ConvergenceError):
+        run_sweep(replace(NONATOMIC_COUNTEREXAMPLE, budget=1), threads=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_asks_for_at_most_one_worker_per_cpu(tmp_path, monkeypatch):
+    # a stand-in pool records the size asked for and runs the jobs here, so
+    # no process is started
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context):
+            asked.append(max_workers)
+
+        def map(self, fn, jobs, chunksize):
+            return map(fn, jobs)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    spec = SweepSpec(kind="ne-proportion", label="tiny", T=5, I_values=(1, 2, 3), C_values=(2, 3))
+    spec_path = tmp_path / "spec.json"
+    dump_json(spec.to_dict(), spec_path)
+    assert main(["sweep", str(spec_path), "--out", str(tmp_path / "out"), "--threads", "10000"]) == 0
+    assert asked == ([3] if "fork" in multiprocessing.get_all_start_methods() else [])
+
+
+@pytest.mark.parametrize("spec_name, error", [("atomic", "BudgetExceededError"), ("nonatomic", "ConvergenceError")])
+def test_cli_sweep_reports_a_pooled_refusal_like_a_serial_one(tmp_path, capsys, spec_name, error):
+    if spec_name == "atomic":
+        spec_path = DEMOS / "specs" / "equilibrium_proportion.json"
+    else:
+        spec_path = tmp_path / "spec.json"
+        dump_json(NONATOMIC_COUNTEREXAMPLE.to_dict(), spec_path)
+    lines = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        assert main(["sweep", str(spec_path), "--out", str(out), "--budget", "5", "--threads", threads]) == 3
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1]
+    assert lines[0].startswith(f"{error}: ") and lines[0].count("\n") == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_solve_atomic(tmp_path):

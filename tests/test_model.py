@@ -327,6 +327,26 @@ def test_mixed_profile_validation():
         MixedProfile(inst, ((0.3, 0.3, 0, 0, 0, 0),))  # does not sum to one
 
 
+def test_mixed_profile_names_the_first_offending_slot():
+    # class 1 may start in slots 2..3 only
+    inst = NonatomicInstance.create(T=6, classes=[(0.4, 1, 6, 2), (0.6, 2, 5, 3)])
+    good = (0.2, 0.2, 0.2, 0.2, 0.2, 0.0)
+    MixedProfile(inst, (good, (0.0, 0.5, 0.5, 1e-13, -1e-13, 0.0)))
+    cases = [
+        ((0.0, 0.5, 0.5, 0.0, 0.0, 0.25), "class 1: mass 0.25 outside action set in slot 6"),
+        ((0.1, 0.5, 0.4, 0.0, 0.0, 0.0), "class 1: mass 0.1 outside action set in slot 1"),
+        ((0.0, 1.5, -0.5, 0.0, 0.0, 0.0), "class 1: negative mass -0.5 in slot 3"),
+        ((0.0, 1.5, 0.0, 0.0, -0.5, 0.0), "class 1: negative mass -0.5 in slot 5"),
+        ((0.0, 0.75, -0.25, 0.5, 0.0, 0.0), "class 1: negative mass -0.25 in slot 3"),
+        ((0.0, 0.5, 0.25, 0.0, 0.0, 0.0), "class 1: start distribution sums to 0.75, not 1"),
+        ((0.0, 0.5, math.nan, 0.0, 0.0, 0.0), "class 1: start distribution sums to nan, not 1"),
+    ]
+    for row, message in cases:
+        with pytest.raises(ValueError) as err:
+            MixedProfile(inst, (good, row))
+        assert str(err.value) == message
+
+
 def test_mixed_profile_masses():
     inst = NonatomicInstance.symmetric(T=6, C=2)
     prof = MixedProfile.from_start_mass(inst, (0.5, 0, 0, 0, 0.5, 0))
