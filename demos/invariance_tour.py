@@ -66,7 +66,7 @@ except Exception as err:
     print(f"  {type(err).__name__}: {err}")
 
 # a gentler cliff can sneak past the inequality and still have no
-# nonnegative solution; the elimination certificate is the real gate
+# nonnegative solution; the sign of the exact solution is the real gate
 sneaky = NonatomicInstance.symmetric(10, 3, exogenous=(0.0,) * 9 + (9.0,))
 if check_invariance_condition(sneaky):
     try:

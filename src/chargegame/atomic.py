@@ -50,6 +50,7 @@ from .model import (
     Number,
     StrategyProfile,
     _coerce_profile,
+    _is_int,
     action_set,
 )
 
@@ -127,14 +128,17 @@ class EfficiencyReport:
 def resolve_budget(budget: Optional[int], default: int = DEFAULT_BUDGET) -> int:
     """Explicit argument, else ``CHARGE_GAME_BUDGET`` env var, else the default.
 
-    Raises ``ValueError`` on a budget below 1, whichever source it came from.
+    Raises ``ValueError`` on a budget below 1 from either source, or an
+    explicit budget that is not an int (a bool is not).
     """
     if budget is None:
         budget = os.environ.get(BUDGET_ENV_VAR) or default
-    try:
-        budget = int(budget)
-    except (TypeError, ValueError):
-        raise ValueError(f"budget must be an integer, got {budget!r}") from None
+        try:
+            budget = int(budget)
+        except ValueError:
+            raise ValueError(f"budget must be an integer, got {budget!r}") from None
+    elif not _is_int(budget):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     return budget

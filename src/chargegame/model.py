@@ -45,7 +45,7 @@ class TimeHorizon:
     T: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.T, int) or self.T < 1:
+        if not _is_int(self.T) or self.T < 1:
             raise ValueError(f"horizon length must be a positive integer, got {self.T!r}")
 
 
@@ -126,6 +126,11 @@ def _is_finite(v) -> bool:
 def _is_real(v) -> bool:
     # JSON true/false arrive as bool, which Python counts as an int
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    # the one rule for counts, slots and budgets read from outside
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _real(value, what: str) -> Number:
@@ -287,7 +292,7 @@ def _validate_power(power) -> Number:
 
 
 def _validate_window(a: int, d: int, C: int, T: int, who: str) -> None:
-    if not (isinstance(a, int) and isinstance(d, int) and isinstance(C, int)):
+    if not (_is_int(a) and _is_int(d) and _is_int(C)):
         raise ValueError(f"{who}: arrival, departure and duration must be integers")
     if not (1 <= a <= d <= T):
         raise ValueError(f"{who}: window [{a}, {d}] does not fit in 1..{T}")
@@ -356,7 +361,7 @@ class AtomicInstance:
     @classmethod
     def symmetric(cls, T, I, C, power=1, exogenous=None, arrival=1, departure=None) -> "AtomicInstance":
         """``I`` identical players, full-horizon window unless told otherwise."""
-        if not isinstance(I, numbers.Integral):
+        if not _is_int(I):
             raise ValueError(f"player count must be an integer, got {I!r}")
         d = T if departure is None else departure
         return cls.create(T, [(arrival, d, C)] * I, power=power, exogenous=exogenous)

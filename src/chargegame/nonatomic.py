@@ -29,8 +29,10 @@ For symmetric instances whose exogenous load satisfies the invariance
 inequality checked by ``check_invariance_condition``, the equilibrium does
 not depend on the cost function at all and solves a small banded linear
 system; ``solve_symmetric_invariant`` builds it and solves it by one
-pivot-free Gaussian elimination whose signs certify the solution
-nonnegative, rather than by inspection of a floating-point solve.
+pivot-free Gaussian elimination in exact rationals of the data.  A
+nonnegative solution makes the load C-periodic, so every start sees the
+same window loads under any cost: the sign of the exact solution is the
+whole certificate.
 
 Social optima reuse the same machinery through marginal pricing: minimizing
 total grid cost is the same program as equilibrating the game whose per-slot
@@ -44,6 +46,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -94,7 +97,7 @@ class InvarianceConditionError(ValueError):
 
 
 class PositivityCertificateError(RuntimeError):
-    """The elimination certificate could not prove the solution nonnegative."""
+    """The exact equal-load system has a zero pivot or needs negative mass."""
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,9 @@ class SymmetricLinearSystem:
 
     Row ``t`` (one per consecutive start pair) encodes "the load repeats with
     period C": occupancy(t) - occupancy(t+C) must equal the exogenous load
-    increment.  The last row normalizes total start mass to one.  ``pivots``
-    and ``certified`` report the elimination-based nonnegativity certificate.
+    increment.  The last row normalizes total start mass to one.  Every
+    field is the float of its exact value: ``pivots`` are the elimination's,
+    and ``certified`` is True, since only a nonnegative solution is returned.
     """
 
     matrix: tuple[tuple[float, ...], ...]
@@ -422,14 +426,17 @@ def solve_equilibrium(
 # ---------------------------------------------------------------------------
 
 
-def _require_symmetric_full_window(instance: NonatomicInstance) -> tuple[int, int]:
+def _require_symmetric_full_window(instance: NonatomicInstance) -> tuple[int, int, list[Fraction]]:
+    """``T``, ``C`` and the exogenous load in units of the charging power, in
+    exact rationals of the data (every float, numpy's too, is one)."""
     if instance.K != 1:
         raise ValueError("invariant-equilibrium analysis needs a single class")
     a, d, C = instance.window(0)
     T = instance.horizon.T
     if (a, d) != (1, T):
         raise ValueError("invariant-equilibrium analysis needs a full-horizon window")
-    return T, C
+    P, *exo = (Fraction(v if isinstance(v, int) else float(v)) for v in (instance.power, *instance.exogenous))
+    return T, C, [v / P for v in exo]
 
 
 @dataclass(frozen=True)
@@ -461,82 +468,79 @@ def check_invariance_condition(instance: NonatomicInstance) -> InvarianceCheck:
         q * e[T-1] - sum_{k=1..q} e[T-1-kC]  <  1,
 
     ``e`` being the exogenous load divided by the charging power and slots
-    numbered from one.  The condition is sufficient, not tight: the
-    elimination certificate in ``solve_symmetric_invariant`` is what finally
-    vouches for the solution.  Raises ``ValueError`` when the geometry makes
-    index ``T-1-qC`` fall off the horizon (only possible when ``C`` plus the
+    numbered from one.  All three are decided in exact rationals of the
+    data, and ``lhs`` is the float of the exact left side.  The condition is
+    sufficient, not tight: the sign of the exact solution in
+    ``solve_symmetric_invariant`` is what finally vouches for the
+    equilibrium.  Raises ``ValueError`` when the geometry makes index
+    ``T-1-qC`` fall off the horizon (only possible when ``C`` plus the
     remainder of that division is below 3).
     """
-    T, C = _require_symmetric_full_window(instance)
+    T, C, e = _require_symmetric_full_window(instance)
     q = (T - C + 1) // C
-    e = [v / instance.power for v in instance.exogenous]
     diffs = [b - a for a, b in zip(e, e[1:])]
-    nondecreasing = all(d >= 0.0 for d in diffs)
+    nondecreasing = all(d >= 0 for d in diffs)
     convex = all(d2 >= d1 for d1, d2 in zip(diffs, diffs[1:]))
     if q == 0:
-        return InvarianceCheck(bool(nondecreasing), bool(convex), True, 0.0, q)
-    if T < 2 or T - 1 - q * C < 1:
+        return InvarianceCheck(nondecreasing, convex, True, 0.0, q)
+    if T - 1 - q * C < 1:
         raise ValueError(
             f"invariance condition is undefined for T={T}, C={C}: "
             f"index T-1-qC = {T - 1 - q * C} leaves the horizon"
         )
     lhs = q * e[T - 2] - sum(e[T - 2 - k * C] for k in range(1, q + 1))
-    # bool()/float() strip numpy scalars when the exogenous load is an ndarray
-    return InvarianceCheck(bool(nondecreasing), bool(convex), bool(lhs < 1.0), float(lhs), q)
+    return InvarianceCheck(nondecreasing, convex, lhs < 1, float(lhs), q)
 
 
-def _eliminate_with_certificate(A: np.ndarray, b: np.ndarray):
+def _exact_system(instance: NonatomicInstance) -> tuple[list[list[int]], list[Fraction]]:
+    """The banded equal-load system in exact rationals of the data: one row
+    per consecutive start pair ``(t, t+1)``, then the unit-mass row."""
+    T, C, e = _require_symmetric_full_window(instance)
+    N = T - C + 1
+    # row t: +1 on the starts charging in slot t, -1 on those charging in t + C
+    A = [[(t - C < s <= t) - (t < s <= t + C) for s in range(1, N + 1)] for t in range(1, N)]
+    b = [e[t + C - 1] - e[t - 1] for t in range(1, N)]
+    return A + [[1] * N], b + [Fraction(1)]
+
+
+def _solve_nonnegative(A, b) -> tuple[list[Fraction], list[Fraction]]:
     """Pivot-free Gaussian elimination in natural row order, then
-    back-substitution.
+    back-substitution, in exact rationals; returns (pivots, solution).
 
-    Returns (pivots, certified, solution): the certificate holds when every
-    pivot is positive, the transformed right-hand side stays nonnegative and
-    the remaining above-diagonal entries are nonpositive, which together make
-    the back-substituted solution nonnegative.  ``solution`` is None when a
-    pivot vanishes.
+    Rows keep only their nonzero entries, and each step reads only the
+    pivot row's.  A zero pivot or a negative entry of the solution raises
+    ``PositivityCertificateError``.
     """
-    n = A.shape[0]
-    M = A.astype(float).copy()
-    v = b.astype(float).copy()
-    tol = 1e-11
-    for t in range(n):
-        pivot = M[t, t]
-        if pivot <= tol:
-            return tuple(np.diag(M)), False, None
-        for j in range(t + 1, n):
-            if M[j, t] != 0.0:
-                ratio = M[j, t] / pivot
-                M[j, t:] -= ratio * M[t, t:]
+    rows = [{u: Fraction(a) for u, a in enumerate(row) if a} for row in A]
+    v = [Fraction(c) for c in b]
+    pivots = []
+    for t in range(len(rows)):
+        pivot = rows[t].pop(t, 0)
+        if not pivot:
+            raise PositivityCertificateError(f"elimination meets a zero pivot in row {t + 1}")
+        pivots.append(pivot)
+        pivot_row = rows[t] = {u: a for u, a in rows[t].items() if a}  # most entries cancel to 0
+        for j, row in enumerate(rows[t + 1 :], t + 1):
+            m = row.pop(t, 0)
+            if m:
+                ratio = m / pivot
+                for u, a in pivot_row.items():
+                    row[u] = row.get(u, 0) - ratio * a
                 v[j] -= ratio * v[t]
-                M[j, t] = 0.0
-    pivots = tuple(float(M[t, t]) for t in range(n))
-    certified = bool(
-        all(p > tol for p in pivots)
-        and np.all(v >= -tol)
-        and all(M[t, u] <= tol for t in range(n) for u in range(t + 1, n))
-    )
-    x = np.zeros(n)
-    for t in reversed(range(n)):
-        x[t] = (v[t] - M[t, t + 1 :] @ x[t + 1 :]) / M[t, t]
-    return pivots, certified, x
+    x = [Fraction(0)] * len(rows)
+    for t in reversed(range(len(rows))):
+        x[t] = (v[t] - sum(a * x[u] for u, a in rows[t].items())) / pivots[t]
+    if min(x) < 0:
+        raise PositivityCertificateError(f"the equal-load system needs negative start mass {float(min(x)):.3g}")
+    return pivots, x
 
 
 def build_symmetric_system(instance: NonatomicInstance) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the banded equal-load system (one row per consecutive start
-    pair, plus the unit-mass row)."""
-    T, C = _require_symmetric_full_window(instance)
-    N = T - C + 1
-    P = instance.power
-    e = [v / P for v in instance.exogenous]
-    A = np.zeros((N, N))
-    b = np.zeros(N)
-    for t in range(1, N):  # row for start pair (t, t+1), 1-based
-        A[t - 1, max(1, t - C + 1) - 1 : t] = 1.0
-        A[t - 1, t : min(t + C, N)] = -1.0
-        b[t - 1] = e[t + C - 1] - e[t - 1]
-    A[N - 1, :] = 1.0
-    b[N - 1] = 1.0
-    return A, b
+    pair, plus the unit-mass row): the float image of the exact system that
+    ``solve_symmetric_invariant`` solves."""
+    A, b = _exact_system(instance)
+    return np.array(A, dtype=float), np.array([float(c) for c in b])
 
 
 def solve_symmetric_invariant(
@@ -545,12 +549,13 @@ def solve_symmetric_invariant(
     """Cost-independent equilibrium of a symmetric instance, via linear algebra.
 
     Requires the invariance inequality to hold (``InvarianceConditionError``
-    otherwise).  The solve is certified nonnegative by elimination
-    (``PositivityCertificateError`` if the certificate fails) and, as a
-    postcondition, re-verified to be a Wardrop equilibrium under square,
-    fourth-power and square-root costs at gap 1e-7.
+    otherwise).  The banded system is solved in exact rationals of the data,
+    and its solution, whose floats are the start masses, is the equilibrium
+    exactly when it is nonnegative (``PositivityCertificateError``
+    otherwise).  As a postcondition the profile is re-verified to be a
+    Wardrop equilibrium under square, fourth-power and square-root costs at
+    gap 1e-7.
     """
-    T, C = _require_symmetric_full_window(instance)
     check = check_invariance_condition(instance)
     if not check:
         raise InvarianceConditionError(
@@ -558,35 +563,20 @@ def solve_symmetric_invariant(
             f"(nondecreasing={check.nondecreasing}, convex={check.convex}, "
             f"inequality={check.inequality_holds})"
         )
-    A, b = build_symmetric_system(instance)
-    pivots, certified, x = _eliminate_with_certificate(A, b)
-    if not certified:
-        raise PositivityCertificateError(
-            "elimination could not certify a nonnegative start-mass solution"
-        )
-    residual = float(np.max(np.abs(A @ x - b)))
-    if residual > 1e-9:
-        raise RuntimeError(f"linear solve residual {residual:.3e} is suspiciously large")
-
-    N = T - C + 1
-    mass = np.zeros(T)
-    mass[:N] = np.maximum(x, 0.0)
-    mass /= mass.sum()
-    profile = MixedProfile.from_start_mass(instance, mass)
-
+    A, b = _exact_system(instance)
+    pivots, x = _solve_nonnegative(A, b)
+    mass = [float(c) for c in x]
+    profile = MixedProfile.from_start_mass(instance, mass + [0.0] * (instance.horizon.T - len(mass)))
     for probe in (Monomial(1, 2), Monomial(1, 4), SquareRoot()):
         gap = wardrop_gap(instance, probe, profile)
         if gap > 1e-7:
-            raise RuntimeError(
-                f"invariant solution fails the Wardrop postcondition under {probe!r}"
-                f" (gap {gap:.3e})"
-            )
+            raise RuntimeError(f"invariant solution fails the Wardrop postcondition under {probe!r} (gap {gap:.3e})")
     system = SymmetricLinearSystem(
-        matrix=tuple(tuple(float(v) for v in row) for row in A),
-        rhs=tuple(float(v) for v in b),
-        solution=tuple(float(v) for v in x),
-        pivots=pivots,
-        certified=certified,
+        matrix=tuple(tuple(map(float, row)) for row in A),
+        rhs=tuple(map(float, b)),
+        solution=tuple(mass),
+        pivots=tuple(map(float, pivots)),
+        certified=True,
     )
     return profile, system
 

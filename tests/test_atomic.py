@@ -910,7 +910,7 @@ def test_resolve_budget_sources(monkeypatch):
 
 def test_resolve_budget_rejects_budgets_below_one(monkeypatch):
     monkeypatch.delenv("CHARGE_GAME_BUDGET", raising=False)
-    for bad in (0, -5):
+    for bad in (0, -5, True, 2.5, "7", np.int64(7)):
         with pytest.raises(ValueError):
             resolve_budget(bad)
     monkeypatch.setenv("CHARGE_GAME_BUDGET", "-5")

@@ -344,6 +344,10 @@ def test_cost_label():
     assert cost_label(SquareRoot()) == "sqrtL"
     assert cost_label(SquareRoot(2)) == "2sqrtL"
     assert cost_label(CostSum((Monomial(1, 1), Monomial(3, 4)))) == "L1+3L4"
+    with pytest.raises(TypeError):
+        cost_label(5)
+    with pytest.raises(TypeError):
+        cost_to_dict(5)
 
 
 def test_instance_roundtrip_atomic():
@@ -680,12 +684,14 @@ _SPEC_BASES = {
      ("proportion", {"budget": [1]}), ("proportion", {"kind": ["x"]}),
      ("power", {"cost": {"kind": "sqrt", "coefficient": 3}}),
      ("power", {"cost": {"kind": "sum", "terms": [{"kind": "monomial", "coefficient": 5, "exponent": 1},
-                                                  {"kind": "monomial", "coefficient": 2, "exponent": 2}]}})],
+                                                  {"kind": "monomial", "coefficient": 2, "exponent": 2}]}}),
+     ("proportion", {"budget": True}), ("proportion", {"budget": 2.5}), ("proportion", {"budget": "7"}),
+     ("proportion", {"I_values": [True, 2]}), ("proportion", {"C_values": [True]})],
     ids=["budget-0", "unknown-kind", "budgett", "T-0", "C-past-T", "I-0", "I-not-a-list",
          "cost-not-an-object", "exogenous-5", "exponent-x", "exponent-negative", "power-two-I",
          "nonatomic-two-C", "nonatomic-no-C", "atomic-two-C", "costs-5", "tol-x", "label-slash",
          "grid-no-C", "I-not-a-number", "budget-a-list", "kind-a-list", "power-sqrt-cost",
-         "power-sum-cost"],
+         "power-sum-cost", "budget-true", "budget-2.5", "budget-a-string", "I-true", "C-true"],
 )
 def test_cli_sweep_rejects_a_bad_spec_in_one_line(tmp_path, capsys, base, bad):
     spec = {**_SPEC_BASES[base](), **bad}
@@ -750,9 +756,13 @@ def test_cli_solve_rejects_a_bad_instance_in_one_line(tmp_path, capsys, command,
         ("solve-nonatomic", "evening_continuum",
          {"classes": [{"weight": "x", "arrival": 1, "departure": 10, "duration": 5}]}),
         ("solve-atomic", "valley_three_players", {"exogenous": ["x"] * 6}),
+        ("solve-atomic", "valley_three_players", {"players": [{"arrival": True, "departure": 6, "duration": 2}]}),
+        ("solve-atomic", "valley_three_players", {"players": [{"arrival": 1, "departure": 6, "duration": True}]}),
+        ("solve-nonatomic", "evening_continuum",
+         {"T": True, "exogenous": [0.5], "classes": [{"weight": 1.0, "arrival": 1, "departure": 1, "duration": 1}]}),
     ],
     ids=["players-5", "classes-5", "exogenous-5", "cost-5", "exponent-x", "power-x", "weight-x",
-         "exogenous-strings"],
+         "exogenous-strings", "arrival-true", "duration-true", "T-true"],
 )
 def test_cli_solve_rejects_a_malformed_instance_in_one_line(tmp_path, capsys, command, spec_name, change):
     data = {**json.loads((DEMOS / "specs" / f"{spec_name}.json").read_text()), **change}

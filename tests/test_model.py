@@ -154,6 +154,12 @@ def test_monomial_rejects_bad_parameters():
         Monomial(1, "x")
     with pytest.raises(ValueError):
         SquareRoot("x")
+    with pytest.raises(ValueError):
+        SquareRoot(0)
+    with pytest.raises(ValueError):
+        CostSum(())
+    with pytest.raises(TypeError):
+        CostSum((1,))
 
 
 def test_pricing_functions():
@@ -164,6 +170,13 @@ def test_pricing_functions():
     assert double.check_increasing([0, 1, 2, 5])
     shrink = PricingMap(lambda x: -x, "neg")
     assert not shrink.check_increasing([0, 1, 2])
+    # a sequence gives one map per player (atomic) or per class (nonatomic)
+    inst = AtomicInstance.symmetric(4, 2, 2, exogenous=(1, 0, 0, 1))
+    per_player = [double, PricingMap(lambda x: x + 1)]
+    assert [utility_atomic(inst, Monomial(1, 2), (1, 3), i, pricing=per_player) for i in (0, 1)] == [-10, -6]
+    two = NonatomicInstance.create(T=4, classes=[(0.5, 1, 4, 2), (0.5, 1, 4, 2)])
+    prof = MixedProfile(two, ((1, 0, 0, 0), (0, 0, 1, 0)))  # loads 0.5 everywhere
+    assert [utility_nonatomic(two, Monomial(1, 2), prof, 1, k, pricing=per_player) for k in (0, 1)] == [-1.0, -1.5]
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +220,16 @@ def test_atomic_instance_rejects_bad_windows():
         AtomicInstance.create(T=6, players=[(1, 3, 4)])  # duration exceeds window
     with pytest.raises(ValueError):
         AtomicInstance.symmetric(T=6, I=2, C=2, exogenous=(1, 2, 3))  # wrong exo length
+    with pytest.raises(ValueError):
+        AtomicInstance.symmetric(T=3, I=2, C=2, exogenous=(1, -1, 3))  # negative exo
+    with pytest.raises(ValueError):
+        AtomicInstance.symmetric(T=6, I=2, C=2, power=0)
+    with pytest.raises(ValueError):
+        AtomicInstance.create(T=6, players=[(1, 6, 0)])  # no charging slot
+    with pytest.raises(ValueError):
+        AtomicInstance(TimeHorizon(6), arrivals=(1, 1), departures=(6,), durations=(2, 2))
+    with pytest.raises(ValueError):
+        NonatomicInstance.create(4, [])  # no class
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x"])
@@ -294,6 +317,8 @@ def test_potential_atomic_by_hand():
     value = potential_atomic(inst, Monomial(1, 2), StrategyProfile((1, 3)))
     # slot sums of f(exo + v) for v = 0..n_t: 5, 13, 25, 13, 1, 9
     assert value == -66
+    # the configuration carries all the potential needs
+    assert potential_atomic(inst, Monomial(1, 2), occupancy(inst, (1, 3))) == -66
 
 
 def test_potential_change_equals_utility_change_identity_pricing():
@@ -325,6 +350,13 @@ def test_mixed_profile_validation():
         MixedProfile(inst, ((0.5, 0.5, 0, 0, 0, 0.5),))  # mass off the action set
     with pytest.raises(ValueError):
         MixedProfile(inst, ((0.3, 0.3, 0, 0, 0, 0),))  # does not sum to one
+    with pytest.raises(ValueError):
+        MixedProfile(inst, ((1, 0, 0, 0, 0, 0),) * 2)  # a row per class
+    with pytest.raises(ValueError):
+        MixedProfile(inst, ((1, 0, 0, 0, 0),))  # a mass per slot
+    two = NonatomicInstance.create(T=6, classes=[(0.5, 1, 6, 2), (0.5, 1, 6, 2)])
+    with pytest.raises(ValueError):
+        MixedProfile.from_start_mass(two, (1, 0, 0, 0, 0, 0))
 
 
 def test_mixed_profile_names_the_first_offending_slot():
@@ -374,6 +406,8 @@ def test_nonatomic_load_and_total_cost():
     assert np.allclose(loads, (1.5, 1.5, 1.5, 1.5))
     tc = grid_total_cost(inst, Monomial(1, 2), prof)
     assert tc == pytest.approx(4 * 1.5**2)
+    with pytest.raises(TypeError):
+        load(inst, (1, 2))  # starts are an atomic profile
 
 
 def test_utility_nonatomic_by_hand():

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from chargegame import (
     solve_symmetric_invariant,
     wardrop_gap,
 )
-from chargegame.nonatomic import _eliminate_with_certificate, _gram_solve
+from chargegame.nonatomic import _gram_solve, _solve_nonnegative
 
 COST_DEPENDENT_EXO = (0.1, 0.2, 0.3, 0.4, 0.5, 0.2, 0.2, 0.3, 0.2, 0.1, 0.2)
 
@@ -152,6 +153,17 @@ def test_invariant_solution_is_equilibrium_for_every_admissible_cost():
         assert is_wardrop_equilibrium(inst, cost, profile, tol=1e-7)
 
 
+@pytest.mark.parametrize("power, first", [(6, Fraction(11, 12)), (7, Fraction(6, 7)), (10, Fraction(3, 4))])
+def test_invariant_solution_of_a_linear_ramp(power, first):
+    # the load t / power rises by equal steps, which its floats do not take:
+    # only an exact reading of the data finds it convex
+    inst = NonatomicInstance.symmetric(10, 5, power=power, exogenous=tuple(range(10)))
+    assert check_invariance_condition(inst).convex
+    profile, system = solve_symmetric_invariant(inst)
+    assert list(profile.start_mass()) == [float(first), 0, 0, 0, 0, float(1 - first), 0, 0, 0, 0]
+    assert system.certified and system.solution == tuple(profile.start_mass()[:6])
+
+
 def test_invariant_solver_rejects_violating_exogenous():
     inst = NonatomicInstance.symmetric(T=10, C=3, exogenous=STEEP_CONVEX_EXO)
     with pytest.raises(InvarianceConditionError):
@@ -180,12 +192,13 @@ def test_invariant_solver_requires_full_window_single_class():
 
 
 def test_elimination_certificate_rejects_negative_solutions():
-    A = np.array([[1.0, 0.0], [0.0, 1.0]])
-    pivots, certified, _ = _eliminate_with_certificate(A, np.array([1.0, -1.0]))
-    assert not certified
-    pivots, certified, solution = _eliminate_with_certificate(A, np.array([1.0, 1.0]))
-    assert certified and list(pivots) == [1.0, 1.0]
-    assert list(solution) == [1.0, 1.0]
+    A = [[1, 0], [0, 1]]
+    with pytest.raises(PositivityCertificateError, match="negative"):
+        _solve_nonnegative(A, [1, -1])
+    pivots, solution = _solve_nonnegative(A, [1, 1])
+    assert pivots == [1, 1] and solution == [1, 1]
+    with pytest.raises(PositivityCertificateError, match="zero pivot in row 1"):
+        _solve_nonnegative([[0, 1], [1, 0]], [1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -427,22 +440,23 @@ def test_gram_solve_is_the_pseudoinverse_solution(m):
 def test_solver_matches_the_invariant_solution():
     # the invariant equilibrium is an oracle for the Newton solver: under
     # every admissible cost both must give the same (unique) occupancy
-    rng = random.Random(205)
-    checked = 0
-    while checked < 12:
-        T = rng.randint(6, 14)
-        C = rng.randint(2, 5)
-        slope, curve = rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.01)
-        exo = tuple(0.5 + slope * t + curve * t * t for t in range(T))
-        inst = NonatomicInstance.symmetric(T=T, C=C, exogenous=exo)
-        try:
-            expected = solve_symmetric_invariant(inst)[0].occupancy_mass()
-        except (ValueError, PositivityCertificateError):
-            continue  # the condition fails or is undefined, or is not certified
-        for cost in (Monomial(1, 2), Monomial(1, 4), SquareRoot()):
-            eq = solve_equilibrium(inst, cost)
-            assert np.max(np.abs(eq.profile.occupancy_mass() - expected)) <= 1e-9
-        checked += 1
+    for powers in ((1,), (1, 3, 10)):
+        rng = random.Random(205)
+        checked = 0
+        while checked < 12:
+            T = rng.randint(6, 14)
+            C = rng.randint(2, 5)
+            slope, curve = rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.01)
+            exo = tuple(0.5 + slope * t + curve * t * t for t in range(T))
+            inst = NonatomicInstance.symmetric(T=T, C=C, power=rng.choice(powers), exogenous=exo)
+            try:
+                expected = solve_symmetric_invariant(inst)[0].occupancy_mass()
+            except (ValueError, PositivityCertificateError):
+                continue  # the condition fails or is undefined, or is not certified
+            for cost in (Monomial(1, 2), Monomial(1, 4), SquareRoot()):
+                eq = solve_equilibrium(inst, cost)
+                assert np.max(np.abs(eq.profile.occupancy_mass() - expected)) <= 1e-9
+            checked += 1
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
