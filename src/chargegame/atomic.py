@@ -2,9 +2,13 @@
 
 Equilibrium logic never goes through utilities or pricing maps: pricing is
 strictly increasing, so "deviation is improving" is equivalent to "raw window
-cost strictly decreases", and raw window costs stay exact integers whenever
-the instance data and the cost function are integral.  All comparisons below
-are therefore free of floating-point ties on integer instances.
+cost strictly decreases".  Every answer, of the scans and of the
+single-profile functions alike, reads one slot-cost table per (instance,
+cost), ``f(exo_t + P v)`` for ``v = 0..I+1`` (``_slot_table``), and its
+entries decide the arithmetic.  Rational data (ints and Fractions) under a
+rational polynomial cost gives ints and Fractions, compared exactly, in
+int64 where every sum fits.  A table holding a float is float64, and a move
+must then gain more than a relative margin of 1e-12.
 
 The exhaustive scans run over class configurations.  Players that share a
 window ``(a, d, C)`` form a group and are interchangeable, so a class
@@ -20,14 +24,9 @@ column per configuration.  One scan serves any number of grid costs
 once, and ``_BlockKernel`` evaluates every cost's slot-cost table on them.
 The one-cost functions are that scan with a single cost.
 
-Past int64, a float64 pass with a rigorous error bound (``_BlockKernel`` with
-``certify``) rules out most configurations; exact integers decide the rest and
-give every answer.
-
-The single-profile functions (``best_response``, ``is_nash``,
-``best_response_dynamics``) read the same slot-cost table as the scan,
-``f(exo_t + P v)`` for ``v = 0..I+1``, built by one ``cost`` call per call
-in the data's own number types (int, Fraction or float, never rounded).
+Any other exact table is scanned in Python numbers behind a float64 pass
+with a rigorous error bound (``_BlockKernel`` with ``certify``) that rules
+out most configurations; exact sums decide the rest and every answer.
 """
 
 from __future__ import annotations
@@ -84,17 +83,19 @@ class EquilibriumSet:
     ``equilibria`` holds one ``ChargingConfiguration`` per distinct Nash
     equilibrium (profiles that permute identical players are collapsed),
     sorted by start counts, then occupancy, so the listing does not depend
-    on the scan order.  ``costs`` holds the scan's own total grid cost of
-    each, in the same order.  ``examined`` and ``space_size`` count class
-    configurations.  ``complete`` is False when the budget stopped the scan
-    early, in which case the set is a lower bound only.
+    on the scan order.  ``costs`` holds the total grid cost of each, in the
+    same order, as ``grid_total_cost`` gives it: an int or Fraction on an
+    exact slot-cost table, a float on one holding a float.  ``examined`` and
+    ``space_size`` count class configurations.  ``complete`` is False when
+    the budget stopped the scan early, in which case the set is a lower
+    bound only.
 
     ``stats`` is never compared.  ``blocks`` and ``generate_s`` describe the
     configuration stream, which every cost of one scan shares
     (``efficiencies``): the blocks scanned, and the seconds spent generating
     them and loading their start counts and occupancy.  The other keys are
     this cost's own work: the ``exact_rows`` its float pass left to
-    integers, and the seconds spent evaluating its table (``evaluate_s``,
+    exact sums, and the seconds spent evaluating its table (``evaluate_s``,
     exact rows included) and reducing the results (``reduce_s``).
     """
 
@@ -111,9 +112,9 @@ class EfficiencyReport:
     """Worst-equilibrium total cost relative to the social optimum.
 
     ``value`` is ``worst_cost / optimum_cost`` (>= 1); ``exact`` is the same
-    ratio as a ``Fraction`` when both costs are integers, else None.  Atomic
-    scans attach the full equilibrium set and configurations; the nonatomic
-    solver stores profiles instead and leaves ``equilibria`` as None.
+    ratio as a ``Fraction`` when the slot-cost table is exact, else None.
+    Atomic scans attach the full equilibrium set and configurations; the
+    nonatomic solver stores profiles instead and leaves ``equilibria`` None.
     """
 
     value: float
@@ -145,26 +146,32 @@ def resolve_budget(budget: Optional[int], default: int = DEFAULT_BUDGET) -> int:
 
 
 # ---------------------------------------------------------------------------
-# single-profile operations (exact arithmetic)
+# the slot-cost table, and single-profile operations
 # ---------------------------------------------------------------------------
 
 
+# on a float table a move must gain more than this times max(1, |its cost|):
+# rounding can turn an exact tie into a phantom gain of a few ulp
 _REL_MARGIN = 1e-12
 # round-robin sweeps best-response dynamics may take before giving up
 _MAX_SWEEPS = 10_000
 
 
-def _strictly_less(new, cur):
-    """Strict-improvement test with a relative margin for inexact costs.
+def _slot_table(instance: AtomicInstance, cost: GridCostFunction):
+    """``rows[t][v] = f(exo_t + P v)`` for ``v = 0..I+1``, and the dtype it decides.
 
-    Rounding in float window sums can turn an exact tie into a phantom
-    improvement of a few ulp, which would misclassify equilibria and make
-    the scalar and block kernels disagree; floats must clear
-    ``1e-12 * scale``.  Exact integer and Fraction costs compare exactly.
+    One ``cost`` call on Python numbers gives each entry as
+    ``grid_total_cost`` computes it.  Their types decide the arithmetic of
+    every answer read off the table: int64 when every entry is an int and
+    ``T * max < 2**62``, so no sum of ``T`` entries overflows; objects (exact
+    sums) when every entry is an int or a Fraction; float64 otherwise.
     """
-    if isinstance(new, float) or isinstance(cur, float):
-        return new < cur - _REL_MARGIN * max(1.0, abs(cur))
-    return new < cur
+    v = np.array(range(instance.I + 2), dtype=object)
+    rows = cost(np.array(instance.exogenous, dtype=object)[:, None] + instance.power * v).tolist()
+    kinds = {type(x) for row in rows for x in row}
+    if kinds <= {int}:  # f is nondecreasing: the last column holds each row's maximum
+        return rows, np.int64 if instance.horizon.T * max(row[-1] for row in rows) < 2**62 else object
+    return rows, object if kinds <= {int, Fraction} else np.float64
 
 
 def _window_costs(F, G, s: int, C: int, targets: range):
@@ -180,21 +187,20 @@ def _window_costs(F, G, s: int, C: int, targets: range):
 
 
 def _slot_state(instance: AtomicInstance, cost: GridCostFunction, starts):
-    """Slot-cost table, occupancy of ``starts``, and its ``F`` and ``G`` rows.
+    """Slot-cost table, occupancy of ``starts``, its ``F`` and ``G`` rows, margin.
 
-    ``rows[t][v] = f(exo_t + P v)`` for ``v = 0..I+1`` is the scan's table,
-    from one ``cost`` call on objects: every entry is the Python number (int,
-    Fraction or float) that ``potential_atomic`` computes for that slot and
-    occupancy.  ``F[t] = rows[t][occ[t]]`` and ``G[t] = rows[t][occ[t] + 1]``;
-    all four are plain lists.
+    ``rows`` is the table of ``_slot_table``, ``F[t] = rows[t][occ[t]]``
+    and ``G[t] = rows[t][occ[t] + 1]``, all plain lists.  A move gains when
+    it costs less than ``cur - margin * max(1, abs(cur))``: ``_REL_MARGIN``
+    on a float table, else an int 0, which keeps Fractions exact.
     """
-    v = np.array(range(instance.I + 2), dtype=object)
-    rows = cost(np.array(instance.exogenous, dtype=object)[:, None] + instance.power * v).tolist()
+    rows, dtype = _slot_table(instance, cost)
     occ = [0] * instance.horizon.T
     for s, C in zip(starts, instance.durations):
         for t in range(s - 1, s - 1 + C):
             occ[t] += 1
-    return rows, occ, [row[n] for row, n in zip(rows, occ)], [row[n + 1] for row, n in zip(rows, occ)]
+    F, G = [row[n] for row, n in zip(rows, occ)], [row[n + 1] for row, n in zip(rows, occ)]
+    return rows, occ, F, G, _REL_MARGIN if dtype is np.float64 else 0
 
 
 def _potential(rows, occ) -> Number:
@@ -214,7 +220,7 @@ def best_response(instance: AtomicInstance, cost: GridCostFunction, profile, pla
     costs are read off the slot-cost table of ``_slot_state``.
     """
     profile = _coerce_profile(instance, profile)
-    _, _, F, G = _slot_state(instance, cost, profile.starts)
+    _, _, F, G, _ = _slot_state(instance, cost, profile.starts)
     targets = action_set(instance, player)
     _, costs = _window_costs(F, G, profile.starts[player], instance.durations[player], targets)
     return targets[costs.index(min(costs))]
@@ -224,14 +230,14 @@ def is_nash(instance: AtomicInstance, cost: GridCostFunction, profile) -> bool:
     """True when no player has a strictly improving unilateral deviation.
 
     One slot-cost table serves every player: ``cost`` runs once per call.
-    As in ``best_response_dynamics``, a player's cheapest target must clear
-    ``_strictly_less`` against its current cost.
+    As in the dynamics and the scan, a player's cheapest target must gain on
+    its current cost by the margin of ``_slot_state``.
     """
     profile = _coerce_profile(instance, profile)
-    _, _, F, G = _slot_state(instance, cost, profile.starts)
+    _, _, F, G, margin = _slot_state(instance, cost, profile.starts)
     for i, (s, C) in enumerate(zip(profile.starts, instance.durations)):
         current, costs = _window_costs(F, G, s, C, action_set(instance, i))
-        if _strictly_less(min(costs), current):
+        if min(costs) < current - margin * max(1, abs(current)):
             return False
     return True
 
@@ -255,7 +261,7 @@ def best_response_dynamics(
     """
     profile = _coerce_profile(instance, profile)
     starts = list(profile.starts)
-    rows, occ, F, G = _slot_state(instance, cost, profile.starts)
+    rows, occ, F, G, margin = _slot_state(instance, cost, profile.starts)
     trace = [_potential(rows, occ)]
     players = [(i, C, action_set(instance, i)) for i, C in enumerate(instance.durations)]
     for _ in range(_MAX_SWEEPS):
@@ -264,7 +270,7 @@ def best_response_dynamics(
             s = starts[i]
             current, costs = _window_costs(F, G, s, C, targets)
             best = min(costs)
-            if _strictly_less(best, current):
+            if best < current - margin * max(1, abs(current)):
                 slot = targets[costs.index(best)]
                 # the mover's old window, then its new one
                 touched = (*range(s - 1, s - 1 + C), *range(slot - 1, slot - 1 + C))
@@ -374,16 +380,6 @@ def _class_groups(instance: AtomicInstance) -> list[tuple[int, int, int, int, in
         groups.append((a, C, n, first, A))
         first += A
     return groups
-
-
-def _scan_dtype(instance: AtomicInstance, cost: GridCostFunction):
-    # int64 when every intermediate fits comfortably, exact objects otherwise
-    if not (cost.is_exact_for_integers and all(isinstance(v, int) for v in (*instance.exogenous, instance.power))):
-        return np.float64
-    max_load = max(instance.exogenous) + instance.power * (instance.I + 1)
-    if instance.horizon.T * cost(max_load) < 2**62:
-        return np.int64
-    return object
 
 
 class _Block:
@@ -578,37 +574,36 @@ def _profile_count(groups, counts) -> int:
 class _CostScan:
     """One cost's part of a scan: its slot-cost tables and running answers.
 
-    ``table[t, v] = f(exo_t + P v)`` for ``v = 0..I+1``, as ``cost`` gives
-    it in the scan dtype; past int64, ``approx`` is its float image for the
-    certified pass.  ``add`` folds in the NE flags and total costs of the
-    rows of one block.
+    ``table`` is ``_slot_table`` in its dtype; on an object table ``approx``
+    is its float image for the certified pass.  ``add`` folds in the NE
+    flags and total costs, as Python numbers, of the rows of one block.
     """
 
     def __init__(self, instance: AtomicInstance, groups, cost: GridCostFunction):
         self.instance, self.groups = instance, groups
-        dtype = _scan_dtype(instance, cost)
-        v = np.arange(instance.I + 2).astype(dtype)
-        self.table = table = cost(np.asarray(instance.exogenous, dtype=dtype)[:, None] + instance.power * v)
+        rows, dtype = _slot_table(instance, cost)
+        self.table = table = np.array(rows, dtype=dtype)
         self.approx = None
-        if dtype is object:
-            # int / int rounds correctly; the shift by a power of two keeps row sums finite
-            shift = max(0, max(abs(int(x)).bit_length() for x in table.flat) - 960)
-            self.approx = np.array([int(x) / (1 << shift) for x in table.flat]).reshape(table.shape)
-        self.native = float if dtype is np.float64 else int
+        if table.dtype == object:
+            # n / d rounds correctly for x = n / d, an int or a Fraction; |x| is below
+            # 2**(bits(n) - bits(d) + 1), so the shift by a power of two keeps row sums finite
+            ratios = [x.as_integer_ratio() for x in table.flat]
+            shift = max(0, max(abs(n).bit_length() - d.bit_length() + 1 for n, d in ratios) - 960)
+            self.approx = np.array([n / (d << shift) for n, d in ratios]).reshape(table.shape)
         self.ne_found: dict[ChargingConfiguration, Number] = {}
         self.ne_profiles = 0
         self.best = None  # (cost, configuration)
         self.stats = {"exact_rows": 0, "evaluate_s": 0.0, "reduce_s": 0.0}
 
     def add(self, counts, ne, tc, occ) -> None:
-        instance, groups, native = self.instance, self.groups, self.native
+        instance, groups = self.instance, self.groups
         for idx in np.flatnonzero(ne):
             self.ne_profiles += _profile_count(groups, counts[idx])
             config = _config_from_counts(instance, groups, counts[idx], occ[idx])
-            self.ne_found.setdefault(config, native(tc[idx]))
+            self.ne_found.setdefault(config, tc.item(idx))
         idx = int(np.argmin(tc))  # first occurrence: first in scan order
-        if self.best is None or native(tc[idx]) < self.best[0]:
-            self.best = (native(tc[idx]), _config_from_counts(instance, groups, counts[idx], occ[idx]))
+        if self.best is None or tc.item(idx) < self.best[0]:
+            self.best = (tc.item(idx), _config_from_counts(instance, groups, counts[idx], occ[idx]))
 
 
 def _scan(instance: AtomicInstance, costs: tuple, budget: Optional[int]):
@@ -617,10 +612,10 @@ def _scan(instance: AtomicInstance, costs: tuple, budget: Optional[int]):
     One stream of configurations serves every cost in ``costs``: each block
     is generated once, its start counts and occupancy are loaded once
     (``_Block``), and then each cost's slot-cost table is evaluated on them,
-    the tables of one dtype in one reused ``_BlockKernel``.  Past int64 the
-    certified float pass reads the shared block, and the exact kernel loads
-    only the rows that pass leaves to it.  The budget caps the stream, so
-    every cost examines the same configurations.
+    the tables of one dtype in one reused ``_BlockKernel``.  On an object
+    table the certified float pass reads the shared block, and the exact
+    kernel loads only the rows that pass leaves to it.  The budget caps the
+    stream, so every cost examines the same configurations.
 
     Returns, per cost, the equilibrium set, the number of NE profiles behind
     it, and the first minimum-cost class configuration as
@@ -641,7 +636,7 @@ def _scan(instance: AtomicInstance, costs: tuple, budget: Optional[int]):
     tables = [table for scan in scans for table in (scan.table, scan.approx) if table is not None]
     kernels = {table.dtype: _BlockKernel(groups, table.dtype) for table in tables}
     stream = _Block(groups, T, V)
-    exact = _Block(groups, T, V)  # the rows a certified pass leaves to integers
+    exact = _Block(groups, T, V)  # the rows a certified pass leaves to exact sums
 
     examined, blocks, generate_s = 0, 0, 0.0
     t0 = time.perf_counter()
@@ -657,7 +652,7 @@ def _scan(instance: AtomicInstance, costs: tuple, budget: Optional[int]):
             t1 = time.perf_counter()
             rows, block = counts, stream
             if scan.approx is not None:
-                # exact integers decide the rows that may be NE or tie the minimum
+                # exact sums decide the rows that may be NE or tie the minimum
                 maybe_ne, tc, err = kernels[scan.approx.dtype](stream, scan.approx, certify=True)
                 rows = counts[maybe_ne | (tc - err <= np.min(tc + err))]
                 scan.stats["exact_rows"] += rows.shape[0]
@@ -743,13 +738,10 @@ def efficiencies(
             raise RuntimeError("no Nash equilibrium found; the potential argument forbids this")
         worst_idx = max(range(len(eq_set.costs)), key=eq_set.costs.__getitem__)
         worst_cost = eq_set.costs[worst_idx]
-        opt_config, opt_cost = best[1], best[0]
-        if isinstance(worst_cost, (int, np.integer)) and isinstance(opt_cost, (int, np.integer)):
-            exact = Fraction(int(worst_cost), int(opt_cost))
-            value = float(exact)
-        else:
-            exact = None
-            value = float(worst_cost) / float(opt_cost)
+        opt_cost, opt_config = best
+        # a float table's costs are all floats; an exact one's, ints and Fractions
+        exact = None if isinstance(worst_cost, float) else Fraction(worst_cost) / opt_cost
+        value = worst_cost / opt_cost if exact is None else float(exact)
         reports.append(
             EfficiencyReport(
                 value=value,
@@ -772,8 +764,9 @@ def efficiency(
     """Worst-case Nash total cost over the social optimum, exhaustively.
 
     The worst equilibrium is the first costliest one in the listing order of
-    ``EquilibriumSet``.  Exact rational arithmetic is used whenever both
-    costs are integers.  Raises ``BudgetExceededError`` on an incomplete scan.
+    ``EquilibriumSet``.  The ratio is an exact ``Fraction`` whenever the
+    slot-cost table is exact (see ``_slot_table``).  Raises
+    ``BudgetExceededError`` on an incomplete scan.
     """
     return efficiencies(instance, (cost,), budget)[0]
 

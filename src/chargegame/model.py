@@ -134,8 +134,10 @@ def _is_int(v) -> bool:
 
 
 def _real(value, what: str) -> Number:
-    """``value`` as an int when integral, or ``ValueError`` unless it is a
-    finite real number."""
+    """``value`` as a Python number, an int when integral, or ``ValueError``
+    unless it is a finite real number."""
+    if isinstance(value, np.generic):  # a numpy scalar, as a Python int or float
+        value = value.item()
     if not (_is_real(value) and _is_finite(value)):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return _as_int_if_integral(value)
@@ -618,7 +620,10 @@ def grid_total_cost(instance: Instance, cost: GridCostFunction, profile):
     loads = load(instance, profile)
     if isinstance(loads, np.ndarray):
         return float(np.sum(cost(loads)))
-    return sum(cost(L) for L in loads)
+    total = 0  # slot by slot, as the atomic scan adds: sum() compensates floats on Python 3.12+
+    for L in loads:
+        total += cost(L)
+    return total
 
 
 def _window_cost(cost: GridCostFunction, loads, start: int, duration: int):
