@@ -8,7 +8,9 @@ cost), ``f(exo_t + P v)`` for ``v = 0..I+1`` (``_slot_table``), and its
 entries decide the arithmetic.  Rational data (ints and Fractions) under a
 rational polynomial cost gives ints and Fractions, compared exactly, in
 int64 where every sum fits.  A table holding a float is float64, and a move
-must then gain more than a relative margin of 1e-12.
+must then gain more than a relative margin of 1e-12.  The single-profile
+functions keep their table (``_game``), so ``cost`` runs once per
+(instance, cost) pair of objects, not once per call.
 
 The exhaustive scans run over class configurations.  Players that share a
 window ``(a, d, C)`` form a group and are interchangeable, so a class
@@ -50,6 +52,7 @@ from .model import (
     StrategyProfile,
     _coerce_profile,
     _is_int,
+    _player,
     action_set,
 )
 
@@ -174,41 +177,74 @@ def _slot_table(instance: AtomicInstance, cost: GridCostFunction):
     return rows, object if kinds <= {int, Fraction} else np.float64
 
 
-def _window_costs(F, G, s: int, C: int, targets: range):
-    """A player's window cost at start ``s``, and at each start of ``targets``.
+# single-profile state kept by (instance, cost) object identity: instances
+# that compare equal may hold numbers of different types, and so different
+# tables.  An entry holds both objects, so their ids cannot be reused while
+# it lives.  The dict is emptied whole when it fills, which threads survive
+_GAMES: dict = {}
+_GAMES_KEPT = 8
+
+
+def _game(instance: AtomicInstance, cost: GridCostFunction):
+    """Table rows, margin and players of one (instance, cost) pair, kept.
+
+    ``rows`` is the table of ``_slot_table``.  A move gains when it costs
+    less than ``cur - margin * max(1, abs(cur))``: ``_REL_MARGIN`` on a float
+    table, else an int 0, which keeps Fractions exact.  ``players`` holds one
+    ``(C, targets, windows)`` per player: its duration, its action set and
+    the slots each target's window covers, as slices.
+    """
+    key = (id(instance), id(cost))
+    game = _GAMES.get(key)
+    if game is None:
+        rows, dtype = _slot_table(instance, cost)
+        players = []
+        for i, C in enumerate(instance.durations):
+            targets = action_set(instance, i)
+            players.append((C, targets, [slice(t - 1, t - 1 + C) for t in targets]))
+        if len(_GAMES) >= _GAMES_KEPT:
+            _GAMES.clear()
+        game = _GAMES[key] = (instance, cost, rows, _REL_MARGIN if dtype is np.float64 else 0, players)
+    return game[2:]
+
+
+def _window_costs(F, G, s: int, C: int, windows):
+    """A player's window cost at start ``s``, and at each of ``windows``.
 
     ``F[t]`` and ``G[t]`` are slot ``t``'s cost at its occupancy and with one
     more player.  Moved to a target, the player's own window keeps its
     occupancy and every other slot gains it.  Sums run in slot order.
     """
-    lo, hi = s - 1, s - 1 + C
-    moved = G[:lo] + F[lo:hi] + G[hi:]
-    return sum(F[lo:hi]), [sum(moved[t - 1 : t - 1 + C]) for t in targets]
+    own = slice(s - 1, s - 1 + C)
+    moved = G.copy()
+    moved[own] = F[own]
+    return sum(F[own]), [sum(moved[w]) for w in windows]
 
 
 def _slot_state(instance: AtomicInstance, cost: GridCostFunction, starts):
-    """Slot-cost table, occupancy of ``starts``, its ``F`` and ``G`` rows, margin.
+    """The game of ``_game``, the occupancy of ``starts``, its ``F`` and ``G`` rows.
 
-    ``rows`` is the table of ``_slot_table``, ``F[t] = rows[t][occ[t]]``
-    and ``G[t] = rows[t][occ[t] + 1]``, all plain lists.  A move gains when
-    it costs less than ``cur - margin * max(1, abs(cur))``: ``_REL_MARGIN``
-    on a float table, else an int 0, which keeps Fractions exact.
+    ``F[t] = rows[t][occ[t]]`` and ``G[t] = rows[t][occ[t] + 1]``, all
+    plain lists.
     """
-    rows, dtype = _slot_table(instance, cost)
+    rows, margin, players = _game(instance, cost)
     occ = [0] * instance.horizon.T
-    for s, C in zip(starts, instance.durations):
+    for s, (C, _, _) in zip(starts, players):
         for t in range(s - 1, s - 1 + C):
             occ[t] += 1
     F, G = [row[n] for row, n in zip(rows, occ)], [row[n + 1] for row, n in zip(rows, occ)]
-    return rows, occ, F, G, _REL_MARGIN if dtype is np.float64 else 0
+    return rows, margin, players, occ, F, G
 
 
-def _potential(rows, occ) -> Number:
-    # potential_atomic's sum, term by term in its order, off the table
-    total = 0
-    for row, n in zip(rows, occ):
-        for x in row[: n + 1]:
+def _potential(rows, occ, sums, lo: int) -> Number:
+    # potential_atomic's sum, term by term in its order, off the table.
+    # sums[t] is its running total before slot t; the slots before lo are
+    # unchanged, so the sum resumes there
+    total = sums[lo]
+    for t in range(lo, len(occ)):
+        for x in rows[t][: occ[t] + 1]:
             total += x
+        sums[t + 1] = total
     return -total
 
 
@@ -217,26 +253,29 @@ def best_response(instance: AtomicInstance, cost: GridCostFunction, profile, pla
 
     Ties break toward the smallest slot.  No pricing map is needed: any
     strictly increasing one keeps the argmin of the raw window cost.  Window
-    costs are read off the slot-cost table of ``_slot_state``.
+    costs are read off the slot-cost table of ``_game``.  ``ValueError`` on
+    a player that is not an int in ``0..I-1``.
     """
     profile = _coerce_profile(instance, profile)
-    _, _, F, G, _ = _slot_state(instance, cost, profile.starts)
-    targets = action_set(instance, player)
-    _, costs = _window_costs(F, G, profile.starts[player], instance.durations[player], targets)
+    player = _player(instance, player)
+    _, _, players, _, F, G = _slot_state(instance, cost, profile.starts)
+    C, targets, windows = players[player]
+    _, costs = _window_costs(F, G, profile.starts[player], C, windows)
     return targets[costs.index(min(costs))]
 
 
 def is_nash(instance: AtomicInstance, cost: GridCostFunction, profile) -> bool:
     """True when no player has a strictly improving unilateral deviation.
 
-    One slot-cost table serves every player: ``cost`` runs once per call.
-    As in the dynamics and the scan, a player's cheapest target must gain on
-    its current cost by the margin of ``_slot_state``.
+    One slot-cost table serves every player: ``cost`` runs once per
+    (instance, cost) pair (``_game``).  As in the dynamics and the scan, a
+    player's cheapest target must gain on its current cost by the margin of
+    ``_game``.
     """
     profile = _coerce_profile(instance, profile)
-    _, _, F, G, margin = _slot_state(instance, cost, profile.starts)
-    for i, (s, C) in enumerate(zip(profile.starts, instance.durations)):
-        current, costs = _window_costs(F, G, s, C, action_set(instance, i))
+    _, margin, players, _, F, G = _slot_state(instance, cost, profile.starts)
+    for s, (C, _, windows) in zip(profile.starts, players):
+        current, costs = _window_costs(F, G, s, C, windows)
         if min(costs) < current - margin * max(1, abs(current)):
             return False
     return True
@@ -254,21 +293,23 @@ def best_response_dynamics(
     the potential trace (initial value plus one entry per accepted move); the
     trace is strictly increasing, which is what guarantees termination.
 
-    Costs come from one slot-cost table per call.  A move updates the
-    occupancy of the slots it touches, and each trace entry adds up the
-    table in ``potential_atomic``'s order, so it equals that potential.
-    ``IterationBudgetError`` after ``_MAX_SWEEPS`` sweeps without settling.
+    Costs come from one slot-cost table per (instance, cost) pair
+    (``_game``).  A move updates the occupancy of the slots it touches, and
+    each trace entry adds up the table in ``potential_atomic``'s order, so
+    it equals that potential; the sum resumes at the first slot the move
+    touched.  ``IterationBudgetError`` after ``_MAX_SWEEPS`` sweeps without
+    settling.
     """
     profile = _coerce_profile(instance, profile)
     starts = list(profile.starts)
-    rows, occ, F, G, margin = _slot_state(instance, cost, profile.starts)
-    trace = [_potential(rows, occ)]
-    players = [(i, C, action_set(instance, i)) for i, C in enumerate(instance.durations)]
+    rows, margin, players, occ, F, G = _slot_state(instance, cost, starts)
+    sums = [0] * (len(occ) + 1)
+    trace = [_potential(rows, occ, sums, 0)]
     for _ in range(_MAX_SWEEPS):
         moved = False
-        for i, C, targets in players:
+        for i, (C, targets, windows) in enumerate(players):
             s = starts[i]
-            current, costs = _window_costs(F, G, s, C, targets)
+            current, costs = _window_costs(F, G, s, C, windows)
             best = min(costs)
             if best < current - margin * max(1, abs(current)):
                 slot = targets[costs.index(best)]
@@ -281,7 +322,7 @@ def best_response_dynamics(
                 for t in touched:
                     F[t], G[t] = rows[t][occ[t]], rows[t][occ[t] + 1]
                 starts[i] = slot
-                trace.append(_potential(rows, occ))
+                trace.append(_potential(rows, occ, sums, min(s, slot) - 1))
                 moved = True
         if not moved:
             return StrategyProfile(tuple(starts)), tuple(trace)

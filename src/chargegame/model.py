@@ -73,6 +73,9 @@ class GridCostFunction:
     ``__call__`` stays per subclass, written out for its own terms:
     ``potential_atomic`` and ``utility_atomic`` call it once per slot, and a
     shared loop over ``powers`` would make those calls about twice as slow.
+    It must depend on the load alone for the object's life: the atomic
+    single-profile functions keep one table of its values per (instance,
+    cost) pair of objects.
     """
 
     def deriv(self, load):
@@ -131,6 +134,24 @@ def _is_real(v) -> bool:
 def _is_int(v) -> bool:
     # the one rule for counts, slots and budgets read from outside
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int, a numpy integer scalar included, or
+    ``ValueError``: a float, a bool or a numpy bool is not one."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if not _is_int(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _player(instance, player) -> int:
+    """``player`` as an index into ``instance``'s players, or ``ValueError``."""
+    player = _integer(player, "player")
+    if not 0 <= player < instance.I:
+        raise ValueError(f"player must be in 0..{instance.I - 1}, got {player}")
+    return player
 
 
 def _real(value, what: str) -> Number:
@@ -461,26 +482,23 @@ class StrategyProfile:
 
     @classmethod
     def checked(cls, instance: AtomicInstance, starts) -> "StrategyProfile":
-        profile = cls(tuple(starts))
-        _validate_profile(instance, profile)
-        return profile
-
-
-def _validate_profile(instance: AtomicInstance, profile: StrategyProfile) -> None:
-    if len(profile.starts) != instance.I:
-        raise ValueError(f"profile has {len(profile.starts)} starts for {instance.I} players")
-    for i, s in enumerate(profile.starts):
-        if s not in action_set(instance, i):
-            raise ValueError(
-                f"start {s} of player {i} is outside its action set {list(action_set(instance, i))}"
-            )
+        return _coerce_profile(instance, starts)
 
 
 def _coerce_profile(instance: AtomicInstance, profile) -> StrategyProfile:
-    if not isinstance(profile, StrategyProfile):
-        profile = StrategyProfile(tuple(profile))
-    _validate_profile(instance, profile)
-    return profile
+    """``profile`` (or a sequence of starts) as a checked ``StrategyProfile``
+    of Python ints, or ``ValueError``."""
+    starts = profile.starts if isinstance(profile, StrategyProfile) else tuple(profile)
+    if len(starts) != instance.I:
+        raise ValueError(f"profile has {len(starts)} starts for {instance.I} players")
+    if not all(type(s) is int for s in starts):  # the common case needs no conversion
+        starts = tuple(_integer(s, f"start of player {i}") for i, s in enumerate(starts))
+    for i, (s, a, d, C) in enumerate(zip(starts, instance.arrivals, instance.departures, instance.durations)):
+        if not a <= s <= d - C + 1:  # s in action_set(instance, i), without building the range
+            raise ValueError(
+                f"start {s} of player {i} is outside its action set {list(action_set(instance, i))}"
+            )
+    return StrategyProfile(starts)
 
 
 @dataclass(frozen=True)
@@ -639,6 +657,7 @@ def utility_atomic(
 ) -> Number:
     """Utility of one player: minus the priced sum of slot costs it charges through."""
     profile = _coerce_profile(instance, profile)
+    player = _player(instance, player)
     loads = load(instance, profile)
     s = profile.starts[player]
     raw = _window_cost(cost, loads, s, instance.durations[player])

@@ -490,6 +490,146 @@ def test_is_nash_evaluates_one_table_of_slot_costs():
     assert 0 < f.evaluated <= 10 * (6 + 2)
 
 
+def test_one_table_serves_every_call_on_one_pair():
+    # the table is kept per (instance, cost) pair: repeated calls evaluate
+    # no further slot cost, and a copy of the instance gets a table of its own
+    inst = AtomicInstance.symmetric(6, 3, 2, exogenous=(1, 2, 3, 2, 1, 3))
+    f = CountingSquare()
+    one_table = 6 * (3 + 2)
+    answers = []
+    for copy in (inst, dataclasses.replace(inst)):
+        answers.append(
+            [
+                is_nash(copy, f, (1, 4, 5)),
+                is_nash(copy, f, (1, 1, 1)),
+                [best_response(copy, f, (1, 1, 1), i) for i in range(3)],
+                best_response_dynamics(copy, f, (1, 1, 1)),
+                best_response_dynamics(copy, f, (2, 3, 4)),
+            ]
+        )
+        assert f.evaluated == one_table * len(answers)
+    assert answers[0] == answers[1]
+    assert answers[0][:2] == [True, False]
+
+
+def test_kept_tables_stay_bounded_and_never_change_an_answer():
+    rng = random.Random(2001)
+    f = Monomial(1, 2)
+    games = [random_heterogeneous_instance(rng) for _ in range(3 * atomic._GAMES_KEPT)]
+    starts = [tuple(rng.choice(list(action_set(inst, i))) for i in range(inst.I)) for inst in games]
+
+    def answers(inst, cost, s):
+        return is_nash(inst, cost, s), best_response(inst, cost, s, 0), best_response_dynamics(inst, cost, s)
+
+    first = [answers(inst, f, s) for inst, s in zip(games, starts)]
+    assert len(atomic._GAMES) <= atomic._GAMES_KEPT
+    # again, interleaved, then on fresh copies under a fresh cost
+    again = [answers(inst, f, s) for inst, s in zip(games[::-1], starts[::-1])][::-1]
+    fresh = [answers(dataclasses.replace(inst), Monomial(1, 2), s) for inst, s in zip(games, starts)]
+    assert first == again == fresh
+    assert [a[0] for a in first] == [oracle_is_ne(inst, f, s) for inst, s in zip(games, starts)]
+    assert len(atomic._GAMES) <= atomic._GAMES_KEPT
+
+
+@pytest.mark.parametrize("order", ["float-first", "fraction-first"])
+def test_kept_tables_are_told_apart_by_identity_not_equality(order):
+    # equal and hashing equal, yet one table is float64 with the margin and
+    # the other exact: neither may be given the other's arithmetic
+    floats = AtomicInstance.symmetric(2, 1, 1, exogenous=(1, 1.0 + 1e-14))
+    fracs = AtomicInstance.symmetric(2, 1, 1, exogenous=(1, Fraction(1.0 + 1e-14)))
+    assert floats == fracs and hash(floats) == hash(fracs)
+    f = Monomial(1, 1)
+    for inst in (floats, fracs) if order == "float-first" else (fracs, floats):
+        kind = float if inst is floats else Fraction
+        for start in (1, 2):
+            final, trace = best_response_dynamics(inst, f, (start,))
+            assert {type(phi) for phi in trace} == {kind}
+        if inst is fracs:
+            assert final.starts == (1,)
+            assert not is_nash(fracs, f, (2,))
+            assert best_response(fracs, f, (2,), 0) == 1
+
+
+# exogenous load of one slot of each kind of data, and the power; slot 1 is
+# the steep one: under L**30 its terms dwarf the others', so a potential
+# added up in any other order than potential_atomic's rounds differently
+STEEP_DATA = {
+    "float": (lambda rng: rng.uniform(0.0, 2.0), lambda rng: rng.choice([1, 0.7])),
+    "mixed": (lambda rng: rng.choice([rng.randint(0, 2), rng.uniform(0.0, 2.0)]), lambda rng: rng.randint(1, 2)),
+    "fraction": (
+        lambda rng: Fraction(rng.randint(0, 4), rng.randint(1, 3)) + Fraction(rng.randint(0, 1), 10**14),
+        lambda rng: Fraction(rng.randint(1, 3), rng.randint(1, 2)),
+    ),
+}
+
+
+def replayed_profiles(inst, cost, starts):
+    """The profiles round-robin best responses pass through, one per move.
+
+    A move is taken when its window cost, from ``utility_atomic``, beats
+    the current one by the margin the slot-cost table's entries call for.
+    """
+    table = [cost(e + inst.power * v) for e in inst.exogenous for v in range(inst.I + 2)]
+    margin = 1e-12 if any(isinstance(x, float) for x in table) else 0
+    profiles = [tuple(starts)]
+    moved = True
+    while moved:
+        moved = False
+        for i in range(inst.I):
+            here = profiles[-1]
+            trial = here[:i] + (best_response(inst, cost, here, i),) + here[i + 1 :]
+            current = -utility_atomic(inst, cost, here, i)
+            if -utility_atomic(inst, cost, trial, i) < current - margin * max(1, abs(current)):
+                profiles.append(trial)
+                moved = True
+    return profiles
+
+
+@pytest.mark.parametrize("kind", sorted(STEEP_DATA))
+def test_every_trace_entry_is_the_potential_of_its_profile(kind):
+    rng = random.Random(f"steep {kind}")
+    make_exo, make_power = STEEP_DATA[kind]
+    f = Monomial(1, 30)
+    moves = 0
+    for _ in range(40):
+        inst = random_heterogeneous_instance(rng, max_T=6, max_I=4)
+        exo = [3 + make_exo(rng)] + [make_exo(rng) for _ in range(inst.horizon.T - 1)]
+        inst = dataclasses.replace(inst, exogenous=exo, power=make_power(rng))
+        starts = tuple(rng.choice(list(action_set(inst, i))) for i in range(inst.I))
+        final, trace = best_response_dynamics(inst, f, starts)
+        profiles = replayed_profiles(inst, f, starts)
+        assert final.starts == profiles[-1]
+        assert len(trace) == len(profiles)
+        for phi, profile in zip(trace, profiles):
+            expected = potential_atomic(inst, f, profile)
+            assert phi == expected and type(phi) is type(expected), (inst, profile)
+        moves += len(trace) - 1
+    assert moves >= 20
+
+
+def test_malformed_starts_and_players_are_refused():
+    inst = AtomicInstance.symmetric(4, 2, 2, exogenous=(1, 2, 0, 1))
+    f = Monomial(1, 2)
+    for starts in [(1.0, 2), (True, 2), (1, np.float64(2.0)), (1, np.bool_(True)), (1, "2")]:
+        for call in (
+            lambda: is_nash(inst, f, starts),
+            lambda: best_response_dynamics(inst, f, starts),
+            lambda: best_response(inst, f, starts, 0),
+            lambda: StrategyProfile.checked(inst, starts),
+        ):
+            with pytest.raises(ValueError, match="start of player"):
+                call()
+    for player in (-1, 2, True, 0.0, np.float64(1.0), None):
+        for answer in (best_response, utility_atomic):
+            with pytest.raises(ValueError, match="player"):
+                answer(inst, f, (1, 2), player)
+    # a numpy integer is the Python int it holds
+    assert best_response(inst, f, (1, 2), np.int64(1)) == best_response(inst, f, (1, 2), 1)
+    final, trace = best_response_dynamics(inst, f, (np.int64(1), np.int32(3)))
+    assert (final, trace) == best_response_dynamics(inst, f, (1, 3))
+    assert {type(s) for s in final.starts} == {int}
+
+
 # ---------------------------------------------------------------------------
 # exhaustive scans against the oracle
 
