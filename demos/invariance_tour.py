@@ -32,10 +32,9 @@ flat = NonatomicInstance.symmetric(10, 3, exogenous=(1.0,) * 10)
 check = check_invariance_condition(flat)
 print(f"  condition: nondecreasing={check.nondecreasing} convex={check.convex} "
       f"inequality lhs {check.lhs:.3f} < 1: {check.inequality_holds}")
-invariant, system = solve_symmetric_invariant(flat)
+invariant, masses = solve_symmetric_invariant(flat)
 mass = np.asarray(invariant.start_mass())
-slots = 10 - 3 + 1  # feasible start slots
-print(f"  closed-form start mass {np.round(mass[:slots], 4)} on slots 1..{slots}")
+print(f"  closed-form start mass ({', '.join(map(str, masses))}) on slots 1..{len(masses)}")
 for cost in COSTS:
     eq = solve_equilibrium(flat, cost)
     drift = float(np.max(np.abs(np.asarray(eq.profile.start_mass()) - mass)))

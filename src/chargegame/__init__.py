@@ -58,14 +58,12 @@ from .nonatomic import (
     ConvergenceError,
     InvarianceConditionError,
     PositivityCertificateError,
-    SymmetricLinearSystem,
     NonatomicEquilibrium,
     solve_equilibrium,
     is_wardrop_equilibrium,
     wardrop_gap,
     InvarianceCheck,
     check_invariance_condition,
-    build_symmetric_system,
     solve_symmetric_invariant,
     social_optimum_nonatomic,
     efficiency_nonatomic,

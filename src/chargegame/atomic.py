@@ -291,7 +291,11 @@ def best_response_dynamics(
     Players are swept in index order; a player moves only when its best
     response strictly lowers its window cost.  Returns the final profile and
     the potential trace (initial value plus one entry per accepted move); the
-    trace is strictly increasing, which is what guarantees termination.
+    trace is strictly increasing, which is what guarantees termination.  The
+    run stops once the last mover and every player asked after it are at a
+    best response.  The mover is not asked again: after its move, its window
+    costs are the table entries, summed in the same order, that it chose
+    from.
 
     Costs come from one slot-cost table per (instance, cost) pair
     (``_game``).  A move updates the occupancy of the slots it touches, and
@@ -305,8 +309,8 @@ def best_response_dynamics(
     rows, margin, players, occ, F, G = _slot_state(instance, cost, starts)
     sums = [0] * (len(occ) + 1)
     trace = [_potential(rows, occ, sums, 0)]
+    settled = 0  # players at a best response since the last move, the mover included
     for _ in range(_MAX_SWEEPS):
-        moved = False
         for i, (C, targets, windows) in enumerate(players):
             s = starts[i]
             current, costs = _window_costs(F, G, s, C, windows)
@@ -323,9 +327,10 @@ def best_response_dynamics(
                     F[t], G[t] = rows[t][occ[t]], rows[t][occ[t] + 1]
                 starts[i] = slot
                 trace.append(_potential(rows, occ, sums, min(s, slot) - 1))
-                moved = True
-        if not moved:
-            return StrategyProfile(tuple(starts)), tuple(trace)
+                settled = 0
+            settled += 1
+            if settled == len(players):
+                return StrategyProfile(tuple(starts)), tuple(trace)
     raise IterationBudgetError(
         f"best-response dynamics did not settle within {_MAX_SWEEPS} sweeps"
     )

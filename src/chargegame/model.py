@@ -60,8 +60,8 @@ class GridCostFunction:
     Every cost is given by ``powers``, its ``(coefficient, exponent)`` pairs
     with ``c > 0`` and ``k >= 0``, and evaluates itself elementwise on
     scalars and numpy arrays alike through ``__call__``, which keeps exact
-    integer arithmetic when ``is_exact_for_integers`` holds and the load is
-    an integer.  Everything else is read off the exponents.  Each term is
+    integer arithmetic when every coefficient and exponent is an integer and
+    the load is one.  Everything else is read off the exponents.  Each term is
     nondecreasing, so the two standing assumptions become:
 
     ``satisfies_a1``
@@ -108,11 +108,6 @@ class GridCostFunction:
     def satisfies_a2(self) -> bool:
         ks = [k for _, k in self.powers]
         return not any(0 < k < 1 for k in ks) and any(k > 1 for k in ks)
-
-    @property
-    def is_exact_for_integers(self) -> bool:
-        """True when integer loads produce exact integer values."""
-        return all(isinstance(c, int) and isinstance(k, int) for c, k in self.powers)
 
 
 def _as_int_if_integral(x: Number) -> Number:

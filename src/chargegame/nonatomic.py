@@ -32,7 +32,8 @@ system; ``solve_symmetric_invariant`` builds it and solves it by one
 pivot-free Gaussian elimination in exact rationals of the data.  A
 nonnegative solution makes the load C-periodic, so every start sees the
 same window loads under any cost: the sign of the exact solution is the
-whole certificate.
+whole certificate, and the solution itself, the exact start masses, is
+returned with the profile.
 
 Social optima reuse the same machinery through marginal pricing: minimizing
 total grid cost is the same program as equilibrating the game whose per-slot
@@ -98,24 +99,6 @@ class InvarianceConditionError(ValueError):
 
 class PositivityCertificateError(RuntimeError):
     """The exact equal-load system has a zero pivot or needs negative mass."""
-
-
-@dataclass(frozen=True)
-class SymmetricLinearSystem:
-    """The banded system whose solution is the cost-independent equilibrium.
-
-    Row ``t`` (one per consecutive start pair) encodes "the load repeats with
-    period C": occupancy(t) - occupancy(t+C) must equal the exogenous load
-    increment.  The last row normalizes total start mass to one.  Every
-    field is the float of its exact value: ``pivots`` are the elimination's,
-    and ``certified`` is True, since only a nonnegative solution is returned.
-    """
-
-    matrix: tuple[tuple[float, ...], ...]
-    rhs: tuple[float, ...]
-    solution: tuple[float, ...]
-    pivots: tuple[float, ...]
-    certified: bool
 
 
 @dataclass(frozen=True)
@@ -428,14 +411,15 @@ def solve_equilibrium(
 
 def _require_symmetric_full_window(instance: NonatomicInstance) -> tuple[int, int, list[Fraction]]:
     """``T``, ``C`` and the exogenous load in units of the charging power, in
-    exact rationals of the data (every float, numpy's too, is one)."""
+    exact rationals of the data: ints, floats and ``Fraction``s are read as
+    they are, none rounded."""
     if instance.K != 1:
         raise ValueError("invariant-equilibrium analysis needs a single class")
     a, d, C = instance.window(0)
     T = instance.horizon.T
     if (a, d) != (1, T):
         raise ValueError("invariant-equilibrium analysis needs a full-horizon window")
-    P, *exo = (Fraction(v if isinstance(v, int) else float(v)) for v in (instance.power, *instance.exogenous))
+    P, *exo = map(Fraction, (instance.power, *instance.exogenous))
     return T, C, [v / P for v in exo]
 
 
@@ -503,58 +487,49 @@ def _exact_system(instance: NonatomicInstance) -> tuple[list[list[int]], list[Fr
     return A + [[1] * N], b + [Fraction(1)]
 
 
-def _solve_nonnegative(A, b) -> tuple[list[Fraction], list[Fraction]]:
+def _solve_nonnegative(A, b) -> list[Fraction]:
     """Pivot-free Gaussian elimination in natural row order, then
-    back-substitution, in exact rationals; returns (pivots, solution).
+    back-substitution, in exact rationals; returns the solution.
 
-    Rows keep only their nonzero entries, and each step reads only the
-    pivot row's.  A zero pivot or a negative entry of the solution raises
-    ``PositivityCertificateError``.
+    Rows keep only their nonzero entries, each divided by its row's pivot,
+    and each step reads only the pivot row's.  A zero pivot or a negative
+    entry of the solution raises ``PositivityCertificateError``.
     """
     rows = [{u: Fraction(a) for u, a in enumerate(row) if a} for row in A]
     v = [Fraction(c) for c in b]
-    pivots = []
     for t in range(len(rows)):
         pivot = rows[t].pop(t, 0)
         if not pivot:
             raise PositivityCertificateError(f"elimination meets a zero pivot in row {t + 1}")
-        pivots.append(pivot)
-        pivot_row = rows[t] = {u: a for u, a in rows[t].items() if a}  # most entries cancel to 0
+        pivot_row = rows[t] = {u: a / pivot for u, a in rows[t].items() if a}  # most entries cancel to 0
+        v[t] /= pivot
         for j, row in enumerate(rows[t + 1 :], t + 1):
             m = row.pop(t, 0)
             if m:
-                ratio = m / pivot
                 for u, a in pivot_row.items():
-                    row[u] = row.get(u, 0) - ratio * a
-                v[j] -= ratio * v[t]
+                    row[u] = row.get(u, 0) - m * a
+                v[j] -= m * v[t]
     x = [Fraction(0)] * len(rows)
     for t in reversed(range(len(rows))):
-        x[t] = (v[t] - sum(a * x[u] for u, a in rows[t].items())) / pivots[t]
+        x[t] = v[t] - sum(a * x[u] for u, a in rows[t].items())
     if min(x) < 0:
         raise PositivityCertificateError(f"the equal-load system needs negative start mass {float(min(x)):.3g}")
-    return pivots, x
-
-
-def build_symmetric_system(instance: NonatomicInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble the banded equal-load system (one row per consecutive start
-    pair, plus the unit-mass row): the float image of the exact system that
-    ``solve_symmetric_invariant`` solves."""
-    A, b = _exact_system(instance)
-    return np.array(A, dtype=float), np.array([float(c) for c in b])
+    return x
 
 
 def solve_symmetric_invariant(
     instance: NonatomicInstance,
-) -> tuple[MixedProfile, SymmetricLinearSystem]:
+) -> tuple[MixedProfile, tuple[Fraction, ...]]:
     """Cost-independent equilibrium of a symmetric instance, via linear algebra.
 
     Requires the invariance inequality to hold (``InvarianceConditionError``
     otherwise).  The banded system is solved in exact rationals of the data,
-    and its solution, whose floats are the start masses, is the equilibrium
-    exactly when it is nonnegative (``PositivityCertificateError``
-    otherwise).  As a postcondition the profile is re-verified to be a
-    Wardrop equilibrium under square, fourth-power and square-root costs at
-    gap 1e-7.
+    and its solution is the equilibrium exactly when it is nonnegative
+    (``PositivityCertificateError`` otherwise).  Returns the profile and
+    that solution: the exact masses of the ``T - C + 1`` starts, whose
+    floats the profile holds.  As a postcondition the profile is
+    re-verified to be a Wardrop equilibrium under square, fourth-power and
+    square-root costs at gap 1e-7.
     """
     check = check_invariance_condition(instance)
     if not check:
@@ -564,21 +539,14 @@ def solve_symmetric_invariant(
             f"inequality={check.inequality_holds})"
         )
     A, b = _exact_system(instance)
-    pivots, x = _solve_nonnegative(A, b)
+    x = _solve_nonnegative(A, b)
     mass = [float(c) for c in x]
     profile = MixedProfile.from_start_mass(instance, mass + [0.0] * (instance.horizon.T - len(mass)))
     for probe in (Monomial(1, 2), Monomial(1, 4), SquareRoot()):
         gap = wardrop_gap(instance, probe, profile)
         if gap > 1e-7:
             raise RuntimeError(f"invariant solution fails the Wardrop postcondition under {probe!r} (gap {gap:.3e})")
-    system = SymmetricLinearSystem(
-        matrix=tuple(tuple(map(float, row)) for row in A),
-        rhs=tuple(map(float, b)),
-        solution=tuple(mass),
-        pivots=tuple(map(float, pivots)),
-        certified=True,
-    )
-    return profile, system
+    return profile, tuple(x)
 
 
 # ---------------------------------------------------------------------------

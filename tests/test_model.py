@@ -134,7 +134,7 @@ def test_assumption_flags():
     assert not constant.satisfies_a1 and not constant.satisfies_a2
     root = Monomial(1, 0.5)
     assert (root.satisfies_a1, root.satisfies_a2) == (SquareRoot().satisfies_a1, SquareRoot().satisfies_a2)
-    assert root.is_exact_for_integers == SquareRoot().is_exact_for_integers
+    assert root.powers == SquareRoot().powers
 
 
 def test_cost_sum_values():

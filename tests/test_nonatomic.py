@@ -18,7 +18,6 @@ from chargegame import (
     PositivityCertificateError,
     SquareRoot,
     action_set,
-    build_symmetric_system,
     check_invariance_condition,
     efficiency_nonatomic,
     grid_total_cost,
@@ -30,7 +29,7 @@ from chargegame import (
     solve_symmetric_invariant,
     wardrop_gap,
 )
-from chargegame.nonatomic import _gram_solve, _solve_nonnegative
+from chargegame.nonatomic import _exact_system, _gram_solve, _solve_nonnegative
 
 COST_DEPENDENT_EXO = (0.1, 0.2, 0.3, 0.4, 0.5, 0.2, 0.2, 0.3, 0.2, 0.1, 0.2)
 
@@ -116,25 +115,22 @@ def test_invariance_condition_underflow():
 
 def test_symmetric_system_solution_is_consistent():
     inst = NonatomicInstance.symmetric(T=10, C=3, exogenous=tuple([1.0] * 10))
-    matrix, rhs = build_symmetric_system(inst)
-    profile, system = solve_symmetric_invariant(inst)
-    x = np.array(system.solution)
-    assert np.allclose(matrix @ x, rhs, atol=1e-12)
-    assert np.asarray(matrix).shape == (8, 8)
-    assert np.allclose(matrix[-1], 1.0)  # mass normalization row
-    assert rhs[-1] == pytest.approx(1.0)
+    A, b = _exact_system(inst)
+    _, masses = solve_symmetric_invariant(inst)
+    assert [sum(a * x for a, x in zip(row, masses)) for row in A] == b
+    assert len(A) == 8 and all(len(row) == 8 for row in A)
+    assert A[-1] == [1] * 8  # mass normalization row
+    assert b[-1] == 1
 
 
 def test_invariant_solution_duration_three():
     inst = NonatomicInstance.symmetric(T=10, C=3, exogenous=tuple([1.0] * 10))
-    profile, system = solve_symmetric_invariant(inst)
-    expected = (0.25, 1 / 12, 0.0, 1 / 6, 1 / 6, 0.0, 1 / 12, 0.25)
-    assert np.allclose(profile.start_mass()[:8], expected, atol=1e-9)
-    # the certified elimination's own solution is the one returned
-    assert min(system.solution) >= -1e-11
-    assert np.allclose(system.solution, expected, atol=1e-12)
-    assert system.certified
-    assert all(p > 0 for p in system.pivots)
+    profile, masses = solve_symmetric_invariant(inst)
+    expected = tuple(map(Fraction, ("1/4", "1/12", "0", "1/6", "1/6", "0", "1/12", "1/4")))
+    assert np.allclose(profile.start_mass()[:8], [float(m) for m in expected], atol=1e-9)
+    # the certified elimination's own solution is the one returned, exactly
+    assert masses == expected and all(type(m) is Fraction for m in masses)
+    assert [float(m) for m in masses] == list(profile.start_mass()[:8])
 
 
 def test_invariant_solution_duration_five():
@@ -156,12 +152,16 @@ def test_invariant_solution_is_equilibrium_for_every_admissible_cost():
 @pytest.mark.parametrize("power, first", [(6, Fraction(11, 12)), (7, Fraction(6, 7)), (10, Fraction(3, 4))])
 def test_invariant_solution_of_a_linear_ramp(power, first):
     # the load t / power rises by equal steps, which its floats do not take:
-    # only an exact reading of the data finds it convex
-    inst = NonatomicInstance.symmetric(10, 5, power=power, exogenous=tuple(range(10)))
-    assert check_invariance_condition(inst).convex
-    profile, system = solve_symmetric_invariant(inst)
-    assert list(profile.start_mass()) == [float(first), 0, 0, 0, 0, float(1 - first), 0, 0, 0, 0]
-    assert system.certified and system.solution == tuple(profile.start_mass()[:6])
+    # only an exact reading of the data finds it convex.  The same ramp in
+    # other units, written in Fractions, must not be rounded through floats
+    units = [(power, range(10)), (1, [Fraction(t, power) for t in range(10)])]
+    units.append((Fraction(power, 3), [Fraction(t, 3) for t in range(10)]))
+    for P, exogenous in units:
+        inst = NonatomicInstance.symmetric(10, 5, power=P, exogenous=tuple(exogenous))
+        assert check_invariance_condition(inst).convex
+        profile, masses = solve_symmetric_invariant(inst)
+        assert masses == (first, 0, 0, 0, 0, 1 - first)
+        assert list(profile.start_mass()) == [float(first), 0, 0, 0, 0, float(1 - first), 0, 0, 0, 0]
 
 
 def test_invariant_solver_rejects_violating_exogenous():
@@ -195,8 +195,7 @@ def test_elimination_certificate_rejects_negative_solutions():
     A = [[1, 0], [0, 1]]
     with pytest.raises(PositivityCertificateError, match="negative"):
         _solve_nonnegative(A, [1, -1])
-    pivots, solution = _solve_nonnegative(A, [1, 1])
-    assert pivots == [1, 1] and solution == [1, 1]
+    assert _solve_nonnegative(A, [1, 1]) == [1, 1]
     with pytest.raises(PositivityCertificateError, match="zero pivot in row 1"):
         _solve_nonnegative([[0, 1], [1, 0]], [1, 1])
 
