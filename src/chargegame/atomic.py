@@ -526,14 +526,15 @@ class _BlockKernel:
         # rounded entries by (k-1)u/(1-(k-1)u) times their absolute sum at most
         # (Higham 2002, 4.2); a prefix of X is off by at most Tu(1+Tu)S_X +
         # T eta/2.  A deviation test puts four F and four G prefixes through seven
-        # roundings of values below 2S: off by at most 4Tu(1+Tu)S + 14uS + 4T eta,
-        # under err/2 for T < 2**31 (room to round S and err); a total, by less.
-        # The slot-major layout leaves this intact: each element is the same
-        # expression, each prefix adds in cumsum's order, and S is summed per
-        # configuration over a row-major copy, the order numpy sums a row in.
+        # roundings of values below 2S: off by at most 4Tu(1+Tu)S + 14uS + 4T eta;
+        # a total, by less.  S adds 2T nonnegative terms, here in slot order (any
+        # order would do), so it comes out low by at most (2T-1)u/(1-(2T-1)u)
+        # times S (the same bound), and err, two more roundings, by about
+        # 16T^2 u^2 S + eta below its exact value: still above the test's error
+        # for T < 2**31.
         err = None
         if certify:
-            S = np.abs(Fpre[1:]).T.copy().sum(1) + np.abs(Gpre[1:]).T.copy().sum(1)
+            S = np.abs(Fpre[1:]).sum(0) + np.abs(Gpre[1:]).sum(0)
             err = (8 * T + 32) * 2.0**-53 * S + 16 * T * 2.0**-1074
         for k in range(1, T):  # cumsum's order, as x + y rounds like y + x
             Fpre[k + 1] += Fpre[k]

@@ -8,11 +8,13 @@ admits the strictly concave potential
 (x the occupancy mass), the Wardrop equilibria are exactly the maximizers of
 Phi, and the occupancy at equilibrium is unique whenever the cost is strictly
 increasing.  ``solve_equilibrium`` finds them with one active-set Newton
-method started from the uniform profile: each step linearizes the
-equal-cost optimality system on the active set (every active start of a
-class costs the same, every class keeps unit mass).  That system has rank at
-most T, and its minimum-norm solution comes from ``eigh`` of a Gram matrix
-in the smaller of the move and slot spaces.  A full step that would make
+method.  It starts each class evenly on its starts that cost at most the
+class's mean start cost at the uniform profile's loads, so the first steps
+need not drop the starts that are dear from the outset.  Each step
+linearizes the equal-cost optimality system on the active set (every
+active start of a class costs the same, every class keeps unit mass).
+That system has rank at most T, and its minimum-norm solution comes from
+``eigh`` of a Gram matrix in the smaller of the move and slot spaces.  A full step that would make
 masses negative is projected: every blocking start is clipped to zero and
 leaves the active set at once, and the projection is kept when it strictly
 raises Phi, the merit function.  If it does not, the steps of 1/2, 1/4 and
@@ -215,19 +217,21 @@ def _solve_potential(
 ):
     """Maximize the potential built on per-slot cost ``g``; core of both solvers.
 
-    Active-set Newton from the uniform profile.  Each pass evaluates the
-    costs of the row-normalised masses, the matrix that is certified and
-    returned.  Until every active start of a class costs the same to float
-    resolution, it takes one Newton step.  A full step that would make masses
-    negative is first projected: those masses are clipped to zero, their
-    starts leave the active set together, and each class is renormalised.
-    The projection is kept only if it strictly raises the potential (one
-    cost evaluation); otherwise the projections of the half, quarter and
-    eighth step are tried in turn, one evaluation each.  If none is kept,
-    the step is shortened so that no mass turns negative and only the first
-    blocking start leaves.  Once the system
-    holds, each class's cheapest inactive start enters if it undercuts the
-    class's active ones.  Returns the matrix, its gap, its costs and the
+    Active-set Newton.  One cost evaluation at the uniform profile's loads
+    prices every start, and each class starts evenly on the starts that
+    cost at most its mean there (its cheapest at least; all of them when
+    they cost the same).  Each pass evaluates the costs of the
+    row-normalised masses, the matrix that is certified and returned.
+    Until every active start of a class costs the same, to float resolution
+    and within half of ``tol``, it takes one Newton step.  A full step that
+    would make masses negative is first projected: those masses are clipped
+    to zero, their starts leave the active set together, and each class is
+    renormalised.  The projection is kept only if it strictly raises the
+    potential (one cost evaluation); otherwise the projections of the half,
+    quarter and eighth step are tried in turn, one evaluation each.  If none
+    is kept, the step is shortened so that no mass turns negative and only
+    the first blocking start leaves.  Once the system holds, each class's
+    cheapest inactive start enters if it undercuts the class's active ones.  Returns the matrix, its gap, its costs and the
     ``stats`` counters and phase times.
 
     The window-incidence matrix ``W``, built once, has one row per allowed
@@ -245,11 +249,9 @@ def _solve_potential(
     owner, starts = np.nonzero(allowed)
     ends = starts + duration[owner]
     W = ((slots >= starts[:, None]) & (slots < ends[:, None])).astype(float)
-    active = allowed.copy()
-    Y = active / active.sum(axis=1, keepdims=True)
+    Y = allowed / allowed.sum(axis=1, keepdims=True)
     stats = dict.fromkeys(("steps", "projected", "arc", "fallbacks", "drops", "entries", "evals"), 0)
     stats.update(dict.fromkeys(("jacobian_s", "solve_s", "cost_s", "check_s"), 0.0))
-    best = (math.inf, Y)
 
     def refuse(why: str):
         raise ConvergenceError(
@@ -265,6 +267,18 @@ def _solve_potential(
         stats["evals"] += 1
         return exo + P * ((weights[:, None] * Y)[allowed] @ W)
 
+    # the start: each class spread evenly over its starts that cost at most
+    # the class's mean at the uniform profile's loads; the rounded mean of
+    # equal costs can fall below them, so the cheapest start always counts
+    t0 = time.perf_counter()
+    costs = np.full((K, T), math.inf)
+    costs[allowed] = W @ g(loads_of(Y))
+    best = (_wardrop_gap_of(costs, Y), Y)
+    mean = np.where(allowed, costs, 0.0).sum(axis=1) / allowed.sum(axis=1)
+    active = costs <= np.maximum(mean, costs.min(axis=1))[:, None]
+    Y = active / active.sum(axis=1, keepdims=True)
+    stats["cost_s"] += time.perf_counter() - t0
+
     while True:
         Y /= Y.sum(axis=1, keepdims=True)
         t0 = time.perf_counter()
@@ -279,7 +293,7 @@ def _solve_potential(
         owner, starts = np.nonzero(active)
         c = costs[owner, starts]
         level = np.bincount(owner, c, K) / np.bincount(owner, minlength=K)
-        balanced = float(np.max(np.abs(c - level[owner]))) <= 1e-13 * scale
+        balanced = float(np.max(np.abs(c - level[owner]))) <= min(1e-13 * scale, tol / 2)
         t2 = time.perf_counter()
         stats["cost_s"] += t1 - t0
         stats["check_s"] += t2 - t1

@@ -595,15 +595,16 @@ def test_cli_rejects_a_negative_budget(args):
 
 
 @pytest.mark.parametrize(
-    "command, spec_name, error",
+    "command, spec_name, budget, error",
     [
-        ("solve-atomic", "valley_three_players", "BudgetExceededError"),
-        ("solve-nonatomic", "evening_continuum", "ConvergenceError"),
+        ("solve-atomic", "valley_three_players", "5", "BudgetExceededError"),
+        ("solve-nonatomic", "evening_continuum", "1", "ConvergenceError"),
     ],
+    ids=["solve-atomic-valley_three_players-BudgetExceededError", "solve-nonatomic-evening_continuum-ConvergenceError"],
 )
-def test_cli_reports_a_refusal_in_one_line(capsys, command, spec_name, error):
+def test_cli_reports_a_refusal_in_one_line(capsys, command, spec_name, budget, error):
     spec = DEMOS / "specs" / f"{spec_name}.json"
-    assert main([command, str(spec), "--budget", "5"]) == 3
+    assert main([command, str(spec), "--budget", budget]) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(f"{error}: ") and err.count("\n") == 1

@@ -281,6 +281,42 @@ def test_solver_handles_empty_slots_under_a_square_root():
         assert wardrop_gap(inst, SquareRoot(), eq.profile) <= 1e-9
 
 
+def steep_cost_instances():
+    """400 small random instances, the n-th under L2, L3, sqrt(L) or L8 as
+    n mod 4, at power 0.5, 1 or 4: under L8 at power 4 window costs reach
+    1e4-1e6."""
+    rng = random.Random(7)
+    for n in range(400):
+        T, K = rng.randint(6, 40), rng.randint(1, 6)
+        raw = [rng.random() + 0.1 for _ in range(K)]
+        classes = []
+        for w in raw:
+            C = rng.randint(1, max(1, T // 3))
+            a = rng.randint(1, T - C + 1)
+            d = rng.randint(a + C - 1, T)
+            classes.append((w / sum(raw), a, d, C))
+        exo = tuple(rng.choice((0.0, rng.uniform(0.0, 3.0))) for _ in range(T))
+        power = rng.choice((0.5, 1, 4))
+        cost = (Monomial(1, 2), Monomial(1, 3), SquareRoot(), Monomial(1, 8))[n % 4]
+        yield n, NonatomicInstance.create(T=T, classes=classes, exogenous=exo, power=power), cost
+
+
+def test_solver_balances_costs_to_tol_under_a_steep_cost():
+    # T=39, one class, L8 at power 4: a balance threshold of 1e-13 times the
+    # cost scale exceeds tol, so the solver stopped stepping at a gap above
+    # tol and refused though no start undercut
+    inst, cost = next((inst, cost) for n, inst, cost in steep_cost_instances() if n == 167)
+    eq = solve_equilibrium(inst, cost, tol=1e-9)
+    assert 1e-13 * max(c for c in eq.class_costs[0] if math.isfinite(c)) > 1e-9
+    assert wardrop_gap(inst, cost, eq.profile) <= 1e-9
+
+
+def test_solver_solves_random_instances_under_steep_costs():
+    for n, inst, cost in steep_cost_instances():
+        eq = solve_equilibrium(inst, cost, tol=1e-9)
+        assert wardrop_gap(inst, cost, eq.profile) <= 1e-9, n
+
+
 NARROW_SPANS = (6, 8, 10, 12, 6, 8, 10, 12)
 WIDE_SPANS = (16, 20, 24, 28, 16, 20, 24, 28)
 
@@ -380,28 +416,6 @@ def test_class_costs_are_window_sums_of_the_slot_costs(cost):
                     assert got == math.inf
 
 
-@pytest.mark.parametrize(
-    "inst, cost, falls_back",
-    # on the cost-dependent instance a half step along the arc is kept
-    # where the full projected step does not raise the potential
-    [(daily_fleet(5, WIDE_SPANS), Monomial(1, 2), True), (cost_dependent_instance(), SquareRoot(), False)],
-    ids=["wide-fleet-L2", "cost-dependent-sqrt"],
-)
-def test_solver_stats_show_projected_and_fallback_steps(inst, cost, falls_back):
-    eq = solve_equilibrium(inst, cost)
-    stats = eq.stats
-    assert (stats["steps"], stats["evals"]) == (eq.iterations, eq.cost_evaluations)
-    assert stats["projected"] >= 1 and stats["arc"] >= 1
-    assert (stats["fallbacks"] >= 1) == falls_back
-    # a fallback drops at most one start and an arc step may drop none, so
-    # some full-step projection dropped several
-    assert stats["drops"] - stats["fallbacks"] > stats["projected"] - stats["arc"]
-    assert stats["arc"] <= stats["projected"]
-    assert stats["projected"] + stats["fallbacks"] <= stats["steps"]
-    assert all(stats[k] >= 0.0 for k in ("jacobian_s", "solve_s", "cost_s", "check_s"))
-    assert wardrop_gap(inst, cost, eq.profile) <= 1e-9
-
-
 def many_class_fleet(K, power=20):
     """T=96 fleet of K classes of weight 1/K under ``daily_fleet``'s load,
     each with 6-28 start slots and a duration of 4, 6, 8 or 10."""
@@ -422,6 +436,37 @@ def test_solver_solves_a_many_class_fleet_within_budget():
     inst, cost = many_class_fleet(128), Monomial(1, 2)
     eq = solve_equilibrium(inst, cost, budget=500)
     assert wardrop_gap(inst, cost, eq.profile) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "inst, cost, falls_back",
+    # on the narrow fleet a shorter step along the arc is kept where the full
+    # projected step does not raise the potential
+    [(daily_fleet(7, NARROW_SPANS), Monomial(1, 2), False), (many_class_fleet(128), Monomial(1, 2), True)],
+    ids=["narrow-fleet-L2", "many-class-fleet-L2"],
+)
+def test_solver_stats_show_projected_and_fallback_steps(inst, cost, falls_back):
+    eq = solve_equilibrium(inst, cost)
+    stats = eq.stats
+    assert (stats["steps"], stats["evals"]) == (eq.iterations, eq.cost_evaluations)
+    assert stats["projected"] >= 1 and stats["arc"] >= 1
+    assert (stats["fallbacks"] >= 1) == falls_back
+    # a fallback drops at most one start and an arc step may drop none, so
+    # some full-step projection dropped several
+    assert stats["drops"] - stats["fallbacks"] > stats["projected"] - stats["arc"]
+    assert stats["arc"] <= stats["projected"]
+    assert stats["projected"] + stats["fallbacks"] <= stats["steps"]
+    assert all(stats[k] >= 0.0 for k in ("jacobian_s", "solve_s", "cost_s", "check_s"))
+    assert wardrop_gap(inst, cost, eq.profile) <= 1e-9
+
+
+def test_solver_step_count_on_fixed_fleets():
+    # the counters are deterministic: 258 steps here, where starting each
+    # solve on every allowed start took 309
+    L2 = Monomial(1, 2)
+    fleets = [daily_fleet(seed, spans) for seed in range(6) for spans in (NARROW_SPANS, WIDE_SPANS)]
+    steps = sum(solve_equilibrium(inst, L2).iterations for inst in [*fleets, many_class_fleet(128)])
+    assert steps <= 284
 
 
 @pytest.mark.parametrize("m", [7, 20, 45], ids=["m<T", "m=T", "m>T"])
