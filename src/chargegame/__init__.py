@@ -73,6 +73,7 @@ from .experiments import (
     NONATOMIC_COUNTEREXAMPLE,
     SweepSpec,
     DataSeries,
+    WorkerError,
     run_sweep,
     run_counterexamples,
     emit_data,

@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a sweep spec and emit data files")
     p.add_argument("spec", help="sweep spec JSON file")
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help="grid points solved at once, on forked worker processes (at most one per CPU)")
+                   help="workers sharing the grid points: this process and forked children (at most one per CPU)")
     common(p, needs_out_dir=True)
     p.set_defaults(func=_cmd_sweep)
 

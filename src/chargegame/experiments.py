@@ -10,7 +10,10 @@ grid points solved at once or on wall clock, so reruns are byte-identical.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
+import pickle
+import signal
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -156,34 +159,127 @@ class DataSeries:
         return f"{self.sweep}_{self.label}.dat"
 
 
-def _call(job):
-    return job()
+class WorkerError(RuntimeError):
+    """A sweep worker process ended without sending its results back."""
 
 
-def _run_jobs(jobs, threads: int):
-    """Results of ``jobs``, picklable zero-argument callables, in order.
+def _deal(weights, shares: int) -> list:
+    """Job indices of each of ``shares`` shares, each share in job order.
 
-    Up to ``threads`` of them run at once on worker processes forked from
-    this one (copy-on-write, so a worker imports nothing), never more
-    workers than CPUs.  The first job to raise cancels the jobs not yet
-    started, and its exception is raised here.  With one worker, or where
-    ``fork`` is unavailable, the jobs run here one after the other: a
-    spawned worker would import numpy afresh, which takes longer than a
-    bundled sweep.
+    Jobs are dealt heaviest first (equal weights in job order), each to the
+    share with the least weight so far (the first of equals): Graham's
+    largest-processing-time rule.
+    """
+    load = [0] * shares
+    dealt = [[] for _ in range(shares)]
+    for j in sorted(range(len(weights)), key=lambda j: -weights[j]):
+        s = load.index(min(load))
+        dealt[s].append(j)
+        load[s] += weights[j]
+    return [sorted(share) for share in dealt]
+
+
+def _run_share(jobs, share, results: dict):
+    # runs the jobs of `share` in order into `results`; (index, error) of
+    # the first one to raise, which ends the share, else None
+    for j in share:
+        try:
+            results[j] = jobs[j]()
+        except Exception as err:
+            return j, err
+    return None
+
+
+def _fork(jobs, share) -> tuple:
+    """Fork a child that runs ``share`` and sends ``(results, failure)`` back
+    pickled; returns its pid and the read end of its pipe."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    # the child leaves by os._exit whatever happens: no atexit handler runs
+    # and the parent's buffered output is not written a second time
+    status = 1
+    try:
+        os.close(read)
+        results = {}
+        failure = _run_share(jobs, share, results)
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump((results, failure), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _collect(pid: int, read: int) -> tuple:
+    # a child's (results, failure): its pipe is read to the end and closed,
+    # and the child reaped; a read that is interrupted kills it first
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        return pickle.loads(data)
+    except Exception:
+        how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+        raise WorkerError(f"sweep worker {pid} ended without its results ({how})") from None
+
+
+def _run_jobs(jobs, threads: int, weights=None) -> list:
+    """Results of ``jobs``, zero-argument callables whose results and
+    errors pickle, in order.
+
+    The jobs are dealt by ``weights`` (default: all equal) into one share
+    per worker, ``min(threads, jobs, CPUs)`` of them (see ``_deal``).  This
+    process runs share 0 itself, and each other share runs in one child
+    forked from it (copy-on-write, so a child imports nothing), which sends
+    its results back through a pipe.  A share stops at its first error, and
+    the error of the lowest-index failing job is raised here, as in a
+    serial run.  So once this process's own share fails, the children
+    whose jobs all come after its failing one are killed unread; the
+    others are read to the end.  No child outlives the call.  With one
+    worker, or where ``fork`` is unavailable, the jobs run here one after
+    the other: a spawned worker would import numpy afresh, which takes
+    longer than a bundled sweep.
     """
     workers = min(threads, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: they would add tens of milliseconds to every start-up
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
-            try:
-                return list(pool.map(_call, jobs, chunksize=1))
-            finally:
-                pool.shutdown(cancel_futures=True)
-    return [job() for job in jobs]
+    if workers < 2 or not hasattr(os, "fork"):
+        return [job() for job in jobs]
+    shares = _deal(weights or [1] * len(jobs), workers)
+    children = {}  # pid: (read end of its pipe, its share), until reaped
+    try:
+        for share in shares[1:]:
+            pid, read = _fork(jobs, share)
+            children[pid] = (read, share)
+        results = {}
+        own = _run_share(jobs, shares[0], results)
+        failures = [own] if own else []
+        for pid, (read, share) in list(children.items()):
+            if failures and share[0] > min(failures)[0]:
+                continue  # nothing it runs can fail earlier: killed below
+            del children[pid]
+            done, failure = _collect(pid, read)
+            results.update(done)
+            if failure:
+                failures.append(failure)
+        if failures:
+            raise min(failures)[1]
+        return [results[j] for j in range(len(jobs))]
+    finally:
+        for pid, (read, _) in children.items():
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _atomic_instance(spec: SweepSpec, I: int, C: int) -> AtomicInstance:
@@ -221,8 +317,11 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[DataSeries, ...]:
     counter-example.  An ``efficiency-vs-power`` series has one instance,
     and ``efficiencies`` scans its configurations once for every exponent;
     the other kinds solve one instance per grid point.  With ``threads``
-    above one the jobs run on forked worker processes, at most one per CPU
-    (see ``_run_jobs``); the result does not depend on ``threads``.
+    above one, up to ``threads`` workers, at most one per CPU, share the
+    jobs: this process and forked children (see ``_run_jobs``).  An atomic
+    job weighs its configuration count C(I+A-1, A-1), A its start count,
+    times its number of costs, and a nonatomic one 1; the jobs are dealt to
+    the workers heaviest first.  The result does not depend on ``threads``.
     """
     by_C = [(I, C) for C in spec.C_values for I in spec.I_values]
     by_I = [(I, C) for I in spec.I_values for C in spec.C_values]
@@ -237,8 +336,10 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[DataSeries, ...]:
     if spec.kind in grids:
         xs, prefix, keys, points, meta = grids[spec.kind]
         jobs = [partial(_atomic_point, spec, I, C) for I, C in points]
-        # jobs run series by series, so the y values come out series-major
-        values = [y for ys in _run_jobs(jobs, threads) for y in ys]
+        last = spec.T if spec.departure is None else spec.departure  # slot the windows end in
+        weights = [math.comb(I + last - C, last - C) * (len(spec.exponents) or 1) for I, C in points]
+        # jobs come back series by series, so the y values are series-major
+        values = [y for ys in _run_jobs(jobs, threads, weights) for y in ys]
         n = len(xs)
         return tuple(
             DataSeries(spec.label, f"{prefix}{key}", xs, tuple(values[j * n : (j + 1) * n]), meta)

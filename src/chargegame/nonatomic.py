@@ -232,7 +232,8 @@ def _solve_potential(
     is kept, the step is shortened so that no mass turns negative and only
     the first blocking start leaves.  Once the system holds, each class's
     cheapest inactive start enters if it undercuts the class's active ones.  Returns the matrix, its gap, its costs and the
-    ``stats`` counters and phase times.
+    ``stats`` counters and phase times.  When the budget runs out, the best
+    iterate is returned if its gap is within ``tol``, else refused.
 
     The window-incidence matrix ``W``, built once, has one row per allowed
     (class, start) pair in ``np.nonzero`` order and a 1 in each slot that
@@ -261,9 +262,13 @@ def _solve_potential(
             best[0],
         )
 
-    def loads_of(Y: np.ndarray) -> np.ndarray:
-        if stats["evals"] >= budget:
+    def spent():
+        # the budget is out: a best iterate already within tol is an answer
+        if best[0] > tol:
             refuse("budget spent")
+        return best[1], best[0], best[2], stats
+
+    def loads_of(Y: np.ndarray) -> np.ndarray:
         stats["evals"] += 1
         return exo + P * ((weights[:, None] * Y)[allowed] @ W)
 
@@ -273,7 +278,7 @@ def _solve_potential(
     t0 = time.perf_counter()
     costs = np.full((K, T), math.inf)
     costs[allowed] = W @ g(loads_of(Y))
-    best = (_wardrop_gap_of(costs, Y), Y)
+    best = (_wardrop_gap_of(costs, Y), Y, costs)  # budget >= 1 paid for it
     mean = np.where(allowed, costs, 0.0).sum(axis=1) / allowed.sum(axis=1)
     active = costs <= np.maximum(mean, costs.min(axis=1))[:, None]
     Y = active / active.sum(axis=1, keepdims=True)
@@ -281,6 +286,8 @@ def _solve_potential(
 
     while True:
         Y /= Y.sum(axis=1, keepdims=True)
+        if stats["evals"] >= budget:
+            return spent()
         t0 = time.perf_counter()
         loads = loads_of(Y)
         costs = np.full((K, T), math.inf)
@@ -288,7 +295,7 @@ def _solve_potential(
         t1 = time.perf_counter()
         gap = _wardrop_gap_of(costs, Y)
         if gap < best[0]:
-            best = (gap, Y.copy())
+            best = (gap, Y.copy(), costs)
         scale = max(1.0, float(np.max(np.abs(costs[allowed]))))
         owner, starts = np.nonzero(active)
         c = costs[owner, starts]
@@ -354,6 +361,8 @@ def _solve_potential(
         t5 = time.perf_counter()
         now = np.sum(g.antiderivative(loads))
         for alpha in (1.0, 0.5, 0.25, 0.125):
+            if stats["evals"] >= budget:
+                return spent()
             step = y + alpha * dy
             trial = Y.copy()
             trial[owner, starts] = np.maximum(step, 0.0)
@@ -398,8 +407,9 @@ def solve_equilibrium(
     Per-class pricing maps are irrelevant here: they are strictly increasing,
     so they preserve each class's cost ordering and hence the equilibria.
     ``budget`` caps cost-vector evaluations (env ``CHARGE_GAME_BUDGET``
-    applies when unset); exceeding it raises ``ConvergenceError`` with the
-    best iterate attached.
+    applies when unset).  When it runs out, the best iterate so far is the
+    answer if its gap is within ``tol``; otherwise ``ConvergenceError`` is
+    raised with that iterate attached.
     """
     check_tol(tol)
     if not cost.satisfies_a1:

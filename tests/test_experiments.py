@@ -1,13 +1,17 @@
 """Tests for sweeps, data emission, file codecs and the command line."""
 
+import contextlib
 import hashlib
 import json
-import multiprocessing
 import os
 import pickle
 import runpy
+import signal
+import subprocess
 import sys
+import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -32,6 +36,9 @@ from chargegame.experiments import (
     NONATOMIC_COUNTEREXAMPLE,
     DataSeries,
     SweepSpec,
+    WorkerError,
+    _deal,
+    _run_jobs,
     emit_data,
     run_counterexamples,
     run_sweep,
@@ -457,39 +464,149 @@ def test_refusals_survive_a_pickle_round_trip():
     assert type(back) is IterationBudgetError and str(back) == "no equilibrium after 3 sweeps"
 
 
+def _assert_no_child_left():
+    # raises ChildProcessError only when this process has no child at all,
+    # running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_sweep_workers_are_gone_after_a_run_and_after_a_refusal():
     spec = SweepSpec(kind="ne-proportion", label="tiny", T=5, I_values=(1, 2, 3), C_values=(2, 3))
     assert run_sweep(spec, threads=2) == run_sweep(spec, threads=1)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     with pytest.raises(ConvergenceError):
         run_sweep(replace(NONATOMIC_COUNTEREXAMPLE, budget=1), threads=2)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the runner forks only where os.fork exists")
 def test_sweep_asks_for_at_most_one_worker_per_cpu(tmp_path, monkeypatch):
-    # a stand-in pool records the size asked for and runs the jobs here, so
-    # no process is started
-    import concurrent.futures
+    # the sweep process is one of the workers, so 3 CPUs make 2 children
+    forks = []
+    fork = os.fork
 
-    asked = []
+    def counting_fork():
+        forks.append(1)
+        return fork()
 
-    class RecordingPool:
-        def __init__(self, max_workers, mp_context):
-            asked.append(max_workers)
-
-        def map(self, fn, jobs, chunksize):
-            return map(fn, jobs)
-
-        def shutdown(self, cancel_futures):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     spec = SweepSpec(kind="ne-proportion", label="tiny", T=5, I_values=(1, 2, 3), C_values=(2, 3))
     spec_path = tmp_path / "spec.json"
     dump_json(spec.to_dict(), spec_path)
     assert main(["sweep", str(spec_path), "--out", str(tmp_path / "out"), "--threads", "10000"]) == 0
-    assert asked == ([3] if "fork" in multiprocessing.get_all_start_methods() else [])
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_jobs_are_dealt_heaviest_first_to_the_least_loaded_share():
+    # efficiency_vs_exponent's three series (I=12, T=10, C=3, 4, 5; 9 exponents)
+    assert _deal([50388 * 9, 18564 * 9, 6188 * 9], 2) == [[0], [1, 2]]
+    assert _deal([1] * 6, 2) == [[0, 2, 4], [1, 3, 5]]
+    assert _deal([5, 4, 3, 3, 3], 2) == [[0, 3], [1, 2, 4]]
+    assert _deal([2, 7, 1], 3) == [[1], [0], [2]]
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    # raises TimeoutError here after `seconds`; a forked child does not
+    # inherit the alarm
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def deadline():
+    # a runner that hangs fails its test after a minute instead of stalling
+    # the suite
+    with _alarm(60):
+        yield
+
+
+def _job(j, failing=(), sleep=0.0):
+    if j in failing:
+        raise BudgetExceededError(f"job {j} ran out", partial=None)
+    time.sleep(sleep)
+    return j * j
+
+
+# equal weights over 2 workers: this process runs jobs 0, 2, 4 and the one
+# child runs jobs 1, 3, 5
+@pytest.mark.parametrize("failing, first", [((2, 3), 2), ((1, 4), 1), ((0, 1), 0), ((5,), 5), ((1,), 1)])
+def test_runner_raises_the_lowest_index_failure_like_a_serial_run(monkeypatch, deadline, failing, first):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    jobs = [partial(_job, j, failing) for j in range(6)]
+    with pytest.raises(BudgetExceededError) as serial:
+        _run_jobs(jobs, 1)
+    with pytest.raises(BudgetExceededError) as shared:
+        _run_jobs(jobs, 2)
+    assert str(serial.value) == str(shared.value) == f"job {first} ran out"
+    _assert_no_child_left()
+    assert _run_jobs([partial(_job, j) for j in range(6)], 2) == [j * j for j in range(6)]
+
+
+def test_runner_kills_a_child_whose_jobs_all_follow_its_own_failure(monkeypatch, deadline):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # job 1, the child's only job, would sleep for a minute
+    jobs = [partial(_job, 0, (0,)), partial(_job, 1, sleep=60.0)]
+    began = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="job 0 ran out"):
+        _run_jobs(jobs, 2)
+    assert time.monotonic() - began < 30
+    _assert_no_child_left()
+
+
+def test_runner_kills_its_children_when_interrupted(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # the interrupt comes while this process waits on the child's minute
+    began = time.monotonic()
+    with pytest.raises(TimeoutError), _alarm(1):
+        _run_jobs([partial(_job, 0), partial(_job, 1, sleep=60.0)], 2)
+    assert time.monotonic() - began < 30
+    _assert_no_child_left()
+
+
+def _die(how):
+    if how == "exit":
+        os._exit(1)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the runner forks only where os.fork exists")
+@pytest.mark.parametrize("how, status", [("exit", "exit status 1"), ("kill", f"signal {int(signal.SIGKILL)}")])
+def test_runner_reports_a_child_that_dies_without_a_result(monkeypatch, deadline, how, status):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    # three workers over four equal jobs: the children run jobs 1 and 2
+    jobs = [partial(_job, 0), partial(_die, how), partial(_job, 2, sleep=60.0), partial(_job, 3)]
+    with pytest.raises(WorkerError, match=rf"ended without its results \({status}\)"):
+        _run_jobs(jobs, 3)
+    _assert_no_child_left()
+
+
+def test_sweep_imports_no_process_pool(tmp_path):
+    spec = SweepSpec(kind="ne-proportion", label="tiny", T=4, I_values=(1, 2), C_values=(2, 3))
+    spec_path = tmp_path / "spec.json"
+    dump_json(spec.to_dict(), spec_path)
+    script = (
+        "import os, sys\n"
+        "os.cpu_count = lambda: 2\n"  # the shared path, on any host
+        "from chargegame.cli import main\n"
+        f"assert main(['sweep', {str(spec_path)!r}, '--out', {str(tmp_path / 'out')!r}, '--threads', '2']) == 0\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("spec_name, error", [("atomic", "BudgetExceededError"), ("nonatomic", "ConvergenceError")])
@@ -506,7 +623,7 @@ def test_cli_sweep_reports_a_pooled_refusal_like_a_serial_one(tmp_path, capsys, 
         lines.append(capsys.readouterr().err)
     assert lines[0] == lines[1]
     assert lines[0].startswith(f"{error}: ") and lines[0].count("\n") == 1
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 def test_cli_solve_atomic(tmp_path):
@@ -608,6 +725,13 @@ def test_cli_reports_a_refusal_in_one_line(capsys, command, spec_name, budget, e
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(f"{error}: ") and err.count("\n") == 1
+
+
+def test_cli_solve_nonatomic_answers_when_the_budget_ends_within_tol(capsys):
+    spec = DEMOS / "specs" / "evening_continuum.json"
+    assert main(["solve-nonatomic", str(spec), "--budget", "4"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["cost_evaluations"] == 4 and data["wardrop_gap"] <= 1e-9
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0"])

@@ -543,6 +543,29 @@ def test_solver_never_spends_past_its_budget():
             assert eq.profile.start_mass().tolist() == unbudgeted.profile.start_mass().tolist()
 
 
+def test_solver_returns_a_best_iterate_within_tol_when_the_budget_runs_out():
+    # under sqrt(L) the fourth evaluation's iterate is within tol before its
+    # active costs balance; the fifth would balance them
+    inst = cost_dependent_instance()
+    refused = []
+    for budget in (1, 2, 3):
+        with pytest.raises(ConvergenceError, match="budget spent") as err:
+            solve_equilibrium(inst, SquareRoot(), budget=budget)
+        refused.append(err.value.gap)
+    assert refused[0] > 0.9 and refused[1] > 0.2 and 1e-4 < refused[2] < 1e-3
+    eq = solve_equilibrium(inst, SquareRoot(), budget=4)
+    assert eq.cost_evaluations == 4 and 0 < eq.wardrop_gap <= 1e-9
+    assert wardrop_gap(inst, SquareRoot(), eq.profile) == pytest.approx(eq.wardrop_gap, abs=1e-15)
+    slot_costs = SquareRoot()(load(inst, eq.profile))
+    starts = action_set(inst, 0)
+    expected = [sum(slot_costs[t - 1 : t + 4]) for t in starts]
+    assert eq.class_costs[0][: len(starts)] == pytest.approx(expected, rel=1e-14)
+    # the counter-example's L8 refusal stays a refusal at budget 5
+    with pytest.raises(ConvergenceError) as err:
+        solve_equilibrium(inst, Monomial(1, 8), budget=5)
+    assert err.value.gap > 0.5
+
+
 def test_solver_certifies_only_the_profile_it_returns_at_large_cost_scale():
     # at cost scale 4e13 a unit-mass error hides below a relative residual
     # test; the solver must either return a profile whose independent gap
