@@ -10,7 +10,11 @@ rational polynomial cost gives ints and Fractions, compared exactly, in
 int64 where every sum fits.  A table holding a float is float64, and a move
 must then gain more than a relative margin of 1e-12.  The single-profile
 functions keep their table (``_game``), so ``cost`` runs once per
-(instance, cost) pair of objects, not once per call.
+(instance, cost) pair of objects, not once per call, and each player's best
+response (``_move``) by its window, its start and the occupancy of its action
+span: its window costs read no other slot.  A game keeps at most
+``_MOVES_KEPT`` of them, about ``150 + 8 * span`` bytes each, so the
+``_GAMES_KEPT`` games hold at most 5.3 MiB at T = 24 and 14 MiB at T = 96.
 
 The exhaustive scans run over class configurations.  Players that share a
 window ``(a, d, C)`` form a group and are interchangeable, so a class
@@ -177,63 +181,69 @@ def _slot_table(instance: AtomicInstance, cost: GridCostFunction):
     return rows, object if kinds <= {int, Fraction} else np.float64
 
 
-# single-profile state kept by (instance, cost) object identity: instances
-# that compare equal may hold numbers of different types, and so different
-# tables.  An entry holds both objects, so their ids cannot be reused while
-# it lives.  The dict is emptied whole when it fills, which threads survive
+# single-profile state kept by (instance, cost) object identity: instances that
+# compare equal may hold numbers of different types, and so different tables.
+# An entry holds both objects, so their ids cannot be reused while it lives.
+# The dict and each game's moves are emptied whole when full; threads survive it
 _GAMES: dict = {}
 _GAMES_KEPT = 8
+_MOVES_KEPT = 2048
 
 
 def _game(instance: AtomicInstance, cost: GridCostFunction):
-    """Table rows, margin and players of one (instance, cost) pair, kept.
+    """Table rows, margin, players and kept moves of one (instance, cost) pair.
 
     ``rows`` is the table of ``_slot_table``.  A move gains when it costs
     less than ``cur - margin * max(1, abs(cur))``: ``_REL_MARGIN`` on a float
-    table, else an int 0, which keeps Fractions exact.  ``players`` holds one
-    ``(C, targets, windows)`` per player: its duration, its action set and
-    the slots each target's window covers, as slices.
+    table, else an int 0, which keeps Fractions exact.  ``players`` holds
+    each player's action span, slots ``lo..hi-1``, and duration as ``(lo, hi,
+    C)``; ``moves``, at most ``_MOVES_KEPT`` answers of ``_move``.
     """
     key = (id(instance), id(cost))
     game = _GAMES.get(key)
     if game is None:
         rows, dtype = _slot_table(instance, cost)
-        players = []
-        for i, C in enumerate(instance.durations):
-            targets = action_set(instance, i)
-            players.append((C, targets, [slice(t - 1, t - 1 + C) for t in targets]))
+        players = [(a - 1, d, C) for a, d, C in zip(instance.arrivals, instance.departures, instance.durations)]
         if len(_GAMES) >= _GAMES_KEPT:
             _GAMES.clear()
-        game = _GAMES[key] = (instance, cost, rows, _REL_MARGIN if dtype is np.float64 else 0, players)
+        game = _GAMES[key] = (instance, cost, rows, _REL_MARGIN if dtype is np.float64 else 0, players, {})
     return game[2:]
 
 
-def _window_costs(F, G, s: int, C: int, windows):
-    """A player's window cost at start ``s``, and at each of ``windows``.
+def _move(game, i: int, occ, s: int) -> tuple[bool, int]:
+    """Whether player ``i`` at start ``s`` gains by its best response, and that response.
 
-    ``F[t]`` and ``G[t]`` are slot ``t``'s cost at its occupancy and with one
-    more player.  Moved to a target, the player's own window keeps its
-    occupancy and every other slot gains it.  Sums run in slot order.
+    The response is the first target of least window cost.  Those costs read
+    only the slots of the player's action span, so the answer is kept by
+    window, ``s`` and the span's occupancy.  A miss sums them in slot order:
+    the player's own window keeps its occupancy, every other slot gains it.
     """
-    own = slice(s - 1, s - 1 + C)
-    moved = G.copy()
-    moved[own] = F[own]
-    return sum(F[own]), [sum(moved[w]) for w in windows]
+    rows, margin, players, moves = game
+    lo, hi, C = players[i]
+    span = occ[lo:hi]
+    key = (lo, C, s, *span)
+    move = moves.get(key)
+    if move is None:
+        own = slice(s - 1 - lo, s - 1 - lo + C)
+        here = [row[n] for row, n in zip(rows[lo:hi], span)]
+        moved = [row[n + 1] for row, n in zip(rows[lo:hi], span)]
+        moved[own] = here[own]
+        current, costs = sum(here[own]), [sum(moved[j : j + C]) for j in range(hi - lo - C + 1)]
+        best = min(costs)
+        if len(moves) >= _MOVES_KEPT:
+            moves.clear()
+        move = moves[key] = (best < current - margin * max(1, abs(current)), lo + 1 + costs.index(best))
+    return move
 
 
 def _slot_state(instance: AtomicInstance, cost: GridCostFunction, starts):
-    """The game of ``_game``, the occupancy of ``starts``, its ``F`` and ``G`` rows.
-
-    ``F[t] = rows[t][occ[t]]`` and ``G[t] = rows[t][occ[t] + 1]``, all
-    plain lists.
-    """
-    rows, margin, players = _game(instance, cost)
+    """The game of ``_game`` and the occupancy of ``starts``, a plain list."""
+    game = _game(instance, cost)
     occ = [0] * instance.horizon.T
-    for s, (C, _, _) in zip(starts, players):
+    for s, (_, _, C) in zip(starts, game[2]):
         for t in range(s - 1, s - 1 + C):
             occ[t] += 1
-    F, G = [row[n] for row, n in zip(rows, occ)], [row[n + 1] for row, n in zip(rows, occ)]
-    return rows, margin, players, occ, F, G
+    return game, occ
 
 
 def _potential(rows, occ, sums, lo: int) -> Number:
@@ -252,16 +262,15 @@ def best_response(instance: AtomicInstance, cost: GridCostFunction, profile, pla
     """Best start slot for ``player`` against the others' current choices.
 
     Ties break toward the smallest slot.  No pricing map is needed: any
-    strictly increasing one keeps the argmin of the raw window cost.  Window
-    costs are read off the slot-cost table of ``_game``.  ``ValueError`` on
-    a player that is not an int in ``0..I-1``.
+    strictly increasing one keeps the argmin of the raw window cost.  The
+    answer is ``_move``'s, read off the slot-cost table of ``_game`` or its
+    kept best responses.  ``ValueError`` on a player that is not an int in
+    ``0..I-1``.
     """
     profile = _coerce_profile(instance, profile)
     player = _player(instance, player)
-    _, _, players, _, F, G = _slot_state(instance, cost, profile.starts)
-    C, targets, windows = players[player]
-    _, costs = _window_costs(F, G, profile.starts[player], C, windows)
-    return targets[costs.index(min(costs))]
+    game, occ = _slot_state(instance, cost, profile.starts)
+    return _move(game, player, occ, profile.starts[player])[1]
 
 
 def is_nash(instance: AtomicInstance, cost: GridCostFunction, profile) -> bool:
@@ -270,15 +279,12 @@ def is_nash(instance: AtomicInstance, cost: GridCostFunction, profile) -> bool:
     One slot-cost table serves every player: ``cost`` runs once per
     (instance, cost) pair (``_game``).  As in the dynamics and the scan, a
     player's cheapest target must gain on its current cost by the margin of
-    ``_game``.
+    ``_game``.  Each player's answer is ``_move``'s, kept by its start and
+    the occupancy of its action span.
     """
     profile = _coerce_profile(instance, profile)
-    _, margin, players, _, F, G = _slot_state(instance, cost, profile.starts)
-    for s, (C, _, windows) in zip(profile.starts, players):
-        current, costs = _window_costs(F, G, s, C, windows)
-        if min(costs) < current - margin * max(1, abs(current)):
-            return False
-    return True
+    game, occ = _slot_state(instance, cost, profile.starts)
+    return not any(_move(game, i, occ, s)[0] for i, s in enumerate(profile.starts))
 
 
 def best_response_dynamics(
@@ -297,43 +303,36 @@ def best_response_dynamics(
     costs are the table entries, summed in the same order, that it chose
     from.
 
-    Costs come from one slot-cost table per (instance, cost) pair
+    Each player's answer is ``_move``'s, kept per (instance, cost) pair
     (``_game``).  A move updates the occupancy of the slots it touches, and
-    each trace entry adds up the table in ``potential_atomic``'s order, so
-    it equals that potential; the sum resumes at the first slot the move
-    touched.  ``IterationBudgetError`` after ``_MAX_SWEEPS`` sweeps without
-    settling.
+    each trace entry adds up the slot-cost table in ``potential_atomic``'s
+    order, so it equals that potential; the sum resumes at the first slot
+    the move touched.  ``IterationBudgetError`` after ``_MAX_SWEEPS`` sweeps
+    without settling.
     """
     profile = _coerce_profile(instance, profile)
     starts = list(profile.starts)
-    rows, margin, players, occ, F, G = _slot_state(instance, cost, starts)
+    game, occ = _slot_state(instance, cost, starts)
+    rows, players = game[0], game[2]
     sums = [0] * (len(occ) + 1)
     trace = [_potential(rows, occ, sums, 0)]
     settled = 0  # players at a best response since the last move, the mover included
     for _ in range(_MAX_SWEEPS):
-        for i, (C, targets, windows) in enumerate(players):
+        for i, (_, _, C) in enumerate(players):
             s = starts[i]
-            current, costs = _window_costs(F, G, s, C, windows)
-            best = min(costs)
-            if best < current - margin * max(1, abs(current)):
-                slot = targets[costs.index(best)]
-                # the mover's old window, then its new one
-                touched = (*range(s - 1, s - 1 + C), *range(slot - 1, slot - 1 + C))
-                for t in touched[:C]:
+            gains, slot = _move(game, i, occ, s)
+            if gains:
+                for t in range(s - 1, s - 1 + C):
                     occ[t] -= 1
-                for t in touched[C:]:
+                for t in range(slot - 1, slot - 1 + C):
                     occ[t] += 1
-                for t in touched:
-                    F[t], G[t] = rows[t][occ[t]], rows[t][occ[t] + 1]
                 starts[i] = slot
                 trace.append(_potential(rows, occ, sums, min(s, slot) - 1))
                 settled = 0
             settled += 1
             if settled == len(players):
                 return StrategyProfile(tuple(starts)), tuple(trace)
-    raise IterationBudgetError(
-        f"best-response dynamics did not settle within {_MAX_SWEEPS} sweeps"
-    )
+    raise IterationBudgetError(f"best-response dynamics did not settle within {_MAX_SWEEPS} sweeps")
 
 
 # ---------------------------------------------------------------------------

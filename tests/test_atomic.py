@@ -304,8 +304,10 @@ def test_dynamics_do_not_ask_the_last_mover_again(monkeypatch):
     # one player started off its best slot moves once and is done: after the
     # move, its window costs are the ones it chose from
     inst = AtomicInstance.symmetric(3, 1, 1, exogenous=(2, 0, 1))
-    window_costs, calls = atomic._window_costs, []
-    monkeypatch.setattr(atomic, "_window_costs", lambda *args: calls.append(args) or window_costs(*args))
+    # a fresh game, so every lookup of a player's move is evaluated
+    inst = dataclasses.replace(inst)
+    move, calls = atomic._move, []
+    monkeypatch.setattr(atomic, "_move", lambda *args: calls.append(args) or move(*args))
     final, trace = best_response_dynamics(inst, Monomial(1, 2), (1,))
     assert final.starts == (2,) and len(trace) == 2
     assert len(calls) == 1
@@ -540,6 +542,61 @@ def test_kept_tables_stay_bounded_and_never_change_an_answer():
     assert first == again == fresh
     assert [a[0] for a in first] == [oracle_is_ne(inst, f, s) for inst, s in zip(games, starts)]
     assert len(atomic._GAMES) <= atomic._GAMES_KEPT
+
+
+@pytest.mark.parametrize("data", ["int", "fraction", "float-exogenous"])
+@pytest.mark.parametrize("f", [Monomial(1, 2), Monomial(1, 3), SquareRoot()], ids=repr)
+def test_kept_best_responses_stay_bounded_and_never_change_an_answer(monkeypatch, data, f):
+    # each game keeps its players' best responses by start and span
+    # occupancy; a small cap empties the tables mid-run, and answers from a
+    # table warmed in one profile order must be those of another order
+    monkeypatch.setattr(atomic, "_GAMES", {})
+    monkeypatch.setattr(atomic, "_MOVES_KEPT", 6)
+    rng = random.Random(f"kept moves {data} {f!r}")
+    make_exo, make_power = TABLE_PATH_DATA[data]
+    exact = data != "float-exogenous" and all(isinstance(k, int) for _, k in f.powers)
+    margin = 0 if exact else 1e-12
+
+    def check(inst, p, i, slot):
+        expected = oracle_best_response(inst, f, p, i)
+        if exact:
+            assert slot == expected
+        else:  # rounding may break an exact tie either way
+            moved_to = [oracle_window_cost(inst, f, p[:i] + (t,) + p[i + 1 :], i) for t in (slot, expected)]
+            assert moved_to[0] == pytest.approx(moved_to[1], rel=1e-12)
+
+    for _ in range(8):
+        inst = random_heterogeneous_instance(rng, max_T=8, max_I=4)
+        inst = dataclasses.replace(inst, exogenous=tuple(make_exo(rng, inst.horizon.T)), power=make_power(rng))
+        profiles = [tuple(rng.choice(list(action_set(inst, i))) for i in range(inst.I)) for _ in range(6)]
+        answers = []
+        for order in (profiles, profiles[::-1]):
+            copy = dataclasses.replace(inst)  # a fresh game, warmed in this order
+            answers.append(
+                {
+                    p: (is_nash(copy, f, p), [best_response(copy, f, p, i) for i in range(inst.I)], best_response_dynamics(copy, f, p))
+                    for p in order
+                }
+            )
+            assert all(len(game[-1]) <= atomic._MOVES_KEPT for game in atomic._GAMES.values())
+        assert answers[0] == answers[1]
+        for p, (nash, responses, (final, trace)) in answers[0].items():
+            assert nash == oracle_is_ne(inst, f, p, margin)
+            for i, slot in enumerate(responses):
+                check(inst, p, i, slot)
+            assert final.starts == oracle_dynamics(inst, f, p, margin)[0]
+            assert trace[-1] == potential_atomic(inst, f, final)
+
+    # player 1 starts outside player 0's span, slots 1..3, in both profiles:
+    # player 0 is answered from one entry, which both profiles must agree with
+    exo = make_exo(rng, 6)
+    inst = AtomicInstance.create(6, [(1, 3, 1), (4, 6, 2), (1, 6, 2)], power=make_power(rng), exogenous=exo)
+    profiles = ((2, 4, 1), (2, 5, 1))
+    responses = [best_response(inst, f, p, 0) for p in profiles]
+    assert len(atomic._game(inst, f)[-1]) == 1  # the second lookup hit the first's entry
+    for p, slot in zip(profiles, responses):
+        check(inst, p, 0, slot)
+        assert is_nash(inst, f, p) == oracle_is_ne(inst, f, p, margin)
 
 
 @pytest.mark.parametrize("order", ["float-first", "fraction-first"])
