@@ -16,8 +16,8 @@ from dataclasses import replace
 
 from .atomic import BUDGET_ENV_VAR, BudgetExceededError, efficiency, resolve_budget
 from .experiments import SweepSpec, emit_data, run_counterexamples, run_sweep
-from .fileio import dump_json, instance_from_dict
-from .model import AtomicInstance, Monomial
+from .fileio import cost_label, dump_json, instance_from_dict
+from .model import AtomicInstance, Monomial, grid_total_cost
 from .nonatomic import ConvergenceError, _social_optimum, check_tol, solve_equilibrium
 
 
@@ -87,8 +87,7 @@ def _config_dict(config) -> dict:
 def _cmd_solve_atomic(args) -> int:
     instance, cost = _read(args.instance, instance_from_dict)
     if not isinstance(instance, AtomicInstance):
-        print("solve-atomic expects an instance with a 'players' list", file=sys.stderr)
-        return 2
+        raise _BadInput(f"{args.instance}: solve-atomic expects an instance with a 'players' list")
     cost = cost if cost is not None else Monomial(1, 2)
     report = efficiency(instance, cost, budget=args.budget)
     eq_set = report.equilibria
@@ -109,13 +108,12 @@ def _cmd_solve_atomic(args) -> int:
 
 
 def _cmd_solve_nonatomic(args) -> int:
-    from .model import grid_total_cost
-
     instance, cost = _read(args.instance, instance_from_dict)
     if isinstance(instance, AtomicInstance):
-        print("solve-nonatomic expects an instance with a 'classes' list", file=sys.stderr)
-        return 2
+        raise _BadInput(f"{args.instance}: solve-nonatomic expects an instance with a 'classes' list")
     cost = cost if cost is not None else Monomial(1, 2)
+    if not cost.satisfies_a1:
+        raise _BadInput(f"{args.instance}: solve-nonatomic needs a strictly increasing cost (A1), got {cost_label(cost)}")
     eq = solve_equilibrium(instance, cost, tol=args.tol, budget=args.budget)
     data = {
         "start_mass": [float(v) for v in eq.profile.start_mass()],
@@ -129,11 +127,12 @@ def _cmd_solve_nonatomic(args) -> int:
     }
     stats = eq.stats
     if cost.satisfies_a2:
-        opt_profile, opt_cost, opt_stats = _social_optimum(instance, cost, args.tol, args.budget)
-        data["optimum_mass"] = [float(v) for v in opt_profile.start_mass()]
-        data["optimum_cost"] = float(opt_cost)
-        data["efficiency"] = data["total_cost"] / float(opt_cost)
-        stats = {**stats, "optimum": opt_stats}
+        opt = _social_optimum(instance, cost, args.tol, args.budget)
+        opt_cost = float(grid_total_cost(instance, cost, opt.profile))
+        data["optimum_mass"] = [float(v) for v in opt.profile.start_mass()]
+        data["optimum_cost"] = opt_cost
+        data["efficiency"] = data["total_cost"] / opt_cost
+        stats = {**stats, "optimum": opt.stats}
     _emit_or_print(data, args, stats)
     return 0
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .atomic import efficiencies, efficiency, ne_proportion, resolve_budget
-from .fileio import cost_from_dict, cost_label, cost_to_dict, dump_json
+from .fileio import _fields, cost_from_dict, cost_label, cost_to_dict, dump_json
 from .model import (
     AtomicInstance,
     GridCostFunction,
@@ -33,7 +33,7 @@ from .model import (
 from .nonatomic import SUPPORT_THRESHOLD, check_tol, solve_equilibrium
 
 # kind: the grid fields it reads, each with the number of values it must
-# hold (None: at least one)
+# hold (None: at least one); every other grid field must be empty
 SWEEP_KINDS = {
     "ne-proportion": {"I_values": None, "C_values": None},
     "efficiency-vs-I": {"I_values": None, "C_values": None},
@@ -61,9 +61,12 @@ class SweepSpec:
     atomic-counterexample            x = slot, one series per equilibrium
                                      (exactly one player count and duration)
 
-    Every rule is checked when the spec is built, down to building each
-    instance and grid cost the sweep will solve, so ``run_sweep`` never
-    refuses a spec midway.
+    A grid field that the kind does not read must be empty, and each of
+    ``costs`` strictly increasing (A1), since the nonatomic solver takes no
+    other.  Every rule is checked when the spec is built, down to building
+    each instance and grid cost the sweep will solve, so ``run_sweep``
+    never refuses a spec midway.  ``from_dict`` reads a JSON object by the
+    rule of every other input file (``fileio``): no unknown or missing key.
     """
 
     kind: str
@@ -92,11 +95,12 @@ class SweepSpec:
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {values!r}")
             object.__setattr__(self, name, tuple(values))
-        for name, count in SWEEP_KINDS[self.kind].items():
+        for name in ("I_values", "C_values", "exponents", "costs"):
+            count = SWEEP_KINDS[self.kind].get(name, 0)  # 0: a field the kind does not read
             n = len(getattr(self, name))
             if n == 0 if count is None else n != count:
-                need = "exactly one value" if count else "at least one value"
-                raise ValueError(f"{self.kind} sweeps need {need} in {name}, got {n}")
+                need = {None: "at least one value", 1: "exactly one value", 0: "no value"}[count]
+                raise ValueError(f"{self.kind} sweeps take {need} in {name}, got {n}")
         check_tol(self.tol)
         if self.budget is not None:
             resolve_budget(self.budget)  # the scans' rule: at least 1
@@ -106,6 +110,9 @@ class SweepSpec:
         # grid point that cannot exist is refused here rather than midway
         for k in self.exponents:
             _power_cost(self, k)
+        for c in self.costs:
+            if not c.satisfies_a1:
+                raise ValueError(f"costs must be strictly increasing (A1) for the nonatomic solver, got {cost_label(c)}")
         if self.kind == "nonatomic-counterexample":
             _nonatomic_instance(self, self.C_values[0])
         else:
@@ -115,12 +122,8 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown sweep spec keys {unknown}")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
-        if missing:
-            raise ValueError(f"sweep spec is missing {', '.join(map(repr, missing))}")
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        _fields(data, required, "sweep spec", [f.name for f in fields(cls)])
         data = dict(data)
         if "cost" in data:
             data["cost"] = cost_from_dict(data["cost"])

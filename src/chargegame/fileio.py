@@ -20,6 +20,13 @@ Nonatomic instances replace ``players`` with::
 
       "classes": [{"weight": 1.0, "arrival": 1, "departure": 11, "duration": 5}, ...]
 
+An object holds no key but those shown, and every one of them but the
+optional ones (a cost's ``coefficient`` and ``exponent``, default 1, and
+the instance keys marked optional).  An unknown key, say a misspelled one,
+a missing key and an object that is not a JSON object are refused with
+``ValueError``.  Sweep specs are read by the same rule
+(``experiments.SweepSpec.from_dict``).
+
 Integers written as JSON integers stay Python integers on load, so exact
 atomic arithmetic survives a round trip.
 """
@@ -40,11 +47,15 @@ from .model import (
 )
 
 
-def _fields(data, keys, what: str) -> tuple:
+def _fields(data, keys, what: str, optional=()) -> tuple:
     """The values of ``keys`` in ``data``, or a ``ValueError`` naming the
-    missing ones."""
+    keys that are neither in ``keys`` nor in ``optional``, else the missing
+    ones."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object")
+    unknown = [k for k in data if k not in keys and k not in optional]
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}")
     missing = [k for k in keys if k not in data]
     if missing:
         raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
@@ -69,13 +80,15 @@ def cost_to_dict(cost: GridCostFunction) -> dict:
 
 
 def cost_from_dict(data: dict) -> GridCostFunction:
-    (kind,) = _fields(data, ("kind",), "cost")
+    (kind,) = _fields(data, ("kind",), "cost", ("coefficient", "exponent", "terms"))
     if kind == "monomial":
+        _fields(data, ("kind",), "monomial cost", ("coefficient", "exponent"))
         return Monomial(data.get("coefficient", 1), data.get("exponent", 1))
     if kind == "sqrt":
+        _fields(data, ("kind",), "sqrt cost", ("coefficient",))
         return SquareRoot(data.get("coefficient", 1))
     if kind == "sum":
-        (terms,) = _fields(data, ("terms",), "sum cost")
+        _, terms = _fields(data, ("kind", "terms"), "sum cost")
         return CostSum(tuple(cost_from_dict(t) for t in _list(terms, "sum cost 'terms'")))
     raise ValueError(f"unknown cost kind {kind!r}")
 
@@ -116,25 +129,25 @@ def instance_to_dict(instance: Union[AtomicInstance, NonatomicInstance], cost: O
 
 def instance_from_dict(data: dict):
     """Returns (instance, cost-or-None); picks atomic vs nonatomic from the keys."""
-    (T,) = _fields(data, ("T",), "instance")
+    (T,) = _fields(data, ("T",), "instance", ("power", "exogenous", "cost", "players", "classes"))
     power = data.get("power", 1)
     exogenous = data.get("exogenous")
     if exogenous is not None:
         _list(exogenous, "'exogenous'")
     cost = cost_from_dict(data["cost"]) if "cost" in data else None
+    if ("players" in data) == ("classes" in data):
+        raise ValueError("instance needs either a 'players' or a 'classes' list")
     if "players" in data:
         players = [
             _fields(p, ("arrival", "departure", "duration"), f"player {i}")
             for i, p in enumerate(_list(data["players"], "'players'"))
         ]
         return AtomicInstance.create(T, players, power=power, exogenous=exogenous), cost
-    if "classes" in data:
-        classes = [
-            _fields(c, ("weight", "arrival", "departure", "duration"), f"class {k}")
-            for k, c in enumerate(_list(data["classes"], "'classes'"))
-        ]
-        return NonatomicInstance.create(T, classes, power=power, exogenous=exogenous), cost
-    raise ValueError("instance needs a 'players' or 'classes' list")
+    classes = [
+        _fields(c, ("weight", "arrival", "departure", "duration"), f"class {k}")
+        for k, c in enumerate(_list(data["classes"], "'classes'"))
+    ]
+    return NonatomicInstance.create(T, classes, power=power, exogenous=exogenous), cost
 
 
 def load_instance(path):

@@ -377,12 +377,12 @@ class AtomicInstance:
         )
 
     @classmethod
-    def symmetric(cls, T, I, C, power=1, exogenous=None, arrival=1, departure=None) -> "AtomicInstance":
+    def symmetric(cls, T, I, C, power=1, exogenous=None, departure=None) -> "AtomicInstance":
         """``I`` identical players, full-horizon window unless told otherwise."""
         if not _is_int(I):
             raise ValueError(f"player count must be an integer, got {I!r}")
         d = T if departure is None else departure
-        return cls.create(T, [(arrival, d, C)] * I, power=power, exogenous=exogenous)
+        return cls.create(T, [(1, d, C)] * I, power=power, exogenous=exogenous)
 
 
 @dataclass(frozen=True)
@@ -446,10 +446,10 @@ class NonatomicInstance:
         )
 
     @classmethod
-    def symmetric(cls, T, C, power=1, exogenous=None, arrival=1, departure=None) -> "NonatomicInstance":
+    def symmetric(cls, T, C, power=1, exogenous=None, departure=None) -> "NonatomicInstance":
         """A single class of unit mass with a full-horizon window by default."""
         d = T if departure is None else departure
-        return cls.create(T, [(1.0, arrival, d, C)], power=power, exogenous=exogenous)
+        return cls.create(T, [(1.0, 1, d, C)], power=power, exogenous=exogenous)
 
 
 Instance = Union[AtomicInstance, NonatomicInstance]

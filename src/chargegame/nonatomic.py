@@ -215,7 +215,7 @@ def _solve_potential(
     tol: float,
     budget: int,
 ):
-    """Maximize the potential built on per-slot cost ``g``; core of both solvers.
+    """Maximize the potential built on per-slot cost ``g``; core of ``solve_equilibrium``.
 
     Active-set Newton.  One cost evaluation at the uniform profile's loads
     prices every start, and each class starts evenly on the starts that
@@ -588,25 +588,23 @@ def social_optimum_nonatomic(
 
     Total cost is convex exactly when the grid cost satisfies A2, and its
     minimizers are the Wardrop equilibria under the marginal cost f'.  The
-    optimum is therefore computed by the equilibrium solver under f' and
+    optimum is therefore solved for as the equilibrium under f' and
     independently re-checked against the Wardrop definition.
     """
-    profile, total, _ = _social_optimum(instance, cost, tol, budget)
-    return profile, total
+    profile = _social_optimum(instance, cost, tol, budget).profile
+    return profile, grid_total_cost(instance, cost, profile)
 
 
-def _social_optimum(instance, cost, tol, budget) -> tuple[MixedProfile, float, dict]:
-    """``social_optimum_nonatomic`` plus the solve's ``stats``."""
-    check_tol(tol)
+def _social_optimum(instance, cost, tol, budget) -> NonatomicEquilibrium:
+    """The equilibrium under f' whose ``profile`` is the optimum; all its
+    other fields (``stats``, ``potential_value``, ...) are of the game under f'."""
     if not cost.satisfies_a2:
         raise ValueError("social optimum needs a convex (A2) grid cost")
-    budget = resolve_budget(budget, DEFAULT_SOLVER_BUDGET)
     marginal = cost.derivative()
-    Y, gap, _, stats = _solve_potential(instance, marginal, tol, budget)
-    profile = _profile_from_matrix(instance, Y)
-    if not is_wardrop_equilibrium(instance, marginal, profile, tol=max(1e-7, 10 * gap)):
+    eq = solve_equilibrium(instance, marginal, tol=tol, budget=budget)
+    if not is_wardrop_equilibrium(instance, marginal, eq.profile, tol=max(1e-7, 10 * eq.wardrop_gap)):
         raise RuntimeError("optimum candidate fails the marginal-cost Wardrop check")
-    return profile, grid_total_cost(instance, cost, profile), stats
+    return eq
 
 
 def efficiency_nonatomic(

@@ -662,7 +662,18 @@ def test_cli_solve_atomic_rejects_nonatomic_instance(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     _write_nonatomic_instance(inst_path)
     assert main(["solve-atomic", str(inst_path)]) == 2
-    assert "players" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"{inst_path}: solve-atomic expects an instance with a 'players' list\n"
+
+
+def test_cli_solve_atomic_takes_a_constant_cost(tmp_path, capsys):
+    # every profile is an equilibrium; only the nonatomic solver needs A1
+    data = {**json.loads((DEMOS / "specs" / "valley_three_players.json").read_text()),
+            "cost": {"kind": "monomial", "exponent": 0}}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve-atomic", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["efficiency_exact"] == "1" and len(report["equilibria"]) == report["space_size"]
 
 
 def test_cli_solve_nonatomic(tmp_path):
@@ -693,7 +704,7 @@ def test_cli_solve_nonatomic_rejects_atomic_instance(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     _write_atomic_instance(inst_path)
     assert main(["solve-nonatomic", str(inst_path)]) == 2
-    assert "classes" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"{inst_path}: solve-nonatomic expects an instance with a 'classes' list\n"
 
 
 @pytest.mark.parametrize(
@@ -811,12 +822,16 @@ _SPEC_BASES = {
      ("power", {"cost": {"kind": "sum", "terms": [{"kind": "monomial", "coefficient": 5, "exponent": 1},
                                                   {"kind": "monomial", "coefficient": 2, "exponent": 2}]}}),
      ("proportion", {"budget": True}), ("proportion", {"budget": 2.5}), ("proportion", {"budget": "7"}),
-     ("proportion", {"I_values": [True, 2]}), ("proportion", {"C_values": [True]})],
+     ("proportion", {"I_values": [True, 2]}), ("proportion", {"C_values": [True]}),
+     ("nonatomic-ce", {"costs": [{"kind": "sqrt"}, {"kind": "monomial", "exponent": 0}]}),
+     ("proportion", {"exponents": [3]}),
+     ("power", {"cost": {"kind": "monomial", "coeficient": 3, "exponent": 2}})],
     ids=["budget-0", "unknown-kind", "budgett", "T-0", "C-past-T", "I-0", "I-not-a-list",
          "cost-not-an-object", "exogenous-5", "exponent-x", "exponent-negative", "power-two-I",
          "nonatomic-two-C", "nonatomic-no-C", "atomic-two-C", "costs-5", "tol-x", "label-slash",
          "grid-no-C", "I-not-a-number", "budget-a-list", "kind-a-list", "power-sqrt-cost",
-         "power-sum-cost", "budget-true", "budget-2.5", "budget-a-string", "I-true", "C-true"],
+         "power-sum-cost", "budget-true", "budget-2.5", "budget-a-string", "I-true", "C-true",
+         "costs-not-increasing", "proportion-exponents", "cost-misspelled-key"],
 )
 def test_cli_sweep_rejects_a_bad_spec_in_one_line(tmp_path, capsys, base, bad):
     spec = {**_SPEC_BASES[base](), **bad}
@@ -825,6 +840,15 @@ def test_cli_sweep_rejects_a_bad_spec_in_one_line(tmp_path, capsys, base, bad):
     assert main(["sweep", str(spec_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec", [[{}], 5], ids=["a-list", "a-number"])
+def test_cli_sweep_rejects_a_spec_that_is_not_an_object(tmp_path, capsys, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["sweep", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"{spec_path}: sweep spec must be a JSON object\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -885,9 +909,16 @@ def test_cli_solve_rejects_a_bad_instance_in_one_line(tmp_path, capsys, command,
         ("solve-atomic", "valley_three_players", {"players": [{"arrival": 1, "departure": 6, "duration": True}]}),
         ("solve-nonatomic", "evening_continuum",
          {"T": True, "exogenous": [0.5], "classes": [{"weight": 1.0, "arrival": 1, "departure": 1, "duration": 1}]}),
+        ("solve-nonatomic", "evening_continuum", {"cost": {"kind": "monomial", "exponent": 0}}),
+        ("solve-atomic", "valley_three_players", {"exogneous": [1, 2, 3, 2, 1, 3]}),
+        ("solve-atomic", "valley_three_players",
+         {"players": [{"arrival": 1, "departure": 6, "duration": 2, "power": 2}]}),
+        ("solve-atomic", "valley_three_players",
+         {"classes": [{"weight": 1.0, "arrival": 1, "departure": 6, "duration": 2}]}),
     ],
     ids=["players-5", "classes-5", "exogenous-5", "cost-5", "exponent-x", "power-x", "weight-x",
-         "exogenous-strings", "arrival-true", "duration-true", "T-true"],
+         "exogenous-strings", "arrival-true", "duration-true", "T-true", "cost-not-increasing",
+         "exogenous-misspelled", "player-power", "players-and-classes"],
 )
 def test_cli_solve_rejects_a_malformed_instance_in_one_line(tmp_path, capsys, command, spec_name, change):
     data = {**json.loads((DEMOS / "specs" / f"{spec_name}.json").read_text()), **change}
