@@ -32,16 +32,18 @@ from .model import (
 )
 from .nonatomic import SUPPORT_THRESHOLD, check_tol, solve_equilibrium
 
-# kind: the grid fields it reads, each with the number of values it must
-# hold (None: at least one); every other grid field must be empty
+# kind: the fields it reads among cost, tol and the grid, a grid field with
+# the number of values it must hold (None: at least one); every other field
+# among them must keep its default
 SWEEP_KINDS = {
-    "ne-proportion": {"I_values": None, "C_values": None},
-    "efficiency-vs-I": {"I_values": None, "C_values": None},
-    "efficiency-vs-C": {"I_values": None, "C_values": None},
-    "efficiency-vs-power": {"I_values": 1, "C_values": None, "exponents": None},
-    "nonatomic-counterexample": {"C_values": 1, "costs": None},
-    "atomic-counterexample": {"I_values": 1, "C_values": 1},
+    "ne-proportion": {"cost": None, "I_values": None, "C_values": None},
+    "efficiency-vs-I": {"cost": None, "I_values": None, "C_values": None},
+    "efficiency-vs-C": {"cost": None, "I_values": None, "C_values": None},
+    "efficiency-vs-power": {"cost": None, "I_values": 1, "C_values": None, "exponents": None},
+    "nonatomic-counterexample": {"tol": None, "C_values": 1, "costs": None},
+    "atomic-counterexample": {"cost": None, "I_values": 1, "C_values": 1},
 }
+_GRID = ("I_values", "C_values", "exponents", "costs")
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,15 @@ class SweepSpec:
     atomic-counterexample            x = slot, one series per equilibrium
                                      (exactly one player count and duration)
 
-    A grid field that the kind does not read must be empty, and each of
-    ``costs`` strictly increasing (A1), since the nonatomic solver takes no
-    other.  Every rule is checked when the spec is built, down to building
-    each instance and grid cost the sweep will solve, so ``run_sweep``
-    never refuses a spec midway.  ``from_dict`` reads a JSON object by the
+    ``cost``, ``tol`` and each grid field that the kind does not read must
+    keep its default (a grid field: empty), so the atomic kinds take no
+    ``tol`` and ``nonatomic-counterexample`` no ``cost``.  No grid field may
+    repeat a value, since each names a series or a row (two ``costs``
+    repeat when their ``cost_label``s do), and each of ``costs`` must be
+    strictly increasing (A1), since the nonatomic solver takes no other.
+    Every rule is checked when the spec is built, down to building each
+    instance and grid cost the sweep will solve, so ``run_sweep`` never
+    refuses a spec midway.  ``from_dict`` reads a JSON object by the
     rule of every other input file (``fileio``): no unknown or missing key.
     """
 
@@ -88,18 +94,21 @@ class SweepSpec:
             raise ValueError(f"unknown sweep kind {self.kind!r}; pick one of {tuple(SWEEP_KINDS)}")
         if not (isinstance(self.label, str) and self.label) or set(self.label) & set("/\\"):
             raise ValueError(f"label must be a non-empty name without / or \\, got {self.label!r}")
-        for name in ("exogenous", "I_values", "C_values", "exponents", "costs"):
+        for name in ("exogenous", *_GRID):
             values = getattr(self, name)
             if values is None and name == "exogenous":
                 continue
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {values!r}")
             object.__setattr__(self, name, tuple(values))
-        for name in ("I_values", "C_values", "exponents", "costs"):
-            count = SWEEP_KINDS[self.kind].get(name, 0)  # 0: a field the kind does not read
-            n = len(getattr(self, name))
+        reads = SWEEP_KINDS[self.kind]
+        for f in fields(self):
+            if f.name in ("cost", "tol", *_GRID) and f.name not in reads and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.kind} sweeps do not read {f.name}, so it must keep its default")
+        for name in _GRID:
+            count, n = reads.get(name, 0), len(getattr(self, name))  # 0: unread, so empty by now
             if n == 0 if count is None else n != count:
-                need = {None: "at least one value", 1: "exactly one value", 0: "no value"}[count]
+                need = "at least one value" if count is None else "exactly one value"
                 raise ValueError(f"{self.kind} sweeps take {need} in {name}, got {n}")
         check_tol(self.tol)
         if self.budget is not None:
@@ -119,6 +128,10 @@ class SweepSpec:
             for I in self.I_values:
                 for C in self.C_values:
                     _atomic_instance(self, I, C)
+        for name in _GRID:
+            keys = [cost_label(v) if name == "costs" else v for v in getattr(self, name)]
+            if len(set(keys)) < len(keys):
+                raise ValueError(f"{name} repeats a value: {keys}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":

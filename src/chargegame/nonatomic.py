@@ -30,12 +30,12 @@ The termination certificate is the Wardrop gap: the worst, over classes, of
 For symmetric instances whose exogenous load satisfies the invariance
 inequality checked by ``check_invariance_condition``, the equilibrium does
 not depend on the cost function at all and solves a small banded linear
-system; ``solve_symmetric_invariant`` builds it and solves it by one
-pivot-free Gaussian elimination in exact rationals of the data.  A
-nonnegative solution makes the load C-periodic, so every start sees the
-same window loads under any cost: the sign of the exact solution is the
-whole certificate, and the solution itself, the exact start masses, is
-returned with the profile.
+system; ``solve_symmetric_invariant`` solves it in closed form, one
+chain of start slots per residue mod the duration, in exact rationals of
+the data.  A nonnegative solution makes the load C-periodic, so every
+start sees the same window loads under any cost: the sign of the exact
+solution is the whole certificate, and the solution itself, the exact
+start masses, is returned with the profile.
 
 Social optima reuse the same machinery through marginal pricing: minimizing
 total grid cost is the same program as equilibrating the game whose per-slot
@@ -100,7 +100,7 @@ class InvarianceConditionError(ValueError):
 
 
 class PositivityCertificateError(RuntimeError):
-    """The exact equal-load system has a zero pivot or needs negative mass."""
+    """The exact solution of the equal-load system needs negative mass."""
 
 
 @dataclass(frozen=True)
@@ -500,45 +500,29 @@ def check_invariance_condition(instance: NonatomicInstance) -> InvarianceCheck:
     return InvarianceCheck(nondecreasing, convex, lhs < 1, float(lhs), q)
 
 
-def _exact_system(instance: NonatomicInstance) -> tuple[list[list[int]], list[Fraction]]:
-    """The banded equal-load system in exact rationals of the data: one row
-    per consecutive start pair ``(t, t+1)``, then the unit-mass row."""
+def _chain_masses(instance: NonatomicInstance) -> list[Fraction]:
+    """Exact solution of the equal-load system, the masses of the
+    ``N = T - C + 1`` starts, in rationals of the data.
+
+    In prefix masses ``S_k = x_1 + ... + x_k`` (0 for ``k <= 0``, 1 from
+    ``k = N`` on) slot ``t`` carries ``e_t + S_t - S_{t-C}``, so equal
+    loads at ``t`` and ``t + C`` (``t = 1..N-1``) read
+    ``S_{t+C} = 2 S_t - S_{t-C} - (e_{t+C} - e_t)``.  The indices of one
+    residue ``r`` mod ``C`` form a chain ``S_{r+jC} = (j+1) S_r - c_j``,
+    and its first index at or past ``N``, ``r + (J+1) C``, where ``S = 1``,
+    fixes ``S_r = (1 + c_{J+1}) / (J + 2)``.  Returns ``x_s = S_s - S_{s-1}``.
+    """
     T, C, e = _require_symmetric_full_window(instance)
     N = T - C + 1
-    # row t: +1 on the starts charging in slot t, -1 on those charging in t + C
-    A = [[(t - C < s <= t) - (t < s <= t + C) for s in range(1, N + 1)] for t in range(1, N)]
-    b = [e[t + C - 1] - e[t - 1] for t in range(1, N)]
-    return A + [[1] * N], b + [Fraction(1)]
-
-
-def _solve_nonnegative(A, b) -> list[Fraction]:
-    """Pivot-free Gaussian elimination in natural row order, then
-    back-substitution, in exact rationals; returns the solution.
-
-    Rows keep only their nonzero entries, each divided by its row's pivot,
-    and each step reads only the pivot row's.  A zero pivot or a negative
-    entry of the solution raises ``PositivityCertificateError``.
-    """
-    rows = [{u: Fraction(a) for u, a in enumerate(row) if a} for row in A]
-    v = [Fraction(c) for c in b]
-    for t in range(len(rows)):
-        pivot = rows[t].pop(t, 0)
-        if not pivot:
-            raise PositivityCertificateError(f"elimination meets a zero pivot in row {t + 1}")
-        pivot_row = rows[t] = {u: a / pivot for u, a in rows[t].items() if a}  # most entries cancel to 0
-        v[t] /= pivot
-        for j, row in enumerate(rows[t + 1 :], t + 1):
-            m = row.pop(t, 0)
-            if m:
-                for u, a in pivot_row.items():
-                    row[u] = row.get(u, 0) - m * a
-                v[j] -= m * v[t]
-    x = [Fraction(0)] * len(rows)
-    for t in reversed(range(len(rows))):
-        x[t] = v[t] - sum(a * x[u] for u, a in rows[t].items())
-    if min(x) < 0:
-        raise PositivityCertificateError(f"the equal-load system needs negative start mass {float(min(x)):.3g}")
-    return x
+    S = [Fraction(0)] * N + [Fraction(1)]
+    for r in range(1, min(C, N - 1) + 1):
+        chain = range(r, N, C)
+        c = [Fraction(0), Fraction(0)]  # c[j + 1] = c_j, from c_{-1} = c_0 = 0
+        for t in chain:
+            c.append(2 * c[-1] - c[-2] + e[t + C - 1] - e[t - 1])
+        head = (1 + c[-1]) / (len(chain) + 1)
+        S[r:N:C] = [(j + 1) * head - c_j for j, c_j in enumerate(c[1:-1])]
+    return [b - a for a, b in zip(S, S[1:])]
 
 
 def solve_symmetric_invariant(
@@ -547,8 +531,9 @@ def solve_symmetric_invariant(
     """Cost-independent equilibrium of a symmetric instance, via linear algebra.
 
     Requires the invariance inequality to hold (``InvarianceConditionError``
-    otherwise).  The banded system is solved in exact rationals of the data,
-    and its solution is the equilibrium exactly when it is nonnegative
+    otherwise).  The banded system always has exactly one solution, found
+    chain by chain in exact rationals of the data (see ``_chain_masses``),
+    and it is the equilibrium exactly when it is nonnegative
     (``PositivityCertificateError`` otherwise).  Returns the profile and
     that solution: the exact masses of the ``T - C + 1`` starts, whose
     floats the profile holds.  As a postcondition the profile is
@@ -562,8 +547,9 @@ def solve_symmetric_invariant(
             f"(nondecreasing={check.nondecreasing}, convex={check.convex}, "
             f"inequality={check.inequality_holds})"
         )
-    A, b = _exact_system(instance)
-    x = _solve_nonnegative(A, b)
+    x = _chain_masses(instance)
+    if min(x) < 0:
+        raise PositivityCertificateError(f"the equal-load system needs negative start mass {float(min(x)):.3g}")
     mass = [float(c) for c in x]
     profile = MixedProfile.from_start_mass(instance, mass + [0.0] * (instance.horizon.T - len(mass)))
     for probe in (Monomial(1, 2), Monomial(1, 4), SquareRoot()):

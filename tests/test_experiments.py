@@ -825,13 +825,16 @@ _SPEC_BASES = {
      ("proportion", {"I_values": [True, 2]}), ("proportion", {"C_values": [True]}),
      ("nonatomic-ce", {"costs": [{"kind": "sqrt"}, {"kind": "monomial", "exponent": 0}]}),
      ("proportion", {"exponents": [3]}),
-     ("power", {"cost": {"kind": "monomial", "coeficient": 3, "exponent": 2}})],
+     ("power", {"cost": {"kind": "monomial", "coeficient": 3, "exponent": 2}}),
+     ("proportion", {"tol": 1e-6}), ("nonatomic-ce", {"cost": {"kind": "monomial", "exponent": 0}}),
+     ("proportion", {"C_values": [3, 3]}), ("nonatomic-ce", {"costs": [{"kind": "sqrt"}, {"kind": "sqrt"}]})],
     ids=["budget-0", "unknown-kind", "budgett", "T-0", "C-past-T", "I-0", "I-not-a-list",
          "cost-not-an-object", "exogenous-5", "exponent-x", "exponent-negative", "power-two-I",
          "nonatomic-two-C", "nonatomic-no-C", "atomic-two-C", "costs-5", "tol-x", "label-slash",
          "grid-no-C", "I-not-a-number", "budget-a-list", "kind-a-list", "power-sqrt-cost",
          "power-sum-cost", "budget-true", "budget-2.5", "budget-a-string", "I-true", "C-true",
-         "costs-not-increasing", "proportion-exponents", "cost-misspelled-key"],
+         "costs-not-increasing", "proportion-exponents", "cost-misspelled-key",
+         "proportion-tol", "nonatomic-cost", "C-repeated", "costs-repeated"],
 )
 def test_cli_sweep_rejects_a_bad_spec_in_one_line(tmp_path, capsys, base, bad):
     spec = {**_SPEC_BASES[base](), **bad}

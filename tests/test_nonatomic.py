@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -29,7 +30,7 @@ from chargegame import (
     solve_symmetric_invariant,
     wardrop_gap,
 )
-from chargegame.nonatomic import _exact_system, _gram_solve, _solve_nonnegative
+from chargegame.nonatomic import _gram_solve
 
 COST_DEPENDENT_EXO = (0.1, 0.2, 0.3, 0.4, 0.5, 0.2, 0.2, 0.3, 0.2, 0.1, 0.2)
 
@@ -113,14 +114,74 @@ def test_invariance_condition_underflow():
 # the cost-independent linear system
 
 
+def holds_equal_loads(inst, masses) -> bool:
+    """The definition, in rationals of the data, for the start masses of a
+    symmetric full-window instance: the exact loads e_t / P + o_t of slots
+    t and t + C are equal for t = 1..N-1, N = T - C + 1 the start count,
+    and the masses sum to 1."""
+    C = inst.classes[0].duration
+    N = inst.horizon.T - C + 1
+    P = Fraction(inst.power)
+    loads = [Fraction(e) / P + sum(masses[max(0, i - C + 1) : i + 1]) for i, e in enumerate(inst.exogenous)]
+    return len(masses) == N and all(loads[t] == loads[t + C] for t in range(N - 1)) and sum(masses) == 1
+
+
 def test_symmetric_system_solution_is_consistent():
     inst = NonatomicInstance.symmetric(T=10, C=3, exogenous=tuple([1.0] * 10))
-    A, b = _exact_system(inst)
     _, masses = solve_symmetric_invariant(inst)
-    assert [sum(a * x for a, x in zip(row, masses)) for row in A] == b
-    assert len(A) == 8 and all(len(row) == 8 for row in A)
-    assert A[-1] == [1] * 8  # mass normalization row
-    assert b[-1] == 1
+    assert holds_equal_loads(inst, masses)
+
+
+def _float_min_solution(inst) -> float:
+    # least-squares float solve of the equal-load equations and the unit
+    # mass, written from the definition through the slot-start incidence
+    T, C = inst.horizon.T, inst.classes[0].duration
+    N = T - C + 1
+    incidence = np.array([[s <= i < s + C for s in range(N)] for i in range(T)], dtype=float)
+    e = np.array([float(Fraction(v) / Fraction(inst.power)) for v in inst.exogenous])
+    A = np.vstack([incidence[: N - 1] - incidence[C : C + N - 1], np.ones(N)])
+    b = np.append(e[C : C + N - 1] - e[: N - 1], 1.0)
+    return float(np.linalg.lstsq(A, b, rcond=None)[0].min())
+
+
+def test_invariant_solver_matches_the_definition_on_random_instances():
+    # every duration of every horizon up to 30 slots, C = T (one start) and
+    # C >= N (chains of one index) included, on int, Fraction and float
+    # loads, most of them nondecreasing and convex so that the gate passes
+    rng = random.Random(207)
+    seen = {"answer": 0, "negative": 0, "gate": 0, "geometry": 0, "one start": 0, "one-index chains": 0}
+    for T in range(2, 31):
+        for C in range(1, T + 1):
+            kind = rng.choice((int, Fraction, float))
+            steps = sorted(rng.choice((0, 0, 1, 2)) for _ in range(T - 1))
+            if rng.random() < 0.2:
+                rng.shuffle(steps)
+            scale = {int: 1, Fraction: Fraction(1, rng.randint(1, 4 * T)), float: rng.uniform(0, 2 / T)}[kind]
+            base = kind(rng.randint(0, 3))
+            exogenous = tuple(base + scale * sum(steps[:i]) for i in range(T))
+            power = rng.choice((1, 2, Fraction(1, 3)))
+            inst = NonatomicInstance.symmetric(T, C, power=power, exogenous=exogenous)
+            try:
+                _, masses = solve_symmetric_invariant(inst)
+            except PositivityCertificateError:
+                seen["negative"] += 1
+                low = _float_min_solution(inst)
+                assert abs(low) <= 1e-9 or low < 0
+                continue
+            except InvarianceConditionError:
+                seen["gate"] += 1
+                assert not check_invariance_condition(inst)
+                continue
+            except ValueError as err:
+                seen["geometry"] += 1
+                with pytest.raises(ValueError, match=re.escape(str(err))):
+                    check_invariance_condition(inst)
+                continue
+            seen["answer"] += 1
+            seen["one start"] += C == T
+            seen["one-index chains"] += C >= T - C + 1
+            assert min(masses) >= 0 and holds_equal_loads(inst, masses)
+    assert all(seen.values()), seen
 
 
 def test_invariant_solution_duration_three():
@@ -128,7 +189,7 @@ def test_invariant_solution_duration_three():
     profile, masses = solve_symmetric_invariant(inst)
     expected = tuple(map(Fraction, ("1/4", "1/12", "0", "1/6", "1/6", "0", "1/12", "1/4")))
     assert np.allclose(profile.start_mass()[:8], [float(m) for m in expected], atol=1e-9)
-    # the certified elimination's own solution is the one returned, exactly
+    # the certified exact solution is the one returned, exactly
     assert masses == expected and all(type(m) is Fraction for m in masses)
     assert [float(m) for m in masses] == list(profile.start_mass()[:8])
 
@@ -173,12 +234,12 @@ def test_invariant_solver_rejects_violating_exogenous():
 def test_certificate_catches_loads_the_inequality_misses():
     # all three sub-checks pass here, yet the equal-load system needs
     # negative mass (the last slot's surge is invisible to the inequality,
-    # which samples slots T-1, T-1-C, ...): the elimination certificate is
-    # the authoritative gate
+    # which samples slots T-1, T-1-C, ...): the sign of the exact solution
+    # is the authoritative gate
     exo = (0.0,) * 9 + (9.0,)
     inst = NonatomicInstance.symmetric(T=10, C=3, exogenous=exo)
     assert check_invariance_condition(inst)
-    with pytest.raises(PositivityCertificateError):
+    with pytest.raises(PositivityCertificateError, match="negative start mass"):
         solve_symmetric_invariant(inst)
 
 
@@ -189,15 +250,6 @@ def test_invariant_solver_requires_full_window_single_class():
     partial = NonatomicInstance.symmetric(T=10, C=3, departure=8)
     with pytest.raises(ValueError):
         solve_symmetric_invariant(partial)
-
-
-def test_elimination_certificate_rejects_negative_solutions():
-    A = [[1, 0], [0, 1]]
-    with pytest.raises(PositivityCertificateError, match="negative"):
-        _solve_nonnegative(A, [1, -1])
-    assert _solve_nonnegative(A, [1, 1]) == [1, 1]
-    with pytest.raises(PositivityCertificateError, match="zero pivot in row 1"):
-        _solve_nonnegative([[0, 1], [1, 0]], [1, 1])
 
 
 # ---------------------------------------------------------------------------
