@@ -10,6 +10,9 @@ Three exogenous load shapes on a 10..11-slot horizon:
            support stays {1, 6} but the split moves with the cost curve
   cliff    a convex increasing ramp so steep that no nonnegative start mass
            equalizes the windows; the solver refuses with a certificate
+
+The paper's condition on the load is printed alongside, but the solver does
+not ask it: the sign of the exact equal-load solution alone decides.
 """
 
 import numpy as np
@@ -61,11 +64,11 @@ print(f"  condition: nondecreasing={check.nondecreasing} convex={check.convex} "
       f"inequality lhs {check.lhs:.3f} < 1: {check.inequality_holds}")
 try:
     solve_symmetric_invariant(cliff)
-except Exception as err:
+except PositivityCertificateError as err:
     print(f"  {type(err).__name__}: {err}")
 
-# a gentler cliff can sneak past the inequality and still have no
-# nonnegative solution; the sign of the exact solution is the real gate
+# a gentler cliff passes the paper's condition and still has no
+# nonnegative solution: the condition is not what the solver asks
 sneaky = NonatomicInstance.symmetric(10, 3, exogenous=(0.0,) * 9 + (9.0,))
 if check_invariance_condition(sneaky):
     try:

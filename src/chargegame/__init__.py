@@ -13,6 +13,8 @@ model        shared vocabulary: instances, profiles, cost functions, utilities
 atomic       finitely many users: best response, Nash enumeration, efficiency
 nonatomic    continuum of users: Wardrop equilibria, invariant linear system
 experiments  parameter sweeps, counter-example reproductions, data emission
+fileio       JSON reading and writing: instances, cost functions, spec objects
+cli          the ``chargegame`` command line: sweeps, counter-examples, solves
 """
 
 from .model import (
@@ -56,7 +58,6 @@ from .atomic import (
 )
 from .nonatomic import (
     ConvergenceError,
-    InvarianceConditionError,
     PositivityCertificateError,
     NonatomicEquilibrium,
     solve_equilibrium,

@@ -55,8 +55,8 @@ from .model import (
     Number,
     StrategyProfile,
     _coerce_profile,
+    _index,
     _is_int,
-    _player,
     action_set,
 )
 
@@ -268,7 +268,7 @@ def best_response(instance: AtomicInstance, cost: GridCostFunction, profile, pla
     ``0..I-1``.
     """
     profile = _coerce_profile(instance, profile)
-    player = _player(instance, player)
+    player = _index(instance, player)
     game, occ = _slot_state(instance, cost, profile.starts)
     return _move(game, player, occ, profile.starts[player])[1]
 

@@ -141,12 +141,14 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _player(instance, player) -> int:
-    """``player`` as an index into ``instance``'s players, or ``ValueError``."""
-    player = _integer(player, "player")
-    if not 0 <= player < instance.I:
-        raise ValueError(f"player must be in 0..{instance.I - 1}, got {player}")
-    return player
+def _index(instance, i) -> int:
+    """``i`` as an index into ``instance``'s players (atomic) or classes
+    (nonatomic), or ``ValueError``."""
+    what, count = ("player", instance.I) if isinstance(instance, AtomicInstance) else ("class", instance.K)
+    i = _integer(i, what)
+    if not 0 <= i < count:
+        raise ValueError(f"{what} must be in 0..{count - 1}, got {i}")
+    return i
 
 
 def _real(value, what: str) -> Number:
@@ -456,8 +458,9 @@ Instance = Union[AtomicInstance, NonatomicInstance]
 
 
 def action_set(instance: Instance, i: int) -> range:
-    """Admissible start slots of player/class ``i``: ``arrival..departure-duration+1``."""
-    a, d, C = instance.window(i)
+    """Admissible start slots of player/class ``i``: ``arrival..departure-duration+1``.
+    ``ValueError`` unless ``i`` is an int in ``0..I-1`` (``0..K-1``)."""
+    a, d, C = instance.window(_index(instance, i))
     return range(a, d - C + 2)
 
 
@@ -652,7 +655,7 @@ def utility_atomic(
 ) -> Number:
     """Utility of one player: minus the priced sum of slot costs it charges through."""
     profile = _coerce_profile(instance, profile)
-    player = _player(instance, player)
+    player = _index(instance, player)
     loads = load(instance, profile)
     s = profile.starts[player]
     raw = _window_cost(cost, loads, s, instance.durations[player])
@@ -686,7 +689,8 @@ def utility_nonatomic(
     cls: int = 0,
     pricing=IDENTITY,
 ) -> float:
-    """Utility of a class-``cls`` user starting at ``start`` against a profile."""
+    """Utility of a class-``cls`` user starting at ``start`` against a profile.
+    ``ValueError`` unless ``cls`` is an int in ``0..K-1`` and ``start`` in its action set."""
     if start not in action_set(instance, cls):
         raise ValueError(f"start {start} is outside the action set of class {cls}")
     loads = load(instance, profile)

@@ -27,15 +27,15 @@ class's active starts.
 The termination certificate is the Wardrop gap: the worst, over classes, of
 (most expensive supported start) minus (cheapest available start).
 
-For symmetric instances whose exogenous load satisfies the invariance
-inequality checked by ``check_invariance_condition``, the equilibrium does
-not depend on the cost function at all and solves a small banded linear
-system; ``solve_symmetric_invariant`` solves it in closed form, one
-chain of start slots per residue mod the duration, in exact rationals of
-the data.  A nonnegative solution makes the load C-periodic, so every
-start sees the same window loads under any cost: the sign of the exact
-solution is the whole certificate, and the solution itself, the exact
-start masses, is returned with the profile.
+For symmetric instances on the full horizon, ``solve_symmetric_invariant``
+solves the equal-load system (slot ``t`` carries the load of slot
+``t + C``, unit mass) in closed form, one chain of start slots per residue
+mod the duration, in exact rationals of the data.  A nonnegative solution
+makes the load C-periodic, so every start sees the same window loads and
+the profile is an equilibrium under any cost: the sign of the exact
+solution alone decides, and the solution itself, the exact start masses,
+is returned with the profile.  ``check_invariance_condition`` reports the
+paper's condition on the exogenous load, which the solver does not ask.
 
 Social optima reuse the same machinery through marginal pricing: minimizing
 total grid cost is the same program as equilibrating the game whose per-slot
@@ -46,6 +46,7 @@ checker.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -58,9 +59,7 @@ from .atomic import EfficiencyReport, resolve_budget
 from .model import (
     GridCostFunction,
     MixedProfile,
-    Monomial,
     NonatomicInstance,
-    SquareRoot,
     action_set,
     grid_total_cost,
     potential_nonatomic,
@@ -93,10 +92,6 @@ class ConvergenceError(RuntimeError):
     def __reduce__(self):
         # rebuilt from all three fields, as when a sweep's worker process raises it
         return type(self), (*self.args, self.profile, self.gap)
-
-
-class InvarianceConditionError(ValueError):
-    """The exogenous load fails the invariant-equilibrium inequality."""
 
 
 class PositivityCertificateError(RuntimeError):
@@ -180,7 +175,7 @@ def is_wardrop_equilibrium(
     Every start slot carrying more than ``SUPPORT_THRESHOLD`` of its class
     must cost within ``tol`` of the cheapest start available to that class.
     """
-    return wardrop_gap(instance, cost, profile) <= tol
+    return wardrop_gap(instance, cost, profile) <= check_tol(tol)
 
 
 def wardrop_gap(
@@ -468,7 +463,7 @@ class InvarianceCheck:
 
 
 def check_invariance_condition(instance: NonatomicInstance) -> InvarianceCheck:
-    """Sufficient condition for a cost-independent equilibrium.
+    """The paper's condition for a cost-independent equilibrium.
 
     Three sub-checks on the exogenous load: non-decreasing, discretely
     convex, and with ``q`` the quotient of ``T - C + 1`` by ``C``
@@ -478,10 +473,11 @@ def check_invariance_condition(instance: NonatomicInstance) -> InvarianceCheck:
     ``e`` being the exogenous load divided by the charging power and slots
     numbered from one.  All three are decided in exact rationals of the
     data, and ``lhs`` is the float of the exact left side.  The condition is
-    sufficient, not tight: the sign of the exact solution in
-    ``solve_symmetric_invariant`` is what finally vouches for the
-    equilibrium.  Raises ``ValueError`` when the geometry makes index
-    ``T-1-qC`` fall off the horizon (only possible when ``C`` plus the
+    neither necessary nor sufficient: a load can fail convexity and still
+    have a nonnegative equal-load solution, or pass all three and have none.
+    ``solve_symmetric_invariant`` does not ask it; the sign of its exact
+    solution alone decides.  Raises ``ValueError`` when the geometry makes
+    index ``T-1-qC`` fall off the horizon (only possible when ``C`` plus the
     remainder of that division is below 3).
     """
     T, C, e = _require_symmetric_full_window(instance)
@@ -500,9 +496,9 @@ def check_invariance_condition(instance: NonatomicInstance) -> InvarianceCheck:
     return InvarianceCheck(nondecreasing, convex, lhs < 1, float(lhs), q)
 
 
-def _chain_masses(instance: NonatomicInstance) -> list[Fraction]:
+def _chain_masses(T: int, C: int, e: list[Fraction]) -> list[Fraction]:
     """Exact solution of the equal-load system, the masses of the
-    ``N = T - C + 1`` starts, in rationals of the data.
+    ``N = T - C + 1`` starts, for the exogenous load ``e`` over the power.
 
     In prefix masses ``S_k = x_1 + ... + x_k`` (0 for ``k <= 0``, 1 from
     ``k = N`` on) slot ``t`` carries ``e_t + S_t - S_{t-C}``, so equal
@@ -512,7 +508,6 @@ def _chain_masses(instance: NonatomicInstance) -> list[Fraction]:
     and its first index at or past ``N``, ``r + (J+1) C``, where ``S = 1``,
     fixes ``S_r = (1 + c_{J+1}) / (J + 2)``.  Returns ``x_s = S_s - S_{s-1}``.
     """
-    T, C, e = _require_symmetric_full_window(instance)
     N = T - C + 1
     S = [Fraction(0)] * N + [Fraction(1)]
     for r in range(1, min(C, N - 1) + 1):
@@ -528,35 +523,28 @@ def _chain_masses(instance: NonatomicInstance) -> list[Fraction]:
 def solve_symmetric_invariant(
     instance: NonatomicInstance,
 ) -> tuple[MixedProfile, tuple[Fraction, ...]]:
-    """Cost-independent equilibrium of a symmetric instance, via linear algebra.
+    """Cost-independent equilibrium of a symmetric instance.
 
-    Requires the invariance inequality to hold (``InvarianceConditionError``
-    otherwise).  The banded system always has exactly one solution, found
-    chain by chain in exact rationals of the data (see ``_chain_masses``),
-    and it is the equilibrium exactly when it is nonnegative
-    (``PositivityCertificateError`` otherwise).  Returns the profile and
-    that solution: the exact masses of the ``T - C + 1`` starts, whose
-    floats the profile holds.  As a postcondition the profile is
-    re-verified to be a Wardrop equilibrium under square, fourth-power and
-    square-root costs at gap 1e-7.
+    The equal-load system always has exactly one solution, found chain by
+    chain in exact rationals of the data (see ``_chain_masses``).  It is the
+    answer exactly when it is nonnegative: the load is then C-periodic, so
+    every start costs the same under any cost.  A negative mass raises
+    ``PositivityCertificateError``; nothing else is asked of the load.
+    Returns the profile and that solution: the exact masses of the
+    ``T - C + 1`` starts, whose floats the profile holds.  As a
+    postcondition the exact solution is re-checked against the definition:
+    unit mass, and equal loads at slots ``t`` and ``t + C``.
     """
-    check = check_invariance_condition(instance)
-    if not check:
-        raise InvarianceConditionError(
-            "exogenous load fails the cost-independence condition "
-            f"(nondecreasing={check.nondecreasing}, convex={check.convex}, "
-            f"inequality={check.inequality_holds})"
-        )
-    x = _chain_masses(instance)
+    T, C, e = _require_symmetric_full_window(instance)
+    x = _chain_masses(T, C, e)
     if min(x) < 0:
         raise PositivityCertificateError(f"the equal-load system needs negative start mass {float(min(x)):.3g}")
-    mass = [float(c) for c in x]
-    profile = MixedProfile.from_start_mass(instance, mass + [0.0] * (instance.horizon.T - len(mass)))
-    for probe in (Monomial(1, 2), Monomial(1, 4), SquareRoot()):
-        gap = wardrop_gap(instance, probe, profile)
-        if gap > 1e-7:
-            raise RuntimeError(f"invariant solution fails the Wardrop postcondition under {probe!r} (gap {gap:.3e})")
-    return profile, tuple(x)
+    N = len(x)
+    S = list(itertools.accumulate(x, initial=Fraction(0)))  # S[k] = x_1 + ... + x_k
+    loads = [e[t] + S[min(t + 1, N)] - S[max(t + 1 - C, 0)] for t in range(T)]
+    if S[N] != 1 or any(loads[t] != loads[t + C] for t in range(N - 1)):
+        raise RuntimeError("the invariant solution fails the equal-load definition")
+    return MixedProfile.from_start_mass(instance, x + [0] * (T - N)), tuple(x)
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,26 @@ def test_utility_nonatomic_by_hand():
         utility_nonatomic(inst, f, prof, 4)  # start 4 ends past the horizon
 
 
+def test_class_and_player_indices_outside_the_instance_are_refused():
+    # a class index is checked like a player index: -1 and True must not
+    # quietly price class K-1 and class 1
+    two = NonatomicInstance.create(T=4, classes=[(0.5, 1, 4, 2), (0.5, 2, 4, 2)])
+    prof = MixedProfile.uniform(two)
+    f = Monomial(1, 2)
+    for cls in (-1, 2, True, 1.0, np.float64(0.0), None):
+        with pytest.raises(ValueError, match="class"):
+            utility_nonatomic(two, f, prof, 2, cls)
+        with pytest.raises(ValueError, match="class"):
+            action_set(two, cls)
+    atomic = AtomicInstance.symmetric(4, 2, 2)
+    for player in (-1, 2, True, 1.0, None):
+        with pytest.raises(ValueError, match="player"):
+            action_set(atomic, player)
+    # a numpy integer is the Python int it holds
+    assert utility_nonatomic(two, f, prof, 2, np.int64(1)) == utility_nonatomic(two, f, prof, 2, 1)
+    assert action_set(two, np.int64(1)) == range(2, 4)
+
+
 def test_potential_nonatomic_matches_numeric_integral():
     inst = NonatomicInstance.symmetric(T=5, C=2, power=1.5, exogenous=(0.2, 0.4, 0.1, 0.3, 0.2))
     prof = MixedProfile.from_start_mass(inst, (0.4, 0.1, 0.3, 0.2, 0.0))
