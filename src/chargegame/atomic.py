@@ -4,17 +4,15 @@ Equilibrium logic never goes through utilities or pricing maps: pricing is
 strictly increasing, so "deviation is improving" is equivalent to "raw window
 cost strictly decreases".  Every answer, of the scans and of the
 single-profile functions alike, reads one slot-cost table per (instance,
-cost), ``f(exo_t + P v)`` for ``v = 0..I+1`` (``_slot_table``), and its
-entries decide the arithmetic.  Rational data (ints and Fractions) under a
-rational polynomial cost gives ints and Fractions, compared exactly, in
-int64 where every sum fits.  A table holding a float is float64, and a move
-must then gain more than a relative margin of 1e-12.  The single-profile
-functions keep their table (``_game``), so ``cost`` runs once per
-(instance, cost) pair of objects, not once per call, and each player's best
-response (``_move``) by its window, its start and the occupancy of its action
-span: its window costs read no other slot.  A game keeps at most
-``_MOVES_KEPT`` of them, about ``150 + 8 * span`` bytes each, so the
-``_GAMES_KEPT`` games hold at most 5.3 MiB at T = 24 and 14 MiB at T = 96.
+cost), ``f(exo_t + P v)`` for ``v = 0..I+1`` (``_slot_table``), whose int,
+Fraction and float entries are exact rationals, held as integers over one
+common denominator: a move gains when its integer window sum is strictly
+smaller.  The single-profile functions keep their table (``_game``), so
+``cost`` runs once per (instance, cost) pair of objects, not once per call,
+and each player's best response (``_move``) by its window, its start and the
+occupancy of its action span: its window costs read no other slot.  A game
+keeps at most ``_MOVES_KEPT`` of them, about ``150 + 8 * span`` bytes each, so
+the ``_GAMES_KEPT`` games hold at most 5.3 MiB at T = 24 and 14 MiB at T = 96.
 
 The exhaustive scans run over class configurations.  Players that share a
 window ``(a, d, C)`` form a group and are interchangeable, so a class
@@ -30,8 +28,8 @@ column per configuration.  One scan serves any number of grid costs
 once, and ``_BlockKernel`` evaluates every cost's slot-cost table on them.
 The one-cost functions are that scan with a single cost.
 
-Any other exact table is scanned in Python numbers behind a float64 pass
-with a rigorous error bound (``_BlockKernel`` with ``certify``) that rules
+A table too large for int64 is scanned in Python ints behind a float64 pass
+with a rigorous error bound (``_BlockKernel`` on its float image) that rules
 out most configurations; exact sums decide the rest and every answer.
 """
 
@@ -55,6 +53,7 @@ from .model import (
     Number,
     StrategyProfile,
     _coerce_profile,
+    _finite_cost,
     _index,
     _is_int,
     action_set,
@@ -91,11 +90,10 @@ class EquilibriumSet:
     equilibrium (profiles that permute identical players are collapsed),
     sorted by start counts, then occupancy, so the listing does not depend
     on the scan order.  ``costs`` holds the total grid cost of each, in the
-    same order, as ``grid_total_cost`` gives it: an int or Fraction on an
-    exact slot-cost table, a float on one holding a float.  ``examined`` and
-    ``space_size`` count class configurations.  ``complete`` is False when
-    the budget stopped the scan early, in which case the set is a lower
-    bound only.
+    same order, as ``grid_total_cost`` gives it (``_slot_table``).
+    ``examined`` and ``space_size`` count class configurations.
+    ``complete`` is False when the budget stopped the scan early, in which
+    case the set is a lower bound only.
 
     ``stats`` is never compared.  ``blocks`` and ``generate_s`` describe the
     configuration stream, which every cost of one scan shares
@@ -118,10 +116,10 @@ class EquilibriumSet:
 class EfficiencyReport:
     """Worst-equilibrium total cost relative to the social optimum.
 
-    ``value`` is ``worst_cost / optimum_cost`` (>= 1); ``exact`` is the same
-    ratio as a ``Fraction`` when the slot-cost table is exact, else None.
+    ``value`` is ``worst_cost / optimum_cost`` (>= 1), on atomic scans the
+    nearest float of ``exact``, the ratio of the exact sums as a ``Fraction``.
     Atomic scans attach the full equilibrium set and configurations; the
-    nonatomic solver stores profiles instead and leaves ``equilibria`` None.
+    nonatomic solver stores profiles instead and leaves both None.
     """
 
     value: float
@@ -157,28 +155,32 @@ def resolve_budget(budget: Optional[int], default: int = DEFAULT_BUDGET) -> int:
 # ---------------------------------------------------------------------------
 
 
-# on a float table a move must gain more than this times max(1, |its cost|):
-# rounding can turn an exact tie into a phantom gain of a few ulp
-_REL_MARGIN = 1e-12
 # round-robin sweeps best-response dynamics may take before giving up
 _MAX_SWEEPS = 10_000
 
 
 def _slot_table(instance: AtomicInstance, cost: GridCostFunction):
-    """``rows[t][v] = f(exo_t + P v)`` for ``v = 0..I+1``, and the dtype it decides.
+    """``rows[t][v] = D f(exo_t + P v)`` for ``v = 0..I+1`` in integers, their dtype, and ``number``.
 
-    One ``cost`` call on Python numbers gives each entry as
-    ``grid_total_cost`` computes it.  Their types decide the arithmetic of
-    every answer read off the table: int64 when every entry is an int and
-    ``T * max < 2**62``, so no sum of ``T`` entries overflows; objects (exact
-    sums) when every entry is an int or a Fraction; float64 otherwise.
+    One ``cost`` call on Python numbers gives each entry as ``grid_total_cost``
+    computes it, read as the exact rational it is; ``D`` is the lcm of the
+    denominators.  int64 when ``T * max < 2**62``, so no sum of ``T`` entries
+    overflows, else objects.  ``number`` turns a sum of entries into the number
+    ``grid_total_cost`` gives for its terms.  ``ValueError`` on an entry that is not finite.
     """
-    v = np.array(range(instance.I + 2), dtype=object)
-    rows = cost(np.array(instance.exogenous, dtype=object)[:, None] + instance.power * v).tolist()
-    kinds = {type(x) for row in rows for x in row}
-    if kinds <= {int}:  # f is nondecreasing: the last column holds each row's maximum
-        return rows, np.int64 if instance.horizon.T * max(row[-1] for row in rows) < 2**62 else object
-    return rows, object if kinds <= {int, Fraction} else np.float64
+    exo, P = instance.exogenous, instance.power
+    counts = np.array(range(instance.I + 2), dtype=object)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        entries = cost(np.array(exo, dtype=object)[:, None] + P * counts).tolist()
+    ratios = [
+        [_finite_cost(x, t + 1, exo[t] + P * v).as_integer_ratio() for v, x in enumerate(row)]
+        for t, row in enumerate(entries)
+    ]
+    D = math.lcm(*(d for row in ratios for _, d in row))
+    rows = [[n * (D // d) for n, d in row] for row in ratios]
+    kinds = {type(x) for row in entries for x in row}
+    number = (lambda n: n / D) if float in kinds else (lambda n: Fraction(n, D)) if Fraction in kinds else int
+    return rows, np.int64 if instance.horizon.T * max(map(max, rows)) < 2**62 else object, number
 
 
 # single-profile state kept by (instance, cost) object identity: instances that
@@ -191,22 +193,21 @@ _MOVES_KEPT = 2048
 
 
 def _game(instance: AtomicInstance, cost: GridCostFunction):
-    """Table rows, margin, players and kept moves of one (instance, cost) pair.
+    """Table rows, reported number, players and kept moves of one (instance, cost) pair.
 
-    ``rows`` is the table of ``_slot_table``.  A move gains when it costs
-    less than ``cur - margin * max(1, abs(cur))``: ``_REL_MARGIN`` on a float
-    table, else an int 0, which keeps Fractions exact.  ``players`` holds
-    each player's action span, slots ``lo..hi-1``, and duration as ``(lo, hi,
-    C)``; ``moves``, at most ``_MOVES_KEPT`` answers of ``_move``.
+    ``rows`` and ``number`` are those of ``_slot_table``: a move gains when
+    its window sum of integer entries is strictly smaller.  ``players``
+    holds each player's action span, slots ``lo..hi-1``, and duration as
+    ``(lo, hi, C)``; ``moves``, at most ``_MOVES_KEPT`` answers of ``_move``.
     """
     key = (id(instance), id(cost))
     game = _GAMES.get(key)
     if game is None:
-        rows, dtype = _slot_table(instance, cost)
+        rows, _, number = _slot_table(instance, cost)
         players = [(a - 1, d, C) for a, d, C in zip(instance.arrivals, instance.departures, instance.durations)]
         if len(_GAMES) >= _GAMES_KEPT:
             _GAMES.clear()
-        game = _GAMES[key] = (instance, cost, rows, _REL_MARGIN if dtype is np.float64 else 0, players, {})
+        game = _GAMES[key] = (instance, cost, rows, number, players, {})
     return game[2:]
 
 
@@ -218,7 +219,7 @@ def _move(game, i: int, occ, s: int) -> tuple[bool, int]:
     window, ``s`` and the span's occupancy.  A miss sums them in slot order:
     the player's own window keeps its occupancy, every other slot gains it.
     """
-    rows, margin, players, moves = game
+    rows, _, players, moves = game
     lo, hi, C = players[i]
     span = occ[lo:hi]
     key = (lo, C, s, *span)
@@ -232,7 +233,7 @@ def _move(game, i: int, occ, s: int) -> tuple[bool, int]:
         best = min(costs)
         if len(moves) >= _MOVES_KEPT:
             moves.clear()
-        move = moves[key] = (best < current - margin * max(1, abs(current)), lo + 1 + costs.index(best))
+        move = moves[key] = (best < current, lo + 1 + costs.index(best))
     return move
 
 
@@ -246,10 +247,10 @@ def _slot_state(instance: AtomicInstance, cost: GridCostFunction, starts):
     return game, occ
 
 
-def _potential(rows, occ, sums, lo: int) -> Number:
-    # potential_atomic's sum, term by term in its order, off the table.
-    # sums[t] is its running total before slot t; the slots before lo are
-    # unchanged, so the sum resumes there
+def _potential(rows, occ, sums, lo: int) -> int:
+    # potential_atomic's sum off the table, in integers.  sums[t] is its
+    # running total before slot t; the slots before lo are unchanged, so the
+    # sum resumes there
     total = sums[lo]
     for t in range(lo, len(occ)):
         for x in rows[t][: occ[t] + 1]:
@@ -278,9 +279,9 @@ def is_nash(instance: AtomicInstance, cost: GridCostFunction, profile) -> bool:
 
     One slot-cost table serves every player: ``cost`` runs once per
     (instance, cost) pair (``_game``).  As in the dynamics and the scan, a
-    player's cheapest target must gain on its current cost by the margin of
-    ``_game``.  Each player's answer is ``_move``'s, kept by its start and
-    the occupancy of its action span.
+    player's cheapest target must have a strictly smaller exact window sum.
+    Each player's answer is ``_move``'s, kept by its start and the occupancy
+    of its action span.
     """
     profile = _coerce_profile(instance, profile)
     game, occ = _slot_state(instance, cost, profile.starts)
@@ -296,26 +297,25 @@ def best_response_dynamics(
 
     Players are swept in index order; a player moves only when its best
     response strictly lowers its window cost.  Returns the final profile and
-    the potential trace (initial value plus one entry per accepted move); the
-    trace is strictly increasing, which is what guarantees termination.  The
+    the potential trace (initial value plus one entry per accepted move); its
+    exact values strictly increase, which guarantees termination.  The
     run stops once the last mover and every player asked after it are at a
     best response.  The mover is not asked again: after its move, its window
-    costs are the table entries, summed in the same order, that it chose
-    from.
+    costs are the table sums it chose from.
 
     Each player's answer is ``_move``'s, kept per (instance, cost) pair
     (``_game``).  A move updates the occupancy of the slots it touches, and
-    each trace entry adds up the slot-cost table in ``potential_atomic``'s
-    order, so it equals that potential; the sum resumes at the first slot
-    the move touched.  ``IterationBudgetError`` after ``_MAX_SWEEPS`` sweeps
-    without settling.
+    each trace entry is the integer table's sum reported as ``number``: it
+    equals ``potential_atomic``, though two entries may round to one float.
+    The sum resumes at the first slot the move touched.
+    ``IterationBudgetError`` after ``_MAX_SWEEPS`` sweeps without settling.
     """
     profile = _coerce_profile(instance, profile)
     starts = list(profile.starts)
     game, occ = _slot_state(instance, cost, starts)
-    rows, players = game[0], game[2]
+    rows, number, players = game[:3]
     sums = [0] * (len(occ) + 1)
-    trace = [_potential(rows, occ, sums, 0)]
+    trace = [number(_potential(rows, occ, sums, 0))]
     settled = 0  # players at a best response since the last move, the mover included
     for _ in range(_MAX_SWEEPS):
         for i, (_, _, C) in enumerate(players):
@@ -327,7 +327,7 @@ def best_response_dynamics(
                 for t in range(slot - 1, slot - 1 + C):
                     occ[t] += 1
                 starts[i] = slot
-                trace.append(_potential(rows, occ, sums, min(s, slot) - 1))
+                trace.append(number(_potential(rows, occ, sums, min(s, slot) - 1)))
                 settled = 0
             settled += 1
             if settled == len(players):
@@ -474,9 +474,9 @@ class _BlockKernel:
     """NE flags, total costs and error bounds of a loaded block, per table.
 
     ``table[t, v]`` is slot ``t``'s cost at occupancy ``v``, of the dtype the
-    kernel was made for.  With ``certify`` (a float image of an exact table)
-    a row is non-NE only if a deviation gains more than its error bound
-    ``err``.
+    kernel was made for: integers, compared exactly, or float64, the image of
+    an object table that certifies: a row is then non-NE only if a deviation
+    gains more than its error bound ``err``.
 
     The work is slot-major: every array holds one row per slot (or start)
     and one column per configuration, so each step is a whole-row numpy
@@ -503,7 +503,7 @@ class _BlockKernel:
         self.hit = np.empty((A, rows), dtype=bool)
         self.ne = np.empty(rows, dtype=bool)
 
-    def __call__(self, block: _Block, table: np.ndarray, certify: bool = False):
+    def __call__(self, block: _Block, table: np.ndarray):
         T = table.shape[0]
         m = block.m
         if m > self.rows:
@@ -518,7 +518,7 @@ class _BlockKernel:
         flat.take(block.at, out=Fpre[1:], mode="clip")
         flat[1:].take(block.at, out=Gpre[1:], mode="clip")
 
-        # Error bound of a certified row: u = 2**-53, eta = 2**-1074, S_X the
+        # Error bound of a float row: u = 2**-53, eta = 2**-1074, S_X the
         # row's sum of |X| for X = F, G, and S = S_F + S_G.  A table entry is off
         # by at most u|x| + eta/2 (correct rounding, underflow).  The prefixes add
         # in order, so a prefix of k <= T entries is off from the exact sum of its
@@ -532,7 +532,7 @@ class _BlockKernel:
         # 16T^2 u^2 S + eta below its exact value: still above the test's error
         # for T < 2**31.
         err = None
-        if certify:
+        if self.dtype == np.float64:
             S = np.abs(Fpre[1:]).sum(0) + np.abs(Gpre[1:]).sum(0)
             err = (8 * T + 32) * 2.0**-53 * S + 16 * T * 2.0**-1074
         for k in range(1, T):  # cumsum's order, as x + y rounds like y + x
@@ -548,10 +548,8 @@ class _BlockKernel:
             # must get under) and with one more player
             bar = np.subtract(Fpre[lo + C : lo + C + A], Fpre[lo : lo + A], out=self.bar[:A, :m])
             moved = np.subtract(Gpre[lo + C : lo + C + A], Gpre[lo : lo + A], out=self.moved[:A, :m])
-            if certify:
+            if err is not None:
                 bar -= err
-            elif self.dtype == np.float64:
-                bar -= _REL_MARGIN * np.maximum(1.0, np.abs(bar))
             present = block.present[first : first + A]
             # the prefixes a move within C slots reads: rows lo+1 .. lo+A+C-2
             Fnear, Gnear = Fpre[lo + 1 : lo + A + C - 1], Gpre[lo + 1 : lo + A + C - 1]
@@ -620,25 +618,24 @@ def _profile_count(groups, counts) -> int:
 class _CostScan:
     """One cost's part of a scan: its slot-cost tables and running answers.
 
-    ``table`` is ``_slot_table`` in its dtype; on an object table ``approx``
-    is its float image for the certified pass.  ``add`` folds in the NE
-    flags and total costs, as Python numbers, of the rows of one block.
+    ``table`` and ``number`` are ``_slot_table``'s; on an object table
+    ``approx`` is its float image for the certified pass.  ``add`` folds in
+    the NE flags and integer sums of the rows of one block.
     """
 
     def __init__(self, instance: AtomicInstance, groups, cost: GridCostFunction):
         self.instance, self.groups = instance, groups
-        rows, dtype = _slot_table(instance, cost)
-        self.table = table = np.array(rows, dtype=dtype)
+        rows, dtype, self.number = _slot_table(instance, cost)
+        self.table = np.array(rows, dtype=dtype)
         self.approx = None
-        if table.dtype == object:
-            # n / d rounds correctly for x = n / d, an int or a Fraction; |x| is below
-            # 2**(bits(n) - bits(d) + 1), so the shift by a power of two keeps row sums finite
-            ratios = [x.as_integer_ratio() for x in table.flat]
-            shift = max(0, max(abs(n).bit_length() - d.bit_length() + 1 for n, d in ratios) - 960)
-            self.approx = np.array([n / (d << shift) for n, d in ratios]).reshape(table.shape)
-        self.ne_found: dict[ChargingConfiguration, Number] = {}
+        if dtype is object:
+            # x / 2**shift rounds correctly, and as every x is below 2**bits(x),
+            # the shift keeps row sums finite
+            shift = max(0, max(map(max, rows)).bit_length() - 960)
+            self.approx = np.array([[x / (1 << shift) for x in row] for row in rows])
+        self.ne_found: dict[ChargingConfiguration, int] = {}
         self.ne_profiles = 0
-        self.best = None  # (cost, configuration)
+        self.best = None  # (sum, configuration)
         self.stats = {"exact_rows": 0, "evaluate_s": 0.0, "reduce_s": 0.0}
 
     def add(self, counts, ne, tc, occ) -> None:
@@ -663,9 +660,9 @@ def _scan(instance: AtomicInstance, costs: tuple, budget: Optional[int]):
     kernel loads only the rows that pass leaves to it.  The budget caps the
     stream, so every cost examines the same configurations.
 
-    Returns, per cost, the equilibrium set, the number of NE profiles behind
-    it, and the first minimum-cost class configuration as
-    ``(cost, configuration)``.  Players sharing a window are interchangeable,
+    Returns, per cost, the equilibrium set and the cost's ``_CostScan``: its
+    exact sums, the NE profiles behind the set and the first minimum-sum
+    class configuration.  Players sharing a window are interchangeable,
     so NE status and cost depend on the class configuration alone; distinct
     class configurations can still share a ``ChargingConfiguration``, which
     is listed once.
@@ -699,7 +696,7 @@ def _scan(instance: AtomicInstance, costs: tuple, budget: Optional[int]):
             rows, block = counts, stream
             if scan.approx is not None:
                 # exact sums decide the rows that may be NE or tie the minimum
-                maybe_ne, tc, err = kernels[scan.approx.dtype](stream, scan.approx, certify=True)
+                maybe_ne, tc, err = kernels[scan.approx.dtype](stream, scan.approx)
                 rows = counts[maybe_ne | (tc - err <= np.min(tc + err))]
                 scan.stats["exact_rows"] += rows.shape[0]
                 block = exact.load(rows)
@@ -716,13 +713,13 @@ def _scan(instance: AtomicInstance, costs: tuple, budget: Optional[int]):
         listing = sorted(scan.ne_found.items(), key=lambda pair: (pair[0].start_counts, pair[0].occupancy))
         eq_set = EquilibriumSet(
             equilibria=tuple(config for config, _ in listing),
-            costs=tuple(c for _, c in listing),
+            costs=tuple(scan.number(c) for _, c in listing),
             complete=examined >= space,
             examined=examined,
             space_size=space,
             stats={"blocks": blocks, "generate_s": generate_s, **scan.stats},
         )
-        results.append((eq_set, scan.ne_profiles, scan.best))
+        results.append((eq_set, scan))
     return results
 
 
@@ -735,7 +732,7 @@ def enumerate_equilibria(
 
     When the budget runs out first the returned set is flagged incomplete.
     """
-    ((eq_set, _, _),) = _scan(instance, (cost,), budget)
+    ((eq_set, _),) = _scan(instance, (cost,), budget)
     return eq_set
 
 
@@ -751,13 +748,14 @@ def social_optimum(
     vector.  Raises ``BudgetExceededError`` if the scan could not finish: a
     partial minimum is not an optimum.
     """
-    ((eq_set, _, best),) = _scan(instance, (cost,), budget)
+    ((eq_set, scan),) = _scan(instance, (cost,), budget)
+    total, config = scan.number(scan.best[0]), scan.best[1]
     if not eq_set.complete:
         raise BudgetExceededError(
             f"social optimum scan stopped after {eq_set.examined} of {eq_set.space_size} configurations",
-            partial=best,
+            partial=(total, config),
         )
-    return best[1], best[0]
+    return config, total
 
 
 def efficiencies(
@@ -774,7 +772,7 @@ def efficiencies(
     stops the scan, with the first cost's partial equilibrium set.
     """
     reports = []
-    for eq_set, _, best in _scan(instance, tuple(costs), budget):
+    for eq_set, scan in _scan(instance, tuple(costs), budget):
         if not eq_set.complete:
             raise BudgetExceededError(
                 f"efficiency scan stopped after {eq_set.examined} of {eq_set.space_size} configurations",
@@ -782,20 +780,18 @@ def efficiencies(
             )
         if not eq_set.equilibria:
             raise RuntimeError("no Nash equilibrium found; the potential argument forbids this")
-        worst_idx = max(range(len(eq_set.costs)), key=eq_set.costs.__getitem__)
-        worst_cost = eq_set.costs[worst_idx]
-        opt_cost, opt_config = best
-        # a float table's costs are all floats; an exact one's, ints and Fractions
-        exact = None if isinstance(worst_cost, float) else Fraction(worst_cost) / opt_cost
-        value = worst_cost / opt_cost if exact is None else float(exact)
+        sums = [scan.ne_found[config] for config in eq_set.equilibria]
+        worst_idx = max(range(len(sums)), key=sums.__getitem__)
+        opt_sum, opt_config = scan.best
+        exact = Fraction(sums[worst_idx], opt_sum)
         reports.append(
             EfficiencyReport(
-                value=value,
+                value=float(exact),
                 exact=exact,
                 worst_equilibrium=eq_set.equilibria[worst_idx],
-                worst_cost=worst_cost,
+                worst_cost=eq_set.costs[worst_idx],
                 optimum=opt_config,
-                optimum_cost=opt_cost,
+                optimum_cost=scan.number(opt_sum),
                 equilibria=eq_set,
             )
         )
@@ -810,8 +806,8 @@ def efficiency(
     """Worst-case Nash total cost over the social optimum, exhaustively.
 
     The worst equilibrium is the first costliest one in the listing order of
-    ``EquilibriumSet``.  The ratio is an exact ``Fraction`` whenever the
-    slot-cost table is exact (see ``_slot_table``).  Raises
+    ``EquilibriumSet``, by exact sums.  The ratio is an exact ``Fraction``
+    of the exact sums (see ``_slot_table``).  Raises
     ``BudgetExceededError`` on an incomplete scan.
     """
     return efficiencies(instance, (cost,), budget)[0]
@@ -828,7 +824,7 @@ def ne_proportion(
     out of all configurations.  Any other instance counts profiles:
     equilibrium profiles out of all profiles.
     """
-    ((eq_set, ne_profiles, _),) = _scan(instance, (cost,), budget)
+    ((eq_set, scan),) = _scan(instance, (cost,), budget)
     if not eq_set.complete:
         raise BudgetExceededError(
             f"proportion scan stopped after {eq_set.examined} of {eq_set.space_size} configurations",
@@ -836,4 +832,4 @@ def ne_proportion(
         )
     if instance.is_symmetric:
         return len(eq_set.equilibria) / eq_set.space_size
-    return ne_profiles / math.prod(len(action_set(instance, i)) for i in range(instance.I))
+    return scan.ne_profiles / math.prod(len(action_set(instance, i)) for i in range(instance.I))

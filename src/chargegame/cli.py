@@ -101,7 +101,7 @@ def _cmd_solve_atomic(args) -> int:
         "optimum_cost": float(report.optimum_cost),
         "worst_equilibrium_cost": float(report.worst_cost),
         "efficiency": report.value,
-        "efficiency_exact": str(report.exact) if report.exact is not None else None,
+        "efficiency_exact": str(report.exact),
     }
     _emit_or_print(data, args, eq_set.stats)
     return 0

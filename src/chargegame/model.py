@@ -15,10 +15,9 @@ All instance and profile types are immutable; every derived quantity is a pure
 function of its inputs, which keeps them safe to share between the grid points
 that a sweep evaluates concurrently.
 
-Arithmetic is exact whenever the data allow it: integer loads fed to an
-integer-coefficient polynomial cost stay Python integers, so equilibrium
-comparisons in the atomic module are free of rounding. Float inputs degrade
-gracefully to float results.
+Atomic costs add exactly: ints and Fractions as they are, and a float as the
+exact binary rational it is, so a sum with a float term is the exact sum
+rounded once to the nearest float.  Nonatomic costs are float arithmetic.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -119,6 +119,13 @@ def _as_int_if_integral(x: Number) -> Number:
 def _is_finite(v) -> bool:
     # NaN is the only value unequal to itself; exact ints never overflow here
     return v == v and abs(v) != math.inf
+
+
+def _finite_cost(x, t: int, L) -> Number:
+    """``x``, slot ``t``'s cost at load ``L``, or ``ValueError`` when it is not finite."""
+    if _is_finite(x):
+        return x
+    raise ValueError(f"slot {t} costs {x!r} at load {L!r}")
 
 
 def _is_real(v) -> bool:
@@ -519,7 +526,10 @@ class ChargingConfiguration:
 
 
 def occupancy(instance: AtomicInstance, profile) -> ChargingConfiguration:
-    """Start counts and per-slot occupancy induced by a strategy profile."""
+    """Start counts and per-slot occupancy induced by a strategy profile; a
+    ``ChargingConfiguration`` is its own."""
+    if isinstance(profile, ChargingConfiguration):
+        return profile
     profile = _coerce_profile(instance, profile)
     T = instance.horizon.T
     started = [0] * T
@@ -623,27 +633,28 @@ def load(instance: Instance, profile):
         if not isinstance(profile, MixedProfile):
             raise TypeError("nonatomic load expects a MixedProfile")
         return np.asarray(instance.exogenous, dtype=float) + instance.power * profile.occupancy_mass()
-    if isinstance(profile, ChargingConfiguration):
-        occ = profile.occupancy
-    else:
-        occ = occupancy(instance, profile).occupancy
     P = instance.power
-    return tuple(e + P * n for e, n in zip(instance.exogenous, occ))
+    return tuple(e + P * n for e, n in zip(instance.exogenous, occupancy(instance, profile).occupancy))
+
+
+def _exact_total(cost: GridCostFunction, slot_loads) -> Number:
+    """``sum f(L)`` over ``(slot, L)`` pairs, exactly (module docstring).  ``ValueError`` on a cost
+    that is not finite, ``OverflowError`` on a float total past the float range, as from ``math.fsum``."""
+    total, rounded = 0, False
+    for t, L in slot_loads:
+        x = _finite_cost(cost(L), t, L)
+        if isinstance(x, float):
+            rounded, x = True, Fraction(x)
+        total += x
+    return float(total) if rounded else total
 
 
 def grid_total_cost(instance: Instance, cost: GridCostFunction, profile):
-    """Total grid cost ``sum_t f(load_t)`` under a profile."""
+    """Total grid cost ``sum_t f(load_t)`` under a profile, exact on an atomic instance."""
     loads = load(instance, profile)
     if isinstance(loads, np.ndarray):
         return float(np.sum(cost(loads)))
-    total = 0  # slot by slot, as the atomic scan adds: sum() compensates floats on Python 3.12+
-    for L in loads:
-        total += cost(L)
-    return total
-
-
-def _window_cost(cost: GridCostFunction, loads, start: int, duration: int):
-    return sum(map(cost, loads[start - 1 : start - 1 + duration]))
+    return _exact_total(cost, enumerate(loads, 1))
 
 
 def utility_atomic(
@@ -658,7 +669,7 @@ def utility_atomic(
     player = _index(instance, player)
     loads = load(instance, profile)
     s = profile.starts[player]
-    raw = _window_cost(cost, loads, s, instance.durations[player])
+    raw = _exact_total(cost, ((t, loads[t - 1]) for t in range(s, s + instance.durations[player])))
     return -_pricing_for(pricing, player)(raw)
 
 
@@ -669,16 +680,8 @@ def potential_atomic(instance: AtomicInstance, cost: GridCostFunction, profile) 
     changes ``Phi`` in the same direction as the mover's utility, and exactly
     by the utility change when pricing is the identity.
     """
-    if isinstance(profile, ChargingConfiguration):
-        occ = profile.occupancy
-    else:
-        occ = occupancy(instance, profile).occupancy
-    P = instance.power
-    total = 0
-    for e, n in zip(instance.exogenous, occ):
-        for v in range(n + 1):
-            total += cost(e + P * v)
-    return -total
+    P, exo, occ = instance.power, instance.exogenous, occupancy(instance, profile).occupancy
+    return -_exact_total(cost, ((t, exo[t - 1] + P * v) for t, n in enumerate(occ, 1) for v in range(n + 1)))
 
 
 def utility_nonatomic(
@@ -690,7 +693,8 @@ def utility_nonatomic(
     pricing=IDENTITY,
 ) -> float:
     """Utility of a class-``cls`` user starting at ``start`` against a profile.
-    ``ValueError`` unless ``cls`` is an int in ``0..K-1`` and ``start`` in its action set."""
+    ``ValueError`` unless ``cls`` is an int in ``0..K-1`` and ``start`` an int in its action set."""
+    start = _integer(start, "start")
     if start not in action_set(instance, cls):
         raise ValueError(f"start {start} is outside the action set of class {cls}")
     loads = load(instance, profile)

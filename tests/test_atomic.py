@@ -60,29 +60,30 @@ from chargegame.fileio import instance_to_dict
 # reference oracle, straight from the definitions
 
 
+def exact(x):
+    """A cost as the exact rational it is: a float becomes its Fraction."""
+    return Fraction(x) if isinstance(x, float) else x
+
+
 def oracle_loads(inst, starts):
-    T = inst.horizon.T
-    loads = list(inst.exogenous) if inst.exogenous else [0] * T
-    for i, s in enumerate(starts):
-        for t in range(s, s + inst.durations[i]):
-            loads[t - 1] += inst.power
-    return loads
+    """``exo_t + P n_t`` per slot, ``n_t`` the players charging in slot ``t``."""
+    return [e + inst.power * n for e, n in zip(inst.exogenous, oracle_occupancy(inst, starts))]
 
 
 def oracle_window_cost(inst, cost, starts, i):
     loads = oracle_loads(inst, starts)
     s, C = starts[i], inst.durations[i]
-    return sum(cost(loads[t - 1]) for t in range(s, s + C))
+    return sum(exact(cost(loads[t - 1])) for t in range(s, s + C))
 
 
-def oracle_is_ne(inst, cost, starts, margin=0):
-    # a deviation gains when it clears the relative `margin`
+def oracle_is_ne(inst, cost, starts):
+    # a deviation gains when its exact window cost is strictly smaller
     for i in range(inst.I):
         here = oracle_window_cost(inst, cost, starts, i)
         for alt in action_set(inst, i):
             trial = list(starts)
             trial[i] = alt
-            if oracle_window_cost(inst, cost, tuple(trial), i) < here - margin * max(1, abs(here)):
+            if oracle_window_cost(inst, cost, tuple(trial), i) < here:
                 return False
     return True
 
@@ -99,14 +100,23 @@ def oracle_best_response(inst, cost, starts, i):
 
 
 def oracle_potential(inst, cost, starts):
-    """``-sum_t sum_{v <= n_t} f(exo_t + P v)``, straight from the definition."""
+    """``-sum_t sum_{v <= n_t} f(exo_t + P v)``, straight from the definition, exactly."""
     return -sum(
-        cost(e + inst.power * v) for e, n in zip(inst.exogenous, oracle_occupancy(inst, starts)) for v in range(n + 1)
+        exact(cost(e + inst.power * v))
+        for e, n in zip(inst.exogenous, oracle_occupancy(inst, starts))
+        for v in range(n + 1)
     )
 
 
-def oracle_dynamics(inst, cost, starts, margin=0):
-    """Round-robin best responses, each taken when it clears ``margin``."""
+def as_reported(inst, cost, value):
+    """An exact sum as the atomic answers report it: rounded once to the
+    nearest float when the slot-cost table holds a float."""
+    table = [cost(e + inst.power * v) for e in inst.exogenous for v in range(inst.I + 2)]
+    return float(value) if any(isinstance(x, float) for x in table) else value
+
+
+def oracle_dynamics(inst, cost, starts):
+    """Round-robin best responses, each taken when it strictly gains."""
     starts = list(starts)
     trace = [oracle_potential(inst, cost, starts)]
     moved = True
@@ -115,7 +125,7 @@ def oracle_dynamics(inst, cost, starts, margin=0):
         for i in range(inst.I):
             here = oracle_window_cost(inst, cost, tuple(starts), i)
             trial = starts[:i] + [oracle_best_response(inst, cost, tuple(starts), i)] + starts[i + 1 :]
-            if oracle_window_cost(inst, cost, tuple(trial), i) < here - margin * max(1, abs(here)):
+            if oracle_window_cost(inst, cost, tuple(trial), i) < here:
                 starts = trial
                 trace.append(oracle_potential(inst, cost, starts))
                 moved = True
@@ -146,7 +156,7 @@ def oracle_scan(inst, cost):
     ne_profiles = 0
     opt = None
     for starts in itertools.product(*spaces):
-        tc = sum(cost(v) for v in oracle_loads(inst, starts))
+        tc = sum(exact(cost(v)) for v in oracle_loads(inst, starts))
         if opt is None or tc < opt:
             opt = tc
         if oracle_is_ne(inst, cost, starts):
@@ -322,23 +332,23 @@ def test_dynamics_sweep_budget(monkeypatch):
 
 
 def test_dynamics_is_nash_and_scan_agree_on_mixed_fraction_float_costs():
-    # slot 2 is an exact Fraction gain below the float margin over slot 1,
-    # slot 3 a float one: no start is a strict gain over another under the
-    # margin, so every start is an equilibrium for all three
+    # slot 2 is an exact Fraction gain of 1e-14 over slot 1, slot 3 a float
+    # one of about 2e-14 over slot 1: read exactly, slot 3 is the one
+    # equilibrium, and every start moves there
     inst = AtomicInstance.create(
         3, [(1, 3, 1)], exogenous=(Fraction(1), 1 - Fraction(1, 10**14), 1 - 2e-14)
     )
     f = Monomial(1, 1)
     listed_starts = {conf.start_counts.index(1) + 1 for conf in enumerate_equilibria(inst, f).equilibria}
-    assert listed_starts == {1, 2, 3}
+    assert listed_starts == {3}
     for s in (1, 2, 3):
         final, _ = best_response_dynamics(inst, f, StrategyProfile((s,)))
-        assert final.starts == (s,)
-        assert is_nash(inst, f, (s,))
+        assert final.starts == (3,)
+        assert is_nash(inst, f, (s,)) == (s == 3)
 
 
 # exogenous load of one slot, and the power, of each kind of data; a Fraction
-# load may sit 1e-14 above its neighbour's, a gain below the float margin
+# load may sit 1e-14 above its neighbour's, a gain only an exact sum sees
 DATA_KINDS = {
     "int": (lambda rng: rng.randint(0, 4), lambda rng: rng.randint(1, 3)),
     "float": (lambda rng: rng.uniform(0.0, 4.0), lambda rng: rng.choice([1, 0.7])),
@@ -375,23 +385,23 @@ def test_scan_and_is_nash_agree_on_every_kind_of_data(kind):
 @pytest.mark.parametrize("kind", sorted(DATA_KINDS))
 def test_reported_costs_equal_grid_total_cost(kind):
     # every equilibrium cost and the optimum cost is the number
-    # grid_total_cost gives for its configuration, type and all
+    # grid_total_cost gives for its configuration, type and all; the ratio
+    # is that of the exact entry sums on every kind of data
     for inst, f in data_kind_instances(kind, 1902):
         report = efficiency(inst, f)
         eq = report.equilibria
         for config, cost in [*zip(eq.equilibria, eq.costs), (report.optimum, report.optimum_cost)]:
             total = grid_total_cost(inst, f, config)
             assert cost == total and type(cost) is type(total), (inst, f, config)
-        assert (report.exact is None) == isinstance(report.optimum_cost, float)
+        worst, opt = (sum(exact(f(L)) for L in load(inst, c)) for c in (report.worst_equilibrium, report.optimum))
+        assert report.exact == Fraction(worst) / opt and report.value == float(report.exact)
 
 
-@pytest.mark.xfail(strict=True, reason="float64 block kernel: prefix differences cancel past the margin")
 def test_float_scan_finds_equilibria_behind_a_steep_slot():
-    # known defect: the float64 kernel takes window costs as differences of
-    # prefix sums, and slot 3's L**30 cost (~1e30 with a mover in it) leaves
-    # a rounding error of ~1e14 in every later window, far above the 1e-12
-    # relative margin on window costs of ~1e23; player 0's exact tie between
-    # slots 4 and 5 then reads as a gain, and the scan finds no equilibrium
+    # slot 3's L**30 cost (~1e30 with a mover in it) dwarfs the later
+    # windows' (~1e23): a float prefix-sum kernel would leave a rounding
+    # error of ~1e14 in them and read player 0's exact tie between slots 4
+    # and 5 as a gain.  Integer sums keep the tie
     inst = AtomicInstance.create(5, [(4, 5, 1), (2, 5, 2), (2, 5, 2)], power=2, exogenous=(4, 1.1146355811934034, 4, 4, 4))
     f = Monomial(1, 30)
     assert is_nash(inst, f, (4, 2, 2)) and is_nash(inst, f, (5, 2, 2))
@@ -400,8 +410,7 @@ def test_float_scan_finds_equilibria_behind_a_steep_slot():
 
 def test_fraction_gain_below_the_float_margin_is_decided_exactly():
     # charging in slot 2 costs 1e-14 more than in slot 1: an exact table sees
-    # the gain that a float margin would hide.  Both starts cost the grid
-    # the same
+    # the gain.  Both starts cost the grid the same
     inst = AtomicInstance.create(2, [(1, 2, 1)], exogenous=(Fraction(1), Fraction(1) + Fraction(1, 10**14)))
     f = Monomial(1, 1)
     report = efficiency(inst, f)
@@ -410,6 +419,37 @@ def test_fraction_gain_below_the_float_margin_is_decided_exactly():
     assert type(report.worst_cost) is Fraction and report.exact == 1
     assert is_nash(inst, f, (1,)) and not is_nash(inst, f, (2,))
     assert best_response_dynamics(inst, f, (2,))[0].starts == (1,)
+
+
+@pytest.mark.parametrize("f", [Monomial(1, 2), SquareRoot()], ids=["L2", "sqrtL"])
+def test_float_gain_below_1e12_relative_is_decided_exactly(f):
+    # slot 2's exogenous load sits 1e-14 above slot 1's: read as the exact
+    # binary rationals they are, slot 1 is strictly cheaper for the mover
+    inst = AtomicInstance.symmetric(2, 1, 1, exogenous=(1.0, 1.0 + 1e-14))
+    assert [c.start_counts for c in enumerate_equilibria(inst, f).equilibria] == [(1, 0)]
+    assert is_nash(inst, f, (1,)) and not is_nash(inst, f, (2,))
+    final, trace = best_response_dynamics(inst, f, (2,))
+    assert final.starts == (1,)
+    assert trace == (potential_atomic(inst, f, (2,)), potential_atomic(inst, f, (1,)))
+
+
+def test_slot_costs_that_are_not_finite_are_refused():
+    # under 1e307 L**2, slot 1 costs inf at every load and slot 2 a finite
+    # 2.25e307 at load 1.5: no answer may compare the two
+    inst = AtomicInstance.symmetric(2, 1, 1, exogenous=(10.5, 1.5))
+    f = Monomial(1e307, 2)
+    calls = [
+        lambda: enumerate_equilibria(inst, f),
+        lambda: efficiency(inst, f),
+        lambda: is_nash(inst, f, (2,)),
+        lambda: best_response_dynamics(inst, f, (2,)),
+        lambda: grid_total_cost(inst, f, (1,)),
+        lambda: potential_atomic(inst, f, (2,)),
+        lambda: utility_atomic(inst, f, (1,), 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"slot 1 costs inf at load 1[01]\.5"):
+            call()
 
 
 @pytest.mark.parametrize(
@@ -453,31 +493,21 @@ def test_table_path_matches_oracle(data, f):
     # table per call; the oracles sum window costs off plain load lists
     rng = random.Random(f"{data} {f!r}")
     make_exo, make_power = TABLE_PATH_DATA[data]
-    exact = data in ("int", "fraction") and all(isinstance(c, int) and isinstance(k, int) for c, k in f.powers)
-    margin = 0 if exact else 1e-12  # the margin the scalar path puts on inexact costs
     for _ in range(12):
         inst = random_heterogeneous_instance(rng, max_T=8, max_I=4)
         inst = dataclasses.replace(inst, exogenous=tuple(make_exo(rng, inst.horizon.T)), power=make_power(rng))
         starts = tuple(rng.choice(list(action_set(inst, i))) for i in range(inst.I))
         for i in range(inst.I):
-            slot, expected = best_response(inst, f, starts, i), oracle_best_response(inst, f, starts, i)
-            if exact:
-                assert slot == expected
-            else:  # rounding may break an exact tie either way
-                moved_to = [oracle_window_cost(inst, f, starts[:i] + (t,) + starts[i + 1 :], i) for t in (slot, expected)]
-                assert moved_to[0] == pytest.approx(moved_to[1], rel=1e-12)
-        assert is_nash(inst, f, starts) == oracle_is_ne(inst, f, starts, margin)
+            assert best_response(inst, f, starts, i) == oracle_best_response(inst, f, starts, i)
+        assert is_nash(inst, f, starts) == oracle_is_ne(inst, f, starts)
         final, trace = best_response_dynamics(inst, f, starts)
-        final_oracle, trace_oracle = oracle_dynamics(inst, f, starts, margin)
+        final_oracle, trace_oracle = oracle_dynamics(inst, f, starts)
         assert final.starts == final_oracle
-        assert is_nash(inst, f, final) and oracle_is_ne(inst, f, final.starts, margin)
-        assert trace[-1] == potential_atomic(inst, f, final)  # the same sum, in the same order
-        if exact:
-            assert list(trace) == trace_oracle
-            if data == "fraction":
-                assert all(type(phi) is Fraction for phi in trace)
-        else:
-            assert list(trace) == pytest.approx(trace_oracle, rel=1e-12)
+        assert is_nash(inst, f, final) and oracle_is_ne(inst, f, final.starts)
+        assert trace[-1] == potential_atomic(inst, f, final)
+        reported = [as_reported(inst, f, phi) for phi in trace_oracle]
+        assert list(trace) == reported
+        assert [type(phi) for phi in trace] == [type(phi) for phi in reported]
 
 
 class CountingSquare(GridCostFunction):
@@ -554,17 +584,6 @@ def test_kept_best_responses_stay_bounded_and_never_change_an_answer(monkeypatch
     monkeypatch.setattr(atomic, "_MOVES_KEPT", 6)
     rng = random.Random(f"kept moves {data} {f!r}")
     make_exo, make_power = TABLE_PATH_DATA[data]
-    exact = data != "float-exogenous" and all(isinstance(k, int) for _, k in f.powers)
-    margin = 0 if exact else 1e-12
-
-    def check(inst, p, i, slot):
-        expected = oracle_best_response(inst, f, p, i)
-        if exact:
-            assert slot == expected
-        else:  # rounding may break an exact tie either way
-            moved_to = [oracle_window_cost(inst, f, p[:i] + (t,) + p[i + 1 :], i) for t in (slot, expected)]
-            assert moved_to[0] == pytest.approx(moved_to[1], rel=1e-12)
-
     for _ in range(8):
         inst = random_heterogeneous_instance(rng, max_T=8, max_I=4)
         inst = dataclasses.replace(inst, exogenous=tuple(make_exo(rng, inst.horizon.T)), power=make_power(rng))
@@ -581,10 +600,10 @@ def test_kept_best_responses_stay_bounded_and_never_change_an_answer(monkeypatch
             assert all(len(game[-1]) <= atomic._MOVES_KEPT for game in atomic._GAMES.values())
         assert answers[0] == answers[1]
         for p, (nash, responses, (final, trace)) in answers[0].items():
-            assert nash == oracle_is_ne(inst, f, p, margin)
+            assert nash == oracle_is_ne(inst, f, p)
             for i, slot in enumerate(responses):
-                check(inst, p, i, slot)
-            assert final.starts == oracle_dynamics(inst, f, p, margin)[0]
+                assert slot == oracle_best_response(inst, f, p, i)
+            assert final.starts == oracle_dynamics(inst, f, p)[0]
             assert trace[-1] == potential_atomic(inst, f, final)
 
     # player 1 starts outside player 0's span, slots 1..3, in both profiles:
@@ -595,14 +614,15 @@ def test_kept_best_responses_stay_bounded_and_never_change_an_answer(monkeypatch
     responses = [best_response(inst, f, p, 0) for p in profiles]
     assert len(atomic._game(inst, f)[-1]) == 1  # the second lookup hit the first's entry
     for p, slot in zip(profiles, responses):
-        check(inst, p, 0, slot)
-        assert is_nash(inst, f, p) == oracle_is_ne(inst, f, p, margin)
+        assert slot == oracle_best_response(inst, f, p, 0)
+        assert is_nash(inst, f, p) == oracle_is_ne(inst, f, p)
 
 
 @pytest.mark.parametrize("order", ["float-first", "fraction-first"])
 def test_kept_tables_are_told_apart_by_identity_not_equality(order):
-    # equal and hashing equal, yet one table is float64 with the margin and
-    # the other exact: neither may be given the other's arithmetic
+    # equal and hashing equal, with the same exact entries, yet one table
+    # reports floats and the other Fractions: neither may be given the
+    # other's numbers
     floats = AtomicInstance.symmetric(2, 1, 1, exogenous=(1, 1.0 + 1e-14))
     fracs = AtomicInstance.symmetric(2, 1, 1, exogenous=(1, Fraction(1.0 + 1e-14)))
     assert floats == fracs and hash(floats) == hash(fracs)
@@ -612,15 +632,14 @@ def test_kept_tables_are_told_apart_by_identity_not_equality(order):
         for start in (1, 2):
             final, trace = best_response_dynamics(inst, f, (start,))
             assert {type(phi) for phi in trace} == {kind}
-        if inst is fracs:
             assert final.starts == (1,)
-            assert not is_nash(fracs, f, (2,))
-            assert best_response(fracs, f, (2,), 0) == 1
+        assert not is_nash(inst, f, (2,))
+        assert best_response(inst, f, (2,), 0) == 1
 
 
 # exogenous load of one slot of each kind of data, and the power; slot 1 is
-# the steep one: under L**30 its terms dwarf the others', so a potential
-# added up in any other order than potential_atomic's rounds differently
+# the steep one: under L**30 its terms dwarf the others', so only an exact
+# sum keeps the other slots' terms
 STEEP_DATA = {
     "float": (lambda rng: rng.uniform(0.0, 2.0), lambda rng: rng.choice([1, 0.7])),
     "mixed": (lambda rng: rng.choice([rng.randint(0, 2), rng.uniform(0.0, 2.0)]), lambda rng: rng.randint(1, 2)),
@@ -634,11 +653,8 @@ STEEP_DATA = {
 def replayed_profiles(inst, cost, starts):
     """The profiles round-robin best responses pass through, one per move.
 
-    A move is taken when its window cost, from ``utility_atomic``, beats
-    the current one by the margin the slot-cost table's entries call for.
+    A move is taken when its exact window cost is strictly smaller.
     """
-    table = [cost(e + inst.power * v) for e in inst.exogenous for v in range(inst.I + 2)]
-    margin = 1e-12 if any(isinstance(x, float) for x in table) else 0
     profiles = [tuple(starts)]
     moved = True
     while moved:
@@ -646,8 +662,7 @@ def replayed_profiles(inst, cost, starts):
         for i in range(inst.I):
             here = profiles[-1]
             trial = here[:i] + (best_response(inst, cost, here, i),) + here[i + 1 :]
-            current = -utility_atomic(inst, cost, here, i)
-            if -utility_atomic(inst, cost, trial, i) < current - margin * max(1, abs(current)):
+            if oracle_window_cost(inst, cost, trial, i) < oracle_window_cost(inst, cost, here, i):
                 profiles.append(trial)
                 moved = True
     return profiles
@@ -762,22 +777,15 @@ def test_scan_matches_oracle_on_every_small_symmetric_instance():
 @pytest.mark.parametrize("f", [Monomial(1, 2), SquareRoot()], ids=["L2", "sqrtL"])
 def test_repeated_window_scan_matches_oracle(f):
     rng = random.Random(110)
-    exact = isinstance(f, Monomial)
     for _ in range(60):
         inst = random_repeated_window_instance(rng)
         ne, ne_profiles, opt = oracle_scan(inst, f)
         report = efficiency(inst, f)
         eq = report.equilibria
         got = listed(eq)
-        assert eq.complete and set(got) == set(ne)
-        if exact:
-            assert got == ne
-            assert social_optimum(inst, f)[1] == opt
-            assert report.exact == Fraction(max(ne.values()), opt)
-        else:
-            assert [got[k] for k in ne] == pytest.approx(list(ne.values()), rel=1e-12)
-            assert social_optimum(inst, f)[1] == pytest.approx(opt, rel=1e-12)
-            assert report.value == pytest.approx(max(ne.values()) / opt, rel=1e-12)
+        assert eq.complete and got == {k: as_reported(inst, f, v) for k, v in ne.items()}
+        assert social_optimum(inst, f)[1] == as_reported(inst, f, opt)
+        assert report.exact == Fraction(max(ne.values())) / opt and report.value == float(report.exact)
         # listed by start counts, then occupancy; the worst is the first costliest
         assert list(got) == sorted(got)
         assert report.worst_equilibrium == eq.equilibria[eq.costs.index(max(eq.costs))]
@@ -899,9 +907,10 @@ def test_float_cost_path():
     ne, _, opt = oracle_scan(inst, f)
     eq = enumerate_equilibria(inst, f)
     assert set(listed(eq)) == set(ne)
+    assert listed(eq) == {config: float(total) for config, total in ne.items()}
     report = efficiency(inst, f)
-    assert report.exact is None
-    assert report.value == pytest.approx(max(ne.values()) / opt)
+    assert report.exact == Fraction(max(ne.values())) / opt
+    assert report.value == float(report.exact)
 
 
 # a T=10, I=12, C=3 instance: 50,388 configurations, 13 blocks
@@ -917,7 +926,7 @@ MIXED_DATA = dict(T=10, I=12, C=3, exogenous=(2, 0, 3, 1, 0, 2, 3, 1, 0, 2))
             AtomicInstance.symmetric(8, 5, 2, exogenous=(0.5, 1.25, 0.75, 2.5, 0.1, 1.5, 3.25, 0.5)),
             (SquareRoot(), SquareRoot(2), Monomial(1.5, 2)),
         ),
-        # int64, object through the float filter, float64: each kind of kernel
+        # int64, object through the float filter, float data in int64: each kind of kernel
         (AtomicInstance.symmetric(**MIXED_DATA), (Monomial(1, 2), Monomial(1, 24), SquareRoot())),
         (AtomicInstance.symmetric(**MIXED_DATA), (SquareRoot(), Monomial(1, 24), Monomial(1, 2))),
         (
@@ -925,7 +934,7 @@ MIXED_DATA = dict(T=10, I=12, C=3, exogenous=(2, 0, 3, 1, 0, 2, 3, 1, 0, 2))
             (Monomial(1, 2), Monomial(1, 3), SquareRoot(), Monomial(1, 38)),
         ),
     ],
-    ids=["int64-C3", "int64-C4", "int64-C5", "object", "float64", "mixed", "mixed-reversed", "heterogeneous"],
+    ids=["int64-C3", "int64-C4", "int64-C5", "object", "float", "mixed", "mixed-reversed", "heterogeneous"],
 )
 def test_efficiencies_equal_one_cost_scans(inst, costs):
     reports = efficiencies(inst, costs)
@@ -947,8 +956,8 @@ def test_efficiencies_share_the_budget():
     costs = (Monomial(1, 2), Monomial(1, 3), SquareRoot())
     for budget in (4095, 4096, 4097, 50388):
         scans = atomic._scan(inst, costs, budget)
-        assert [eq.examined for eq, _, _ in scans] == [min(budget, 50388)] * 3
-        assert [eq.space_size for eq, _, _ in scans] == [50388] * 3
+        assert [eq.examined for eq, _ in scans] == [min(budget, 50388)] * 3
+        assert [eq.space_size for eq, _ in scans] == [50388] * 3
         if budget < 50388:
             with pytest.raises(BudgetExceededError) as err:
                 efficiencies(inst, costs, budget=budget)
@@ -968,11 +977,12 @@ def test_efficiencies_share_the_budget():
         # T * f(max load) = 4 * 3**37 < 2**62 <= 4 * 3**38: the switch from both sides
         (AtomicInstance.symmetric(4, 2, 2), Monomial(1, 37), np.int64),
         (AtomicInstance.symmetric(4, 2, 2), Monomial(1, 38), object),
-        (AtomicInstance.symmetric(4, 2, 2, exogenous=(0.5, 1.25, 0.75, 2.5)), SquareRoot(), np.float64),
+        # float data is exact too: integers over a power-of-two denominator
+        (AtomicInstance.symmetric(4, 2, 2, exogenous=(0.5, 1.25, 0.75, 2.5)), SquareRoot(), np.int64),
         # the same switch with two window groups
         (AtomicInstance.create(4, [(1, 4, 2), (2, 4, 1)]), Monomial(1, 37), np.int64),
         (AtomicInstance.create(4, [(1, 4, 2), (2, 4, 1)]), Monomial(1, 38), object),
-        (AtomicInstance.create(4, [(1, 4, 2), (2, 4, 1)], exogenous=(0.5, 1.25, 0.75, 2.5)), SquareRoot(), np.float64),
+        (AtomicInstance.create(4, [(1, 4, 2), (2, 4, 1)], exogenous=(0.5, 1.25, 0.75, 2.5)), SquareRoot(), np.int64),
     ],
 )
 def test_block_kernel_matches_scalar_kernel_on_every_dtype(inst, f, dtype):
@@ -981,19 +991,17 @@ def test_block_kernel_matches_scalar_kernel_on_every_dtype(inst, f, dtype):
     eq = enumerate_equilibria(inst, f)
     assert set(listed(eq)) == set(ne)
     assert all(is_nash(inst, f, one_profile(inst, c)) for c in eq.equilibria)
-    assert [listed(eq)[k] for k in ne] == pytest.approx([ne[k] for k in ne], rel=1e-12)
-    if dtype is not np.float64:
-        assert listed(eq) == ne
-        assert efficiency(inst, f).exact == Fraction(max(ne.values()), opt)
+    assert listed(eq) == {config: as_reported(inst, f, total) for config, total in ne.items()}
+    assert efficiency(inst, f).exact == Fraction(max(ne.values())) / opt
 
 
-def row_oracle(inst, cost, groups, row, margin):
-    """NE flag, total cost and occupancy of one class configuration.
+def row_oracle(inst, cost, groups, row):
+    """NE flag, exact total cost and occupancy of one class configuration.
 
     Plain Python from the definitions: the row becomes a profile, every
-    window cost is summed off ``load`` of that profile or of the profile
-    with one player moved, and a move gains when it clears the relative
-    ``margin``.
+    window cost is summed exactly off ``load`` of that profile or of the
+    profile with one player moved, and a move gains when it is strictly
+    smaller.
     """
     queues = {}  # window (a, d, C) -> the starts its players take
     for a, C, _, first, A in groups:
@@ -1003,15 +1011,32 @@ def row_oracle(inst, cost, groups, row, margin):
     is_ne = True
     for i, s in enumerate(starts):
         C = inst.durations[i]
-        here = sum(cost(L) for L in loads[s - 1 : s - 1 + C])
+        here = sum(exact(cost(L)) for L in loads[s - 1 : s - 1 + C])
         for s2 in action_set(inst, i):
             moved = load(inst, starts[:i] + [s2] + starts[i + 1 :])
-            if sum(cost(L) for L in moved[s2 - 1 : s2 - 1 + C]) < here - margin * max(1, abs(here)):
+            if sum(exact(cost(L)) for L in moved[s2 - 1 : s2 - 1 + C]) < here:
                 is_ne = False
-    return is_ne, sum(cost(L) for L in loads), list(occupancy(inst, starts).occupancy)
+    return is_ne, sum(exact(cost(L)) for L in loads), list(occupancy(inst, starts).occupancy)
 
 
-@pytest.mark.parametrize("dtype", ["int64", "object", "float64", "certified"])
+KERNEL_COSTS = {"int64": Monomial(1, 3), "object": Monomial(1, 38), "float": SquareRoot(), "certified": Monomial(1, 38)}
+
+
+def kernel_table(inst, cost, dtype):
+    """The slot-cost table a kernel of ``dtype`` reads, and its scale ``D``.
+
+    Float data draws loads of at least 0.5, so that its exact table fits
+    int64; ``certified`` is the float image of the object table."""
+    rows, kind, _ = _slot_table(inst, cost)
+    if dtype in ("int64", "float"):
+        assert kind == np.int64
+    # in the kernel's dtype even where the scan would pick int64
+    table = np.array(rows, dtype=np.int64 if dtype in ("int64", "float") else object)
+    scale = math.lcm(*(Fraction(cost(e + inst.power * v)).denominator for e in inst.exogenous for v in range(inst.I + 2)))
+    return (table.astype(np.float64) if dtype == "certified" else table), scale
+
+
+@pytest.mark.parametrize("dtype", ["int64", "object", "float", "certified"])
 def test_block_kernel_matches_plain_python_rows(dtype):
     # random symmetric and multi-group instances, some where no target lies
     # a whole window away (A <= C) and some with targets on both sides
@@ -1019,7 +1044,7 @@ def test_block_kernel_matches_plain_python_rows(dtype):
     # blocks cut small and thinned like the exact pass, so their arrays are
     # reused and grow
     rng = random.Random(3301)
-    cost = {"int64": Monomial(1, 3), "object": Monomial(1, 38), "float64": SquareRoot(), "certified": Monomial(1, 38)}[dtype]
+    cost = KERNEL_COSTS[dtype]
     shapes = {"A<=C": 0, "A>2C": 0}
     for trial in range(24):
         T = rng.randint(3, 11)
@@ -1032,40 +1057,33 @@ def test_block_kernel_matches_plain_python_rows(dtype):
                 a = rng.randint(1, T - 1)
                 d = rng.randint(a, T)
                 windows += [(a, d, rng.randint(max(1, (d - a + 2) // 2), d - a + 1))] * rng.randint(1, 2)
-        exo = [rng.randint(0, 3) if dtype != "float64" else rng.uniform(0.0, 3.0) for _ in range(T)]
+        exo = [rng.randint(0, 3) if dtype != "float" else rng.uniform(0.5, 3.0) for _ in range(T)]
         inst = AtomicInstance.create(T, windows, exogenous=exo)
         groups = _class_groups(inst)
         for a, C, _, _, A in groups:
             shapes["A<=C"] += A <= C
             shapes["A>2C"] += A > 2 * C
-        # table[t, v]: slot t's cost at occupancy v, as the scan builds it,
-        # in the kernel's dtype even where the scan would pick another
-        table = np.array(_slot_table(inst, cost)[0], dtype={"int64": np.int64, "float64": np.float64}.get(dtype, object))
-        if dtype == "certified":
-            table = table.astype(np.float64)
+        # table[t, v]: D times slot t's cost at occupancy v
+        table, scale = kernel_table(inst, cost, dtype)
         loaded, kernel = _Block(groups, inst.horizon.T, inst.I + 2), _BlockKernel(groups, table.dtype)
-        margin = 1e-12 if dtype == "float64" else 0  # the scan's margin on float costs
         for block in _configuration_blocks([(n, A) for _, _, n, _, A in groups], rng.randint(1, 7)):
             block = block[sorted(rng.sample(range(len(block)), rng.randint(1, len(block))))]
-            ne, tc, err = kernel(loaded.load(block), table, certify=dtype == "certified")
+            ne, tc, err = kernel(loaded.load(block), table)
             occ = loaded.occ.T
             for r, row in enumerate(block):
-                is_ne, total, occupied = row_oracle(inst, cost, groups, row, margin)
+                is_ne, total, occupied = row_oracle(inst, cost, groups, row)
                 assert occ[r].tolist() == occupied
                 if dtype == "certified":
                     # a row is ruled out only on a gain beyond its error bound
                     assert ne[r] or not is_ne
-                    assert abs(Fraction(tc[r]) - total) <= Fraction(err[r])
+                    assert abs(Fraction(tc[r]) - total * scale) <= Fraction(err[r])
                 else:
                     assert ne[r] == is_ne
-                    if dtype == "float64":
-                        assert tc[r] == pytest.approx(total, rel=1e-13)
-                    else:
-                        assert tc[r] == total
+                    assert tc[r] == total * scale
     assert min(shapes.values()) > 0
 
 
-@pytest.mark.parametrize("dtype", ["int64", "object", "float64", "certified"])
+@pytest.mark.parametrize("dtype", ["int64", "object", "float", "certified"])
 @pytest.mark.parametrize("shape", ["A<=C", "A=C+1", "A>>C"])
 def test_block_kernel_screen_keeps_every_flag(dtype, shape):
     # the distant-move test screens the rows before the nearer moves, which
@@ -1073,27 +1091,24 @@ def test_block_kernel_screen_keeps_every_flag(dtype, shape):
     # and nothing is screened.  A second, shorter window on some trials makes
     # the columns another group refuted drop out of the screen as well
     rng = random.Random(3302)
-    cost = {"int64": Monomial(1, 3), "object": Monomial(1, 38), "float64": SquareRoot(), "certified": Monomial(1, 38)}[dtype]
+    cost = KERNEL_COSTS[dtype]
     for trial in range(6):
         C = rng.randint(1, 4)
         A = {"A<=C": rng.randint(1, C), "A=C+1": C + 1, "A>>C": 3 * C + rng.randint(1, 3)}[shape]
         T = A + C - 1
         windows = [(1, T, C)] * rng.randint(1, 4) + [(2, T, min(C, T - 1))] * (trial % 2)
-        exo = [rng.randint(0, 3) if dtype != "float64" else rng.uniform(0.0, 3.0) for _ in range(T)]
+        exo = [rng.randint(0, 3) if dtype != "float" else rng.uniform(0.5, 3.0) for _ in range(T)]
         inst = AtomicInstance.create(T, windows, exogenous=exo)
         groups = _class_groups(inst)
-        table = np.array(_slot_table(inst, cost)[0], dtype={"int64": np.int64, "float64": np.float64}.get(dtype, object))
-        if dtype == "certified":
-            table = table.astype(np.float64)
+        table, scale = kernel_table(inst, cost, dtype)
         loaded, kernel = _Block(groups, T, inst.I + 2), _BlockKernel(groups, table.dtype)
-        margin = 1e-12 if dtype == "float64" else 0
         for block in _configuration_blocks([(n, A) for _, _, n, _, A in groups], rng.randint(1, 50)):
-            ne, tc, err = kernel(loaded.load(block), table, certify=dtype == "certified")
+            ne, tc, err = kernel(loaded.load(block), table)
             for r, row in enumerate(block):
-                is_ne, total, _ = row_oracle(inst, cost, groups, row, margin)
+                is_ne, total, _ = row_oracle(inst, cost, groups, row)
                 if dtype == "certified":
                     assert ne[r] or not is_ne
-                    assert abs(Fraction(tc[r]) - total) <= Fraction(err[r])
+                    assert abs(Fraction(tc[r]) - total * scale) <= Fraction(err[r])
                 else:
                     assert ne[r] == is_ne, (T, windows, row.tolist())
 

@@ -421,6 +421,17 @@ def test_utility_nonatomic_by_hand():
         utility_nonatomic(inst, f, prof, 4)  # start 4 ends past the horizon
 
 
+def test_nonatomic_start_must_be_an_int():
+    # True must not be priced as slot 1, nor 1.0 reach the slice
+    inst = NonatomicInstance.symmetric(4, 2, exogenous=(0.1,) * 4)
+    prof = MixedProfile.from_start_mass(inst, (1.0, 0, 0, 0))
+    f = Monomial(1, 2)
+    for start in (True, 1.0, np.float64(1.0), None):
+        with pytest.raises(ValueError, match="start"):
+            utility_nonatomic(inst, f, prof, start)
+    assert utility_nonatomic(inst, f, prof, np.int64(1)) == utility_nonatomic(inst, f, prof, 1)
+
+
 def test_class_and_player_indices_outside_the_instance_are_refused():
     # a class index is checked like a player index: -1 and True must not
     # quietly price class K-1 and class 1
