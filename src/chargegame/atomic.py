@@ -28,6 +28,15 @@ column per configuration.  One scan serves any number of grid costs
 once, and ``_BlockKernel`` evaluates every cost's slot-cost table on them.
 The one-cost functions are that scan with a single cost.
 
+Reversing time maps a class configuration to its mirror: start counts
+reversed within the window's starts, occupancy reversed.  On a symmetric
+instance with a centred window (``a - 1 == T - d``) whose slot-cost tables
+read the same reversed, the mirror has the same NE status and total cost,
+so a scan of the whole space streams one configuration of each mirror pair
+(``_mirror_blocks``, about half of them) and counts the mirrors in
+``_CostScan.add``: every answer is the full scan's.  The paper's sweeps (zero
+exogenous load, full window) are all of this kind.
+
 A table too large for int64 is scanned in Python ints behind a float64 pass
 with a rigorous error bound (``_BlockKernel`` on its float image) that rules
 out most configurations; exact sums decide the rest and every answer.
@@ -53,9 +62,9 @@ from .model import (
     Number,
     StrategyProfile,
     _coerce_profile,
-    _finite_cost,
     _index,
     _is_int,
+    _slot_cost,
     action_set,
 )
 
@@ -102,6 +111,9 @@ class EquilibriumSet:
     this cost's own work: the ``exact_rows`` its float pass left to
     exact sums, and the seconds spent evaluating its table (``evaluate_s``,
     exact rows included) and reducing the results (``reduce_s``).
+    ``mirrored`` is True when the stream held one configuration of each
+    mirror pair (see the module docstring); ``blocks`` and ``exact_rows``
+    then count the rows scanned, about half of ``examined``.
     """
 
     equilibria: tuple[ChargingConfiguration, ...]
@@ -162,20 +174,17 @@ _MAX_SWEEPS = 10_000
 def _slot_table(instance: AtomicInstance, cost: GridCostFunction):
     """``rows[t][v] = D f(exo_t + P v)`` for ``v = 0..I+1`` in integers, their dtype, and ``number``.
 
-    One ``cost`` call on Python numbers gives each entry as ``grid_total_cost``
-    computes it, read as the exact rational it is; ``D`` is the lcm of the
-    denominators.  int64 when ``T * max < 2**62``, so no sum of ``T`` entries
-    overflows, else objects.  ``number`` turns a sum of entries into the number
-    ``grid_total_cost`` gives for its terms.  ``ValueError`` on an entry that is not finite.
+    Each entry is one ``cost`` call on a Python number, as ``grid_total_cost``
+    makes it (``_slot_cost``), read as the exact rational it is; ``D`` is the
+    lcm of the denominators.  int64 when ``T * max < 2**62``, so no sum of
+    ``T`` entries overflows, else objects.  ``number`` turns a sum of entries
+    into the number ``grid_total_cost`` gives for its terms.  ``ValueError``
+    on an entry that is not finite, a float power past the float range included.
     """
-    exo, P = instance.exogenous, instance.power
-    counts = np.array(range(instance.I + 2), dtype=object)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        entries = cost(np.array(exo, dtype=object)[:, None] + P * counts).tolist()
-    ratios = [
-        [_finite_cost(x, t + 1, exo[t] + P * v).as_integer_ratio() for v, x in enumerate(row)]
-        for t, row in enumerate(entries)
-    ]
+    P, V = instance.power, range(instance.I + 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _slot_cost instead
+        entries = [[_slot_cost(cost, t, e + P * v) for v in V] for t, e in enumerate(instance.exogenous, 1)]
+    ratios = [[x.as_integer_ratio() for x in row] for row in entries]
     D = math.lcm(*(d for row in ratios for _, d in row))
     rows = [[n * (D // d) for n, d in row] for row in ratios]
     kinds = {type(x) for row in entries for x in row}
@@ -349,6 +358,16 @@ def _composition_count(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
 
 
+def _composition_table(total: int, parts: int) -> np.ndarray:
+    # all count vectors of length `parts` summing to `total`, lexicographic,
+    # in one int64 array: the counts between parts - 1 bars, lexicographic
+    # combinations of range(n)
+    n, k = total + parts - 1, parts - 1
+    size = math.comb(n, k)
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)), np.int64, size * k)
+    return np.diff(bars.reshape(size, k), axis=1, prepend=-1, append=n) - 1
+
+
 def _composition_blocks(total: int, parts: int, max_rows: int) -> Iterator[np.ndarray]:
     # all count vectors of length `parts` summing to `total`, lexicographic,
     # in int64 blocks of `max_rows` rows (the last one shorter).  Stars and
@@ -362,10 +381,9 @@ def _composition_blocks(total: int, parts: int, max_rows: int) -> Iterator[np.nd
     n, k = total + parts - 1, parts - 1
     h = max(h for h in range(k + 1) if math.comb(n, h) <= _BLOCK_ROWS)
     size = math.comb(n, h)
-    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), h)), np.int64, size * h)
     # the counts after each tail's first bar, and before it as if no bar came
     # earlier: a head ending at c - 1 takes c off that first count
-    tails = np.diff(bars.reshape(size, h), axis=1, prepend=-1, append=n) - 1
+    tails = _composition_table(n - h, h + 1)
     pieces, rows = [], 0  # (head, c, first, stop): the head over tails[first:stop]
     for head in itertools.combinations(range(n - h), k - h):
         c = head[-1] + 1 if head else 0
@@ -409,6 +427,66 @@ def _configuration_blocks(shape, max_rows: int) -> Iterator[np.ndarray]:
         for tail in tails or _configuration_blocks(rest, max_rows):
             # every head row followed by every tail row, heads varying slowest
             yield np.concatenate([np.repeat(heads, len(tail), axis=0), np.tile(tail, (len(heads), 1))], axis=1)
+
+
+def _mirror_blocks(total: int, parts: int, max_rows: int) -> Iterator[np.ndarray]:
+    # one count vector of each mirror pair {c, reversed c} of the vectors of
+    # `_composition_blocks`, in int64 blocks of exactly `max_rows` rows (the
+    # last one shorter), in no particular order.  Split a vector as
+    # [L | m | R], L and R of h = parts // 2 counts and m only when parts is
+    # odd: its mirror is [reversed R | m | reversed L].  So a mirror pair is
+    # a middle count m with an unordered pair {x, y} of h counts, and
+    # [x | m | reversed y] stands for it once: kept when sum(L) < sum(R), or
+    # when the sums are equal and reversed(R) <= L.
+    # G lists the compositions [v | x] of total into 1 + h parts in
+    # lexicographic order: by sum(x) = total - v descending, lexicographic
+    # among equal sums.  Each head, a row i of G with sum s <= total / 2, is
+    # joined for every m <= total - 2 s with its tails: the rows j <= i of G
+    # with v = m + s.  G streams in blocks of _BLOCK_ROWS rows, each head
+    # block meeting the tail blocks up to it, and is built once when it fits
+    # in one.
+    h, odd = divmod(parts, 2)
+    size = _composition_count(total, h + 1)
+    kept = [_composition_table(total, h + 1)] if size <= _BLOCK_ROWS else None
+    start = np.array([size - math.comb(total - v + h, h) for v in range(total + 1)] + [size])  # first row of each v
+    # blocks are filled slot-major, as _Block loads them, and handed out transposed
+    block, rows = np.empty((parts, max_rows), dtype=np.int64), 0
+    p = 0  # the head block's first row in G
+    for heads in kept or _composition_blocks(total, h + 1, _BLOCK_ROWS):
+        sums = total - heads[:, 0]
+        # every head of sum s <= total / 2 with every m <= total - 2 s, and
+        # its tails: rows of first count m + s, at most the head's own row
+        i = np.flatnonzero(2 * sums <= total)
+        reps = total - 2 * sums[i] + 1 if odd else np.ones_like(i)
+        i = np.repeat(i, reps)
+        m = np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps, reps)
+        lo, hi = start[m + sums[i]], np.minimum(start[m + sums[i] + 1], p + i + 1)
+        L = np.ascontiguousarray(heads[:, 1:].T)
+        q = 0  # the tail block's first row in G
+        for tails in kept or _composition_blocks(total, h + 1, _BLOCK_ROWS):
+            if not i.size or q >= p + len(heads):
+                break
+            R = np.ascontiguousarray(tails[:, :0:-1].T)
+            first, stop = np.maximum(lo, q), np.minimum(hi, q + len(tails))
+            pair = np.flatnonzero(stop > first)  # the (head, m) pairs with tails here
+            ends = np.cumsum(stop[pair] - first[pair])
+            last, k0 = ends[-1] if pair.size else 0, 0
+            while k0 < last:  # in pieces that fill the block
+                k = np.arange(k0, min(last, k0 + max_rows - rows))
+                at = np.searchsorted(ends, k, side="right")
+                s = pair[at]
+                k0, stop_row = k0 + len(k), rows + len(k)
+                L.take(i[s], axis=1, out=block[:h, rows:stop_row])
+                block[h : h + odd, rows:stop_row] = m[s]
+                R.take(k - ends[at] + stop[s] - q, axis=1, out=block[h + odd :, rows:stop_row])
+                rows = stop_row
+                if rows == max_rows:
+                    yield block.T
+                    block, rows = np.empty((parts, max_rows), dtype=np.int64), 0
+            q += len(tails)
+        p += len(heads)
+    if rows:
+        yield block[:, :rows].T
 
 
 def _class_groups(instance: AtomicInstance) -> list[tuple[int, int, int, int, int]]:
@@ -620,7 +698,12 @@ class _CostScan:
 
     ``table`` and ``number`` are ``_slot_table``'s; on an object table
     ``approx`` is its float image for the certified pass.  ``add`` folds in
-    the NE flags and integer sums of the rows of one block.
+    the NE flags and integer sums of the rows of one block.  ``best`` holds
+    the least ``(sum, start counts)`` and its configuration: the first
+    minimum of the full scan, whose order is lexicographic.  On a mirrored
+    scan (``_mirrored``) a row stands for itself and its mirror, its start
+    counts and occupancy reversed, of the same NE status and sum: a NE row
+    adds both, and the optimum is the least of both.
     """
 
     def __init__(self, instance: AtomicInstance, groups, cost: GridCostFunction):
@@ -635,18 +718,44 @@ class _CostScan:
             self.approx = np.array([[x / (1 << shift) for x in row] for row in rows])
         self.ne_found: dict[ChargingConfiguration, int] = {}
         self.ne_profiles = 0
-        self.best = None  # (sum, configuration)
+        self.best = None  # (sum, start counts, configuration)
         self.stats = {"exact_rows": 0, "evaluate_s": 0.0, "reduce_s": 0.0}
 
-    def add(self, counts, ne, tc, occ) -> None:
+    def add(self, counts, ne, tc, occ, mirrored: bool) -> None:
         instance, groups = self.instance, self.groups
         for idx in np.flatnonzero(ne):
-            self.ne_profiles += _profile_count(groups, counts[idx])
-            config = _config_from_counts(instance, groups, counts[idx], occ[idx])
-            self.ne_found.setdefault(config, tc.item(idx))
-        idx = int(np.argmin(tc))  # first occurrence: first in scan order
-        if self.best is None or tc.item(idx) < self.best[0]:
-            self.best = (tc.item(idx), _config_from_counts(instance, groups, counts[idx], occ[idx]))
+            images = [(counts[idx], occ[idx])]
+            if mirrored and (counts[idx] != counts[idx, ::-1]).any():
+                images.append((counts[idx, ::-1], occ[idx, ::-1]))
+            for c, o in images:
+                self.ne_profiles += _profile_count(groups, c)
+                self.ne_found.setdefault(_config_from_counts(instance, groups, c, o), tc.item(idx))
+        ties = np.flatnonzero(tc == tc.min())
+        if self.best is None or tc.item(ties[0]) <= self.best[0]:
+            rows, occs = counts[ties], occ[ties]
+            if mirrored:
+                rows, occs = np.concatenate([rows, rows[:, ::-1]]), np.concatenate([occs, occs[:, ::-1]])
+            first = np.lexsort(rows.T[::-1])[0]
+            key = (tc.item(ties[0]), rows[first].tolist())
+            if self.best is None or key < self.best[:2]:
+                self.best = (*key, _config_from_counts(instance, groups, rows[first], occs[first]))
+
+
+def _mirrored(instance: AtomicInstance, groups, scans) -> bool:
+    """Whether reversing time maps every class configuration to one of the
+    same NE status and sum under every table of ``scans``.
+
+    So it does on one window group whose window is centred, ``a - 1 == T -
+    d``, and whose tables read the same reversed, ``rows[t] == rows[T-1-t]``
+    exactly: the start counts reverse within the window's starts, and the
+    occupancy over the horizon.
+    """
+    if len(groups) != 1:
+        return False
+    a, C, _, _, A = groups[0]  # d = a + A + C - 2
+    return a - 1 == instance.horizon.T - (a + A + C - 2) and all(
+        np.array_equal(scan.table, scan.table[::-1]) for scan in scans
+    )
 
 
 def _scan(instance: AtomicInstance, costs: tuple, budget: Optional[int]):
@@ -660,8 +769,14 @@ def _scan(instance: AtomicInstance, costs: tuple, budget: Optional[int]):
     kernel loads only the rows that pass leaves to it.  The budget caps the
     stream, so every cost examines the same configurations.
 
+    A scan that covers the whole space of a time-symmetric instance
+    (``_mirrored``) streams one configuration of each mirror pair
+    (``_mirror_blocks``) and adds the mirrors in ``_CostScan.add``:
+    ``examined`` still counts every configuration, and every answer is the
+    full scan's.
+
     Returns, per cost, the equilibrium set and the cost's ``_CostScan``: its
-    exact sums, the NE profiles behind the set and the first minimum-sum
+    exact sums, the NE profiles behind the set and the least minimum-sum
     class configuration.  Players sharing a window are interchangeable,
     so NE status and cost depend on the class configuration alone; distinct
     class configurations can still share a ``ChargingConfiguration``, which
@@ -680,10 +795,13 @@ def _scan(instance: AtomicInstance, costs: tuple, budget: Optional[int]):
     kernels = {table.dtype: _BlockKernel(groups, table.dtype) for table in tables}
     stream = _Block(groups, T, V)
     exact = _Block(groups, T, V)  # the rows a certified pass leaves to exact sums
+    mirrored = budget >= space and _mirrored(instance, groups, scans)
+
+    configurations = _mirror_blocks(*shape[0], _BLOCK_ROWS) if mirrored else _configuration_blocks(shape, _BLOCK_ROWS)
 
     examined, blocks, generate_s = 0, 0, 0.0
     t0 = time.perf_counter()
-    for counts in _configuration_blocks(shape, _BLOCK_ROWS):
+    for counts in configurations:
         if examined >= budget:
             break
         counts = counts[: budget - examined]
@@ -702,10 +820,12 @@ def _scan(instance: AtomicInstance, costs: tuple, budget: Optional[int]):
                 block = exact.load(rows)
             ne, tc, _ = kernels[scan.table.dtype](block, scan.table)
             t2 = time.perf_counter()
-            scan.add(rows, ne, tc, block.occ.T)
+            scan.add(rows, ne, tc, block.occ.T, mirrored)
             scan.stats["evaluate_s"] += t2 - t1
             scan.stats["reduce_s"] += time.perf_counter() - t2
         t0 = time.perf_counter()
+    if mirrored:
+        examined = space  # each row stood for its mirror too
 
     results = []
     for scan in scans:
@@ -717,7 +837,7 @@ def _scan(instance: AtomicInstance, costs: tuple, budget: Optional[int]):
             complete=examined >= space,
             examined=examined,
             space_size=space,
-            stats={"blocks": blocks, "generate_s": generate_s, **scan.stats},
+            stats={"blocks": blocks, "generate_s": generate_s, "mirrored": mirrored, **scan.stats},
         )
         results.append((eq_set, scan))
     return results
@@ -743,13 +863,14 @@ def social_optimum(
 ) -> tuple[ChargingConfiguration, Number]:
     """Configuration minimizing total grid cost, with its cost.
 
-    Ties break toward the first class configuration in scan order; on a
-    symmetric instance that is the lexicographically smallest start-count
+    Ties break toward the lexicographically least class configuration, the
+    first in the full scan's order, whichever configurations the scan
+    streamed; on a symmetric instance that is the smallest start-count
     vector.  Raises ``BudgetExceededError`` if the scan could not finish: a
     partial minimum is not an optimum.
     """
     ((eq_set, scan),) = _scan(instance, (cost,), budget)
-    total, config = scan.number(scan.best[0]), scan.best[1]
+    total, config = scan.number(scan.best[0]), scan.best[2]
     if not eq_set.complete:
         raise BudgetExceededError(
             f"social optimum scan stopped after {eq_set.examined} of {eq_set.space_size} configurations",
@@ -782,7 +903,7 @@ def efficiencies(
             raise RuntimeError("no Nash equilibrium found; the potential argument forbids this")
         sums = [scan.ne_found[config] for config in eq_set.equilibria]
         worst_idx = max(range(len(sums)), key=sums.__getitem__)
-        opt_sum, opt_config = scan.best
+        opt_sum, _, opt_config = scan.best
         exact = Fraction(sums[worst_idx], opt_sum)
         reports.append(
             EfficiencyReport(

@@ -337,7 +337,11 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[DataSeries, ...]:
     jobs: this process and forked children (see ``_run_jobs``).  An atomic
     job weighs its configuration count C(I+A-1, A-1), A its start count,
     times its number of costs, and a nonatomic one 1; the jobs are dealt to
-    the workers heaviest first.  The result does not depend on ``threads``.
+    the workers heaviest first.  A scan that streams one configuration of
+    each mirror pair (``atomic._mirrored``) does about half that work, but
+    the weights stay whole: every job of one spec shares T, the load and
+    the departure, so either all of its jobs are halved or none are.  The
+    result does not depend on ``threads``.
     """
     by_C = [(I, C) for C in spec.C_values for I in spec.I_values]
     by_I = [(I, C) for I in spec.I_values for C in spec.C_values]

@@ -121,8 +121,16 @@ def _is_finite(v) -> bool:
     return v == v and abs(v) != math.inf
 
 
-def _finite_cost(x, t: int, L) -> Number:
-    """``x``, slot ``t``'s cost at load ``L``, or ``ValueError`` when it is not finite."""
+def _slot_cost(cost, t: int, L) -> Number:
+    """``cost(L)``, slot ``t``'s cost at load ``L``, or ``ValueError`` when it is not finite.
+
+    A float power past the float range is not finite either: Python's float
+    ``**`` raises ``OverflowError`` there, where ``*`` returns inf.
+    """
+    try:
+        x = cost(L)
+    except OverflowError:
+        x = math.inf
     if _is_finite(x):
         return x
     raise ValueError(f"slot {t} costs {x!r} at load {L!r}")
@@ -642,7 +650,7 @@ def _exact_total(cost: GridCostFunction, slot_loads) -> Number:
     that is not finite, ``OverflowError`` on a float total past the float range, as from ``math.fsum``."""
     total, rounded = 0, False
     for t, L in slot_loads:
-        x = _finite_cost(cost(L), t, L)
+        x = _slot_cost(cost, t, L)
         if isinstance(x, float):
             rounded, x = True, Fraction(x)
         total += x

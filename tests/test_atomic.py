@@ -50,6 +50,7 @@ from chargegame.atomic import (
     _composition_blocks,
     _configuration_blocks,
     _CostScan,
+    _mirror_blocks,
     _slot_table,
     resolve_budget,
 )
@@ -435,21 +436,23 @@ def test_float_gain_below_1e12_relative_is_decided_exactly(f):
 
 def test_slot_costs_that_are_not_finite_are_refused():
     # under 1e307 L**2, slot 1 costs inf at every load and slot 2 a finite
-    # 2.25e307 at load 1.5: no answer may compare the two
-    inst = AtomicInstance.symmetric(2, 1, 1, exogenous=(10.5, 1.5))
-    f = Monomial(1e307, 2)
-    calls = [
-        lambda: enumerate_equilibria(inst, f),
-        lambda: efficiency(inst, f),
-        lambda: is_nash(inst, f, (2,)),
-        lambda: best_response_dynamics(inst, f, (2,)),
-        lambda: grid_total_cost(inst, f, (1,)),
-        lambda: potential_atomic(inst, f, (2,)),
-        lambda: utility_atomic(inst, f, (1,), 0),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match=r"slot 1 costs inf at load 1[01]\.5"):
-            call()
+    # 2.25e307 at load 1.5: no answer may compare the two.  Under L**200,
+    # 100.5**200 is past the float range: Python's float ** raises
+    # OverflowError there, where the product returns inf; the same refusal
+    for exo, f in (((10.5, 1.5), Monomial(1e307, 2)), ((100.5, 1.5), Monomial(1, 200))):
+        inst = AtomicInstance.symmetric(2, 1, 1, exogenous=exo)
+        calls = [
+            lambda: enumerate_equilibria(inst, f),
+            lambda: efficiency(inst, f),
+            lambda: is_nash(inst, f, (2,)),
+            lambda: best_response_dynamics(inst, f, (2,)),
+            lambda: grid_total_cost(inst, f, (1,)),
+            lambda: potential_atomic(inst, f, (2,)),
+            lambda: utility_atomic(inst, f, (1,), 0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"slot 1 costs inf at load 10?[01]\.5"):
+                call()
 
 
 @pytest.mark.parametrize(
@@ -1181,6 +1184,118 @@ def test_configuration_blocks_build_a_fitting_tail_once(monkeypatch):
     assert [len(b) for b in blocks] == [12 * 330] * 41 + [3 * 330]
     brute = [h + t for h, t in itertools.product(lexicographic_compositions(4, 9), lexicographic_compositions(4, 8))]
     assert np.vstack(blocks).tolist() == brute
+
+
+@pytest.mark.parametrize("table_rows", [1, 5, 36, 1 << 12])
+def test_mirror_blocks_hold_one_vector_of_each_mirror_pair(monkeypatch, table_rows):
+    # the half table (the compositions of up to `total` into h = parts // 2
+    # parts) is built whole only when it fits in one block; a longer one
+    # streams in blocks, each meeting the blocks before it, and no step
+    # builds a whole-table triangle of index pairs
+    monkeypatch.setattr(atomic, "_BLOCK_ROWS", table_rows)
+    tables, table = [], atomic._composition_table
+
+    def counted(total, parts):
+        tables.append(len(built := table(total, parts)))
+        return built
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.triu_indices builds a whole table of index pairs")
+
+    monkeypatch.setattr(atomic, "_composition_table", counted)
+    monkeypatch.setattr(np, "triu_indices", forbidden)
+    for parts in range(1, 8):
+        for total in range(8):
+            brute = [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
+            for max_rows in (1, 3, 7, 4096):
+                blocks = list(_mirror_blocks(total, parts, max_rows))
+                assert all(b.dtype == np.int64 and b.shape[1] == parts for b in blocks)
+                assert all(len(b) == max_rows for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= max_rows
+                rows = [tuple(row) for b in blocks for row in b.tolist()]
+                assert len(set(rows)) == len(rows)  # distinct
+                # exactly one of each class {c, reversed c}
+                assert sorted(min(c, c[::-1]) for c in rows) == sorted({min(c, c[::-1]) for c in brute})
+    assert tables and max(tables) <= table_rows
+
+
+def palindromic_instance(rng, kind):
+    """A symmetric instance that reversing time maps onto itself: a centred
+    window, a palindromic load of ``kind`` numbers (zero on "zero")."""
+    T = rng.randint(2, 8)
+    a = rng.randint(1, (T + 1) // 2)  # the window a..T+1-a
+    C = rng.randint(1, T + 2 - 2 * a)
+    draw = {
+        "zero": lambda: 0,
+        "int": lambda: rng.randint(0, 3),
+        "Fraction": lambda: Fraction(rng.randint(0, 6), rng.randint(1, 3)),
+        "float": lambda: rng.choice([0.5, 1.25, 2.0, 0.1, 3.7]),
+    }[kind]
+    half = [draw() for _ in range((T + 1) // 2)]
+    exo = half + half[: T // 2][::-1]
+    return AtomicInstance.create(T, [(a, T + 1 - a, C)] * rng.randint(1, 5), exogenous=exo)
+
+
+MIRROR_COSTS = (Monomial(1, 1), Monomial(1, 2), SquareRoot(), Monomial(1, 40))
+
+
+def test_mirrored_scans_give_the_full_scans_answers(monkeypatch):
+    # on a time-symmetric instance the scan streams one configuration of each
+    # mirror pair; every answer must be the full scan's, types included.
+    # Zero load makes optima tie between mirrors, and palindromic NE occur
+    rng = random.Random(2015)
+    seen = Counter()
+
+    def answers(inst, costs, budget=None):
+        scans = atomic._scan(inst, costs, budget)
+        sets = [eq for eq, _ in scans]
+        costs_of = [[type(c) for c in eq.costs] for eq in sets]
+        rest = [(scan.ne_profiles, scan.best) for _, scan in scans]
+        if budget is not None:
+            return sets, costs_of, rest
+        reports = efficiencies(inst, costs)
+        report_types = [(type(r.worst_cost), type(r.optimum_cost)) for r in reports]
+        return sets, costs_of, rest, reports, report_types, [ne_proportion(inst, f) for f in costs]
+
+    for kind in ("zero", "int", "Fraction", "float") * 100:
+        inst = palindromic_instance(rng, kind)
+        costs = tuple(rng.sample(MIRROR_COSTS, rng.randint(1, len(MIRROR_COSTS))))
+        mirrored = answers(inst, costs)
+        assert all(eq.stats["mirrored"] for eq in mirrored[0])
+        with monkeypatch.context() as patch:
+            patch.setattr(atomic, "_mirrored", lambda *args: False)
+            full = answers(inst, costs)
+            assert not any(eq.stats["mirrored"] for eq in full[0])
+            space = full[0][0].space_size
+            partial = answers(inst, costs, budget=max(1, space - 1))
+        assert mirrored == full
+        assert all(eq.examined == eq.space_size and eq.complete for eq in mirrored[0])
+        # a budget below the space scans every configuration in order, as before
+        assert answers(inst, costs, budget=max(1, space - 1)) == partial
+        for eq in mirrored[0]:
+            seen[kind, "ne"] += len(eq.equilibria)
+            seen[kind, "palindromic ne"] += sum(c.start_counts == c.start_counts[::-1] for c in eq.equilibria)
+        # an optimum whose occupancy is no palindrome ties with its mirror, and
+        # one the stream does not carry is the mirror of a row it does carry
+        ((a, _, n, _, A),) = _class_groups(inst)
+        carried = {tuple(row) for b in _mirror_blocks(n, A, 4096) for row in b.tolist()}
+        for report in mirrored[3]:
+            seen[kind, "optimum tied"] += report.optimum.occupancy != report.optimum.occupancy[::-1]
+            seen[kind, "optimum from its mirror"] += report.optimum.start_counts[a - 1 : a - 1 + A] not in carried
+    for kind in ("zero", "int", "Fraction", "float"):
+        assert seen[kind, "ne"] > seen[kind, "palindromic ne"] > 0 and seen[kind, "optimum tied"] > 0
+    assert seen["zero", "optimum from its mirror"] > 0
+
+
+def test_scans_that_reversal_does_not_fix_stream_every_configuration():
+    f = Monomial(1, 2)
+    for inst in (
+        AtomicInstance.symmetric(6, 3, 2, exogenous=(1, 2, 3, 2, 1, 3)),  # load no palindrome
+        AtomicInstance.create(6, [(1, 5, 2)] * 3),  # window off centre
+        AtomicInstance.create(6, [(1, 6, 2)] * 2 + [(2, 5, 2)]),  # two window groups
+    ):
+        eq = enumerate_equilibria(inst, f)
+        assert not eq.stats["mirrored"] and eq.examined == eq.space_size
+    assert enumerate_equilibria(AtomicInstance.create(6, [(2, 5, 2)] * 3), f).stats["mirrored"]
 
 
 def test_two_durations_scan_at_a_new_scale():

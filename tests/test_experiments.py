@@ -165,19 +165,25 @@ def test_efficiency_vs_power_sweep():
 
 
 def test_power_sweep_scans_each_instance_once(monkeypatch):
-    # 3 values of C times 9 exponents: one configuration stream per C
+    # 3 values of C times 9 exponents: one configuration stream per C, of
+    # either generator (these instances are time-symmetric: mirror pairs)
     spec = SweepSpec.from_dict(json.loads((DEMOS / "specs" / "efficiency_vs_exponent.json").read_text()))
     streams = []
-    blocks = atomic._configuration_blocks
 
-    def counted(shape, max_rows):
-        if sys._getframe(1).f_code.co_name == "_scan":  # not its own recursion
-            streams.append(shape)
-        return blocks(shape, max_rows)
+    def counted(generator):
+        blocks = getattr(atomic, generator)
 
-    monkeypatch.setattr(atomic, "_configuration_blocks", counted)
+        def stream(*args):
+            if sys._getframe(1).f_code.co_name == "_scan":  # not its own recursion
+                streams.append(generator)
+            return blocks(*args)
+
+        return stream
+
+    for generator in ("_configuration_blocks", "_mirror_blocks"):
+        monkeypatch.setattr(atomic, generator, counted(generator))
     one_thread = run_sweep(spec, 1)
-    assert len(streams) == 3
+    assert streams == ["_mirror_blocks"] * 3
     assert run_sweep(spec, 2) == one_thread
 
 
