@@ -23,9 +23,11 @@ symmetric instance is the one-group case, and an instance whose windows are
 all distinct scans its profile space itself.  The scan is deterministic
 (lexicographic, groups in sorted window order) and budget-capped.  It runs
 over blocks of 4,096 configurations, slot-major: one array row per slot, one
-column per configuration.  One scan serves any number of grid costs
-(``efficiencies``): ``_Block`` loads each block's start counts and occupancy
-once, and ``_BlockKernel`` evaluates every cost's slot-cost table on them.
+column per configuration.  Each group's compositions are joined from a
+stream of heads and one table of tails (``_composition_blocks``).  One scan
+serves any number of grid costs (``efficiencies``): ``_Block`` loads each
+block's start counts and occupancy once, and ``_BlockKernel`` evaluates
+every cost's slot-cost table on them.
 The one-cost functions are that scan with a single cost.
 
 Reversing time maps a class configuration to its mirror: start counts
@@ -104,10 +106,11 @@ class EquilibriumSet:
     ``complete`` is False when the budget stopped the scan early, in which
     case the set is a lower bound only.
 
-    ``stats`` is never compared.  ``blocks`` and ``generate_s`` describe the
-    configuration stream, which every cost of one scan shares
-    (``efficiencies``): the blocks scanned, and the seconds spent generating
-    them and loading their start counts and occupancy.  The other keys are
+    ``stats`` is never compared.  ``blocks``, ``generate_s`` and ``load_s``
+    describe the configuration stream, which every cost of one scan shares
+    (``efficiencies``): the blocks scanned, the seconds spent generating
+    them, and those spent loading their start counts and occupancy
+    (``_Block.load``).  The other keys are
     this cost's own work: the ``exact_rows`` its float pass left to
     exact sums, and the seconds spent evaluating its table (``evaluate_s``,
     exact rows included) and reducing the results (``reduce_s``).
@@ -220,13 +223,15 @@ def _game(instance: AtomicInstance, cost: GridCostFunction):
     return game[2:]
 
 
-def _move(game, i: int, occ, s: int) -> tuple[bool, int]:
-    """Whether player ``i`` at start ``s`` gains by its best response, and that response.
+def _move(game, i: int, occ, s: int) -> tuple[bool, int, int]:
+    """Whether player ``i`` at start ``s`` gains by its best response, that response, and the gain.
 
-    The response is the first target of least window cost.  Those costs read
-    only the slots of the player's action span, so the answer is kept by
-    window, ``s`` and the span's occupancy.  A miss sums them in slot order:
-    the player's own window keeps its occupancy, every other slot gains it.
+    The response is the first target of least window cost, and the gain is
+    the current window sum less that least one, in the table's integers.
+    Those costs read only the slots of the player's action span, so the
+    answer is kept by window, ``s`` and the span's occupancy.  A miss sums
+    them in slot order: the player's own window keeps its occupancy, every
+    other slot gains it.
     """
     rows, _, players, moves = game
     lo, hi, C = players[i]
@@ -242,7 +247,7 @@ def _move(game, i: int, occ, s: int) -> tuple[bool, int]:
         best = min(costs)
         if len(moves) >= _MOVES_KEPT:
             moves.clear()
-        move = moves[key] = (best < current, lo + 1 + costs.index(best))
+        move = moves[key] = (best < current, lo + 1 + costs.index(best), current - best)
     return move
 
 
@@ -254,18 +259,6 @@ def _slot_state(instance: AtomicInstance, cost: GridCostFunction, starts):
         for t in range(s - 1, s - 1 + C):
             occ[t] += 1
     return game, occ
-
-
-def _potential(rows, occ, sums, lo: int) -> int:
-    # potential_atomic's sum off the table, in integers.  sums[t] is its
-    # running total before slot t; the slots before lo are unchanged, so the
-    # sum resumes there
-    total = sums[lo]
-    for t in range(lo, len(occ)):
-        for x in rows[t][: occ[t] + 1]:
-            total += x
-        sums[t + 1] = total
-    return -total
 
 
 def best_response(instance: AtomicInstance, cost: GridCostFunction, profile, player: int) -> int:
@@ -313,30 +306,33 @@ def best_response_dynamics(
     costs are the table sums it chose from.
 
     Each player's answer is ``_move``'s, kept per (instance, cost) pair
-    (``_game``).  A move updates the occupancy of the slots it touches, and
-    each trace entry is the integer table's sum reported as ``number``: it
-    equals ``potential_atomic``, though two entries may round to one float.
-    The sum resumes at the first slot the move touched.
+    (``_game``).  A move updates the occupancy of the slots it touches.  The
+    potential is one sum of the integer table at the start, and each move
+    raises it by exactly the mover's gain, ``_move``'s third field; each
+    trace entry is that integer reported as ``number``: it equals
+    ``potential_atomic``, though two entries may round to one float.
     ``IterationBudgetError`` after ``_MAX_SWEEPS`` sweeps without settling.
     """
     profile = _coerce_profile(instance, profile)
     starts = list(profile.starts)
     game, occ = _slot_state(instance, cost, starts)
     rows, number, players = game[:3]
-    sums = [0] * (len(occ) + 1)
-    trace = [number(_potential(rows, occ, sums, 0))]
+    # potential_atomic's sum off the table, in integers
+    potential = -sum(x for row, n in zip(rows, occ) for x in row[: n + 1])
+    trace = [number(potential)]
     settled = 0  # players at a best response since the last move, the mover included
     for _ in range(_MAX_SWEEPS):
         for i, (_, _, C) in enumerate(players):
             s = starts[i]
-            gains, slot = _move(game, i, occ, s)
+            gains, slot, gain = _move(game, i, occ, s)
             if gains:
                 for t in range(s - 1, s - 1 + C):
                     occ[t] -= 1
                 for t in range(slot - 1, slot - 1 + C):
                     occ[t] += 1
                 starts[i] = slot
-                trace.append(number(_potential(rows, occ, sums, min(s, slot) - 1)))
+                potential += gain
+                trace.append(number(potential))
                 settled = 0
             settled += 1
             if settled == len(players):
@@ -358,58 +354,79 @@ def _composition_count(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
 
 
-def _composition_table(total: int, parts: int) -> np.ndarray:
+def _stars_and_bars(total: int, parts: int, max_rows: int) -> Iterator[np.ndarray]:
     # all count vectors of length `parts` summing to `total`, lexicographic,
-    # in one int64 array: the counts between parts - 1 bars, lexicographic
-    # combinations of range(n)
+    # in int64 blocks of `max_rows` rows (the last one shorter): the counts
+    # between parts - 1 bars, lexicographic combinations of range(n), taken
+    # from `combinations` one by one
     n, k = total + parts - 1, parts - 1
     size = math.comb(n, k)
-    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)), np.int64, size * k)
-    return np.diff(bars.reshape(size, k), axis=1, prepend=-1, append=n) - 1
+    bars = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    for first in range(0, size, max_rows):
+        rows = min(max_rows, size - first)
+        at = np.fromiter(bars, np.int64, rows * k).reshape(rows, k)
+        yield np.diff(at, axis=1, prepend=-1, append=n) - 1
 
 
-def _composition_blocks(total: int, parts: int, max_rows: int) -> Iterator[np.ndarray]:
+def _composition_table(total: int, parts: int) -> np.ndarray:
+    # the whole lexicographic table in one int64 array
+    return next(_stars_and_bars(total, parts, _composition_count(total, parts)))
+
+
+def _composition_blocks(total: int, parts: int, max_rows: int, ramp: bool = False) -> Iterator[np.ndarray]:
     # all count vectors of length `parts` summing to `total`, lexicographic,
-    # in int64 blocks of `max_rows` rows (the last one shorter).  Stars and
-    # bars: the k = parts - 1 bar positions, lexicographic combinations of
-    # range(n), give the counts between them in lexicographic order.  The
-    # last h bars come from one table of the h-combinations of range(n), at
-    # most _BLOCK_ROWS long: the rows whose first entry is at least c are the
-    # table's last comb(n - c, h), in order, so a head of k - h bars ending
-    # at c - 1 is followed by exactly that suffix.  Only the heads come out
-    # of `combinations` one by one.
-    n, k = total + parts - 1, parts - 1
-    h = max(h for h in range(k + 1) if math.comb(n, h) <= _BLOCK_ROWS)
-    size = math.comb(n, h)
-    # the counts after each tail's first bar, and before it as if no bar came
-    # earlier: a head ending at c - 1 takes c off that first count
-    tails = _composition_table(n - h, h + 1)
-    pieces, rows = [], 0  # (head, c, first, stop): the head over tails[first:stop]
-    for head in itertools.combinations(range(n - h), k - h):
-        c = head[-1] + 1 if head else 0
-        first = size - math.comb(n - c, h)
-        while first < size:
-            stop = min(size, first + max_rows - rows)
-            pieces.append((head, c, first, stop))
-            rows += stop - first
-            first = stop
-            if rows == max_rows:
-                yield _join_pieces(pieces, tails)
-                pieces, rows = [], 0
-    if pieces:
-        yield _join_pieces(pieces, tails)
+    # in int64 blocks of `max_rows` rows (the last one shorter; see _join for
+    # `ramp`).  Split a vector as [x | y], x of h counts and y summing to
+    # r = total - sum(x): the heads [x | r] are the compositions of total
+    # into h + 1 parts, in lexicographic order, and a head's tails are the
+    # rows of W, the table of total into parts - h + 1 parts, whose first
+    # count is total - r, that count dropped: one contiguous range.  Of the h
+    # that keep W within _BLOCK_ROWS rows, h makes the fewest heads and tails
+    # to build; the heads stream through this same generator, ramped: on a
+    # wide shape each of its many levels would else build a whole block
+    # before the first row.  A table that fits, or has no such h, comes from
+    # stars and bars.
+    splits = [h for h in range(1, parts - 1) if _composition_count(total, parts - h + 1) <= _BLOCK_ROWS]
+    if not splits or _composition_count(total, parts) <= _BLOCK_ROWS:
+        yield from _stars_and_bars(total, parts, max_rows)
+        return
+    h = min(splits, key=lambda h: _composition_count(total, h + 1) + _composition_count(total, parts - h + 1))
+    W = _composition_table(total, parts - h + 1)
+    start = np.array([len(W) - _composition_count(total - v, parts - h + 1) for v in range(total + 2)])  # of each v
+    R = np.ascontiguousarray(W[:, 1:].T)
+    pieces = (  # each head block x over its tails, v = total - r
+        (np.ascontiguousarray(x[:, :h].T), R, start[total - x[:, h]], start[total + 1 - x[:, h]])
+        for x in _composition_blocks(total, h + 1, _BLOCK_ROWS, ramp=True)
+    )
+    yield from _join(pieces, parts, max_rows, ramp)
 
 
-def _join_pieces(pieces, tails: np.ndarray) -> np.ndarray:
-    # each head's counts repeated over its tail rows, the tails by one fancy index
-    heads = np.array([head for head, *_ in pieces], dtype=np.int64)
-    c, first, stop = np.array([piece[1:] for piece in pieces], dtype=np.int64).T
-    lens = stop - first
-    at = np.arange(lens.sum()) + np.repeat(first - (np.cumsum(lens) - lens), lens)
-    head_counts = np.diff(heads, axis=1, prepend=-1) - 1
-    counts = np.concatenate([np.repeat(head_counts, lens, axis=0), tails[at]], axis=1)
-    counts[:, heads.shape[1]] -= np.repeat(c, lens)
-    return counts
+def _join(pieces, parts: int, max_rows: int, ramp: bool = False) -> Iterator[np.ndarray]:
+    # the rows of each piece (L, R, first, stop), in order: column s of L
+    # over each of the columns first[s]..stop[s]-1 of R, both slot-major (a
+    # row per count).  One searchsorted finds each row's column of L and two
+    # `take`s copy its counts into int64 blocks of exactly `max_rows` rows
+    # (the last one shorter), filled slot-major, as _Block loads them, and
+    # handed out transposed.  Ramped, the blocks start at one row and double
+    # up to `max_rows`
+    size = 1 if ramp else max_rows
+    block, rows = np.empty((parts, size), dtype=np.int64), 0
+    for L, R, first, stop in pieces:
+        h, ends = L.shape[0], np.cumsum(stop - first)
+        k0, last = 0, ends[-1] if ends.size else 0
+        while k0 < last:  # in pieces that fill the block
+            k = np.arange(k0, min(last, k0 + size - rows))
+            s = np.searchsorted(ends, k, side="right")
+            k0, stop_row = k0 + len(k), rows + len(k)
+            L.take(s, axis=1, out=block[:h, rows:stop_row], mode="clip")
+            R.take(k - ends[s] + stop[s], axis=1, out=block[h:, rows:stop_row], mode="clip")
+            rows = stop_row
+            if rows == size:
+                yield block.T
+                size = min(max_rows, 2 * size)
+                block, rows = np.empty((parts, size), dtype=np.int64), 0
+    if rows:
+        yield block[:, :rows].T
 
 
 def _configuration_blocks(shape, max_rows: int) -> Iterator[np.ndarray]:
@@ -441,52 +458,38 @@ def _mirror_blocks(total: int, parts: int, max_rows: int) -> Iterator[np.ndarray
     # G lists the compositions [v | x] of total into 1 + h parts in
     # lexicographic order: by sum(x) = total - v descending, lexicographic
     # among equal sums.  Each head, a row i of G with sum s <= total / 2, is
-    # joined for every m <= total - 2 s with its tails: the rows j <= i of G
-    # with v = m + s.  G streams in blocks of _BLOCK_ROWS rows, each head
-    # block meeting the tail blocks up to it, and is built once when it fits
-    # in one.
+    # joined (`_join`) for every m <= total - 2 s with its tails: the rows
+    # j <= i of G with v = m + s.  G streams in blocks of _BLOCK_ROWS rows,
+    # each head block meeting the tail blocks up to it, and is built once
+    # when it fits in one.
     h, odd = divmod(parts, 2)
     size = _composition_count(total, h + 1)
     kept = [_composition_table(total, h + 1)] if size <= _BLOCK_ROWS else None
-    start = np.array([size - math.comb(total - v + h, h) for v in range(total + 1)] + [size])  # first row of each v
-    # blocks are filled slot-major, as _Block loads them, and handed out transposed
-    block, rows = np.empty((parts, max_rows), dtype=np.int64), 0
-    p = 0  # the head block's first row in G
-    for heads in kept or _composition_blocks(total, h + 1, _BLOCK_ROWS):
-        sums = total - heads[:, 0]
-        # every head of sum s <= total / 2 with every m <= total - 2 s, and
-        # its tails: rows of first count m + s, at most the head's own row
-        i = np.flatnonzero(2 * sums <= total)
-        reps = total - 2 * sums[i] + 1 if odd else np.ones_like(i)
-        i = np.repeat(i, reps)
-        m = np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps, reps)
-        lo, hi = start[m + sums[i]], np.minimum(start[m + sums[i] + 1], p + i + 1)
-        L = np.ascontiguousarray(heads[:, 1:].T)
-        q = 0  # the tail block's first row in G
-        for tails in kept or _composition_blocks(total, h + 1, _BLOCK_ROWS):
-            if not i.size or q >= p + len(heads):
-                break
-            R = np.ascontiguousarray(tails[:, :0:-1].T)
-            first, stop = np.maximum(lo, q), np.minimum(hi, q + len(tails))
-            pair = np.flatnonzero(stop > first)  # the (head, m) pairs with tails here
-            ends = np.cumsum(stop[pair] - first[pair])
-            last, k0 = ends[-1] if pair.size else 0, 0
-            while k0 < last:  # in pieces that fill the block
-                k = np.arange(k0, min(last, k0 + max_rows - rows))
-                at = np.searchsorted(ends, k, side="right")
-                s = pair[at]
-                k0, stop_row = k0 + len(k), rows + len(k)
-                L.take(i[s], axis=1, out=block[:h, rows:stop_row])
-                block[h : h + odd, rows:stop_row] = m[s]
-                R.take(k - ends[at] + stop[s] - q, axis=1, out=block[h + odd :, rows:stop_row])
-                rows = stop_row
-                if rows == max_rows:
-                    yield block.T
-                    block, rows = np.empty((parts, max_rows), dtype=np.int64), 0
-            q += len(tails)
-        p += len(heads)
-    if rows:
-        yield block[:, :rows].T
+    start = np.array([size - _composition_count(total - v, h + 1) for v in range(total + 1)] + [size])  # of each v
+
+    def pieces():
+        p = 0  # the head block's first row in G
+        for heads in kept or _composition_blocks(total, h + 1, _BLOCK_ROWS):
+            sums = total - heads[:, 0]
+            # every head of sum s <= total / 2 with every m <= total - 2 s, and
+            # its tails: rows of first count m + s, at most the head's own row
+            i = np.flatnonzero(2 * sums <= total)
+            reps = total - 2 * sums[i] + 1 if odd else np.ones_like(i)
+            i = np.repeat(i, reps)
+            m = np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps, reps)
+            lo, hi = start[m + sums[i]], np.minimum(start[m + sums[i] + 1], p + i + 1)
+            L = np.vstack([heads[i, 1:].T] + [m] * odd)  # [x | m] of each (head, m) pair, slot-major
+            q = 0  # the tail block's first row in G
+            for tails in kept or _composition_blocks(total, h + 1, _BLOCK_ROWS):
+                if not i.size or q >= p + len(heads):
+                    break
+                first, stop = np.maximum(lo, q) - q, np.minimum(hi, q + len(tails)) - q
+                pair = np.flatnonzero(stop > first)  # the pairs with tails here
+                yield L.take(pair, axis=1), np.ascontiguousarray(tails[:, :0:-1].T), first[pair], stop[pair]
+                q += len(tails)
+            p += len(heads)
+
+    yield from _join(pieces(), parts, max_rows)
 
 
 def _class_groups(instance: AtomicInstance) -> list[tuple[int, int, int, int, int]]:
@@ -799,16 +802,18 @@ def _scan(instance: AtomicInstance, costs: tuple, budget: Optional[int]):
 
     configurations = _mirror_blocks(*shape[0], _BLOCK_ROWS) if mirrored else _configuration_blocks(shape, _BLOCK_ROWS)
 
-    examined, blocks, generate_s = 0, 0, 0.0
+    examined, blocks, generate_s, load_s = 0, 0, 0.0, 0.0
     t0 = time.perf_counter()
     for counts in configurations:
         if examined >= budget:
             break
         counts = counts[: budget - examined]
         examined += counts.shape[0]
+        t1 = time.perf_counter()
         stream.load(counts)
         blocks += 1
-        generate_s += time.perf_counter() - t0
+        generate_s += t1 - t0
+        load_s += time.perf_counter() - t1
         for scan in scans:
             t1 = time.perf_counter()
             rows, block = counts, stream
@@ -837,7 +842,7 @@ def _scan(instance: AtomicInstance, costs: tuple, budget: Optional[int]):
             complete=examined >= space,
             examined=examined,
             space_size=space,
-            stats={"blocks": blocks, "generate_s": generate_s, "mirrored": mirrored, **scan.stats},
+            stats={"blocks": blocks, "generate_s": generate_s, "load_s": load_s, "mirrored": mirrored, **scan.stats},
         )
         results.append((eq_set, scan))
     return results

@@ -20,6 +20,7 @@ import pytest
 from chargegame import (
     AtomicInstance,
     BudgetExceededError,
+    ChargingConfiguration,
     CostSum,
     GridCostFunction,
     IterationBudgetError,
@@ -640,16 +641,27 @@ def test_kept_tables_are_told_apart_by_identity_not_equality(order):
         assert best_response(inst, f, (2,), 0) == 1
 
 
-# exogenous load of one slot of each kind of data, and the power; slot 1 is
-# the steep one: under L**30 its terms dwarf the others', so only an exact
-# sum keeps the other slots' terms
-STEEP_DATA = {
-    "float": (lambda rng: rng.uniform(0.0, 2.0), lambda rng: rng.choice([1, 0.7])),
-    "mixed": (lambda rng: rng.choice([rng.randint(0, 2), rng.uniform(0.0, 2.0)]), lambda rng: rng.randint(1, 2)),
+# exogenous load of one slot of each kind of data, the power and the cost.
+# Under L**30 slot 1 is the steep one: its terms dwarf the others', so only
+# an exact sum keeps the other slots' terms.  Quarters under L**2 make every
+# trace entry an exact float, so that a gain off by one unit of the table
+# shows; L**24 on loads of 7 or more needs integers past int64
+TRACE_DATA = {
+    "float": (lambda rng: rng.uniform(0.0, 2.0), lambda rng: rng.choice([1, 0.7]), Monomial(1, 30)),
+    "mixed": (
+        lambda rng: rng.choice([rng.randint(0, 2), rng.uniform(0.0, 2.0)]),
+        lambda rng: rng.randint(1, 2),
+        Monomial(1, 30),
+    ),
     "fraction": (
         lambda rng: Fraction(rng.randint(0, 4), rng.randint(1, 3)) + Fraction(rng.randint(0, 1), 10**14),
         lambda rng: Fraction(rng.randint(1, 3), rng.randint(1, 2)),
+        Monomial(1, 30),
     ),
+    "int": (lambda rng: rng.randint(0, 4), lambda rng: 1, Monomial(1, 2)),
+    "quarters": (lambda rng: rng.randint(0, 16) / 4, lambda rng: 1, Monomial(1, 2)),
+    "small fractions": (lambda rng: Fraction(rng.randint(0, 8), rng.randint(1, 3)), lambda rng: 1, Monomial(1, 2)),
+    "bigint": (lambda rng: rng.randint(4, 8), lambda rng: 1, Monomial(1, 24)),
 }
 
 
@@ -671,16 +683,19 @@ def replayed_profiles(inst, cost, starts):
     return profiles
 
 
-@pytest.mark.parametrize("kind", sorted(STEEP_DATA))
+@pytest.mark.parametrize("kind", sorted(TRACE_DATA))
 def test_every_trace_entry_is_the_potential_of_its_profile(kind):
+    # the trace starts from one sum of the table and adds each mover's gain:
+    # replayed move by move, every entry is potential_atomic of its profile,
+    # type included, and the exact potential strictly increases
     rng = random.Random(f"steep {kind}")
-    make_exo, make_power = STEEP_DATA[kind]
-    f = Monomial(1, 30)
+    make_exo, make_power, f = TRACE_DATA[kind]
     moves = 0
     for _ in range(40):
         inst = random_heterogeneous_instance(rng, max_T=6, max_I=4)
         exo = [3 + make_exo(rng)] + [make_exo(rng) for _ in range(inst.horizon.T - 1)]
         inst = dataclasses.replace(inst, exogenous=exo, power=make_power(rng))
+        assert kind != "bigint" or scan_dtype(inst, f) == object
         starts = tuple(rng.choice(list(action_set(inst, i))) for i in range(inst.I))
         final, trace = best_response_dynamics(inst, f, starts)
         profiles = replayed_profiles(inst, f, starts)
@@ -689,6 +704,8 @@ def test_every_trace_entry_is_the_potential_of_its_profile(kind):
         for phi, profile in zip(trace, profiles):
             expected = potential_atomic(inst, f, profile)
             assert phi == expected and type(phi) is type(expected), (inst, profile)
+        exact_values = [oracle_potential(inst, f, profile) for profile in profiles]
+        assert all(b > a for a, b in zip(exact_values, exact_values[1:]))
         moves += len(trace) - 1
     assert moves >= 20
 
@@ -894,7 +911,7 @@ def test_float_filter_sends_few_rows_to_exact_integers():
     assert eq.examined == eq.space_size == 50388
     assert eq.stats["blocks"] == 13  # 50,388 rows in blocks of 4,096
     assert 0 < eq.stats["exact_rows"] < 0.01 * eq.examined
-    assert min(eq.stats[k] for k in ("generate_s", "evaluate_s", "reduce_s")) > 0
+    assert min(eq.stats[k] for k in ("generate_s", "load_s", "evaluate_s", "reduce_s")) > 0
 
 
 def test_scan_stats_stay_out_of_comparisons():
@@ -951,7 +968,7 @@ def test_efficiencies_equal_one_cost_scans(inst, costs):
     # only big-integer tables leave rows to the exact pass
     assert [r.equilibria.stats["exact_rows"] > 0 for r in reports] == [scan_dtype(inst, f) == object for f in costs]
     # the shared stream's keys are the same for every cost of one scan
-    assert len({(r.equilibria.stats["blocks"], r.equilibria.stats["generate_s"]) for r in reports}) == 1
+    assert len({tuple(r.equilibria.stats[k] for k in ("blocks", "generate_s", "load_s")) for r in reports}) == 1
 
 
 def test_efficiencies_share_the_budget():
@@ -1140,18 +1157,85 @@ def lexicographic_compositions(total, parts):
 
 @pytest.mark.parametrize("table_rows", [1, 5, 36, 1 << 12])
 def test_composition_blocks_cut_every_tail_table(monkeypatch, table_rows):
-    # the tail table holds at most `table_rows` rows: at 1 every row is a
-    # head of its own, at 5 and 36 most blocks join several heads, and any
-    # table longer than `max_rows` puts one head's tail in several blocks
+    # every shape up to (9, 9), each row in order: the heads stream through
+    # the join itself, and the tails come from one table of at most
+    # `table_rows` rows.  At 1 no shape splits and every block comes from
+    # stars and bars, at 5 and 36 most blocks join several heads, and any
+    # tail range longer than `max_rows` puts one head's tails in several
+    # blocks
     monkeypatch.setattr(atomic, "_BLOCK_ROWS", table_rows)
+    tables, table = [], atomic._composition_table
+
+    def counted(total, parts):
+        tables.append(len(built := table(total, parts)))
+        return built
+
+    monkeypatch.setattr(atomic, "_composition_table", counted)
     for parts in range(1, 10):
-        for total in range(5):
+        for total in range(10):
             brute = list(lexicographic_compositions(total, parts))
-            for max_rows in range(1, 51):
+            for max_rows in range(1, 51) if total < 5 else (1, 3, 7, 4096):
                 blocks = list(_composition_blocks(total, parts, max_rows))
                 assert all(b.dtype == np.int64 and 1 <= len(b) <= max_rows for b in blocks)
                 assert all(len(b) == max_rows for b in blocks[:-1])  # only the last block is short
                 assert np.vstack(blocks).tolist() == brute
+    assert max(tables, default=0) <= table_rows
+    assert tables or table_rows == 1  # some shape was joined
+
+
+def prefix_scan(inst, cost, budget):
+    """The equilibrium set of the first ``budget`` class configurations in
+    lexicographic order (groups in sorted window order), in plain Python."""
+    groups = _class_groups(inst)
+    rows = itertools.product(*(lexicographic_compositions(n, A) for _, _, n, _, A in groups))
+    found = {}
+    for row in itertools.islice(rows, budget):
+        row = sum(row, [])
+        is_ne, total, occupied = row_oracle(inst, cost, groups, row)
+        if is_ne:
+            counts = [0] * inst.horizon.T
+            for a, _, _, first, A in groups:
+                for j in range(A):
+                    counts[a - 1 + j] += row[first + j]
+            found.setdefault((tuple(counts), tuple(occupied)), as_reported(inst, cost, total))
+    listing = sorted(found.items())
+    space = math.prod(math.comb(n + A - 1, A - 1) for _, _, n, _, A in groups)
+    return atomic.EquilibriumSet(
+        equilibria=tuple(ChargingConfiguration(*config) for config, _ in listing),
+        costs=tuple(c for _, c in listing),
+        complete=budget >= space,
+        examined=min(budget, space),
+        space_size=space,
+    )
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        AtomicInstance.symmetric(8, 6, 2, exogenous=(1, 2, 3, 2, 1, 3, 0, 2)),  # load no palindrome
+        AtomicInstance.create(8, [(1, 8, 2)] * 3 + [(2, 7, 3)] * 2 + [(3, 8, 2)]),
+    ],
+    ids=["symmetric", "heterogeneous"],
+)
+def test_budget_cut_inside_a_heads_tails_is_the_lexicographic_prefix(monkeypatch, inst):
+    # with blocks of 36 rows the first group's compositions are joined, and
+    # each budget stops between two rows whose first group's counts differ
+    # in their last two at most: inside the tail range of one head, for
+    # every split
+    monkeypatch.setattr(atomic, "_BLOCK_ROWS", 36)
+    f = Monomial(1, 2)
+    groups = _class_groups(inst)
+    order = [
+        sum(row, []) for row in itertools.product(*(lexicographic_compositions(n, A) for _, _, n, _, A in groups))
+    ]
+    head = groups[0][4] - 2  # the first group's counts but its last two
+    budgets = [b for b in (2, 37, 100, 250, 333, 700) if order[b - 1][:head] == order[b][:head]]
+    assert len(budgets) >= 4
+    for budget in budgets:
+        eq = enumerate_equilibria(inst, f, budget=budget)
+        assert not eq.stats["mirrored"]
+        assert eq == prefix_scan(inst, f, budget)
+        assert [type(c) for c in eq.costs] == [type(c) for c in prefix_scan(inst, f, budget).costs]
 
 
 @pytest.mark.parametrize("max_rows", [1, 3, 7, 10**6])

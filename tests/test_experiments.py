@@ -763,7 +763,7 @@ def test_cli_solve_nonatomic_rejects_a_bad_tol(capsys, tol):
 @pytest.mark.parametrize(
     "command, spec_name, keys",
     [
-        ("solve-atomic", "valley_three_players", {"blocks", "exact_rows", "evaluate_s"}),
+        ("solve-atomic", "valley_three_players", {"blocks", "exact_rows", "generate_s", "load_s", "evaluate_s"}),
         ("solve-nonatomic", "evening_continuum", {"steps", "projected", "fallbacks", "solve_s"}),
         ("solve-nonatomic", "evening_continuum", {"steps", "arc", "optimum"}),
     ],
