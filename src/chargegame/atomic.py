@@ -198,7 +198,9 @@ def _slot_table(instance: AtomicInstance, cost: GridCostFunction):
 # single-profile state kept by (instance, cost) object identity: instances that
 # compare equal may hold numbers of different types, and so different tables.
 # An entry holds both objects, so their ids cannot be reused while it lives.
-# The dict and each game's moves are emptied whole when full; threads survive it
+# The dict and each game's moves are emptied whole when full.  No thread
+# shares it: a forked sweep worker gets its own copy, in which the objects
+# keep their ids, and what the worker adds stays in that copy
 _GAMES: dict = {}
 _GAMES_KEPT = 8
 _MOVES_KEPT = 2048

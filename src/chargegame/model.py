@@ -556,7 +556,9 @@ class MixedProfile:
     ``distributions[k][t-1]`` is the fraction of class ``k`` starting in slot
     ``t``; each row is a probability vector supported on the class action set.
     The profile keeps a reference to its instance so the aggregate start mass
-    and occupancy mass are well-defined without extra arguments.
+    and occupancy mass are well-defined without extra arguments.  The rows
+    are also held as one read-only float K×T matrix, built and validated
+    once; it is derived state, not a field, and a pickle rebuilds it.
     """
 
     instance: NonatomicInstance
@@ -569,40 +571,53 @@ class MixedProfile:
         T = inst.horizon.T
         if len(dists) != inst.K:
             raise ValueError(f"{len(dists)} distributions for {inst.K} classes")
-        for k, row in enumerate(dists):
-            if len(row) != T:
-                raise ValueError(f"class {k}: distribution has {len(row)} entries for T={T}")
-            allowed = action_set(inst, k)
-            outside = row[: allowed.start - 1] + row[allowed.stop - 1 :]
-            if min(row) < -1e-12 or max(map(abs, outside), default=0.0) > 1e-12:
-                # the first offending slot names the error
-                for t, v in enumerate(row, start=1):
-                    if v < -1e-12:
-                        raise ValueError(f"class {k}: negative mass {v} in slot {t}")
-                    if t not in allowed and abs(v) > 1e-12:
-                        raise ValueError(f"class {k}: mass {v} outside action set in slot {t}")
-            total = math.fsum(row)
-            if not abs(total - 1.0) <= 1e-9:  # a NaN mass fails here
-                raise ValueError(f"class {k}: start distribution sums to {total!r}, not 1")
+        # the rows before the first of the wrong length are checked first:
+        # the first offending row, and in it the first offending slot, names the error
+        sized = next((k for k, row in enumerate(dists) if len(row) != T), inst.K)
+        M = np.array(dists[:sized], dtype=float).reshape(sized, T)
+        a, d, C = np.array([inst.window(k) for k in range(sized)], dtype=int).reshape(sized, 3).T
+        slots = np.arange(1, T + 1)
+        outside = (slots < a[:, None]) | (slots > (d - C + 1)[:, None])  # off action_set(inst, k)
+        bad = (M < -1e-12) | (outside & (np.abs(M) > 1e-12))
+        totals = [math.fsum(row) for row in dists[:sized]]
+        faulty = bad.any(axis=1) | ~(np.abs(np.array(totals) - 1.0) <= 1e-9)  # a NaN mass fails here
+        if faulty.any():
+            k = int(np.argmax(faulty))
+            if not bad[k].any():
+                raise ValueError(f"class {k}: start distribution sums to {totals[k]!r}, not 1")
+            t = int(np.argmax(bad[k]))
+            v = dists[k][t]
+            if v < -1e-12:
+                raise ValueError(f"class {k}: negative mass {v} in slot {t + 1}")
+            raise ValueError(f"class {k}: mass {v} outside action set in slot {t + 1}")
+        if sized < inst.K:
+            raise ValueError(f"class {sized}: distribution has {len(dists[sized])} entries for T={T}")
+        M.flags.writeable = False
+        object.__setattr__(self, "_matrix", M)
+
+    def __reduce__(self):
+        # the fields alone: loading validates them and rebuilds the matrix
+        return type(self), (self.instance, self.distributions)
+
+    def _weighted(self) -> np.ndarray:
+        # the class sums below start from +0.0, so a -0.0 mass adds as 0.0
+        return np.array([c.weight for c in self.instance.classes], dtype=float)[:, None] * self._matrix
 
     def start_mass(self) -> np.ndarray:
         """Aggregate start mass per slot, weighted by class sizes."""
-        inst = self.instance
-        out = np.zeros(inst.horizon.T)
-        for cls_, row in zip(inst.classes, self.distributions):
-            out += cls_.weight * np.asarray(row)
-        return out
+        return self._weighted().sum(axis=0, initial=0.0)
 
     def occupancy_mass(self) -> np.ndarray:
         """Mass charging in each slot: slot ``t`` collects class ``k``'s
-        start masses in ``t-C_k+1..t``, scaled by the class weight (a
-        cumulative-sum difference per class)."""
-        idx = np.arange(self.instance.horizon.T)
-        x = np.zeros(idx.size)
-        for cls_, row in zip(self.instance.classes, self.distributions):
-            csum = np.concatenate(([0.0], np.cumsum(cls_.weight * np.asarray(row))))
-            x += csum[idx + 1] - csum[np.maximum(idx - cls_.duration + 1, 0)]
-        return x
+        start masses in ``t-C_k+1..t``, scaled by the class weight (one
+        cumulative sum along the slots of the weighted matrix, differenced
+        per class; the classes are added in order)."""
+        K, T = self._matrix.shape
+        csum = np.zeros((K, T + 1))
+        np.cumsum(self._weighted(), axis=1, out=csum[:, 1:])
+        durations = np.array([c.duration for c in self.instance.classes])
+        lo = np.maximum(np.arange(T) - durations[:, None] + 1, 0)
+        return (csum[:, 1:] - np.take_along_axis(csum, lo, axis=1)).sum(axis=0, initial=0.0)
 
     @classmethod
     def from_start_mass(cls, instance: NonatomicInstance, mass) -> "MixedProfile":

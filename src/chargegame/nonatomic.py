@@ -22,7 +22,8 @@ raises Phi, the merit function.  If it does not, the steps of 1/2, 1/4 and
 of Bertsekas (1982).  When none of them raises Phi, the step is shortened to
 the boundary and drops the first blocking start only.  Once the system
 holds, the cheapest inactive start of each class enters if it undercuts the
-class's active starts.
+class's active starts.  The solver's state is flat, over the (class, start)
+pairs of the action sets; K×T matrices are built only for the answer.
 
 The termination certificate is the Wardrop gap: the worst, over classes, of
 (most expensive supported start) minus (cheapest available start).
@@ -41,7 +42,8 @@ Social optima reuse the same machinery through marginal pricing: minimizing
 total grid cost is the same program as equilibrating the game whose per-slot
 cost is f'(load), so the optimum is computed by the equilibrium solver under
 the derivative cost and then independently re-verified with the Wardrop
-checker.
+checker.  An invariant profile is also the optimum under an A2 cost, so
+``efficiency_nonatomic`` reports exactly 1 wherever it exists.
 """
 
 from __future__ import annotations
@@ -131,15 +133,6 @@ class NonatomicEquilibrium:
 # ---------------------------------------------------------------------------
 
 
-def _wardrop_gap_of(costs: np.ndarray, Y: np.ndarray) -> float:
-    priciest = np.where(Y > SUPPORT_THRESHOLD, costs, -math.inf).max(axis=1)
-    return max(0.0, float(np.max(priciest - costs.min(axis=1))))
-
-
-def _profile_from_matrix(instance: NonatomicInstance, Y: np.ndarray) -> MixedProfile:
-    return MixedProfile(instance, tuple(map(tuple, Y.tolist())))
-
-
 def _gram_solve(B: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Minimum-norm solution ``pinv(B Bᵀ) r`` for an m×T matrix ``B``.
 
@@ -212,40 +205,34 @@ def _solve_potential(
 ):
     """Maximize the potential built on per-slot cost ``g``; core of ``solve_equilibrium``.
 
-    Active-set Newton.  One cost evaluation at the uniform profile's loads
-    prices every start, and each class starts evenly on the starts that
-    cost at most its mean there (its cheapest at least; all of them when
-    they cost the same).  Each pass evaluates the costs of the
-    row-normalised masses, the matrix that is certified and returned.
-    Until every active start of a class costs the same, to float resolution
-    and within half of ``tol``, it takes one Newton step.  A full step that
-    would make masses negative is first projected: those masses are clipped
-    to zero, their starts leave the active set together, and each class is
-    renormalised.  The projection is kept only if it strictly raises the
-    potential (one cost evaluation); otherwise the projections of the half,
-    quarter and eighth step are tried in turn, one evaluation each.  If none
-    is kept, the step is shortened so that no mass turns negative and only
-    the first blocking start leaves.  Once the system holds, each class's
-    cheapest inactive start enters if it undercuts the class's active ones.  Returns the matrix, its gap, its costs and the
-    ``stats`` counters and phase times.  When the budget runs out, the best
-    iterate is returned if its gap is within ``tol``, else refused.
+    The active-set Newton method of the module docstring.  Each pass prices
+    the class-normalised masses, the iterate that is certified, and takes a
+    Newton step until every active start of a class costs the same, to float
+    resolution and within half of ``tol``.  Returns the K×T masses, their
+    gap, their K×T start costs and the ``stats``.  When the budget runs out,
+    the best iterate is the answer if its gap is within ``tol``, else refused.
 
-    The window-incidence matrix ``W``, built once, has one row per allowed
-    (class, start) pair in ``np.nonzero`` order and a 1 in each slot that
-    start charges in; it gives the loads, the start costs and Newton rows.
+    The state lives on the allowed (class, start) pairs in ``np.nonzero``
+    order, one segment per class: masses, ``active`` mask and costs
+    ``W @ g(loads)``, ``W`` having a row per pair with a 1 in each slot that
+    start charges in.  Class minima and maxima are exact ``reduceat``s over
+    the segments, but class sums run along the rows of a K×T scratch matrix:
+    a segment sum associates the additions differently, and where the masses
+    are not unique one rounding apart sends the solve down another path.
     """
     exo = np.asarray(instance.exogenous, dtype=float)
     P = float(instance.power)
-    weights = np.array([c.weight for c in instance.classes])
     K, T = instance.K, instance.horizon.T
     arrival, last, duration = np.array([instance.window(k) for k in range(K)]).T
     last -= duration - 1  # each class's action set is arrival..last, 1-based
     slots = np.arange(T)
     allowed = (slots >= arrival[:, None] - 1) & (slots < last[:, None])
     owner, starts = np.nonzero(allowed)
+    weights = np.array([c.weight for c in instance.classes])[owner]  # of each pair
+    pairs, segments = np.arange(owner.size), np.searchsorted(owner, np.arange(K))  # each class's first pair
     ends = starts + duration[owner]
     W = ((slots >= starts[:, None]) & (slots < ends[:, None])).astype(float)
-    Y = allowed / allowed.sum(axis=1, keepdims=True)
+    cells, rows = np.flatnonzero(allowed), np.zeros(K * T)
     stats = dict.fromkeys(("steps", "projected", "arc", "fallbacks", "drops", "entries", "evals"), 0)
     stats.update(dict.fromkeys(("jacobian_s", "solve_s", "cost_s", "check_s"), 0.0))
 
@@ -253,64 +240,77 @@ def _solve_potential(
         raise ConvergenceError(
             f"no equilibrium within gap {tol:g} after {stats['evals']} cost evaluations"
             f" (best gap {best[0]:.3e}): {why}",
-            _profile_from_matrix(instance, best[1]),
+            MixedProfile(instance, answer(*best)[0].tolist()),
             best[0],
         )
+
+    def answer(gap: float, y: np.ndarray, c: np.ndarray):
+        Y, costs = np.zeros((K, T)), np.full((K, T), math.inf)
+        Y[allowed], costs[allowed] = y, c
+        return Y, gap, costs, stats
 
     def spent():
         # the budget is out: a best iterate already within tol is an answer
         if best[0] > tol:
             refuse("budget spent")
-        return best[1], best[0], best[2], stats
+        return answer(*best)
 
-    def loads_of(Y: np.ndarray) -> np.ndarray:
+    def class_sums(v: np.ndarray) -> np.ndarray:
+        rows[cells] = v
+        return rows.reshape(K, T).sum(axis=1)
+
+    def gap_of(c: np.ndarray, y: np.ndarray) -> float:
+        priciest = np.maximum.reduceat(np.where(y > SUPPORT_THRESHOLD, c, -math.inf), segments)
+        return max(0.0, float((priciest - np.minimum.reduceat(c, segments)).max()))
+
+    def loads_of(y: np.ndarray) -> np.ndarray:
         stats["evals"] += 1
-        return exo + P * ((weights[:, None] * Y)[allowed] @ W)
+        return exo + P * ((weights * y) @ W)
 
     # the start: each class spread evenly over its starts that cost at most
     # the class's mean at the uniform profile's loads; the rounded mean of
     # equal costs can fall below them, so the cheapest start always counts
     t0 = time.perf_counter()
-    costs = np.full((K, T), math.inf)
-    costs[allowed] = W @ g(loads_of(Y))
-    best = (_wardrop_gap_of(costs, Y), Y, costs)  # budget >= 1 paid for it
-    mean = np.where(allowed, costs, 0.0).sum(axis=1) / allowed.sum(axis=1)
-    active = costs <= np.maximum(mean, costs.min(axis=1))[:, None]
-    Y = active / active.sum(axis=1, keepdims=True)
+    y = 1.0 / np.bincount(owner)[owner]
+    c = W @ g(loads_of(y))
+    best = (gap_of(c, y), y, c)  # budget >= 1 paid for it
+    mean = class_sums(c) / np.bincount(owner)
+    active = c <= np.maximum(mean, np.minimum.reduceat(c, segments))[owner]
+    y = active / np.bincount(owner[active], minlength=K)[owner]
     stats["cost_s"] += time.perf_counter() - t0
 
     while True:
-        Y /= Y.sum(axis=1, keepdims=True)
+        y /= class_sums(y)[owner]
         if stats["evals"] >= budget:
             return spent()
         t0 = time.perf_counter()
-        loads = loads_of(Y)
-        costs = np.full((K, T), math.inf)
-        costs[allowed] = W @ g(loads)
+        loads = loads_of(y)
+        c = W @ g(loads)
         t1 = time.perf_counter()
-        gap = _wardrop_gap_of(costs, Y)
+        gap = gap_of(c, y)
         if gap < best[0]:
-            best = (gap, Y.copy(), costs)
-        scale = max(1.0, float(np.max(np.abs(costs[allowed]))))
-        owner, starts = np.nonzero(active)
-        c = costs[owner, starts]
-        level = np.bincount(owner, c, K) / np.bincount(owner, minlength=K)
-        balanced = float(np.max(np.abs(c - level[owner]))) <= min(1e-13 * scale, tol / 2)
+            best = (gap, y.copy(), c)
+        scale = max(1.0, float(np.abs(c).max()))
+        at = active.nonzero()[0]
+        cls, ca = owner[at], c[at]
+        level = np.bincount(cls, ca, K) / np.bincount(cls, minlength=K)
+        balanced = float(np.abs(ca - level[cls]).max()) <= min(1e-13 * scale, tol / 2)
         t2 = time.perf_counter()
         stats["cost_s"] += t1 - t0
         stats["check_s"] += t2 - t1
         if balanced:
             if gap <= tol:
-                return Y, gap, costs, stats
-            undercut = np.where(allowed & ~active, costs, math.inf)
-            cheapest = undercut.argmin(axis=1)
-            enters = undercut[np.arange(K), cheapest] < level - 1e-12 * np.maximum(1.0, np.abs(level))
+                return answer(gap, y, c)
+            undercut = np.where(active, math.inf, c)
+            cheapest = np.minimum.reduceat(undercut, segments)
+            enters = cheapest < level - 1e-12 * np.maximum(1.0, np.abs(level))
             if not enters.any():
                 refuse("the active set is solved and no cheaper start enters")
-            active[enters, cheapest[enters]] = True
+            first = np.minimum.reduceat(np.where(undercut == cheapest[owner], pairs, pairs.size), segments)
+            active[first[enters]] = True  # each entering class's first start at its minimum
             stats["entries"] += int(enters.sum())
-            owner, starts = np.nonzero(active)
-            c = costs[owner, starts]
+            at = active.nonzero()[0]
+            cls, ca = owner[at], c[at]
 
         # Newton step on the equal-cost equations over mass-preserving
         # moves: each class's first active start (its base) balances the
@@ -324,16 +324,15 @@ def _solve_potential(
         # and slot spaces.  g' is taken at a tiny positive load where the
         # load is zero: it may be infinite there (square root), and an empty
         # slot must still fill.
-        n = owner.size
-        first = np.searchsorted(owner, owner)
+        n = at.size
+        first = np.searchsorted(cls, cls)
         moved = np.flatnonzero(first != np.arange(n))
         base = first[moved]
-        at = np.flatnonzero(active[allowed])  # the W row of each active start
         gp = g.deriv(np.maximum(loads, 1e-12 * loads.max()))
         B = (W[at[moved]] - W[at[base]]) * np.sqrt(gp)
         t3 = time.perf_counter()
         try:
-            z = _gram_solve(B, c[base] - c[moved]) / (P * weights[owner[moved]])
+            z = _gram_solve(B, ca[base] - ca[moved]) / (P * weights[at[moved]])
         except np.linalg.LinAlgError as err:
             refuse(f"the Newton system could not be solved ({err})")
         t4 = time.perf_counter()
@@ -343,10 +342,10 @@ def _solve_potential(
         dy = np.zeros(n)
         dy[moved] = z
         dy -= np.bincount(base, z, n)
-        y = Y[owner, starts]
-        full = y + dy
+        ya = y[at]
+        full = ya + dy
         if not (full < 0).any():
-            Y[owner, starts] = full
+            y[at] = full
             continue
 
         # projected steps along the arc alpha = 1, 1/2, 1/4, 1/8: masses the
@@ -358,19 +357,19 @@ def _solve_potential(
         for alpha in (1.0, 0.5, 0.25, 0.125):
             if stats["evals"] >= budget:
                 return spent()
-            step = y + alpha * dy
-            trial = Y.copy()
-            trial[owner, starts] = np.maximum(step, 0.0)
-            trial /= trial.sum(axis=1, keepdims=True)
+            step = ya + alpha * dy
+            trial = y.copy()
+            trial[at] = np.maximum(step, 0.0)
+            trial /= class_sums(trial)[owner]
             if np.sum(g.antiderivative(loads_of(trial))) < now:
                 break
         else:
             alpha = 0.0
         stats["cost_s"] += time.perf_counter() - t5
         if alpha:
-            Y = trial
+            y = trial
             clipped = step < 0
-            active[owner[clipped], starts[clipped]] = False
+            active[at[clipped]] = False
             stats["projected"] += 1
             stats["arc"] += int(alpha < 1.0)
             stats["drops"] += int(clipped.sum())
@@ -380,15 +379,28 @@ def _solve_potential(
         # first blocking start leaves the active set
         ratios = np.full(n, math.inf)
         shrinking = dy < 0
-        ratios[shrinking] = y[shrinking] / -dy[shrinking]
+        ratios[shrinking] = ya[shrinking] / -dy[shrinking]
         hit = int(np.argmin(ratios))
         alpha = min(1.0, float(ratios[hit]))
-        Y[owner, starts] = np.maximum(y + alpha * dy, 0.0)
+        y[at] = np.maximum(ya + alpha * dy, 0.0)
         stats["fallbacks"] += 1
         if alpha < 1.0:
-            Y[owner[hit], starts[hit]] = 0.0
-            active[owner[hit], starts[hit]] = False
+            y[at[hit]] = 0.0
+            active[at[hit]] = False
             stats["drops"] += 1
+
+
+def _solver_budget(cost: GridCostFunction, tol, budget) -> int:
+    """``budget`` resolved, once ``tol`` and A1 are checked; ``ValueError`` otherwise."""
+    check_tol(tol)
+    if not cost.satisfies_a1:
+        raise ValueError("equilibrium solving needs a strictly increasing grid cost")
+    return resolve_budget(budget, DEFAULT_SOLVER_BUDGET)
+
+
+def _require_a2(cost: GridCostFunction) -> None:
+    if not cost.satisfies_a2:
+        raise ValueError("social optimum needs a convex (A2) grid cost")
 
 
 def solve_equilibrium(
@@ -406,12 +418,8 @@ def solve_equilibrium(
     answer if its gap is within ``tol``; otherwise ``ConvergenceError`` is
     raised with that iterate attached.
     """
-    check_tol(tol)
-    if not cost.satisfies_a1:
-        raise ValueError("equilibrium solving needs a strictly increasing grid cost")
-    budget = resolve_budget(budget, DEFAULT_SOLVER_BUDGET)
-    Y, gap, costs, stats = _solve_potential(instance, cost, tol, budget)
-    profile = _profile_from_matrix(instance, Y)
+    Y, gap, costs, stats = _solve_potential(instance, cost, tol, _solver_budget(cost, tol, budget))
+    profile = MixedProfile(instance, Y.tolist())
     return NonatomicEquilibrium(
         profile=profile,
         wardrop_gap=gap,
@@ -572,8 +580,7 @@ def social_optimum_nonatomic(
 def _social_optimum(instance, cost, tol, budget) -> NonatomicEquilibrium:
     """The equilibrium under f' whose ``profile`` is the optimum; all its
     other fields (``stats``, ``potential_value``, ...) are of the game under f'."""
-    if not cost.satisfies_a2:
-        raise ValueError("social optimum needs a convex (A2) grid cost")
+    _require_a2(cost)
     marginal = cost.derivative()
     eq = solve_equilibrium(instance, marginal, tol=tol, budget=budget)
     if not is_wardrop_equilibrium(instance, marginal, eq.profile, tol=max(1e-7, 10 * eq.wardrop_gap)):
@@ -589,7 +596,24 @@ def efficiency_nonatomic(
 ) -> EfficiencyReport:
     """Equilibrium total cost over optimal total cost (the equilibrium is
     unique up to occupancy, so worst = unique).  ``equilibria`` is None:
-    there is no finite enumeration in the continuum game."""
+    there is no finite enumeration in the continuum game.
+
+    On a single class with a full-horizon window, ``solve_symmetric_invariant``
+    is asked first.  When it answers, its profile is the equilibrium under
+    every cost, the marginal cost f' of an A2 cost included, so it is also
+    the optimum: the ratio is exactly 1 (``exact=Fraction(1)``) and no solve
+    runs.
+    """
+    _solver_budget(cost, tol, budget)
+    _require_a2(cost)
+    if instance.K == 1 and instance.window(0)[:2] == (1, instance.horizon.T):
+        try:
+            profile, _ = solve_symmetric_invariant(instance)
+        except PositivityCertificateError:
+            pass
+        else:
+            total = grid_total_cost(instance, cost, profile)
+            return EfficiencyReport(1.0, Fraction(1), profile, total, profile, total, None)
     eq = solve_equilibrium(instance, cost, tol=tol, budget=budget)
     eq_cost = grid_total_cost(instance, cost, eq.profile)
     opt_profile, opt_cost = social_optimum_nonatomic(instance, cost, tol=tol, budget=budget)

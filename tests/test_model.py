@@ -1,6 +1,7 @@
 """Unit tests for the shared model layer: costs, instances, profiles, loads."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -397,6 +398,109 @@ def test_mixed_profile_two_classes():
     # class 0 contributes to slots 1-2, class 1 half to 3-5 and half to 4-6
     assert np.allclose(prof.start_mass(), (0.5, 0, 0.25, 0.25, 0, 0))
     assert np.allclose(prof.occupancy_mass(), (0.5, 0.5, 0.25, 0.5, 0.5, 0.25))
+
+
+def loop_masses(profile):
+    """Start and occupancy mass by a plain loop over the classes, in class order."""
+    inst = profile.instance
+    idx = np.arange(inst.horizon.T)
+    start, occupied = np.zeros(idx.size), np.zeros(idx.size)
+    for cls_, row in zip(inst.classes, profile.distributions):
+        weighted = cls_.weight * np.asarray(row)
+        start += weighted
+        csum = np.concatenate(([0.0], np.cumsum(weighted)))
+        occupied += csum[idx + 1] - csum[np.maximum(idx - cls_.duration + 1, 0)]
+    return start, occupied
+
+
+def first_refusal(inst, rows):
+    """The message of the first fault met row by row, slot by slot, or None."""
+    T = inst.horizon.T
+    if len(rows) != inst.K:
+        return f"{len(rows)} distributions for {inst.K} classes"
+    for k, row in enumerate(rows):
+        if len(row) != T:
+            return f"class {k}: distribution has {len(row)} entries for T={T}"
+        for t, v in enumerate(row, start=1):
+            if v < -1e-12:
+                return f"class {k}: negative mass {v} in slot {t}"
+            if t not in action_set(inst, k) and abs(v) > 1e-12:
+                return f"class {k}: mass {v} outside action set in slot {t}"
+        total = math.fsum(row)
+        if not abs(total - 1.0) <= 1e-9:
+            return f"class {k}: start distribution sums to {total!r}, not 1"
+    return None
+
+
+def random_profile_rows(rng):
+    """A random instance (K 1-8, durations 1-10) and valid rows for it."""
+    T, K = rng.randint(10, 30), rng.randint(1, 8)
+    raw = [rng.random() + 0.1 for _ in range(K)]
+    classes = []
+    for w in raw:
+        C = rng.randint(1, 10)
+        a = rng.randint(1, T - C + 1)
+        classes.append((w / sum(raw), a, rng.randint(a + C - 1, T), C))
+    inst = NonatomicInstance.create(T=T, classes=classes)
+    rows = []
+    for k in range(K):
+        acts = action_set(inst, k)
+        mass = [rng.choice((0.0, rng.random())) if t in acts else 0.0 for t in range(1, T + 1)]
+        mass[rng.choice(acts) - 1] += 0.5
+        rows.append([v / sum(mass) for v in mass])
+    return inst, rows
+
+
+def test_profile_masses_match_a_per_class_loop():
+    rng = random.Random(32)
+    for _ in range(300):
+        inst, rows = random_profile_rows(rng)
+        prof = MixedProfile(inst, rows)
+        start, occupied = loop_masses(prof)
+        assert np.array_equal(prof.start_mass(), start)
+        assert np.array_equal(prof.occupancy_mass(), occupied)
+
+
+def test_profile_refusals_match_a_row_by_row_check():
+    rng = random.Random(33)
+    faults = 0
+    for _ in range(600):
+        inst, rows = random_profile_rows(rng)
+        for _ in range(rng.randint(1, 2)):  # one fault or two, in any rows
+            k = rng.randrange(len(rows))
+            t = rng.randrange(len(rows[k]))
+            fault = rng.choice(("negative", "outside", "nan", "sum", "length", "rows"))
+            if fault == "negative":
+                rows[k][t] = -rng.random()
+            elif fault == "outside":
+                rows[k][t] += rng.random()  # outside the action set when t is
+            elif fault == "nan":
+                rows[k][t] = math.nan
+            elif fault == "sum":
+                rows[k] = [0.9 * v for v in rows[k]]
+            elif fault == "length":
+                rows[k] = rows[k][:-1] if rng.random() < 0.5 else rows[k] + [0.0]
+            else:
+                rows = rows[:-1] if len(rows) > 1 and rng.random() < 0.5 else rows + [rows[0]]
+        message = first_refusal(inst, rows)
+        if message is None:
+            MixedProfile(inst, rows)
+            continue
+        faults += 1
+        with pytest.raises(ValueError) as err:
+            MixedProfile(inst, rows)
+        assert str(err.value) == message
+    assert faults > 500
+
+
+def test_profile_survives_a_pickle_round_trip():
+    rng = random.Random(34)
+    for _ in range(20):
+        prof = MixedProfile(*random_profile_rows(rng))
+        back = pickle.loads(pickle.dumps(prof))
+        assert back == prof and hash(back) == hash(prof)
+        assert np.array_equal(back.occupancy_mass(), prof.occupancy_mass())
+        assert np.array_equal(back.start_mass(), prof.start_mass())
 
 
 def test_nonatomic_load_and_total_cost():

@@ -28,6 +28,7 @@ from chargegame import (
     solve_symmetric_invariant,
     wardrop_gap,
 )
+from chargegame import nonatomic
 from chargegame.nonatomic import _gram_solve
 
 COST_DEPENDENT_EXO = (0.1, 0.2, 0.3, 0.4, 0.5, 0.2, 0.2, 0.3, 0.2, 0.1, 0.2)
@@ -480,6 +481,27 @@ def test_class_costs_are_window_sums_of_the_slot_costs(cost):
                     assert got == math.inf
 
 
+@pytest.mark.parametrize("cost", [Monomial(1, 2), SquareRoot(), Monomial(2, 1)], ids=["L2", "sqrtL", "2L"])
+def test_solver_on_the_edges_of_the_pair_layout(cost):
+    # a class with one start (a segment of one pair), two classes with the
+    # same window, one class spanning the horizon, the others inside 2..T-1
+    T = 12
+    classes = [(0.2, 4, 6, 3), (0.2, 3, 9, 2), (0.2, 3, 9, 2), (0.2, 1, T, 4), (0.2, 2, T - 1, 5)]
+    rng = random.Random(32)
+    for _ in range(5):
+        exo = tuple(rng.uniform(0.2, 2.0) for _ in range(T))
+        inst = NonatomicInstance.create(T=T, classes=classes, exogenous=exo)
+        eq = solve_equilibrium(inst, cost)
+        assert wardrop_gap(inst, cost, eq.profile) <= 1e-9
+        assert eq.profile.distributions[0][3] == 1.0
+        for k in range(inst.K):
+            acts = action_set(inst, k)
+            for t in range(1, T + 1):
+                if t not in acts:
+                    assert eq.profile.distributions[k][t - 1] == 0.0
+                    assert eq.class_costs[k][t - 1] == math.inf
+
+
 def many_class_fleet(K, power=20):
     """T=96 fleet of K classes of weight 1/K under ``daily_fleet``'s load,
     each with 6-28 start slots and a duration of 4, 6, 8 or 10."""
@@ -685,9 +707,38 @@ def test_efficiency_is_one_under_invariance():
     inst = NonatomicInstance.symmetric(T=10, C=3, exogenous=tuple([1.0] * 10))
     for cost in (Monomial(1, 2), Monomial(1, 4)):
         report = efficiency_nonatomic(inst, cost)
-        assert report.value == pytest.approx(1.0, abs=1e-9)
-        assert report.exact is None
-        assert report.worst_cost >= report.optimum_cost - 1e-12
+        assert (report.value, report.exact) == (1.0, Fraction(1))
+        assert report.worst_cost == report.optimum_cost
+
+
+@pytest.mark.parametrize("cost", [Monomial(1, 2), Monomial(1, 5)], ids=["L2", "L5"])
+def test_efficiency_of_an_invariant_instance_is_exactly_one(cost, monkeypatch):
+    # the ratio of two float solves reads 0.9999999999999999 under L2 and
+    # 1.0000000000000002 under L5; the invariant profile answers both
+    inst = NonatomicInstance.symmetric(10, 3, power=4)
+    invariant, _ = solve_symmetric_invariant(inst)
+    monkeypatch.setattr(nonatomic, "_solve_potential", lambda *args: pytest.fail("a Newton solve ran"))
+    report = efficiency_nonatomic(inst, cost)
+    assert (report.value, report.exact) == (1.0, Fraction(1))
+    assert report.worst_equilibrium == report.optimum == invariant
+    assert report.worst_cost == report.optimum_cost == grid_total_cost(inst, cost, invariant)
+
+
+@pytest.mark.parametrize(
+    "cost, tol, budget, message",
+    [
+        (Monomial(1, 0), 0.0, 0, "tol must be a finite number above 0"),
+        (Monomial(1, 0), 1e-9, 0, "equilibrium solving needs a strictly increasing grid cost"),
+        (SquareRoot(), 1e-9, 0, "budget must be at least 1"),
+        (SquareRoot(), 1e-9, None, "social optimum needs a convex"),
+    ],
+    ids=["tol", "A1", "budget", "A2"],
+)
+def test_efficiency_refusals_come_before_the_invariant_answer(cost, tol, budget, message):
+    # each case also breaks every later check, so the first check refuses
+    inst = NonatomicInstance.symmetric(10, 3, power=4)
+    with pytest.raises(ValueError, match=message):
+        efficiency_nonatomic(inst, cost, tol=tol, budget=budget)
 
 
 def test_efficiency_exceeds_one_off_equilibrium_question():
