@@ -23,12 +23,12 @@ symmetric instance is the one-group case, and an instance whose windows are
 all distinct scans its profile space itself.  The scan is deterministic
 (lexicographic, groups in sorted window order) and budget-capped.  It runs
 over blocks of 4,096 configurations, slot-major: one array row per slot, one
-column per configuration.  Each group's compositions are joined from a
-stream of heads and one table of tails (``_composition_blocks``).  One scan
-serves any number of grid costs (``efficiencies``): ``_Block`` loads each
-block's start counts and occupancy once, and ``_BlockKernel`` evaluates
-every cost's slot-cost table on them.
-The one-cost functions are that scan with a single cost.
+column per configuration.  Each group's compositions are joined from
+stars-and-bars heads and one bounded table of tails
+(``_composition_blocks``).  One scan serves any number of grid costs
+(``efficiencies``): ``_Block`` loads each block's start counts and
+occupancy once, and ``_BlockKernel`` evaluates every cost's slot-cost table
+on them.  The one-cost functions are that scan with a single cost.
 
 Reversing time maps a class configuration to its mirror: start counts
 reversed within the window's starts, occupancy reversed.  On a symmetric
@@ -347,9 +347,10 @@ def best_response_dynamics(
 # ---------------------------------------------------------------------------
 
 
-# rows of a scan block, and most rows of a composition tail table: the block
-# kernel's arrays, sized by the block, set a scan's peak memory
+# rows of a scan block, whose kernel arrays set a scan's peak memory
 _BLOCK_ROWS = 1 << 12
+# most entries (rows x parts) of any table a stream keeps, 2 MiB of int64
+_TABLE_CELLS = 1 << 18
 
 
 def _composition_count(total: int, parts: int) -> int:
@@ -375,21 +376,22 @@ def _composition_table(total: int, parts: int) -> np.ndarray:
     return next(_stars_and_bars(total, parts, _composition_count(total, parts)))
 
 
-def _composition_blocks(total: int, parts: int, max_rows: int, ramp: bool = False) -> Iterator[np.ndarray]:
+def _composition_blocks(total: int, parts: int, max_rows: int) -> Iterator[np.ndarray]:
     # all count vectors of length `parts` summing to `total`, lexicographic,
-    # in int64 blocks of `max_rows` rows (the last one shorter; see _join for
-    # `ramp`).  Split a vector as [x | y], x of h counts and y summing to
-    # r = total - sum(x): the heads [x | r] are the compositions of total
-    # into h + 1 parts, in lexicographic order, and a head's tails are the
-    # rows of W, the table of total into parts - h + 1 parts, whose first
-    # count is total - r, that count dropped: one contiguous range.  Of the h
-    # that keep W within _BLOCK_ROWS rows, h makes the fewest heads and tails
-    # to build; the heads stream through this same generator, ramped: on a
-    # wide shape each of its many levels would else build a whole block
-    # before the first row.  A table that fits, or has no such h, comes from
-    # stars and bars.
-    splits = [h for h in range(1, parts - 1) if _composition_count(total, parts - h + 1) <= _BLOCK_ROWS]
-    if not splits or _composition_count(total, parts) <= _BLOCK_ROWS:
+    # in int64 blocks of `max_rows` rows (the last one shorter).  Split a
+    # vector as [x | y], x of h counts and y summing to r = total - sum(x):
+    # the heads [x | r] are the compositions of total into h + 1 parts, in
+    # lexicographic order, and a head's tails are the rows of W, the table
+    # of total into parts - h + 1 parts, whose first count is total - r,
+    # that count dropped: one contiguous range.  Of the h that keep W within
+    # _TABLE_CELLS entries, h makes the fewest heads and tails to build; the
+    # heads come from stars and bars, _BLOCK_ROWS entries at a time.  A
+    # table that fits in one block, or has no such h, comes from stars and
+    # bars.
+    splits = [
+        h for h in range(1, parts - 1) if (parts - h + 1) * _composition_count(total, parts - h + 1) <= _TABLE_CELLS
+    ]
+    if not splits or _composition_count(total, parts) <= max_rows:
         yield from _stars_and_bars(total, parts, max_rows)
         return
     h = min(splits, key=lambda h: _composition_count(total, h + 1) + _composition_count(total, parts - h + 1))
@@ -398,35 +400,32 @@ def _composition_blocks(total: int, parts: int, max_rows: int, ramp: bool = Fals
     R = np.ascontiguousarray(W[:, 1:].T)
     pieces = (  # each head block x over its tails, v = total - r
         (np.ascontiguousarray(x[:, :h].T), R, start[total - x[:, h]], start[total + 1 - x[:, h]])
-        for x in _composition_blocks(total, h + 1, _BLOCK_ROWS, ramp=True)
+        for x in _stars_and_bars(total, h + 1, max(1, _BLOCK_ROWS // (h + 1)))
     )
-    yield from _join(pieces, parts, max_rows, ramp)
+    yield from _join(pieces, parts, max_rows)
 
 
-def _join(pieces, parts: int, max_rows: int, ramp: bool = False) -> Iterator[np.ndarray]:
+def _join(pieces, parts: int, max_rows: int) -> Iterator[np.ndarray]:
     # the rows of each piece (L, R, first, stop), in order: column s of L
     # over each of the columns first[s]..stop[s]-1 of R, both slot-major (a
     # row per count).  One searchsorted finds each row's column of L and two
     # `take`s copy its counts into int64 blocks of exactly `max_rows` rows
     # (the last one shorter), filled slot-major, as _Block loads them, and
-    # handed out transposed.  Ramped, the blocks start at one row and double
-    # up to `max_rows`
-    size = 1 if ramp else max_rows
-    block, rows = np.empty((parts, size), dtype=np.int64), 0
+    # handed out transposed
+    block, rows = np.empty((parts, max_rows), dtype=np.int64), 0
     for L, R, first, stop in pieces:
         h, ends = L.shape[0], np.cumsum(stop - first)
         k0, last = 0, ends[-1] if ends.size else 0
         while k0 < last:  # in pieces that fill the block
-            k = np.arange(k0, min(last, k0 + size - rows))
+            k = np.arange(k0, min(last, k0 + max_rows - rows))
             s = np.searchsorted(ends, k, side="right")
             k0, stop_row = k0 + len(k), rows + len(k)
             L.take(s, axis=1, out=block[:h, rows:stop_row], mode="clip")
             R.take(k - ends[s] + stop[s], axis=1, out=block[h:, rows:stop_row], mode="clip")
             rows = stop_row
-            if rows == size:
+            if rows == max_rows:
                 yield block.T
-                size = min(max_rows, 2 * size)
-                block, rows = np.empty((parts, size), dtype=np.int64), 0
+                block, rows = np.empty((parts, max_rows), dtype=np.int64), 0
     if rows:
         yield block[:, :rows].T
 
@@ -440,8 +439,9 @@ def _configuration_blocks(shape, max_rows: int) -> Iterator[np.ndarray]:
         yield from _composition_blocks(total, parts, max_rows)
         return
     tail_size = math.prod(_composition_count(*group) for group in rest)
-    # a tail that fits in one block is built once and serves every head block
-    tails = list(_configuration_blocks(rest, max_rows)) if tail_size <= max_rows else None
+    # a tail within _TABLE_CELLS entries is built once and serves every head block
+    fits = tail_size * sum(p for _, p in rest) <= _TABLE_CELLS
+    tails = list(_configuration_blocks(rest, max_rows)) if fits else None
     for heads in _composition_blocks(total, parts, max(1, max_rows // tail_size)):
         for tail in tails or _configuration_blocks(rest, max_rows):
             # every head row followed by every tail row, heads varying slowest
@@ -461,12 +461,12 @@ def _mirror_blocks(total: int, parts: int, max_rows: int) -> Iterator[np.ndarray
     # lexicographic order: by sum(x) = total - v descending, lexicographic
     # among equal sums.  Each head, a row i of G with sum s <= total / 2, is
     # joined (`_join`) for every m <= total - 2 s with its tails: the rows
-    # j <= i of G with v = m + s.  G streams in blocks of _BLOCK_ROWS rows,
-    # each head block meeting the tail blocks up to it, and is built once
-    # when it fits in one.
+    # j <= i of G with v = m + s.  G is built once when it fits in
+    # _TABLE_CELLS entries; else it streams in blocks of _BLOCK_ROWS rows,
+    # each head block meeting the tail blocks up to it.
     h, odd = divmod(parts, 2)
     size = _composition_count(total, h + 1)
-    kept = [_composition_table(total, h + 1)] if size <= _BLOCK_ROWS else None
+    kept = [_composition_table(total, h + 1)] if size * (h + 1) <= _TABLE_CELLS else None
     start = np.array([size - _composition_count(total - v, h + 1) for v in range(total + 1)] + [size])  # of each v
 
     def pieces():

@@ -35,6 +35,15 @@ def _read(path: str, parse):
         raise _BadInput(f"{path}: {err}") from None
 
 
+def _float(value, path: str, field: str) -> float:
+    """``value`` as a float, or ``_BadInput`` naming ``field`` when it is
+    past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise _BadInput(f"{path}: {field} is past the float range") from None
+
+
 def _emit_or_print(data: dict, args, stats: dict) -> None:
     """Write ``data`` to ``--out`` or stdout; with ``--stats``, ``stats``
     goes to stderr as one JSON line."""
@@ -93,13 +102,13 @@ def _cmd_solve_atomic(args) -> int:
     eq_set = report.equilibria
     data = {
         "equilibria": [_config_dict(c) for c in eq_set.equilibria],
-        "equilibrium_costs": [float(c) for c in eq_set.costs],
+        "equilibrium_costs": [_float(c, args.instance, "equilibrium_costs") for c in eq_set.costs],
         "complete": eq_set.complete,
         "examined": eq_set.examined,
         "space_size": eq_set.space_size,
         "optimum": _config_dict(report.optimum),
-        "optimum_cost": float(report.optimum_cost),
-        "worst_equilibrium_cost": float(report.worst_cost),
+        "optimum_cost": _float(report.optimum_cost, args.instance, "optimum_cost"),
+        "worst_equilibrium_cost": _float(report.worst_cost, args.instance, "worst_equilibrium_cost"),
         "efficiency": report.value,
         "efficiency_exact": str(report.exact),
     }

@@ -256,19 +256,20 @@ def _run_jobs(jobs, threads: int, weights=None) -> list:
     errors pickle, in order.
 
     The jobs are dealt by ``weights`` (default: all equal) into one share
-    per worker, ``min(threads, jobs, CPUs)`` of them (see ``_deal``).  This
-    process runs share 0 itself, and each other share runs in one child
-    forked from it (copy-on-write, so a child imports nothing), which sends
-    its results back through a pipe.  A share stops at its first error, and
-    the error of the lowest-index failing job is raised here, as in a
-    serial run.  So once this process's own share fails, the children
-    whose jobs all come after its failing one are killed unread; the
-    others are read to the end.  No child outlives the call.  With one
-    worker, or where ``fork`` is unavailable, the jobs run here one after
-    the other: a spawned worker would import numpy afresh, which takes
-    longer than a bundled sweep.
+    per worker, ``min(threads, jobs, CPUs)`` of them, counting only the CPUs
+    this process may run on (see ``_deal``).  This process runs share 0
+    itself, and each other share runs in one child forked from it
+    (copy-on-write, so a child imports nothing), which sends its results
+    back through a pipe.  A share stops at its first error, and the error of
+    the lowest-index failing job is raised here, as in a serial run.  So
+    once this process's own share fails, the children whose jobs all come
+    after its failing one are killed unread; the others are read to the end.
+    No child outlives the call.  With one worker, or where ``fork`` is
+    unavailable, the jobs run here one after the other: a spawned worker
+    would import numpy afresh, which takes longer than a bundled sweep.
     """
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(threads, len(jobs), cpus)
     if workers < 2 or not hasattr(os, "fork"):
         return [job() for job in jobs]
     shares = _deal(weights or [1] * len(jobs), workers)

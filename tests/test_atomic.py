@@ -1155,19 +1155,20 @@ def lexicographic_compositions(total, parts):
             yield [head] + rest
 
 
-@pytest.mark.parametrize("table_rows", [1, 5, 36, 1 << 12])
-def test_composition_blocks_cut_every_tail_table(monkeypatch, table_rows):
-    # every shape up to (9, 9), each row in order: the heads stream through
-    # the join itself, and the tails come from one table of at most
-    # `table_rows` rows.  At 1 no shape splits and every block comes from
-    # stars and bars, at 5 and 36 most blocks join several heads, and any
-    # tail range longer than `max_rows` puts one head's tails in several
-    # blocks
-    monkeypatch.setattr(atomic, "_BLOCK_ROWS", table_rows)
+@pytest.mark.parametrize("table_cells", [1, 32, 64, 1 << 18])
+def test_composition_blocks_cut_every_tail_table(monkeypatch, table_cells):
+    # every shape up to (9, 9), each row in order: the heads come from stars
+    # and bars in chunks of a few rows, and the tails from one table of at
+    # most `table_cells` entries.  At 1 no shape splits and every block
+    # comes from stars and bars, at 32 and 64 most blocks join several heads,
+    # and any tail range longer than `max_rows` puts one head's tails in
+    # several blocks
+    monkeypatch.setattr(atomic, "_TABLE_CELLS", table_cells)
+    monkeypatch.setattr(atomic, "_BLOCK_ROWS", 12)
     tables, table = [], atomic._composition_table
 
     def counted(total, parts):
-        tables.append(len(built := table(total, parts)))
+        tables.append((built := table(total, parts)).size)
         return built
 
     monkeypatch.setattr(atomic, "_composition_table", counted)
@@ -1179,8 +1180,37 @@ def test_composition_blocks_cut_every_tail_table(monkeypatch, table_rows):
                 assert all(b.dtype == np.int64 and 1 <= len(b) <= max_rows for b in blocks)
                 assert all(len(b) == max_rows for b in blocks[:-1])  # only the last block is short
                 assert np.vstack(blocks).tolist() == brute
-    assert max(tables, default=0) <= table_rows
-    assert tables or table_rows == 1  # some shape was joined
+    assert max(tables, default=0) <= table_cells
+    assert tables or table_cells == 1  # some shape was joined
+
+
+def test_composition_blocks_open_a_wide_shape_on_a_narrow_tail_table(monkeypatch):
+    # (40, 95): only a 4-part tail table fits, so the heads have 93 parts,
+    # 44 to a chunk of at most _BLOCK_ROWS entries, and the first 20,000
+    # rows span two chunks
+    calls, stars = [], atomic._stars_and_bars
+
+    def recorded(total, parts, max_rows):
+        calls.append((parts, max_rows))
+        return stars(total, parts, max_rows)
+
+    monkeypatch.setattr(atomic, "_stars_and_bars", recorded)
+    rows = (row for block in _composition_blocks(40, 95, 4096) for row in block.tolist())
+    assert list(itertools.islice(rows, 20000)) == list(itertools.islice(lexicographic_compositions(40, 95), 20000))
+    assert calls == [(4, 12341), (93, 44)]  # the tail table, then the heads
+
+
+def test_composition_blocks_do_not_call_themselves(monkeypatch):
+    calls, blocks = [], atomic._composition_blocks
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return blocks(*args, **kwargs)
+
+    monkeypatch.setattr(atomic, "_composition_blocks", counted)
+    first = next(atomic._composition_blocks(9, 16, 4096))
+    assert calls == [(9, 16, 4096)]
+    assert first.tolist() == list(itertools.islice(lexicographic_compositions(9, 16), 4096))
 
 
 def prefix_scan(inst, cost, budget):
@@ -1251,8 +1281,9 @@ def test_configuration_blocks_match_product_of_compositions(max_rows):
 
 
 def test_configuration_blocks_build_a_fitting_tail_once(monkeypatch):
-    # 495 x 330 class configurations: the 330-row tail fits in one block, so
-    # each group's compositions are generated once, not once per head block
+    # 495 x 330 class configurations: the 330-row tail fits in _TABLE_CELLS
+    # entries, so each group's compositions are generated once, not once
+    # per head block
     calls = Counter()
 
     def counted(total, parts, max_rows):
@@ -1268,19 +1299,27 @@ def test_configuration_blocks_build_a_fitting_tail_once(monkeypatch):
     assert [len(b) for b in blocks] == [12 * 330] * 41 + [3 * 330]
     brute = [h + t for h, t in itertools.product(lexicographic_compositions(4, 9), lexicographic_compositions(4, 8))]
     assert np.vstack(blocks).tolist() == brute
+    # in blocks of 100 rows the tail is longer than a block, one head row a
+    # block, and is still built once
+    calls.clear()
+    blocks = list(_configuration_blocks([(4, 9), (4, 8)], 100))
+    assert calls == {(4, 9): 1, (4, 8): 1}
+    assert [len(b) for b in blocks] == [100, 100, 100, 30] * 495
+    assert np.vstack(blocks).tolist() == brute
 
 
-@pytest.mark.parametrize("table_rows", [1, 5, 36, 1 << 12])
-def test_mirror_blocks_hold_one_vector_of_each_mirror_pair(monkeypatch, table_rows):
+@pytest.mark.parametrize("table_cells", [1, 8, 64, 1 << 18])
+def test_mirror_blocks_hold_one_vector_of_each_mirror_pair(monkeypatch, table_cells):
     # the half table (the compositions of up to `total` into h = parts // 2
-    # parts) is built whole only when it fits in one block; a longer one
-    # streams in blocks, each meeting the blocks before it, and no step
-    # builds a whole-table triangle of index pairs
-    monkeypatch.setattr(atomic, "_BLOCK_ROWS", table_rows)
+    # parts) is built whole only when it fits in `table_cells` entries; a
+    # longer one streams in blocks of 5 rows, each meeting the blocks before
+    # it, and no step builds a whole-table triangle of index pairs
+    monkeypatch.setattr(atomic, "_TABLE_CELLS", table_cells)
+    monkeypatch.setattr(atomic, "_BLOCK_ROWS", 5)
     tables, table = [], atomic._composition_table
 
     def counted(total, parts):
-        tables.append(len(built := table(total, parts)))
+        tables.append((built := table(total, parts)).size)
         return built
 
     def forbidden(*args, **kwargs):
@@ -1299,7 +1338,7 @@ def test_mirror_blocks_hold_one_vector_of_each_mirror_pair(monkeypatch, table_ro
                 assert len(set(rows)) == len(rows)  # distinct
                 # exactly one of each class {c, reversed c}
                 assert sorted(min(c, c[::-1]) for c in rows) == sorted({min(c, c[::-1]) for c in brute})
-    assert tables and max(tables) <= table_rows
+    assert tables and max(tables) <= table_cells
 
 
 def palindromic_instance(rng, kind):

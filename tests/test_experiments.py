@@ -477,6 +477,11 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _cpus(monkeypatch, n):
+    # a process that may run on n CPUs, where os.sched_getaffinity exists or not
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def test_sweep_workers_are_gone_after_a_run_and_after_a_refusal():
     spec = SweepSpec(kind="ne-proportion", label="tiny", T=5, I_values=(1, 2, 3), C_values=(2, 3))
     assert run_sweep(spec, threads=2) == run_sweep(spec, threads=1)
@@ -497,13 +502,24 @@ def test_sweep_asks_for_at_most_one_worker_per_cpu(tmp_path, monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _cpus(monkeypatch, 3)
     spec = SweepSpec(kind="ne-proportion", label="tiny", T=5, I_values=(1, 2, 3), C_values=(2, 3))
     spec_path = tmp_path / "spec.json"
     dump_json(spec.to_dict(), spec_path)
     assert main(["sweep", str(spec_path), "--out", str(tmp_path / "out"), "--threads", "10000"]) == 0
     assert len(forks) == 2
     _assert_no_child_left()
+
+
+def test_runner_counts_only_the_cpus_this_process_may_run_on(monkeypatch):
+    # a process pinned to one CPU of two (taskset -c 0) runs every job itself
+    def forbidden():
+        raise AssertionError("forked a second worker onto a pinned process's one CPU")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", forbidden)
+    assert _run_jobs([partial(_job, j) for j in range(4)], 2) == [0, 1, 4, 9]
 
 
 def test_jobs_are_dealt_heaviest_first_to_the_least_loaded_share():
@@ -549,7 +565,7 @@ def _job(j, failing=(), sleep=0.0):
 # child runs jobs 1, 3, 5
 @pytest.mark.parametrize("failing, first", [((2, 3), 2), ((1, 4), 1), ((0, 1), 0), ((5,), 5), ((1,), 1)])
 def test_runner_raises_the_lowest_index_failure_like_a_serial_run(monkeypatch, deadline, failing, first):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     jobs = [partial(_job, j, failing) for j in range(6)]
     with pytest.raises(BudgetExceededError) as serial:
         _run_jobs(jobs, 1)
@@ -561,7 +577,7 @@ def test_runner_raises_the_lowest_index_failure_like_a_serial_run(monkeypatch, d
 
 
 def test_runner_kills_a_child_whose_jobs_all_follow_its_own_failure(monkeypatch, deadline):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     # job 1, the child's only job, would sleep for a minute
     jobs = [partial(_job, 0, (0,)), partial(_job, 1, sleep=60.0)]
     began = time.monotonic()
@@ -572,7 +588,7 @@ def test_runner_kills_a_child_whose_jobs_all_follow_its_own_failure(monkeypatch,
 
 
 def test_runner_kills_its_children_when_interrupted(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     # the interrupt comes while this process waits on the child's minute
     began = time.monotonic()
     with pytest.raises(TimeoutError), _alarm(1):
@@ -590,7 +606,7 @@ def _die(how):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the runner forks only where os.fork exists")
 @pytest.mark.parametrize("how, status", [("exit", "exit status 1"), ("kill", f"signal {int(signal.SIGKILL)}")])
 def test_runner_reports_a_child_that_dies_without_a_result(monkeypatch, deadline, how, status):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _cpus(monkeypatch, 3)
     # three workers over four equal jobs: the children run jobs 1 and 2
     jobs = [partial(_job, 0), partial(_die, how), partial(_job, 2, sleep=60.0), partial(_job, 3)]
     with pytest.raises(WorkerError, match=rf"ended without its results \({status}\)"):
@@ -604,7 +620,7 @@ def test_sweep_imports_no_process_pool(tmp_path):
     dump_json(spec.to_dict(), spec_path)
     script = (
         "import os, sys\n"
-        "os.cpu_count = lambda: 2\n"  # the shared path, on any host
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"  # the shared path, on any host
         "from chargegame.cli import main\n"
         f"assert main(['sweep', {str(spec_path)!r}, '--out', {str(tmp_path / 'out')!r}, '--threads', '2']) == 0\n"
         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
@@ -662,6 +678,19 @@ def test_cli_solve_atomic_reports_the_scan_costs(tmp_path):
     for config, total in zip(data["equilibria"], data["equilibrium_costs"]):
         config = ChargingConfiguration(config["start_counts"], config["occupancy"])
         assert total == pytest.approx(grid_total_cost(inst, cost, config), rel=1e-12)
+
+
+def test_cli_solve_atomic_refuses_costs_past_the_float_range(tmp_path, capsys):
+    # the scan answers exactly, about 1e320, but the report's floats cannot
+    # hold it
+    data = {"T": 2, "exogenous": [10**20, 10**20], "cost": {"kind": "monomial", "exponent": 16},
+            "players": [{"arrival": 1, "departure": 2, "duration": 1}]}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve-atomic", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: equilibrium_costs is past the float range\n"
 
 
 def test_cli_solve_atomic_rejects_nonatomic_instance(tmp_path, capsys):
