@@ -28,7 +28,10 @@ stars-and-bars heads and one bounded table of tails
 (``_composition_blocks``).  One scan serves any number of grid costs
 (``efficiencies``): ``_Block`` loads each block's start counts and
 occupancy once, and ``_BlockKernel`` evaluates every cost's slot-cost table
-on them.  The one-cost functions are that scan with a single cost.
+on them.  The one-cost functions are that scan with a single cost, and
+each of them is the one-member case of a family scan (``_scan``), which
+takes a sweep's run of player counts of one symmetric instance together:
+one table per cost and one stream of full blocks for them all.
 
 Reversing time maps a class configuration to its mirror: start counts
 reversed within the window's starts, occupancy reversed.  On a symmetric
@@ -39,6 +42,8 @@ so a scan of the whole space streams one configuration of each mirror pair
 ``_CostScan.add``: every answer is the full scan's.  The paper's sweeps (zero
 exogenous load, full window) are all of this kind.
 
+The kernel sums in int32 while T times a table's largest entry stays below
+2**30, so that none of its sums overflows, and in int64 below 2**62.
 A table too large for int64 is scanned in Python ints behind a float64 pass
 with a rigorous error bound (``_BlockKernel`` on its float image) that rules
 out most configurations; exact sums decide the rest and every answer.
@@ -108,15 +113,18 @@ class EquilibriumSet:
 
     ``stats`` is never compared.  ``blocks``, ``generate_s`` and ``load_s``
     describe the configuration stream, which every cost of one scan shares
-    (``efficiencies``): the blocks scanned, the seconds spent generating
-    them, and those spent loading their start counts and occupancy
-    (``_Block.load``).  The other keys are
-    this cost's own work: the ``exact_rows`` its float pass left to
-    exact sums, and the seconds spent evaluating its table (``evaluate_s``,
-    exact rows included) and reducing the results (``reduce_s``).
-    ``mirrored`` is True when the stream held one configuration of each
-    mirror pair (see the module docstring); ``blocks`` and ``exact_rows``
-    then count the rows scanned, about half of ``examined``.
+    (``efficiencies``), and so does every player count of a sweep scanned
+    with it, listed in ``members`` (see ``_scan``): the blocks scanned, the
+    seconds spent generating them, and those spent loading their start
+    counts and occupancy (``_Block.load``).  The other keys are this cost's
+    own, over all of ``members``: its table's ``dtype`` (``"int32"``,
+    ``"int64"`` or ``"object"``, see ``_slot_table``), the ``exact_rows``
+    its float pass left to exact sums, and the seconds spent evaluating its
+    table (``evaluate_s``, exact rows included) and reducing the results
+    (``reduce_s``).  ``mirrored`` is True when the stream held one
+    configuration of each mirror pair of this set's instance (see the
+    module docstring); ``blocks`` and ``exact_rows`` then count the rows
+    scanned, about half of ``examined``.
     """
 
     equilibria: tuple[ChargingConfiguration, ...]
@@ -174,25 +182,40 @@ def resolve_budget(budget: Optional[int], default: int = DEFAULT_BUDGET) -> int:
 _MAX_SWEEPS = 10_000
 
 
-def _slot_table(instance: AtomicInstance, cost: GridCostFunction):
+def _slot_table(instance: AtomicInstance, cost: GridCostFunction, counts=None):
     """``rows[t][v] = D f(exo_t + P v)`` for ``v = 0..I+1`` in integers, their dtype, and ``number``.
 
-    Each entry is one ``cost`` call on a Python number, as ``grid_total_cost``
-    makes it (``_slot_cost``), read as the exact rational it is; ``D`` is the
-    lcm of the denominators.  int64 when ``T * max < 2**62``, so no sum of
-    ``T`` entries overflows, else objects.  ``number`` turns a sum of entries
-    into the number ``grid_total_cost`` gives for its terms.  ``ValueError``
-    on an entry that is not finite, a float power past the float range included.
+    ``cost`` runs once per distinct load, on a Python number as
+    ``grid_total_cost`` makes it (``_slot_cost``), slot by slot: a player
+    count of ``counts`` (default: the instance's own) at a time, in order,
+    each extending the rows to its ``v = I+1``.  So an entry that is not
+    finite raises ``ValueError``, a float power past the float range
+    included, at the first slot of the first count whose own table holds
+    it.  Each entry is read as the exact rational it is; ``D`` is the lcm
+    of the denominators.  The dtype holds every sum ``_BlockKernel`` forms:
+    int32 when ``T * max|entry| < 2**30``, int64 below ``2**62``, else
+    objects.  ``number`` turns a sum of entries into the number
+    ``grid_total_cost`` gives for its terms.
     """
-    P, V = instance.power, range(instance.I + 2)
+    counts = counts or (instance.I,)
+    P, seen = instance.power, {}
+    loads = [[] for _ in instance.exogenous]  # each entry's load, with its type: 2 and 2.0 differ
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _slot_cost instead
-        entries = [[_slot_cost(cost, t, e + P * v) for v in V] for t, e in enumerate(instance.exogenous, 1)]
-    ratios = [[x.as_integer_ratio() for x in row] for row in entries]
-    D = math.lcm(*(d for row in ratios for _, d in row))
-    rows = [[n * (D // d) for n, d in row] for row in ratios]
-    kinds = {type(x) for row in entries for x in row}
+        for I in counts:
+            for t, (row, e) in enumerate(zip(loads, instance.exogenous), 1):
+                for L in (e + P * v for v in range(len(row), I + 2)):
+                    key = (type(L), L)
+                    if key not in seen:
+                        seen[key] = _slot_cost(cost, t, L)
+                    row.append(key)
+    ratios = {key: x.as_integer_ratio() for key, x in seen.items()}
+    D = math.lcm(*(d for _, d in ratios.values()))
+    scaled = {key: n * (D // d) for key, (n, d) in ratios.items()}
+    rows = [[scaled[key] for key in row] for row in loads]
+    top = instance.horizon.T * max(map(abs, scaled.values()))
+    kinds = set(map(type, seen.values()))
     number = (lambda n: n / D) if float in kinds else (lambda n: Fraction(n, D)) if Fraction in kinds else int
-    return rows, np.int64 if instance.horizon.T * max(map(max, rows)) < 2**62 else object, number
+    return rows, np.int32 if top < 2**30 else np.int64 if top < 2**62 else object, number
 
 
 # single-profile state kept by (instance, cost) object identity: instances that
@@ -378,31 +401,62 @@ def _composition_table(total: int, parts: int) -> np.ndarray:
 
 def _composition_blocks(total: int, parts: int, max_rows: int) -> Iterator[np.ndarray]:
     # all count vectors of length `parts` summing to `total`, lexicographic,
-    # in int64 blocks of `max_rows` rows (the last one shorter).  Split a
-    # vector as [x | y], x of h counts and y summing to r = total - sum(x):
-    # the heads [x | r] are the compositions of total into h + 1 parts, in
+    # in int64 blocks of `max_rows` rows (the last one shorter)
+    yield from _join(_composition_pieces(total, parts, max_rows), parts, max_rows)
+
+
+def _composition_pieces(total: int, parts: int, max_rows: int):
+    # the pieces (`_join`) of `_composition_blocks`.  Split a vector as
+    # [x | y], x of h counts and y summing to r = total - sum(x): the heads
+    # [x | r] are the compositions of total into h + 1 parts, in
     # lexicographic order, and a head's tails are the rows of W, the table
     # of total into parts - h + 1 parts, whose first count is total - r,
     # that count dropped: one contiguous range.  Of the h that keep W within
     # _TABLE_CELLS entries, h makes the fewest heads and tails to build; the
     # heads come from stars and bars, _BLOCK_ROWS entries at a time.  A
     # table that fits in one block, or has no such h, comes from stars and
-    # bars.
+    # bars in whole rows.
     splits = [
         h for h in range(1, parts - 1) if (parts - h + 1) * _composition_count(total, parts - h + 1) <= _TABLE_CELLS
     ]
     if not splits or _composition_count(total, parts) <= max_rows:
-        yield from _stars_and_bars(total, parts, max_rows)
+        yield from _whole(_stars_and_bars(total, parts, max_rows))
         return
     h = min(splits, key=lambda h: _composition_count(total, h + 1) + _composition_count(total, parts - h + 1))
     W = _composition_table(total, parts - h + 1)
     start = np.array([len(W) - _composition_count(total - v, parts - h + 1) for v in range(total + 2)])  # of each v
     R = np.ascontiguousarray(W[:, 1:].T)
-    pieces = (  # each head block x over its tails, v = total - r
-        (np.ascontiguousarray(x[:, :h].T), R, start[total - x[:, h]], start[total + 1 - x[:, h]])
-        for x in _stars_and_bars(total, h + 1, max(1, _BLOCK_ROWS // (h + 1)))
-    )
-    yield from _join(pieces, parts, max_rows)
+    for x in _stars_and_bars(total, h + 1, max(1, _BLOCK_ROWS // (h + 1))):
+        # each head block x over its tails, v = total - r
+        yield np.ascontiguousarray(x[:, :h].T), R, start[total - x[:, h]], start[total + 1 - x[:, h]]
+
+
+def _whole(blocks):
+    # blocks of rows as pieces (`_join`): each row its own head over an empty tail
+    for x in blocks:
+        yield x.T, np.empty((0, 1), dtype=np.int64), np.zeros(len(x), dtype=np.int64), np.ones(len(x), dtype=np.int64)
+
+
+def _cut(pieces, rows: int):
+    # the pieces' first `rows` rows, the last one cut inside the tail range
+    # of the column that reaches them; no piece after it is asked for
+    for L, R, first, stop in pieces:
+        ends = np.cumsum(stop - first)
+        j = int(np.searchsorted(ends, rows))  # the column holding the last row kept, if any
+        if j < len(ends):
+            yield L[:, : j + 1], R, first[: j + 1], np.append(stop[:j], stop[j] - ends[j] + rows)
+            return
+        rows -= int(ends[-1]) if j else 0
+        yield L, R, first, stop
+
+
+def _first_rows(blocks, rows: int):
+    # the blocks' first `rows` rows; no block after them is asked for
+    for block in blocks:
+        yield block[:rows]
+        rows -= len(block)
+        if rows <= 0:
+            return
 
 
 def _join(pieces, parts: int, max_rows: int) -> Iterator[np.ndarray]:
@@ -451,7 +505,12 @@ def _configuration_blocks(shape, max_rows: int) -> Iterator[np.ndarray]:
 def _mirror_blocks(total: int, parts: int, max_rows: int) -> Iterator[np.ndarray]:
     # one count vector of each mirror pair {c, reversed c} of the vectors of
     # `_composition_blocks`, in int64 blocks of exactly `max_rows` rows (the
-    # last one shorter), in no particular order.  Split a vector as
+    # last one shorter), in no particular order
+    yield from _join(_mirror_pieces(total, parts), parts, max_rows)
+
+
+def _mirror_pieces(total: int, parts: int):
+    # the pieces (`_join`) of `_mirror_blocks`.  Split a vector as
     # [L | m | R], L and R of h = parts // 2 counts and m only when parts is
     # odd: its mirror is [reversed R | m | reversed L].  So a mirror pair is
     # a middle count m with an unordered pair {x, y} of h counts, and
@@ -468,30 +527,26 @@ def _mirror_blocks(total: int, parts: int, max_rows: int) -> Iterator[np.ndarray
     size = _composition_count(total, h + 1)
     kept = [_composition_table(total, h + 1)] if size * (h + 1) <= _TABLE_CELLS else None
     start = np.array([size - _composition_count(total - v, h + 1) for v in range(total + 1)] + [size])  # of each v
-
-    def pieces():
-        p = 0  # the head block's first row in G
-        for heads in kept or _composition_blocks(total, h + 1, _BLOCK_ROWS):
-            sums = total - heads[:, 0]
-            # every head of sum s <= total / 2 with every m <= total - 2 s, and
-            # its tails: rows of first count m + s, at most the head's own row
-            i = np.flatnonzero(2 * sums <= total)
-            reps = total - 2 * sums[i] + 1 if odd else np.ones_like(i)
-            i = np.repeat(i, reps)
-            m = np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps, reps)
-            lo, hi = start[m + sums[i]], np.minimum(start[m + sums[i] + 1], p + i + 1)
-            L = np.vstack([heads[i, 1:].T] + [m] * odd)  # [x | m] of each (head, m) pair, slot-major
-            q = 0  # the tail block's first row in G
-            for tails in kept or _composition_blocks(total, h + 1, _BLOCK_ROWS):
-                if not i.size or q >= p + len(heads):
-                    break
-                first, stop = np.maximum(lo, q) - q, np.minimum(hi, q + len(tails)) - q
-                pair = np.flatnonzero(stop > first)  # the pairs with tails here
-                yield L.take(pair, axis=1), np.ascontiguousarray(tails[:, :0:-1].T), first[pair], stop[pair]
-                q += len(tails)
-            p += len(heads)
-
-    yield from _join(pieces(), parts, max_rows)
+    p = 0  # the head block's first row in G
+    for heads in kept or _composition_blocks(total, h + 1, _BLOCK_ROWS):
+        sums = total - heads[:, 0]
+        # every head of sum s <= total / 2 with every m <= total - 2 s, and
+        # its tails: rows of first count m + s, at most the head's own row
+        i = np.flatnonzero(2 * sums <= total)
+        reps = total - 2 * sums[i] + 1 if odd else np.ones_like(i)
+        i = np.repeat(i, reps)
+        m = np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps, reps)
+        lo, hi = start[m + sums[i]], np.minimum(start[m + sums[i] + 1], p + i + 1)
+        L = np.vstack([heads[i, 1:].T] + [m] * odd)  # [x | m] of each (head, m) pair, slot-major
+        q = 0  # the tail block's first row in G
+        for tails in kept or _composition_blocks(total, h + 1, _BLOCK_ROWS):
+            if not i.size or q >= p + len(heads):
+                break
+            first, stop = np.maximum(lo, q) - q, np.minimum(hi, q + len(tails)) - q
+            pair = np.flatnonzero(stop > first)  # the pairs with tails here
+            yield L.take(pair, axis=1), np.ascontiguousarray(tails[:, :0:-1].T), first[pair], stop[pair]
+            q += len(tails)
+        p += len(heads)
 
 
 def _class_groups(instance: AtomicInstance) -> list[tuple[int, int, int, int, int]]:
@@ -556,47 +611,50 @@ class _Block:
 class _BlockKernel:
     """NE flags, total costs and error bounds of a loaded block, per table.
 
-    ``table[t, v]`` is slot ``t``'s cost at occupancy ``v``, of the dtype the
-    kernel was made for: integers, compared exactly, or float64, the image of
+    ``table[t, v]`` is slot ``t``'s cost at occupancy ``v``: integers of the
+    dtype ``_slot_table`` picks, compared exactly, or float64, the image of
     an object table that certifies: a row is then non-NE only if a deviation
-    gains more than its error bound ``err``.
+    gains more than its error bound ``err``.  Integer entries are
+    nonnegative and ``T * max`` stays below ``2**30`` in an int32 table and
+    ``2**62`` in an int64 one, so every prefix sum and window difference a
+    call forms lies within ``T * max`` of zero, and every moved window cost
+    ``moved - og + of`` below twice that: no sum overflows.
 
     The work is slot-major: every array holds one row per slot (or start)
     and one column per configuration, so each step is a whole-row numpy
     operation on contiguous memory.  The arrays are allocated for the
     largest block so far, and every call writes into them, whichever table
     it evaluates: touching fresh pages costs more than the arithmetic on
-    them.  A call returns ``(ne, tc, err)``, views that the next call
-    overwrites.
+    them.  Numeric tables share one set of 8-byte arrays, each viewed in
+    the table's dtype (an int32 view reads the first half of each row), and
+    object tables have their own.  A call returns ``(ne, tc, err)``, views
+    that the next call overwrites.
     """
 
-    def __init__(self, groups, dtype):
-        self.groups, self.dtype = groups, dtype
-        self.rows = 0
-
-    def _allocate(self, T: int, rows: int):
-        A = max(A for *_, A in self.groups)
-        self.rows = rows
-        # Fpre[k], Gpre[k]: sums of F = table[t, occ[t]] and G = table[t, occ[t] + 1]
-        # over the slots t < k; row 0 stays zero
-        self.Fpre = np.zeros((T + 1, rows), dtype=self.dtype)
-        self.Gpre = np.zeros((T + 1, rows), dtype=self.dtype)
-        self.bar, self.moved, self.og, self.of, self.tmp = (np.empty((A, rows), dtype=self.dtype) for _ in range(5))
-        self.better = np.empty((A, rows), dtype=bool)
-        self.hit = np.empty((A, rows), dtype=bool)
-        self.ne = np.empty(rows, dtype=bool)
+    def __init__(self, groups):
+        self.groups = groups
+        self.scratch = {}  # storage dtype: (Fpre, Gpre, bar, moved, og, of, tmp, better, hit, ne)
 
     def __call__(self, block: _Block, table: np.ndarray):
         T = table.shape[0]
         m = block.m
-        if m > self.rows:
-            self._allocate(T, m)
+        storage = object if table.dtype == object else np.int64
+        scratch = self.scratch.get(storage)
+        if scratch is None or scratch[-1].size < m:
+            A = max(A for *_, A in self.groups)
+            # Fpre[k], Gpre[k]: sums of F = table[t, occ[t]] and G = table[t, occ[t] + 1]
+            # over the slots t < k; row 0 stays zero, in every view
+            prefixes = [np.zeros((T + 1, m), dtype=storage) for _ in range(2)]
+            rest = [np.empty((A, m), dtype=storage) for _ in range(5)] + [np.empty((A, m), dtype=bool) for _ in range(2)]
+            scratch = self.scratch[storage] = (*prefixes, *rest, np.empty(m, dtype=bool))
+        *arrays, self.better, self.hit, self.ne = scratch
+        Fpre, Gpre, bars, moveds, ogs, ofs, tmps = (x.view(table.dtype) for x in arrays) if storage is np.int64 else arrays
 
         # F and G land in the prefix rows, which then add up in place; G's
         # entries sit one place after F's, so it reads the flat table shifted
         # by one.  The indices are in range: "clip" only spares `take` a
         # buffer for `out`.
-        Fpre, Gpre = self.Fpre[:, :m], self.Gpre[:, :m]
+        Fpre, Gpre = Fpre[:, :m], Gpre[:, :m]
         flat = table.ravel()
         flat.take(block.at, out=Fpre[1:], mode="clip")
         flat[1:].take(block.at, out=Gpre[1:], mode="clip")
@@ -615,7 +673,7 @@ class _BlockKernel:
         # 16T^2 u^2 S + eta below its exact value: still above the test's error
         # for T < 2**31.
         err = None
-        if self.dtype == np.float64:
+        if table.dtype == np.float64:
             S = np.abs(Fpre[1:]).sum(0) + np.abs(Gpre[1:]).sum(0)
             err = (8 * T + 32) * 2.0**-53 * S + 16 * T * 2.0**-1074
         for k in range(1, T):  # cumsum's order, as x + y rounds like y + x
@@ -629,8 +687,8 @@ class _BlockKernel:
             lo = a - 1
             # window cost at each start as it is (turned into the bar a move
             # must get under) and with one more player
-            bar = np.subtract(Fpre[lo + C : lo + C + A], Fpre[lo : lo + A], out=self.bar[:A, :m])
-            moved = np.subtract(Gpre[lo + C : lo + C + A], Gpre[lo : lo + A], out=self.moved[:A, :m])
+            bar = np.subtract(Fpre[lo + C : lo + C + A], Fpre[lo : lo + A], out=bars[:A, :m])
+            moved = np.subtract(Gpre[lo + C : lo + C + A], Gpre[lo : lo + A], out=moveds[:A, :m])
             if err is not None:
                 bar -= err
             present = block.present[first : first + A]
@@ -646,7 +704,7 @@ class _BlockKernel:
             if A > C:
                 better = self.better[:A, :m]  # some distant move from the start gains
                 better.fill(False)
-                cheapest = self.tmp[: A - C, :m]
+                cheapest = tmps[: A - C, :m]
                 np.copyto(cheapest, moved[: A - C])  # cheapest of moved[0..i]
                 for i in range(1, A - C):
                     np.fmin(cheapest[i - 1], cheapest[i], out=cheapest[i])
@@ -668,10 +726,10 @@ class _BlockKernel:
             # either direction of the move: the new window gains P except there
             for d in range(1, min(A, C)):
                 n = A - d
-                og = np.subtract(Gnear[C - 1 : C - 1 + n], Gnear[d - 1 : A - 1], out=self.og[:n, :k])
-                of = np.subtract(Fnear[C - 1 : C - 1 + n], Fnear[d - 1 : A - 1], out=self.of[:n, :k])
+                og = np.subtract(Gnear[C - 1 : C - 1 + n], Gnear[d - 1 : A - 1], out=ogs[:n, :k])
+                of = np.subtract(Fnear[C - 1 : C - 1 + n], Fnear[d - 1 : A - 1], out=ofs[:n, :k])
                 for target, mover in ((slice(d, A), slice(0, n)), (slice(0, n), slice(d, A))):
-                    new = np.subtract(moved[target], og, out=self.tmp[:n, :k])
+                    new = np.subtract(moved[target], og, out=tmps[:n, :k])
                     new += of
                     better[mover] |= np.less(new, bar[mover], out=hit[:n, :k])
             better &= present
@@ -682,172 +740,242 @@ class _BlockKernel:
         return ne, Fpre[T], err
 
 
-def _config_from_counts(instance: AtomicInstance, groups, counts, occ) -> ChargingConfiguration:
-    start_counts = [0] * instance.horizon.T
+def _configurations(instance: AtomicInstance, groups, counts, occ) -> list:
+    # the ChargingConfiguration of each row of counts, occupancy in occ
+    start_counts = np.zeros((len(counts), instance.horizon.T), dtype=np.int64)
     for a, _, _, first, A in groups:
-        for j in range(A):
-            start_counts[a - 1 + j] += int(counts[first + j])
-    return ChargingConfiguration(tuple(start_counts), tuple(int(v) for v in occ))
+        start_counts[:, a - 1 : a - 1 + A] += counts[:, first : first + A]
+    return [ChargingConfiguration(tuple(s), tuple(o)) for s, o in zip(start_counts.tolist(), occ.tolist())]
 
 
-def _profile_count(groups, counts) -> int:
+def _profile_count(groups, counts: list) -> int:
     # profiles behind one class configuration: a multinomial per group
     return math.prod(
-        math.factorial(n) // math.prod(math.factorial(c) for c in counts[first : first + A].tolist())
+        math.factorial(n) // math.prod(math.factorial(c) for c in counts[first : first + A])
         for _, _, n, first, A in groups
     )
 
 
-class _CostScan:
-    """One cost's part of a scan: its slot-cost tables and running answers.
+class _CostTable:
+    """One cost's slot-cost table, read by every member of a scan family.
 
-    ``table`` and ``number`` are ``_slot_table``'s; on an object table
-    ``approx`` is its float image for the certified pass.  ``add`` folds in
-    the NE flags and integer sums of the rows of one block.  ``best`` holds
-    the least ``(sum, start counts)`` and its configuration: the first
-    minimum of the full scan, whose order is lexicographic.  On a mirrored
-    scan (``_mirrored``) a row stands for itself and its mirror, its start
-    counts and occupancy reversed, of the same NE status and sum: a NE row
-    adds both, and the optimum is the least of both.
+    ``table`` and ``number`` are ``_slot_table``'s for the members' player
+    ``counts``; on an object table ``approx`` is its float image for the
+    certified pass.  ``stats`` holds the table's ``dtype`` and this cost's
+    work over the whole family.
     """
 
-    def __init__(self, instance: AtomicInstance, groups, cost: GridCostFunction):
-        self.instance, self.groups = instance, groups
-        rows, dtype, self.number = _slot_table(instance, cost)
+    def __init__(self, instance: AtomicInstance, cost: GridCostFunction, counts):
+        rows, dtype, self.number = _slot_table(instance, cost, counts)
         self.table = np.array(rows, dtype=dtype)
         self.approx = None
         if dtype is object:
             # x / 2**shift rounds correctly, and as every x is below 2**bits(x),
             # the shift keeps row sums finite
-            shift = max(0, max(map(max, rows)).bit_length() - 960)
+            shift = max(0, max(abs(x) for row in rows for x in row).bit_length() - 960)
             self.approx = np.array([[x / (1 << shift) for x in row] for row in rows])
+        self.stats = {"dtype": self.table.dtype.name, "exact_rows": 0, "evaluate_s": 0.0, "reduce_s": 0.0}
+
+
+class _CostScan:
+    """One member's running answers under one cost.
+
+    ``number`` is the cost's ``_CostTable.number``.  ``add`` folds in the
+    NE flags and integer sums of the member's rows of one block.
+    ``best`` holds the least ``(sum, start counts)`` and its configuration:
+    the first minimum of the full scan, whose order is lexicographic.  On a
+    mirrored scan (``_mirrored``) a row stands for itself and its mirror,
+    its start counts and occupancy reversed, of the same NE status and sum:
+    a NE row adds both, and the optimum is the least of both.
+    """
+
+    def __init__(self, instance: AtomicInstance, groups, number):
+        self.instance, self.groups, self.number = instance, groups, number
         self.ne_found: dict[ChargingConfiguration, int] = {}
         self.ne_profiles = 0
         self.best = None  # (sum, start counts, configuration)
-        self.stats = {"exact_rows": 0, "evaluate_s": 0.0, "reduce_s": 0.0}
 
     def add(self, counts, ne, tc, occ, mirrored: bool) -> None:
         instance, groups = self.instance, self.groups
-        for idx in np.flatnonzero(ne):
-            images = [(counts[idx], occ[idx])]
-            if mirrored and (counts[idx] != counts[idx, ::-1]).any():
-                images.append((counts[idx, ::-1], occ[idx, ::-1]))
-            for c, o in images:
+        idx = np.flatnonzero(ne)
+        if idx.size:
+            rows, occs, sums = counts[idx], occ[idx], tc[idx].tolist()
+            if mirrored:
+                flip = np.flatnonzero((rows != rows[:, ::-1]).any(1))
+                rows, occs = np.concatenate([rows, rows[flip, ::-1]]), np.concatenate([occs, occs[flip, ::-1]])
+                sums += [sums[i] for i in flip.tolist()]
+            for c, config, total in zip(rows.tolist(), _configurations(instance, groups, rows, occs), sums):
                 self.ne_profiles += _profile_count(groups, c)
-                self.ne_found.setdefault(_config_from_counts(instance, groups, c, o), tc.item(idx))
-        ties = np.flatnonzero(tc == tc.min())
-        if self.best is None or tc.item(ties[0]) <= self.best[0]:
+                self.ne_found.setdefault(config, total)
+        low = tc.min()
+        if self.best is None or low <= self.best[0]:
+            ties = np.flatnonzero(tc == low)
             rows, occs = counts[ties], occ[ties]
             if mirrored:
                 rows, occs = np.concatenate([rows, rows[:, ::-1]]), np.concatenate([occs, occs[:, ::-1]])
-            first = np.lexsort(rows.T[::-1])[0]
-            key = (tc.item(ties[0]), rows[first].tolist())
+            first = np.lexsort(rows.T[::-1])[:1]
+            key = (tc.item(ties[0]), rows[first[0]].tolist())
             if self.best is None or key < self.best[:2]:
-                self.best = (*key, _config_from_counts(instance, groups, rows[first], occs[first]))
+                self.best = (*key, _configurations(instance, groups, rows[first], occs[first])[0])
 
 
-def _mirrored(instance: AtomicInstance, groups, scans) -> bool:
-    """Whether reversing time maps every class configuration to one of the
-    same NE status and sum under every table of ``scans``.
+def _mirrored(instance: AtomicInstance, groups, tables) -> bool:
+    """Whether reversing time maps every class configuration of ``instance``
+    to one of the same NE status and sum under every table of ``tables``.
 
     So it does on one window group whose window is centred, ``a - 1 == T -
     d``, and whose tables read the same reversed, ``rows[t] == rows[T-1-t]``
-    exactly: the start counts reverse within the window's starts, and the
-    occupancy over the horizon.
+    exactly, on the entries ``v <= I + 1`` the instance reads: the start
+    counts reverse within the window's starts, and the occupancy over the
+    horizon.
     """
     if len(groups) != 1:
         return False
     a, C, _, _, A = groups[0]  # d = a + A + C - 2
+    V = instance.I + 2
     return a - 1 == instance.horizon.T - (a + A + C - 2) and all(
-        np.array_equal(scan.table, scan.table[::-1]) for scan in scans
+        np.array_equal(table.table[:, :V], table.table[::-1, :V]) for table in tables
     )
 
 
-def _scan(instance: AtomicInstance, costs: tuple, budget: Optional[int]):
-    """Scan the class configurations in lexicographic order, up to the budget.
+def _family(family) -> tuple:
+    """``family`` as a tuple: one instance, or symmetric instances that
+    differ in their player count alone; else ``ValueError``."""
+    family = tuple(family)
+    # repr tells the numbers' types apart too: Fraction(1, 2) and 0.5 make different tables
+    shared = {repr((m.horizon, m.window(0), m.power, m.exogenous)) for m in family}
+    counts = {m.I for m in family}
+    if len(family) != 1 and (len(shared) != 1 or len(counts) < len(family) or not all(m.is_symmetric for m in family)):
+        raise ValueError("a scan family is one instance, or symmetric instances that differ in their player count alone")
+    return family
 
-    One stream of configurations serves every cost in ``costs``: each block
-    is generated once, its start counts and occupancy are loaded once
-    (``_Block``), and then each cost's slot-cost table is evaluated on them,
-    the tables of one dtype in one reused ``_BlockKernel``.  On an object
-    table the certified float pass reads the shared block, and the exact
-    kernel loads only the rows that pass leaves to it.  The budget caps the
-    stream, so every cost examines the same configurations.
 
-    A scan that covers the whole space of a time-symmetric instance
+def _runs(sums: np.ndarray):
+    # (row sum, first row, end row) of each run of equal row sums
+    cuts = np.flatnonzero(sums[1:] != sums[:-1]) + 1
+    bounds = [0, *cuts.tolist(), len(sums)]
+    return [(int(sums[lo]), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _scan(family, costs: tuple, budget: Optional[int]):
+    """Scan the class configurations of each member of ``family`` in
+    lexicographic order, each up to the budget.
+
+    A family is one instance of any kind, or symmetric instances that
+    differ in their player count alone (``_family``).  It reads one
+    slot-cost table per cost (``_CostTable``), built for its largest count:
+    entry ``v`` of slot ``t`` is ``f(exo_t + P v)`` whatever the count, and
+    a member of ``I`` players reads ``v <= I + 1`` only.  One stream serves
+    every member and cost: the members' configurations, each member cut at
+    the budget, are joined (``_join``) into blocks of ``_BLOCK_ROWS`` rows;
+    an instance of several window groups, always alone, streams its own
+    blocks (``_configuration_blocks``).  Each block's start counts and
+    occupancy are loaded once (``_Block``), every cost's table is evaluated
+    on them by one ``_BlockKernel``, and each run of rows reaches its
+    member's ``_CostScan`` by its row sum, the member's player count.  On
+    an object table the certified float pass reads the shared block, and
+    the exact kernel loads only the rows that pass leaves to it: the rows
+    that may be NE or tie their member's minimum.  The family stops after
+    its first member that the budget cuts: every caller refuses there.
+
+    A member whose scan covers its whole space on a time-symmetric instance
     (``_mirrored``) streams one configuration of each mirror pair
-    (``_mirror_blocks``) and adds the mirrors in ``_CostScan.add``:
+    (``_mirror_pieces``) and adds the mirrors in ``_CostScan.add``:
     ``examined`` still counts every configuration, and every answer is the
     full scan's.
 
-    Returns, per cost, the equilibrium set and the cost's ``_CostScan``: its
-    exact sums, the NE profiles behind the set and the least minimum-sum
-    class configuration.  Players sharing a window are interchangeable,
-    so NE status and cost depend on the class configuration alone; distinct
+    Returns, per member, per cost, the equilibrium set and the member's
+    ``_CostScan``: its exact sums, the NE profiles behind the set and the
+    least minimum-sum class configuration, each what a scan of the member
+    alone gives.  Players sharing a window are interchangeable, so NE
+    status and cost depend on the class configuration alone; distinct
     class configurations can still share a ``ChargingConfiguration``, which
     is listed once.
     """
     if not costs:
         raise ValueError("an atomic scan needs at least one cost")
+    family = _family(family)
     budget = resolve_budget(budget)
-    groups = _class_groups(instance)
-    shape = [(n, A) for _, _, n, _, A in groups]
-    space = math.prod(_composition_count(n, A) for n, A in shape)
-    T, V = instance.horizon.T, instance.I + 2
-    scans = [_CostScan(instance, groups, cost) for cost in costs]
-    # one kernel, and so one set of scratch arrays, per table dtype
-    tables = [table for scan in scans for table in (scan.table, scan.approx) if table is not None]
-    kernels = {table.dtype: _BlockKernel(groups, table.dtype) for table in tables}
-    stream = _Block(groups, T, V)
-    exact = _Block(groups, T, V)  # the rows a certified pass leaves to exact sums
-    mirrored = budget >= space and _mirrored(instance, groups, scans)
+    groups = [_class_groups(member) for member in family]
+    spaces = [math.prod(_composition_count(n, A) for _, _, n, _, A in g) for g in groups]
+    stop = next((k + 1 for k, space in enumerate(spaces) if budget < space), len(family))
+    family, groups, spaces = family[:stop], groups[:stop], spaces[:stop]
+    counts = [member.I for member in family]
+    tables = [_CostTable(family[0], cost, counts) for cost in costs]
+    scans = [[_CostScan(m, g, t.number) for t in tables] for m, g in zip(family, groups)]
+    mirrored = [budget >= space and _mirrored(m, g, tables) for m, g, space in zip(family, groups, spaces)]
+    # a, C, first and A, all the kernel reads, are one for the whole family
+    shared = groups[0]
+    kernel = _BlockKernel(shared)
+    T, V = family[0].horizon.T, max(counts) + 2
+    loader = _Block(shared, T, V)
+    exact = _Block(shared, T, V)  # the rows a certified pass leaves to exact sums
 
-    configurations = _mirror_blocks(*shape[0], _BLOCK_ROWS) if mirrored else _configuration_blocks(shape, _BLOCK_ROWS)
+    if len(shared) > 1:  # one member, of several window groups: its own blocks
+        configurations = _first_rows(_configuration_blocks([(n, A) for _, _, n, _, A in shared], _BLOCK_ROWS), budget)
+    else:
+        A = shared[0][4]
+        streams = [_mirror_pieces(n, A) if mirror else _composition_pieces(n, A, _BLOCK_ROWS) for n, mirror in zip(counts, mirrored)]
+        pieces = (stream if budget >= space else _cut(stream, budget) for stream, space in zip(streams, spaces))
+        configurations = _join(itertools.chain.from_iterable(pieces), A, _BLOCK_ROWS)
 
-    examined, blocks, generate_s, load_s = 0, 0, 0.0, 0.0
+    blocks, generate_s, load_s = 0, 0.0, 0.0
     t0 = time.perf_counter()
-    for counts in configurations:
-        if examined >= budget:
-            break
-        counts = counts[: budget - examined]
-        examined += counts.shape[0]
+    for block in configurations:
         t1 = time.perf_counter()
-        stream.load(counts)
+        loader.load(block)
         blocks += 1
         generate_s += t1 - t0
         load_s += time.perf_counter() - t1
-        for scan in scans:
+        runs = _runs(block.sum(1))
+        for c, table in enumerate(tables):
             t1 = time.perf_counter()
-            rows, block = counts, stream
-            if scan.approx is not None:
-                # exact sums decide the rows that may be NE or tie the minimum
-                maybe_ne, tc, err = kernels[scan.approx.dtype](stream, scan.approx)
-                rows = counts[maybe_ne | (tc - err <= np.min(tc + err))]
-                scan.stats["exact_rows"] += rows.shape[0]
-                block = exact.load(rows)
-            ne, tc, _ = kernels[scan.table.dtype](block, scan.table)
+            rows, loaded, kept = block, loader, runs
+            if table.approx is not None:
+                # exact sums decide the rows that may be NE or tie their member's minimum
+                maybe_ne, tc, err = kernel(loader, table.approx)
+                firsts = [lo for _, lo, _ in runs]
+                floor = np.repeat(np.minimum.reduceat(tc + err, firsts), [hi - lo for _, lo, hi in runs])
+                rows = block[maybe_ne | (tc - err <= floor)]
+                table.stats["exact_rows"] += rows.shape[0]
+                loaded = exact.load(rows)
+                kept = _runs(rows.sum(1))
+            ne, tc, _ = kernel(loaded, table.table)
             t2 = time.perf_counter()
-            scan.add(rows, ne, tc, block.occ.T, mirrored)
-            scan.stats["evaluate_s"] += t2 - t1
-            scan.stats["reduce_s"] += time.perf_counter() - t2
+            occ = loaded.occ.T
+            for I, lo, hi in kept:
+                k = counts.index(I)
+                scans[k][c].add(rows[lo:hi], ne[lo:hi], tc[lo:hi], occ[lo:hi], mirrored[k])
+            table.stats["evaluate_s"] += t2 - t1
+            table.stats["reduce_s"] += time.perf_counter() - t2
         t0 = time.perf_counter()
-    if mirrored:
-        examined = space  # each row stood for its mirror too
 
     results = []
-    for scan in scans:
-        # listed by start counts, then occupancy, whatever the scan order
-        listing = sorted(scan.ne_found.items(), key=lambda pair: (pair[0].start_counts, pair[0].occupancy))
-        eq_set = EquilibriumSet(
-            equilibria=tuple(config for config, _ in listing),
-            costs=tuple(scan.number(c) for _, c in listing),
-            complete=examined >= space,
-            examined=examined,
-            space_size=space,
-            stats={"blocks": blocks, "generate_s": generate_s, "load_s": load_s, "mirrored": mirrored, **scan.stats},
-        )
-        results.append((eq_set, scan))
+    for k, space in enumerate(spaces):
+        examined = min(budget, space)  # a mirrored row stood for its mirror too
+        stats = {"blocks": blocks, "generate_s": generate_s, "load_s": load_s, "mirrored": mirrored[k], "members": tuple(counts)}
+        row = []
+        for table, scan in zip(tables, scans[k]):
+            # listed by start counts, then occupancy, whatever the scan order
+            listing = sorted(scan.ne_found.items(), key=lambda pair: (pair[0].start_counts, pair[0].occupancy))
+            eq_set = EquilibriumSet(
+                equilibria=tuple(config for config, _ in listing),
+                costs=tuple(scan.number(c) for _, c in listing),
+                complete=examined >= space,
+                examined=examined,
+                space_size=space,
+                stats={**stats, **table.stats},
+            )
+            row.append((eq_set, scan))
+        results.append(row)
     return results
+
+
+def _complete(eq_set: EquilibriumSet, scan: str, partial) -> None:
+    if not eq_set.complete:
+        raise BudgetExceededError(
+            f"{scan} scan stopped after {eq_set.examined} of {eq_set.space_size} configurations", partial=partial
+        )
 
 
 def enumerate_equilibria(
@@ -859,7 +987,7 @@ def enumerate_equilibria(
 
     When the budget runs out first the returned set is flagged incomplete.
     """
-    ((eq_set, _),) = _scan(instance, (cost,), budget)
+    (((eq_set, _),),) = _scan((instance,), (cost,), budget)
     return eq_set
 
 
@@ -876,14 +1004,42 @@ def social_optimum(
     vector.  Raises ``BudgetExceededError`` if the scan could not finish: a
     partial minimum is not an optimum.
     """
-    ((eq_set, scan),) = _scan(instance, (cost,), budget)
+    (((eq_set, scan),),) = _scan((instance,), (cost,), budget)
     total, config = scan.number(scan.best[0]), scan.best[2]
-    if not eq_set.complete:
-        raise BudgetExceededError(
-            f"social optimum scan stopped after {eq_set.examined} of {eq_set.space_size} configurations",
-            partial=(total, config),
-        )
+    _complete(eq_set, "social optimum", (total, config))
     return config, total
+
+
+def _efficiencies(family, costs, budget: Optional[int]) -> list:
+    """``efficiencies`` of each member of a scan family (``_scan``), from one scan.
+
+    Raises ``BudgetExceededError`` for the first member the budget stops,
+    as ``efficiencies`` of that member alone does.
+    """
+    members = []
+    for scans in _scan(family, tuple(costs), budget):
+        reports = []
+        for eq_set, scan in scans:
+            _complete(eq_set, "efficiency", eq_set)
+            if not eq_set.equilibria:
+                raise RuntimeError("no Nash equilibrium found; the potential argument forbids this")
+            sums = [scan.ne_found[config] for config in eq_set.equilibria]
+            worst_idx = max(range(len(sums)), key=sums.__getitem__)
+            opt_sum, _, opt_config = scan.best
+            exact = Fraction(sums[worst_idx], opt_sum)
+            reports.append(
+                EfficiencyReport(
+                    value=float(exact),
+                    exact=exact,
+                    worst_equilibrium=eq_set.equilibria[worst_idx],
+                    worst_cost=eq_set.costs[worst_idx],
+                    optimum=opt_config,
+                    optimum_cost=scan.number(opt_sum),
+                    equilibria=eq_set,
+                )
+            )
+        members.append(tuple(reports))
+    return members
 
 
 def efficiencies(
@@ -899,31 +1055,7 @@ def efficiencies(
     ``ValueError`` on no cost, and ``BudgetExceededError`` when the budget
     stops the scan, with the first cost's partial equilibrium set.
     """
-    reports = []
-    for eq_set, scan in _scan(instance, tuple(costs), budget):
-        if not eq_set.complete:
-            raise BudgetExceededError(
-                f"efficiency scan stopped after {eq_set.examined} of {eq_set.space_size} configurations",
-                partial=eq_set,
-            )
-        if not eq_set.equilibria:
-            raise RuntimeError("no Nash equilibrium found; the potential argument forbids this")
-        sums = [scan.ne_found[config] for config in eq_set.equilibria]
-        worst_idx = max(range(len(sums)), key=sums.__getitem__)
-        opt_sum, _, opt_config = scan.best
-        exact = Fraction(sums[worst_idx], opt_sum)
-        reports.append(
-            EfficiencyReport(
-                value=float(exact),
-                exact=exact,
-                worst_equilibrium=eq_set.equilibria[worst_idx],
-                worst_cost=eq_set.costs[worst_idx],
-                optimum=opt_config,
-                optimum_cost=scan.number(opt_sum),
-                equilibria=eq_set,
-            )
-        )
-    return tuple(reports)
+    return _efficiencies((instance,), costs, budget)[0]
 
 
 def efficiency(
@@ -941,6 +1073,23 @@ def efficiency(
     return efficiencies(instance, (cost,), budget)[0]
 
 
+def _proportions(family, cost: GridCostFunction, budget: Optional[int]) -> list:
+    """``ne_proportion`` of each member of a scan family (``_scan``), from one scan.
+
+    Raises ``BudgetExceededError`` for the first member the budget stops,
+    as ``ne_proportion`` of that member alone does.
+    """
+    proportions = []
+    for ((eq_set, scan),) in _scan(family, (cost,), budget):
+        _complete(eq_set, "proportion", None)
+        instance = scan.instance
+        if instance.is_symmetric:
+            proportions.append(len(eq_set.equilibria) / eq_set.space_size)
+        else:
+            proportions.append(scan.ne_profiles / math.prod(len(action_set(instance, i)) for i in range(instance.I)))
+    return proportions
+
+
 def ne_proportion(
     instance: AtomicInstance,
     cost: GridCostFunction,
@@ -952,12 +1101,4 @@ def ne_proportion(
     out of all configurations.  Any other instance counts profiles:
     equilibrium profiles out of all profiles.
     """
-    ((eq_set, scan),) = _scan(instance, (cost,), budget)
-    if not eq_set.complete:
-        raise BudgetExceededError(
-            f"proportion scan stopped after {eq_set.examined} of {eq_set.space_size} configurations",
-            partial=None,
-        )
-    if instance.is_symmetric:
-        return len(eq_set.equilibria) / eq_set.space_size
-    return scan.ne_profiles / math.prod(len(action_set(instance, i)) for i in range(instance.I))
+    return _proportions((instance,), cost, budget)[0]

@@ -21,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .atomic import efficiencies, efficiency, ne_proportion, resolve_budget
+# efficiency and ne_proportion stay importable from here: benchmark/workloads.py traces them
+from .atomic import _efficiencies, _proportions, efficiency, ne_proportion, resolve_budget  # noqa: F401
 from .fileio import _fields, cost_from_dict, cost_label, cost_to_dict, dump_json
 from .model import (
     AtomicInstance,
@@ -316,51 +317,66 @@ def _power_cost(spec: SweepSpec, k) -> Monomial:
     return Monomial(spec.cost.coefficient, k)
 
 
-def _atomic_point(spec: SweepSpec, I: int, C: int) -> tuple:
-    # one instance's y values: a single one, or one per exponent
-    instance = _atomic_instance(spec, I, C)
+def _atomic_run(spec: SweepSpec, C: int, Is: tuple) -> list:
+    # the y values of each player count of a run, from one scan: a single
+    # one, or one per exponent
+    family = [_atomic_instance(spec, I, C) for I in Is]
     if spec.kind == "ne-proportion":
-        return (ne_proportion(instance, spec.cost, budget=spec.budget),)
-    if spec.kind == "efficiency-vs-power":
-        costs = tuple(_power_cost(spec, k) for k in spec.exponents)
-        return tuple(report.value for report in efficiencies(instance, costs, budget=spec.budget))
-    return (efficiency(instance, spec.cost, budget=spec.budget).value,)
+        return [(p,) for p in _proportions(family, spec.cost, spec.budget)]
+    costs = tuple(_power_cost(spec, k) for k in spec.exponents) or (spec.cost,)
+    return [tuple(report.value for report in reports) for reports in _efficiencies(family, costs, spec.budget)]
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[DataSeries, ...]:
     """Evaluate a sweep, up to ``threads`` jobs at once.
 
-    Each atomic instance is one job, and so is each cost of a nonatomic
-    counter-example.  An ``efficiency-vs-power`` series has one instance,
-    and ``efficiencies`` scans its configurations once for every exponent;
-    the other kinds solve one instance per grid point.  With ``threads``
+    An atomic job is a run of grid points, consecutive in the order the
+    series list them, that share one duration: one scan of their player
+    counts together (``atomic._scan``), and of every exponent of an
+    ``efficiency-vs-power`` series (``efficiencies``).  A grid point weighs
+    its configuration count C(I+A-1, A-1), A its start count, times its
+    number of costs, and a run grows while it weighs no more than the
+    heaviest grid point: the bundled ``equilibrium_proportion`` spec is 5
+    jobs, not 36, and ``efficiency_vs_players`` 6, not 60.  A run of
+    ``efficiency-vs-C`` holds one point (its neighbours differ in C), and
+    so does one of ``efficiency-vs-power`` (its one I).  Each cost of a
+    nonatomic counter-example is one job of weight 1.  With ``threads``
     above one, up to ``threads`` workers, at most one per CPU, share the
-    jobs: this process and forked children (see ``_run_jobs``).  An atomic
-    job weighs its configuration count C(I+A-1, A-1), A its start count,
-    times its number of costs, and a nonatomic one 1; the jobs are dealt to
-    the workers heaviest first.  A scan that streams one configuration of
-    each mirror pair (``atomic._mirrored``) does about half that work, but
-    the weights stay whole: every job of one spec shares T, the load and
-    the departure, so either all of its jobs are halved or none are.  The
-    result does not depend on ``threads``.
+    jobs, dealt heaviest first: this process and forked children (see
+    ``_run_jobs``).  A scan that streams one configuration of each mirror
+    pair (``atomic._mirrored``) does about half that work, but the weights
+    stay whole: every job of one spec shares T, the load and the departure,
+    so either all of its jobs are halved or none are.  Neither the runs nor
+    the result depend on ``threads``, and a refusal is the one a scan of
+    each point in turn meets first.
     """
     by_C = [(I, C) for C in spec.C_values for I in spec.I_values]
     by_I = [(I, C) for I in spec.I_values for C in spec.C_values]
     grids = {
-        # kind: (x values, series prefix, series values, (I, C) of each job, meta)
+        # kind: (x values, series prefix, series values, (I, C) of each point, meta)
         "ne-proportion": (spec.I_values, "C", spec.C_values, by_C, ()),
         "efficiency-vs-I": (spec.I_values, "C", spec.C_values, by_C, ()),
         "efficiency-vs-C": (spec.C_values, "I", spec.I_values, by_I, ()),
-        # one I: a job per C
+        # one I: a point per C
         "efficiency-vs-power": (spec.exponents, "C", spec.C_values, by_I, tuple(("I", str(I)) for I in spec.I_values)),
     }
     if spec.kind in grids:
         xs, prefix, keys, points, meta = grids[spec.kind]
-        jobs = [partial(_atomic_point, spec, I, C) for I, C in points]
         last = spec.T if spec.departure is None else spec.departure  # slot the windows end in
-        weights = [math.comb(I + last - C, last - C) * (len(spec.exponents) or 1) for I, C in points]
-        # jobs come back series by series, so the y values are series-major
-        values = [y for ys in _run_jobs(jobs, threads, weights) for y in ys]
+        weight = {(I, C): math.comb(I + last - C, last - C) * (len(spec.exponents) or 1) for I, C in points}
+        heaviest = max(weight.values())
+        runs, weights = [], []  # (C, player counts) of each job, and its weight
+        for I, C in points:
+            if runs and runs[-1][0] == C and weights[-1] + weight[I, C] <= heaviest:
+                runs[-1][1].append(I)
+                weights[-1] += weight[I, C]
+            else:
+                runs.append((C, [I]))
+                weights.append(weight[I, C])
+        jobs = [partial(_atomic_run, spec, C, tuple(Is)) for C, Is in runs]
+        found = {(I, C): y for (C, Is), ys in zip(runs, _run_jobs(jobs, threads, weights)) for I, y in zip(Is, ys)}
+        # points come series by series, so the y values are series-major
+        values = [y for point in points for y in found[point]]
         n = len(xs)
         return tuple(
             DataSeries(spec.label, f"{prefix}{key}", xs, tuple(values[j * n : (j + 1) * n]), meta)

@@ -50,7 +50,6 @@ from chargegame.atomic import (
     _class_groups,
     _composition_blocks,
     _configuration_blocks,
-    _CostScan,
     _mirror_blocks,
     _slot_table,
     resolve_budget,
@@ -169,7 +168,7 @@ def oracle_scan(inst, cost):
 
 def scan_dtype(inst, cost):
     """The dtype of the slot-cost table a scan of ``inst`` under ``cost`` reads."""
-    return _CostScan(inst, _class_groups(inst), cost).table.dtype
+    return _slot_table(inst, cost)[1]
 
 
 def listed(eq):
@@ -539,10 +538,11 @@ def test_is_nash_evaluates_one_table_of_slot_costs():
 
 def test_one_table_serves_every_call_on_one_pair():
     # the table is kept per (instance, cost) pair: repeated calls evaluate
-    # no further slot cost, and a copy of the instance gets a table of its own
+    # no further slot cost, and a copy of the instance gets a table of its
+    # own.  A table evaluates each distinct load once: 1..7 here
     inst = AtomicInstance.symmetric(6, 3, 2, exogenous=(1, 2, 3, 2, 1, 3))
     f = CountingSquare()
-    one_table = 6 * (3 + 2)
+    one_table = 7
     answers = []
     for copy in (inst, dataclasses.replace(inst)):
         answers.append(
@@ -557,6 +557,33 @@ def test_one_table_serves_every_call_on_one_pair():
         assert f.evaluated == one_table * len(answers)
     assert answers[0] == answers[1]
     assert answers[0][:2] == [True, False]
+
+
+class RecordingSquare(GridCostFunction):
+    """``L**2`` that records the loads it is called on."""
+
+    powers = ((1, 2),)
+
+    def __init__(self):
+        self.loads = []
+
+    def __call__(self, load):
+        self.loads.append(load)
+        return load**2
+
+
+def test_slot_table_costs_each_distinct_load_once_in_slot_order():
+    # slot t reads loads e_t + v, v = 0..I+1: each load is costed at its
+    # first slot.  A family's table grows count by count
+    inst = AtomicInstance.symmetric(4, 2, 1, exogenous=(2, 0, 1.5, 2))
+    f = RecordingSquare()
+    _slot_table(inst, f)
+    assert f.loads == [2, 3, 4, 5, 0, 1, 1.5, 2.5, 3.5, 4.5]
+    g = RecordingSquare()
+    rows, _, _ = _slot_table(inst, g, (2, 5))
+    assert g.loads == f.loads + [6, 7, 8, 5.5, 6.5, 7.5]
+    assert [len(row) for row in rows] == [7] * 4
+    assert [type(x) for x in rows[2]] == [int] * 7  # scaled by D = 4
 
 
 def test_kept_tables_stay_bounded_and_never_change_an_answer():
@@ -975,7 +1002,7 @@ def test_efficiencies_share_the_budget():
     inst = AtomicInstance.symmetric(**MIXED_DATA)
     costs = (Monomial(1, 2), Monomial(1, 3), SquareRoot())
     for budget in (4095, 4096, 4097, 50388):
-        scans = atomic._scan(inst, costs, budget)
+        scans = atomic._scan((inst,), costs, budget)[0]
         assert [eq.examined for eq, _ in scans] == [min(budget, 50388)] * 3
         assert [eq.space_size for eq, _ in scans] == [50388] * 3
         if budget < 50388:
@@ -1039,24 +1066,31 @@ def row_oracle(inst, cost, groups, row):
     return is_ne, sum(exact(cost(L)) for L in loads), list(occupancy(inst, starts).occupancy)
 
 
-KERNEL_COSTS = {"int64": Monomial(1, 3), "object": Monomial(1, 38), "float": SquareRoot(), "certified": Monomial(1, 38)}
+KERNEL_COSTS = {
+    "int32": Monomial(1, 3),
+    "int64": Monomial(2**30, 3),  # T * max|entry| >= 2**30 once a load reaches 1
+    "object": Monomial(1, 38),
+    "float": SquareRoot(),
+    "certified": Monomial(1, 38),
+}
 
 
 def kernel_table(inst, cost, dtype):
     """The slot-cost table a kernel of ``dtype`` reads, and its scale ``D``.
 
-    Float data draws loads of at least 0.5, so that its exact table fits
-    int64; ``certified`` is the float image of the object table."""
+    The int32 and int64 tables are in the dtype ``_slot_table`` picks for
+    them; float data draws loads of at least 0.5, so that its exact table
+    fits int64.  The object table is in objects even where the scan would
+    pick int64, and ``certified`` is its float image."""
     rows, kind, _ = _slot_table(inst, cost)
-    if dtype in ("int64", "float"):
-        assert kind == np.int64
-    # in the kernel's dtype even where the scan would pick int64
-    table = np.array(rows, dtype=np.int64 if dtype in ("int64", "float") else object)
+    if dtype != "object" and dtype != "certified":
+        assert kind == {"int32": np.int32}.get(dtype, np.int64)
+    table = np.array(rows, dtype=object if dtype in ("object", "certified") else kind)
     scale = math.lcm(*(Fraction(cost(e + inst.power * v)).denominator for e in inst.exogenous for v in range(inst.I + 2)))
     return (table.astype(np.float64) if dtype == "certified" else table), scale
 
 
-@pytest.mark.parametrize("dtype", ["int64", "object", "float", "certified"])
+@pytest.mark.parametrize("dtype", ["int32", "int64", "object", "float", "certified"])
 def test_block_kernel_matches_plain_python_rows(dtype):
     # random symmetric and multi-group instances, some where no target lies
     # a whole window away (A <= C) and some with targets on both sides
@@ -1085,7 +1119,7 @@ def test_block_kernel_matches_plain_python_rows(dtype):
             shapes["A>2C"] += A > 2 * C
         # table[t, v]: D times slot t's cost at occupancy v
         table, scale = kernel_table(inst, cost, dtype)
-        loaded, kernel = _Block(groups, inst.horizon.T, inst.I + 2), _BlockKernel(groups, table.dtype)
+        loaded, kernel = _Block(groups, inst.horizon.T, inst.I + 2), _BlockKernel(groups)
         for block in _configuration_blocks([(n, A) for _, _, n, _, A in groups], rng.randint(1, 7)):
             block = block[sorted(rng.sample(range(len(block)), rng.randint(1, len(block))))]
             ne, tc, err = kernel(loaded.load(block), table)
@@ -1103,7 +1137,7 @@ def test_block_kernel_matches_plain_python_rows(dtype):
     assert min(shapes.values()) > 0
 
 
-@pytest.mark.parametrize("dtype", ["int64", "object", "float", "certified"])
+@pytest.mark.parametrize("dtype", ["int32", "int64", "object", "float", "certified"])
 @pytest.mark.parametrize("shape", ["A<=C", "A=C+1", "A>>C"])
 def test_block_kernel_screen_keeps_every_flag(dtype, shape):
     # the distant-move test screens the rows before the nearer moves, which
@@ -1121,7 +1155,7 @@ def test_block_kernel_screen_keeps_every_flag(dtype, shape):
         inst = AtomicInstance.create(T, windows, exogenous=exo)
         groups = _class_groups(inst)
         table, scale = kernel_table(inst, cost, dtype)
-        loaded, kernel = _Block(groups, T, inst.I + 2), _BlockKernel(groups, table.dtype)
+        loaded, kernel = _Block(groups, T, inst.I + 2), _BlockKernel(groups)
         for block in _configuration_blocks([(n, A) for _, _, n, _, A in groups], rng.randint(1, 50)):
             ne, tc, err = kernel(loaded.load(block), table)
             for r, row in enumerate(block):
@@ -1369,7 +1403,7 @@ def test_mirrored_scans_give_the_full_scans_answers(monkeypatch):
     seen = Counter()
 
     def answers(inst, costs, budget=None):
-        scans = atomic._scan(inst, costs, budget)
+        scans = atomic._scan((inst,), costs, budget)[0]
         sets = [eq for eq, _ in scans]
         costs_of = [[type(c) for c in eq.costs] for eq in sets]
         rest = [(scan.ne_profiles, scan.best) for _, scan in scans]
@@ -1419,6 +1453,169 @@ def test_scans_that_reversal_does_not_fix_stream_every_configuration():
         eq = enumerate_equilibria(inst, f)
         assert not eq.stats["mirrored"] and eq.examined == eq.space_size
     assert enumerate_equilibria(AtomicInstance.create(6, [(2, 5, 2)] * 3), f).stats["mirrored"]
+
+
+# ---------------------------------------------------------------------------
+# scan families: symmetric instances that differ in their player count alone
+
+
+FAMILY_COSTS = (Monomial(1, 2), Monomial(1, 3), SquareRoot(), Monomial(1, 40))
+
+
+def random_family(rng, palindromic: bool, kind: str):
+    """Two to four symmetric instances of one horizon, window and load and
+    distinct player counts, in any order: a centred window on a palindromic
+    load, or a window and load drawn freely."""
+    T = rng.randint(2, 7)
+    draw = {"int": lambda: rng.randint(0, 3), "float": lambda: rng.choice([0.5, 1.25, 2.0, 3.7])}[kind]
+    if palindromic:
+        a = rng.randint(1, (T + 1) // 2)
+        d = T + 1 - a
+        half = [draw() for _ in range((T + 1) // 2)]
+        exo = half + half[: T // 2][::-1]
+    else:
+        a = rng.randint(1, T)
+        d = rng.randint(a, T)
+        exo = [draw() for _ in range(T)]
+    C = rng.randint(1, d - a + 1)
+    A = d - C + 2 - a
+    fitting = [I for I in range(1, 16) if math.comb(I + A - 1, A - 1) <= 3000]
+    counts = rng.sample(fitting, min(len(fitting), rng.randint(2, 4)))
+    return tuple(AtomicInstance.create(T, [(a, d, C)] * I, exogenous=exo) for I in counts)
+
+
+def scan_answers(rows):
+    """Per member, per cost: the equilibrium set with its cost types, and
+    the scan's NE profile count and optimum."""
+    return [[(eq, [type(c) for c in eq.costs], eq.stats["mirrored"], scan.ne_profiles, scan.best) for eq, scan in row] for row in rows]
+
+
+def test_scan_family_members_get_their_own_scans_answers():
+    # each member of a family scanned together answers as it does alone: its
+    # sets, NE profile counts, optima, proportions and reports, of every cost
+    rng = random.Random(3503)
+    seen = Counter()
+    for trial in range(48):
+        palindromic, kind = trial % 2 == 0, ("int", "float")[trial // 2 % 2]
+        family = random_family(rng, palindromic, kind)
+        costs = tuple(rng.sample(FAMILY_COSTS, rng.randint(1, 3)))
+        together = atomic._scan(family, costs, None)
+        alone = [atomic._scan((member,), costs, None)[0] for member in family]
+        assert scan_answers(together) == scan_answers(alone)
+        counts = tuple(member.I for member in family)
+        assert all(eq.stats["members"] == counts for row in together for eq, _ in row)
+        assert atomic._proportions(family, costs[0], None) == [ne_proportion(member, costs[0]) for member in family]
+        assert atomic._efficiencies(family, costs, None) == [efficiencies(member, costs) for member in family]
+        # the members' rows share full blocks
+        eq = together[0][0][0]
+        if not any(eq.stats["mirrored"] for row in together for eq, _ in row):
+            assert eq.stats["blocks"] == -(-sum(row[0][0].space_size for row in together) // atomic._BLOCK_ROWS)
+        seen["mirrored"] += sum(row[0][0].stats["mirrored"] for row in together)
+        seen["object"] += any(scan_dtype(family[0], f) == object for f in costs)
+        seen["float"] += kind == "float"
+    assert min(seen.values()) > 0
+
+
+def test_scan_family_refuses_as_its_first_refused_member(monkeypatch):
+    # a budget that stops a middle member raises what that member's own scan
+    # raises, and the members after it are never scanned; so does a slot
+    # cost that is not finite in the table of the middle member only
+    f = Monomial(1, 2)
+    tables, slot_table = [], atomic._slot_table
+    monkeypatch.setattr(atomic, "_slot_table", lambda inst, cost, counts=None: tables.append(counts) or slot_table(inst, cost, counts))
+    zero = tuple(AtomicInstance.symmetric(10, I, 3) for I in (4, 9, 12))  # 330, 11,440 and 50,388 configurations
+    load = tuple(AtomicInstance.symmetric(10, I, 3, exogenous=MIXED_DATA["exogenous"]) for I in (4, 9, 12))
+    for family in (zero, load):
+        for budget in (330, 4000, 11439):
+            for together, alone, costs in (
+                (atomic._proportions, ne_proportion, f),
+                (atomic._efficiencies, efficiencies, (f, SquareRoot())),
+            ):
+                with pytest.raises(BudgetExceededError) as own:
+                    alone(family[1], costs, budget)
+                with pytest.raises(BudgetExceededError) as shared:
+                    together(family, costs, budget)
+                assert str(shared.value) == str(own.value)
+                assert shared.value.partial == own.value.partial
+                assert tables[-1] == [4, 9]
+        tables.clear()
+        with pytest.raises(BudgetExceededError, match="after 11440 of 50388"):
+            atomic._proportions(family, f, 11440)
+        assert tables == [[4, 9, 12]]
+        assert atomic._proportions(family, f, 50388) == [ne_proportion(member, f) for member in family]
+    # 1e300 L**2 is inf past L = 13,406: slot 2 reaches it first, from I = 12 on
+    g = Monomial(1e300, 2)
+    inst = [AtomicInstance.symmetric(3, I, 1, power=1000, exogenous=(0.5, 2000.5, 0.5)) for I in (1, 12, 13)]
+    with pytest.raises(ValueError) as own:
+        ne_proportion(inst[1], g)
+    assert "slot 2 costs inf at load 14000.5" in str(own.value)
+    with pytest.raises(ValueError) as shared:
+        atomic._proportions(inst, g, None)
+    assert str(shared.value) == str(own.value)
+
+
+def test_a_scan_family_differs_in_its_player_count_alone():
+    f = Monomial(1, 2)
+    exo = (0.5, 2, 3, 2, 1, 3)
+    base = AtomicInstance.symmetric(6, 2, 2, exogenous=exo)
+    for other in (
+        AtomicInstance.symmetric(7, 3, 2, exogenous=exo + (0,)),  # horizon
+        AtomicInstance.symmetric(6, 3, 3, exogenous=exo),  # duration
+        AtomicInstance.symmetric(6, 3, 2, exogenous=exo, departure=5),  # window
+        AtomicInstance.symmetric(6, 3, 2, exogenous=(0.5, 2, 3, 2, 1, 4)),  # load
+        AtomicInstance.symmetric(6, 3, 2, exogenous=(Fraction(1, 2), 2, 3, 2, 1, 3)),  # an equal load, exact
+        AtomicInstance.symmetric(6, 3, 2, exogenous=exo, power=2),  # power
+        AtomicInstance.create(6, [(1, 6, 2)] * 2 + [(2, 6, 2)], exogenous=exo),  # no symmetric instance
+        AtomicInstance.symmetric(6, 2, 2, exogenous=exo),  # the same player count
+    ):
+        for scan in (
+            lambda: atomic._scan((base, other), (f,), None),
+            lambda: atomic._proportions((other, base), f, None),
+            lambda: atomic._efficiencies((base, other), (f,), None),
+        ):
+            with pytest.raises(ValueError):
+                scan()
+    with pytest.raises(ValueError):
+        atomic._scan((), (f,), None)
+    # any one instance is a family, a heterogeneous one included
+    hetero = AtomicInstance.create(6, [(1, 6, 2)] * 2 + [(2, 6, 2)], exogenous=exo)
+    assert atomic._proportions((hetero,), f, None) == [ne_proportion(hetero, f)]
+
+
+class TableCost(GridCostFunction):
+    """A cost read off a dict of loads: with a load of its own in each slot,
+    any table of nonnegative entries."""
+
+    powers = ((1, 1),)
+
+    def __init__(self, values):
+        self.values = values
+
+    def __call__(self, load):
+        return self.values[load]
+
+
+@pytest.mark.parametrize("top, T, dtype", [(2**30 - 1, 9, np.int32), (2**30, 8, np.int64)], ids=["int32", "int64"])
+def test_tables_at_the_int32_bound_scan_to_the_oracles_answers(top, T, dtype):
+    # T * max|entry| = top: every entry within 40 of top // T, one at it.
+    # Slot t reads loads 10 t + v, so each entry is drawn on its own and
+    # they are no monotone function of the load: the partial sums of a
+    # move (moved - og + of) fall in every order.  Every total sums T
+    # entries near the bound, and the long windows' sums come near it too
+    rng = random.Random(top)
+    M, I = top // T, 3
+    for C in (1, 2, T - 3, T - 1):
+        values = {10 * t + v: M - rng.randint(0, 40) for t in range(T) for v in range(I + 2)}
+        values[rng.choice(sorted(values))] = M
+        f = TableCost(values)
+        inst = AtomicInstance.symmetric(T, I, C, exogenous=[10 * t for t in range(T)])
+        assert scan_dtype(inst, f) == dtype and T * M == top
+        ne, ne_profiles, opt = oracle_scan(inst, f)
+        eq = enumerate_equilibria(inst, f)
+        assert eq.stats["dtype"] == np.dtype(dtype).name
+        assert listed(eq) == ne
+        assert social_optimum(inst, f)[1] == opt > top - 41 * T
+        assert efficiency(inst, f).exact == Fraction(max(ne.values()), opt)
 
 
 def test_two_durations_scan_at_a_new_scale():

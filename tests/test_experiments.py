@@ -165,26 +165,51 @@ def test_efficiency_vs_power_sweep():
 
 
 def test_power_sweep_scans_each_instance_once(monkeypatch):
-    # 3 values of C times 9 exponents: one configuration stream per C, of
-    # either generator (these instances are time-symmetric: mirror pairs)
+    # 3 values of C times 9 exponents: one scan family per C, its one
+    # instance under all 9 costs
     spec = SweepSpec.from_dict(json.loads((DEMOS / "specs" / "efficiency_vs_exponent.json").read_text()))
-    streams = []
+    families, scan = [], atomic._scan
 
-    def counted(generator):
-        blocks = getattr(atomic, generator)
+    def counted(family, costs, budget):
+        families.append(([member.I for member in family], len(costs)))
+        return scan(family, costs, budget)
 
-        def stream(*args):
-            if sys._getframe(1).f_code.co_name == "_scan":  # not its own recursion
-                streams.append(generator)
-            return blocks(*args)
-
-        return stream
-
-    for generator in ("_configuration_blocks", "_mirror_blocks"):
-        monkeypatch.setattr(atomic, generator, counted(generator))
+    monkeypatch.setattr(atomic, "_scan", counted)
     one_thread = run_sweep(spec, 1)
-    assert streams == ["_mirror_blocks"] * 3
+    assert families == [([12], 9)] * 3
     assert run_sweep(spec, 2) == one_thread
+
+
+@pytest.mark.parametrize(
+    "spec_name, tables",
+    [
+        # a run of player counts grows while it weighs no more than the
+        # heaviest point, (I, C) = (12, 3): C(19, 7) = 50,388 configurations
+        (
+            "equilibrium_proportion",
+            [list(range(1, 11)), [11], [12], list(range(1, 13)), list(range(1, 13))],
+        ),
+        # one table per C and exponent, each of the one player count
+        ("efficiency_vs_exponent", [[12]] * 27),
+        # the heaviest point is (20, 3): C(27, 7) = 888,030 configurations
+        (
+            "efficiency_vs_players",
+            [list(range(1, 17)), [17, 18], [19], [20], list(range(1, 21)), list(range(1, 21))],
+        ),
+    ],
+)
+def test_bundled_sweeps_build_one_table_per_run_and_cost(monkeypatch, spec_name, tables):
+    # a sweep that scans its grid points one by one again builds more tables
+    spec = SweepSpec.from_dict(json.loads((DEMOS / "specs" / f"{spec_name}.json").read_text()))
+    built, slot_table = [], atomic._slot_table
+
+    def counted(instance, cost, counts=None):
+        built.append(list(counts))
+        return slot_table(instance, cost, counts)
+
+    monkeypatch.setattr(atomic, "_slot_table", counted)
+    run_sweep(spec, 1)
+    assert built == tables
 
 
 def test_efficiency_vs_power_needs_single_player_count():
@@ -792,7 +817,11 @@ def test_cli_solve_nonatomic_rejects_a_bad_tol(capsys, tol):
 @pytest.mark.parametrize(
     "command, spec_name, keys",
     [
-        ("solve-atomic", "valley_three_players", {"blocks", "exact_rows", "generate_s", "load_s", "evaluate_s"}),
+        (
+            "solve-atomic",
+            "valley_three_players",
+            {"blocks", "exact_rows", "generate_s", "load_s", "evaluate_s", "dtype", "members"},
+        ),
         ("solve-nonatomic", "evening_continuum", {"steps", "projected", "fallbacks", "solve_s"}),
         ("solve-nonatomic", "evening_continuum", {"steps", "arc", "optimum"}),
     ],
