@@ -23,9 +23,10 @@ symmetric instance is the one-group case, and an instance whose windows are
 all distinct scans its profile space itself.  The scan is deterministic
 (lexicographic, groups in sorted window order) and budget-capped.  It runs
 over blocks of 4,096 configurations, slot-major: one array row per slot, one
-column per configuration.  Each group's compositions are joined from
-stars-and-bars heads and one bounded table of tails
-(``_composition_blocks``).  One scan serves any number of grid costs
+column per configuration.  The class configurations, one group or several,
+are joined from heads and one bounded table of tails
+(``_configuration_pieces``), both unranked straight from the lexicographic
+table (``_rows``).  One scan serves any number of grid costs
 (``efficiencies``): ``_Block`` loads each block's start counts and
 occupancy once, and ``_BlockKernel`` evaluates every cost's slot-cost table
 on them.  The one-cost functions are that scan with a single cost, and
@@ -38,7 +39,7 @@ reversed within the window's starts, occupancy reversed.  On a symmetric
 instance with a centred window (``a - 1 == T - d``) whose slot-cost tables
 read the same reversed, the mirror has the same NE status and total cost,
 so a scan of the whole space streams one configuration of each mirror pair
-(``_mirror_blocks``, about half of them) and counts the mirrors in
+(``_mirror_pieces``, about half of them) and counts the mirrors in
 ``_CostScan.add``: every answer is the full scan's.  The paper's sweeps (zero
 exogenous load, full window) are all of this kind.
 
@@ -51,6 +52,7 @@ out most configurations; exact sums decide the rest and every answer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -374,67 +376,89 @@ def best_response_dynamics(
 _BLOCK_ROWS = 1 << 12
 # most entries (rows x parts) of any table a stream keeps, 2 MiB of int64
 _TABLE_CELLS = 1 << 18
+# the largest int64, which `_rows` reads every rank and key past as
+_RANK_CAP = int(np.iinfo(np.int64).max)
 
 
-def _composition_count(total: int, parts: int) -> int:
-    return math.comb(total + parts - 1, parts - 1)
+def _size(shape) -> int:
+    # rows of the lexicographic table of `shape`, a list of (total, parts)
+    # groups: the product of the groups' composition counts
+    return math.prod(math.comb(n + p - 1, p - 1) for n, p in shape)
 
 
-def _stars_and_bars(total: int, parts: int, max_rows: int) -> Iterator[np.ndarray]:
-    # all count vectors of length `parts` summing to `total`, lexicographic,
-    # in int64 blocks of `max_rows` rows (the last one shorter): the counts
-    # between parts - 1 bars, lexicographic combinations of range(n), taken
-    # from `combinations` one by one
-    n, k = total + parts - 1, parts - 1
-    size = math.comb(n, k)
-    bars = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-    for first in range(0, size, max_rows):
-        rows = min(max_rows, size - first)
-        at = np.fromiter(bars, np.int64, rows * k).reshape(rows, k)
-        yield np.diff(at, axis=1, prepend=-1, append=n) - 1
+@functools.lru_cache(maxsize=32)  # a whole sweep keeps 24
+def _keys(n: int, p: int) -> list:
+    # the unranking keys of a group of total n and p parts: for each count
+    # but the last, with q counts left, the rows of the (n, q) table before
+    # each first count c = 1..n, and the shift of each c, those rows at q - 1
+    # counts left less those at q.  Keys and shifts are int64, 16 (p - 1) n
+    # bytes in all; a key past _RANK_CAP reads it, and a shift out of int64
+    # reads 0 (see `_rows`)
+    count = np.ones(n + 1, dtype=np.int64 if math.comb(n + p - 1, p - 1) < _RANK_CAP else object)
+    before = [np.zeros_like(count)]  # of one part: no row before any first count
+    for _ in range(p - 1):
+        count = np.cumsum(count)  # the compositions of each total 0..n into one more part
+        before.append(count[n] - count[::-1])
+    found = []
+    for low, high in zip(before[-2::-1], before[:0:-1]):  # q - 1 and q counts left, q = p..2
+        shifts = np.where((high < _RANK_CAP) & (low < _RANK_CAP), low - high, 0)
+        found.append((np.minimum(high[1:], _RANK_CAP).astype(np.int64), shifts.astype(np.int64)))
+    return found
 
 
-def _composition_table(total: int, parts: int) -> np.ndarray:
-    # the whole lexicographic table in one int64 array
-    return next(_stars_and_bars(total, parts, _composition_count(total, parts)))
+def _rows(shape, lo: int, hi: int) -> np.ndarray:
+    # rows lo..hi-1 (hi <= _RANK_CAP) of the lexicographic table of `shape`,
+    # int64, filled slot-major and handed out transposed.  A rank splits over
+    # the groups by divmod.  In a group of total n, with q counts left and s
+    # the total of those found, the rest with s added to its first count is
+    # a row of the (n, q) table; V, its rank there, is at most the row's own
+    # rank, as that table's rows before it lead rows [0 .. 0 | y] of the
+    # group's.  So V stays below _RANK_CAP and reads exact keys (`_keys`):
+    # the keys at most V count to its first count, s plus the next count,
+    # and its shift turns V into the next rank, with q - 1 counts left
+    cols = np.empty((sum(p for _, p in shape), hi - lo), dtype=np.int64)
+    ranks, below, k = np.arange(lo, hi, dtype=np.int64), 1, len(cols)
+    for n, p in reversed(shape):
+        k, size = k - p, _size([(n, p)])
+        V = ranks // min(below, _RANK_CAP) % min(size, _RANK_CAP)
+        below *= size
+        for col, (keys, shifts) in enumerate(_keys(n, p), k):
+            cols[col] = keys.searchsorted(V, side="right")  # the running total s
+            V += shifts[cols[col]]
+        cols[k + p - 1] = n
+        cols[k + 1 : k + p] -= cols[k : k + p - 1]  # the counts from the running totals
+    return cols.T
 
 
-def _composition_blocks(total: int, parts: int, max_rows: int) -> Iterator[np.ndarray]:
-    # all count vectors of length `parts` summing to `total`, lexicographic,
-    # in int64 blocks of `max_rows` rows (the last one shorter)
-    yield from _join(_composition_pieces(total, parts, max_rows), parts, max_rows)
-
-
-def _composition_pieces(total: int, parts: int, max_rows: int):
-    # the pieces (`_join`) of `_composition_blocks`.  Split a vector as
-    # [x | y], x of h counts and y summing to r = total - sum(x): the heads
-    # [x | r] are the compositions of total into h + 1 parts, in
-    # lexicographic order, and a head's tails are the rows of W, the table
-    # of total into parts - h + 1 parts, whose first count is total - r,
-    # that count dropped: one contiguous range.  Of the h that keep W within
-    # _TABLE_CELLS entries, h makes the fewest heads and tails to build; the
-    # heads come from stars and bars, _BLOCK_ROWS entries at a time.  A
-    # table that fits in one block, or has no such h, comes from stars and
-    # bars in whole rows.
-    splits = [
-        h for h in range(1, parts - 1) if (parts - h + 1) * _composition_count(total, parts - h + 1) <= _TABLE_CELLS
-    ]
-    if not splits or _composition_count(total, parts) <= max_rows:
-        yield from _whole(_stars_and_bars(total, parts, max_rows))
-        return
-    h = min(splits, key=lambda h: _composition_count(total, h + 1) + _composition_count(total, parts - h + 1))
-    W = _composition_table(total, parts - h + 1)
-    start = np.array([len(W) - _composition_count(total - v, parts - h + 1) for v in range(total + 2)])  # of each v
-    R = np.ascontiguousarray(W[:, 1:].T)
-    for x in _stars_and_bars(total, h + 1, max(1, _BLOCK_ROWS // (h + 1))):
-        # each head block x over its tails, v = total - r
-        yield np.ascontiguousarray(x[:, :h].T), R, start[total - x[:, h]], start[total + 1 - x[:, h]]
-
-
-def _whole(blocks):
-    # blocks of rows as pieces (`_join`): each row its own head over an empty tail
-    for x in blocks:
-        yield x.T, np.empty((0, 1), dtype=np.int64), np.zeros(len(x), dtype=np.int64), np.ones(len(x), dtype=np.int64)
+def _configuration_pieces(shape):
+    # the pieces (`_join`) of the lexicographic table of `shape`.  Split each
+    # row before group g: every head, a row of shape[:g], meets every row of
+    # the tail table, that of shape[g:].  Or split it after the first j
+    # counts x of group g, of total n, 0 < j < parts: the heads [y | x |
+    # n - sum(x)] are the table of [*shape[:g], (n, j + 1)], and a head's
+    # tails are the rows of the tail table of [(n, parts - j + 1),
+    # *shape[g + 1:]] whose first count is v = sum(x), that count dropped:
+    # rows start[v] * |rest| .. start[v + 1] * |rest|, |rest| those of
+    # shape[g + 1:].  Of the splits whose tail table fits in _TABLE_CELLS
+    # entries (the one after the last group always does) the fewest heads
+    # plus tail rows win; the heads come _BLOCK_ROWS entries at a time
+    splits = [(shape[:g], shape[g:], False) for g in range(len(shape) + 1)]
+    for g, (n, p) in enumerate(shape):
+        splits += [([*shape[:g], (n, j + 1)], [(n, p - j + 1), *shape[g + 1 :]], True) for j in range(1, p)]
+    fits = [(_size(h) + _size(t), h, t, inner) for h, t, inner in splits if _size(t) * sum(p for _, p in t) <= _TABLE_CELLS]
+    _, head, tail, inner = min(fits)
+    rows = _size(tail)
+    R = _rows(tail, 0, rows)[:, int(inner) :].T
+    if inner:
+        (n, q), rest = tail[0], _size(tail[1:])
+        start = rest * (_size([(n, q)]) - np.array([_size([(n - v, q)]) for v in range(n + 2)]))  # of each v
+    size, step = _size(head), max(1, _BLOCK_ROWS // max(1, sum(p for _, p in head)))
+    for lo in range(0, size, step):
+        x = _rows(head, lo, min(size, lo + step))
+        if inner:
+            yield x[:, :-1].T, R, start[n - x[:, -1]], start[n + 1 - x[:, -1]]
+        else:
+            yield x.T, R, np.zeros(len(x), dtype=np.int64), np.full(len(x), rows)
 
 
 def _cut(pieces, rows: int):
@@ -448,15 +472,6 @@ def _cut(pieces, rows: int):
             return
         rows -= int(ends[-1]) if j else 0
         yield L, R, first, stop
-
-
-def _first_rows(blocks, rows: int):
-    # the blocks' first `rows` rows; no block after them is asked for
-    for block in blocks:
-        yield block[:rows]
-        rows -= len(block)
-        if rows <= 0:
-            return
 
 
 def _join(pieces, parts: int, max_rows: int) -> Iterator[np.ndarray]:
@@ -484,51 +499,32 @@ def _join(pieces, parts: int, max_rows: int) -> Iterator[np.ndarray]:
         yield block[:, :rows].T
 
 
-def _configuration_blocks(shape, max_rows: int) -> Iterator[np.ndarray]:
-    # the product of the groups' compositions, one (total, parts) pair per
-    # group: each row is one composition per group side by side, the rows in
-    # lexicographic order, in int64 blocks of at most `max_rows` rows
-    (total, parts), rest = shape[0], shape[1:]
-    if not rest:
-        yield from _composition_blocks(total, parts, max_rows)
-        return
-    tail_size = math.prod(_composition_count(*group) for group in rest)
-    # a tail within _TABLE_CELLS entries is built once and serves every head block
-    fits = tail_size * sum(p for _, p in rest) <= _TABLE_CELLS
-    tails = list(_configuration_blocks(rest, max_rows)) if fits else None
-    for heads in _composition_blocks(total, parts, max(1, max_rows // tail_size)):
-        for tail in tails or _configuration_blocks(rest, max_rows):
-            # every head row followed by every tail row, heads varying slowest
-            yield np.concatenate([np.repeat(heads, len(tail), axis=0), np.tile(tail, (len(heads), 1))], axis=1)
-
-
-def _mirror_blocks(total: int, parts: int, max_rows: int) -> Iterator[np.ndarray]:
-    # one count vector of each mirror pair {c, reversed c} of the vectors of
-    # `_composition_blocks`, in int64 blocks of exactly `max_rows` rows (the
-    # last one shorter), in no particular order
-    yield from _join(_mirror_pieces(total, parts), parts, max_rows)
-
-
 def _mirror_pieces(total: int, parts: int):
-    # the pieces (`_join`) of `_mirror_blocks`.  Split a vector as
-    # [L | m | R], L and R of h = parts // 2 counts and m only when parts is
-    # odd: its mirror is [reversed R | m | reversed L].  So a mirror pair is
-    # a middle count m with an unordered pair {x, y} of h counts, and
+    # the pieces (`_join`) of one vector of each mirror pair {c, reversed c}
+    # of the table of [(total, parts)], in no particular order.  Split a
+    # vector as [L | m | R], L and R of h = parts // 2 counts and m only when
+    # parts is odd: its mirror is [reversed R | m | reversed L].  So a mirror
+    # pair is a middle count m with an unordered pair {x, y} of h counts, and
     # [x | m | reversed y] stands for it once: kept when sum(L) < sum(R), or
     # when the sums are equal and reversed(R) <= L.
     # G lists the compositions [v | x] of total into 1 + h parts in
     # lexicographic order: by sum(x) = total - v descending, lexicographic
     # among equal sums.  Each head, a row i of G with sum s <= total / 2, is
     # joined (`_join`) for every m <= total - 2 s with its tails: the rows
-    # j <= i of G with v = m + s.  G is built once when it fits in
+    # j <= i of G with v = m + s.  G (`_rows`) is built once when it fits in
     # _TABLE_CELLS entries; else it streams in blocks of _BLOCK_ROWS rows,
     # each head block meeting the tail blocks up to it.
     h, odd = divmod(parts, 2)
-    size = _composition_count(total, h + 1)
-    kept = [_composition_table(total, h + 1)] if size * (h + 1) <= _TABLE_CELLS else None
-    start = np.array([size - _composition_count(total - v, h + 1) for v in range(total + 1)] + [size])  # of each v
+    shape = [(total, h + 1)]
+    size = _size(shape)
+    kept = [_rows(shape, 0, size)] if size * (h + 1) <= _TABLE_CELLS else None
+
+    def blocks():
+        return kept or (_rows(shape, lo, min(size, lo + _BLOCK_ROWS)) for lo in range(0, size, _BLOCK_ROWS))
+
+    start = np.array([size - _size([(total - v, h + 1)]) for v in range(total + 1)] + [size])  # of each v
     p = 0  # the head block's first row in G
-    for heads in kept or _composition_blocks(total, h + 1, _BLOCK_ROWS):
+    for heads in blocks():
         sums = total - heads[:, 0]
         # every head of sum s <= total / 2 with every m <= total - 2 s, and
         # its tails: rows of first count m + s, at most the head's own row
@@ -539,7 +535,7 @@ def _mirror_pieces(total: int, parts: int):
         lo, hi = start[m + sums[i]], np.minimum(start[m + sums[i] + 1], p + i + 1)
         L = np.vstack([heads[i, 1:].T] + [m] * odd)  # [x | m] of each (head, m) pair, slot-major
         q = 0  # the tail block's first row in G
-        for tails in kept or _composition_blocks(total, h + 1, _BLOCK_ROWS):
+        for tails in blocks():
             if not i.size or q >= p + len(heads):
                 break
             first, stop = np.maximum(lo, q) - q, np.minimum(hi, q + len(tails)) - q
@@ -866,10 +862,10 @@ def _scan(family, costs: tuple, budget: Optional[int]):
     slot-cost table per cost (``_CostTable``), built for its largest count:
     entry ``v`` of slot ``t`` is ``f(exo_t + P v)`` whatever the count, and
     a member of ``I`` players reads ``v <= I + 1`` only.  One stream serves
-    every member and cost: the members' configurations, each member cut at
-    the budget, are joined (``_join``) into blocks of ``_BLOCK_ROWS`` rows;
-    an instance of several window groups, always alone, streams its own
-    blocks (``_configuration_blocks``).  Each block's start counts and
+    every member and cost: the members' configurations
+    (``_configuration_pieces``, one window group or several), each member
+    cut at the budget (``_cut``), are joined (``_join``) into blocks of
+    ``_BLOCK_ROWS`` rows, every block full but the last.  Each block's start counts and
     occupancy are loaded once (``_Block``), every cost's table is evaluated
     on them by one ``_BlockKernel``, and each run of rows reaches its
     member's ``_CostScan`` by its row sum, the member's player count.  On
@@ -897,9 +893,10 @@ def _scan(family, costs: tuple, budget: Optional[int]):
     family = _family(family)
     budget = resolve_budget(budget)
     groups = [_class_groups(member) for member in family]
-    spaces = [math.prod(_composition_count(n, A) for _, _, n, _, A in g) for g in groups]
+    shapes = [[(n, A) for _, _, n, _, A in g] for g in groups]
+    spaces = [_size(shape) for shape in shapes]
     stop = next((k + 1 for k, space in enumerate(spaces) if budget < space), len(family))
-    family, groups, spaces = family[:stop], groups[:stop], spaces[:stop]
+    family, groups, shapes, spaces = family[:stop], groups[:stop], shapes[:stop], spaces[:stop]
     counts = [member.I for member in family]
     tables = [_CostTable(family[0], cost, counts) for cost in costs]
     scans = [[_CostScan(m, g, t.number) for t in tables] for m, g in zip(family, groups)]
@@ -911,13 +908,9 @@ def _scan(family, costs: tuple, budget: Optional[int]):
     loader = _Block(shared, T, V)
     exact = _Block(shared, T, V)  # the rows a certified pass leaves to exact sums
 
-    if len(shared) > 1:  # one member, of several window groups: its own blocks
-        configurations = _first_rows(_configuration_blocks([(n, A) for _, _, n, _, A in shared], _BLOCK_ROWS), budget)
-    else:
-        A = shared[0][4]
-        streams = [_mirror_pieces(n, A) if mirror else _composition_pieces(n, A, _BLOCK_ROWS) for n, mirror in zip(counts, mirrored)]
-        pieces = (stream if budget >= space else _cut(stream, budget) for stream, space in zip(streams, spaces))
-        configurations = _join(itertools.chain.from_iterable(pieces), A, _BLOCK_ROWS)
+    streams = [_mirror_pieces(*shape[0]) if mirror else _configuration_pieces(shape) for shape, mirror in zip(shapes, mirrored)]
+    pieces = (stream if budget >= space else _cut(stream, budget) for stream, space in zip(streams, spaces))
+    configurations = _join(itertools.chain.from_iterable(pieces), sum(A for *_, A in shared), _BLOCK_ROWS)
 
     blocks, generate_s, load_s = 0, 0.0, 0.0
     t0 = time.perf_counter()

@@ -48,9 +48,6 @@ from chargegame.atomic import (
     _Block,
     _BlockKernel,
     _class_groups,
-    _composition_blocks,
-    _configuration_blocks,
-    _mirror_blocks,
     _slot_table,
     resolve_budget,
 )
@@ -1120,7 +1117,7 @@ def test_block_kernel_matches_plain_python_rows(dtype):
         # table[t, v]: D times slot t's cost at occupancy v
         table, scale = kernel_table(inst, cost, dtype)
         loaded, kernel = _Block(groups, inst.horizon.T, inst.I + 2), _BlockKernel(groups)
-        for block in _configuration_blocks([(n, A) for _, _, n, _, A in groups], rng.randint(1, 7)):
+        for block in configuration_blocks([(n, A) for _, _, n, _, A in groups], rng.randint(1, 7)):
             block = block[sorted(rng.sample(range(len(block)), rng.randint(1, len(block))))]
             ne, tc, err = kernel(loaded.load(block), table)
             occ = loaded.occ.T
@@ -1156,7 +1153,7 @@ def test_block_kernel_screen_keeps_every_flag(dtype, shape):
         groups = _class_groups(inst)
         table, scale = kernel_table(inst, cost, dtype)
         loaded, kernel = _Block(groups, T, inst.I + 2), _BlockKernel(groups)
-        for block in _configuration_blocks([(n, A) for _, _, n, _, A in groups], rng.randint(1, 50)):
+        for block in configuration_blocks([(n, A) for _, _, n, _, A in groups], rng.randint(1, 50)):
             ne, tc, err = kernel(loaded.load(block), table)
             for r, row in enumerate(block):
                 is_ne, total, _ = row_oracle(inst, cost, groups, row)
@@ -1167,11 +1164,79 @@ def test_block_kernel_screen_keeps_every_flag(dtype, shape):
                     assert ne[r] == is_ne, (T, windows, row.tolist())
 
 
+def test_unit_duration_scans_follow_the_load_rule():
+    # with C = 1 a window is one slot, so a move from t to s gains exactly
+    # when L_s + P < L_t, whatever the strictly increasing cost: the scan's
+    # NE set is one under L2, L3 and sqrt(L), and it is that rule's, here
+    # checked on every class configuration in plain Python
+    rng = random.Random(1904)
+    costs = (Monomial(1, 2), Monomial(1, 3), SquareRoot())
+    seen = Counter()
+    for _ in range(60):
+        T, P = rng.randint(2, 7), rng.choice([1, 2])
+        windows = []
+        for _ in range(rng.randint(1, 3)):
+            a = rng.randint(1, T)
+            windows += [(a, rng.randint(a, T), 1)] * rng.randint(1, 3)
+        exo = [rng.choice([0, 0.5, 1, 2]) for _ in range(T)]
+        inst = AtomicInstance.create(T, windows, power=P, exogenous=exo)
+        sets = [enumerate_equilibria(inst, f).equilibria for f in costs]
+        groups = _class_groups(inst)
+        rule = set()
+        for row in itertools.product(*(lexicographic_compositions(n, A) for _, _, n, _, A in groups)):
+            counts = [0] * T
+            for (a, _, _, _, _), group in zip(groups, row):
+                for j, c in enumerate(group):
+                    counts[a - 1 + j] += c
+            loads = [e + P * c for e, c in zip(exo, counts)]
+            gains = any(
+                loads[s - 1] + P < loads[t - 1]
+                for (a, _, _, _, A), group in zip(groups, row)
+                for t in range(a, a + A)
+                if group[t - a]
+                for s in range(a, a + A)
+            )
+            if not gains:
+                rule.add(ChargingConfiguration(tuple(counts), tuple(counts)))
+        assert sets[0] == sets[1] == sets[2]
+        assert set(sets[0]) == rule
+        seen["several groups"] += len(groups) > 1
+        seen["several NE"] += len(rule) > 1
+    assert min(seen.values()) > 0
+
+
+def configuration_blocks(shape, max_rows):
+    """The lexicographic table of ``shape``, a list of (total, parts) groups,
+    in blocks of ``max_rows`` rows, as a scan streams it."""
+    return atomic._join(atomic._configuration_pieces(shape), sum(p for _, p in shape), max_rows)
+
+
+def composition_blocks(total, parts, max_rows):
+    return configuration_blocks([(total, parts)], max_rows)
+
+
+def mirror_blocks(total, parts, max_rows):
+    """One vector of each mirror pair of ``composition_blocks``, as a mirrored scan streams them."""
+    return atomic._join(atomic._mirror_pieces(total, parts), parts, max_rows)
+
+
+def recorded_rows(monkeypatch):
+    """The ``(shape, lo, hi)`` of every ``_rows`` call from here on."""
+    calls, rows = [], atomic._rows
+
+    def recorded(shape, lo, hi):
+        calls.append((list(shape), lo, hi))
+        return rows(shape, lo, hi)
+
+    monkeypatch.setattr(atomic, "_rows", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("max_rows", [1, 3, 7, 10**6])
 def test_composition_blocks_match_brute_force(max_rows):
     for total in range(5):
         for parts in range(1, 5):
-            blocks = list(_composition_blocks(total, parts, max_rows))
+            blocks = list(composition_blocks(total, parts, max_rows))
             assert all(b.dtype == np.int64 and 1 <= b.shape[0] <= max_rows for b in blocks)
             brute = [
                 row for row in itertools.product(range(total + 1), repeat=parts) if sum(row) == total
@@ -1189,61 +1254,115 @@ def lexicographic_compositions(total, parts):
             yield [head] + rest
 
 
+def unranked(shape, rank):
+    """Row ``rank`` of the lexicographic table of ``shape``, in Python ints:
+    a divmod per group, then each count by counting off the rows before it."""
+    sizes = [math.comb(n + p - 1, p - 1) for n, p in shape]
+    row = []
+    for g, (n, p) in enumerate(shape):
+        r = rank // math.prod(sizes[g + 1 :]) % sizes[g]
+        for q in range(p, 1, -1):
+            c = 0
+            while r >= math.comb(n - c + q - 2, q - 2):  # the rows of first count c
+                r -= math.comb(n - c + q - 2, q - 2)
+                c += 1
+            row.append(c)
+            n -= c
+        row.append(n)
+    return row
+
+
+def test_rows_unrank_any_rank_range_of_any_shape():
+    rng = random.Random(3601)
+    for _ in range(400):
+        shape = [(rng.randint(0, 5), rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
+        table = [sum(row, []) for row in itertools.product(*(lexicographic_compositions(n, p) for n, p in shape))]
+        lo = rng.randrange(len(table))
+        hi = rng.randint(lo, len(table))
+        rows = atomic._rows(shape, lo, hi)
+        assert rows.dtype == np.int64 and rows.shape == (hi - lo, sum(p for _, p in shape))
+        assert rows.tolist() == table[lo:hi]
+
+
+def test_rows_past_int64_saturate_and_never_wrap():
+    # (40, 95)'s heads, (40, 93), have about 3.2e34 rows: its keys past the
+    # largest int64 read as it, and every rank below it unranks exactly
+    cap = 2**63 - 1
+    for shape in ([(40, 93)], [(40, 93), (3, 4)], [(2, 3), (30, 60), (40, 93)]):
+        assert atomic._size(shape) > cap
+        for lo in (0, 2**40, 2**62 + 12345, cap - 50):
+            assert atomic._rows(shape, lo, lo + 50).tolist() == [unranked(shape, r) for r in range(lo, lo + 50)]
+    # with q counts left, the keys are the rows of the (40, q) table before
+    # each first count 1..40: exact below the cap, the cap past it
+    levels = atomic._keys(40, 93)
+    assert len(levels) == 92
+    for q, (keys, shifts) in zip(range(93, 1, -1), levels):
+        exact = [math.comb(40 + q - 1, q - 1) - math.comb(40 - c + q - 1, q - 1) for c in range(1, 41)]
+        assert keys.dtype == shifts.dtype == np.int64
+        assert keys.tolist() == [min(key, cap) for key in exact]
+    assert (levels[0][0] == cap).all() and (levels[-1][0] < cap).all()
+
+
 @pytest.mark.parametrize("table_cells", [1, 32, 64, 1 << 18])
 def test_composition_blocks_cut_every_tail_table(monkeypatch, table_cells):
-    # every shape up to (9, 9), each row in order: the heads come from stars
-    # and bars in chunks of a few rows, and the tails from one table of at
-    # most `table_cells` entries.  At 1 no shape splits and every block
-    # comes from stars and bars, at 32 and 64 most blocks join several heads,
-    # and any tail range longer than `max_rows` puts one head's tails in
-    # several blocks
+    # every shape up to (9, 9), each row in order: the heads come from
+    # `_rows` in chunks of 4 to 48 rows, and the tails from one table of at
+    # most `table_cells` entries.  At 1 no tail table has a row to join and
+    # every head is a whole row, at 32 and 64 most heads meet several tail
+    # rows, and any tail range longer than `max_rows` puts one head's tails
+    # in several blocks.  A shape's pieces are made once and joined at every
+    # `max_rows`
     monkeypatch.setattr(atomic, "_TABLE_CELLS", table_cells)
-    monkeypatch.setattr(atomic, "_BLOCK_ROWS", 12)
-    tables, table = [], atomic._composition_table
-
-    def counted(total, parts):
-        tables.append((built := table(total, parts)).size)
-        return built
-
-    monkeypatch.setattr(atomic, "_composition_table", counted)
+    monkeypatch.setattr(atomic, "_BLOCK_ROWS", 48)
+    calls = recorded_rows(monkeypatch)
+    joined = False
     for parts in range(1, 10):
         for total in range(10):
             brute = list(lexicographic_compositions(total, parts))
+            calls.clear()
+            pieces = list(atomic._configuration_pieces([(total, parts)]))
+            joined |= any((stop - first).max(initial=0) > 1 for _, _, first, stop in pieces)
+            # the first call builds the whole tail table, within `table_cells`
+            # entries; the rest build the heads in order, in chunks of at most
+            # 48 entries (one row where a row is wider)
+            (tail, lo, hi), heads = calls[0], calls[1:]
+            assert lo == 0 and hi == atomic._size(tail)
+            assert hi * sum(p for _, p in tail) <= table_cells
+            head = heads[0][0]
+            width = sum(p for _, p in head)
+            assert all(shape == head for shape, _, _ in heads)
+            assert [lo for _, lo, _ in heads] == [0] + [hi for _, _, hi in heads[:-1]]
+            assert heads[-1][2] == atomic._size(head)
+            assert all(hi - lo == max(1, 48 // max(1, width)) for _, lo, hi in heads[:-1])
+            assert all((hi - lo) * width <= max(48, width) for _, lo, hi in heads)
             for max_rows in range(1, 51) if total < 5 else (1, 3, 7, 4096):
-                blocks = list(_composition_blocks(total, parts, max_rows))
+                blocks = list(atomic._join(iter(pieces), parts, max_rows))
                 assert all(b.dtype == np.int64 and 1 <= len(b) <= max_rows for b in blocks)
                 assert all(len(b) == max_rows for b in blocks[:-1])  # only the last block is short
                 assert np.vstack(blocks).tolist() == brute
-    assert max(tables, default=0) <= table_cells
-    assert tables or table_cells == 1  # some shape was joined
+    assert joined == (table_cells > 1)  # some shape was joined
 
 
 def test_composition_blocks_open_a_wide_shape_on_a_narrow_tail_table(monkeypatch):
     # (40, 95): only a 4-part tail table fits, so the heads have 93 parts,
     # 44 to a chunk of at most _BLOCK_ROWS entries, and the first 20,000
     # rows span two chunks
-    calls, stars = [], atomic._stars_and_bars
-
-    def recorded(total, parts, max_rows):
-        calls.append((parts, max_rows))
-        return stars(total, parts, max_rows)
-
-    monkeypatch.setattr(atomic, "_stars_and_bars", recorded)
-    rows = (row for block in _composition_blocks(40, 95, 4096) for row in block.tolist())
+    calls = recorded_rows(monkeypatch)
+    rows = (row for block in composition_blocks(40, 95, 4096) for row in block.tolist())
     assert list(itertools.islice(rows, 20000)) == list(itertools.islice(lexicographic_compositions(40, 95), 20000))
-    assert calls == [(4, 12341), (93, 44)]  # the tail table, then the heads
+    assert calls == [([(40, 4)], 0, 12341), ([(40, 93)], 0, 44), ([(40, 93)], 44, 88)]  # the tail table, then the heads
 
 
 def test_composition_blocks_do_not_call_themselves(monkeypatch):
-    calls, blocks = [], atomic._composition_blocks
+    calls, pieces = [], atomic._configuration_pieces
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return blocks(*args, **kwargs)
+        return pieces(*args, **kwargs)
 
-    monkeypatch.setattr(atomic, "_composition_blocks", counted)
-    first = next(atomic._composition_blocks(9, 16, 4096))
-    assert calls == [(9, 16, 4096)]
+    monkeypatch.setattr(atomic, "_configuration_pieces", counted)
+    first = next(composition_blocks(9, 16, 4096))
+    assert calls == [([(9, 16)],)]
     assert first.tolist() == list(itertools.islice(lexicographic_compositions(9, 16), 4096))
 
 
@@ -1282,11 +1401,12 @@ def prefix_scan(inst, cost, budget):
     ids=["symmetric", "heterogeneous"],
 )
 def test_budget_cut_inside_a_heads_tails_is_the_lexicographic_prefix(monkeypatch, inst):
-    # with blocks of 36 rows the first group's compositions are joined, and
-    # each budget stops between two rows whose first group's counts differ
-    # in their last two at most: inside the tail range of one head, for
-    # every split
+    # with blocks of 36 rows and tail tables of at most 100 entries the
+    # first group's compositions are joined, and each budget stops between
+    # two rows whose first group's counts differ in their last two at most:
+    # inside the tail range of one head, for every split
     monkeypatch.setattr(atomic, "_BLOCK_ROWS", 36)
+    monkeypatch.setattr(atomic, "_TABLE_CELLS", 100)
     f = Monomial(1, 2)
     groups = _class_groups(inst)
     order = [
@@ -1308,37 +1428,34 @@ def test_configuration_blocks_match_product_of_compositions(max_rows):
         return [list(r) for r in itertools.product(range(total + 1), repeat=parts) if sum(r) == total]
 
     for shape in ([(2, 3)], [(2, 3), (1, 2)], [(1, 1), (2, 2), (1, 3)], [(3, 2), (2, 3)]):
-        blocks = list(_configuration_blocks(shape, max_rows))
+        blocks = list(configuration_blocks(shape, max_rows))
         assert all(b.dtype == np.int64 and 1 <= b.shape[0] <= max_rows for b in blocks)
+        assert all(len(b) == max_rows for b in blocks[:-1])
         brute = [sum(rows, []) for rows in itertools.product(*(compositions(*g) for g in shape))]
         assert np.vstack(blocks).tolist() == brute
 
 
 def test_configuration_blocks_build_a_fitting_tail_once(monkeypatch):
-    # 495 x 330 class configurations: the 330-row tail fits in _TABLE_CELLS
-    # entries, so each group's compositions are generated once, not once
-    # per head block
-    calls = Counter()
-
-    def counted(total, parts, max_rows):
-        calls[total, parts] += 1
-        return _composition_blocks(total, parts, max_rows)
-
-    monkeypatch.setattr(atomic, "_composition_blocks", counted)
+    # 495 x 330 class configurations: the second group's 330 compositions fit
+    # in _TABLE_CELLS entries, so they are one tail table, built once, and
+    # every head (a composition of the first group, 455 to a chunk) reads
+    # all of it
+    calls = recorded_rows(monkeypatch)
     inst = AtomicInstance.create(10, [(1, 10, 2)] * 4 + [(1, 10, 3)] * 4)
-    assert enumerate_equilibria(inst, Monomial(1, 2)).complete
-    assert calls == {(4, 9): 1, (4, 8): 1}
-    # the stream and its block cuts: 12 head rows over the whole tail a block
-    blocks = list(_configuration_blocks([(4, 9), (4, 8)], atomic._BLOCK_ROWS))
-    assert [len(b) for b in blocks] == [12 * 330] * 41 + [3 * 330]
+    eq = enumerate_equilibria(inst, Monomial(1, 2))
+    assert eq.complete and eq.stats["blocks"] == 40
+    assert calls == [([(4, 8)], 0, 330), ([(4, 9)], 0, 455), ([(4, 9)], 455, 495)]
+    # the stream and its block cuts: every block full but the last
+    blocks = list(configuration_blocks([(4, 9), (4, 8)], atomic._BLOCK_ROWS))
+    assert [len(b) for b in blocks] == [4096] * 39 + [3606]
     brute = [h + t for h, t in itertools.product(lexicographic_compositions(4, 9), lexicographic_compositions(4, 8))]
     assert np.vstack(blocks).tolist() == brute
-    # in blocks of 100 rows the tail is longer than a block, one head row a
-    # block, and is still built once
+    # in blocks of 100 rows a head's tails span several blocks, and the tail
+    # table is still built once
     calls.clear()
-    blocks = list(_configuration_blocks([(4, 9), (4, 8)], 100))
-    assert calls == {(4, 9): 1, (4, 8): 1}
-    assert [len(b) for b in blocks] == [100, 100, 100, 30] * 495
+    blocks = list(configuration_blocks([(4, 9), (4, 8)], 100))
+    assert [shape for shape, _, _ in calls].count([(4, 8)]) == 1
+    assert [len(b) for b in blocks] == [100] * 1633 + [50]
     assert np.vstack(blocks).tolist() == brute
 
 
@@ -1350,29 +1467,37 @@ def test_mirror_blocks_hold_one_vector_of_each_mirror_pair(monkeypatch, table_ce
     # it, and no step builds a whole-table triangle of index pairs
     monkeypatch.setattr(atomic, "_TABLE_CELLS", table_cells)
     monkeypatch.setattr(atomic, "_BLOCK_ROWS", 5)
-    tables, table = [], atomic._composition_table
-
-    def counted(total, parts):
-        tables.append((built := table(total, parts)).size)
-        return built
+    calls = recorded_rows(monkeypatch)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("np.triu_indices builds a whole table of index pairs")
 
-    monkeypatch.setattr(atomic, "_composition_table", counted)
     monkeypatch.setattr(np, "triu_indices", forbidden)
+    kept = streamed = 0
     for parts in range(1, 8):
         for total in range(8):
             brute = [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
+            G, h = [(total, parts // 2 + 1)], parts // 2
+            size = atomic._size(G)
             for max_rows in (1, 3, 7, 4096):
-                blocks = list(_mirror_blocks(total, parts, max_rows))
+                calls.clear()
+                blocks = list(mirror_blocks(total, parts, max_rows))
+                # a kept G is one call for the whole table; a streamed G is
+                # asked for again for the tails, 5 rows at a time
+                if size * (h + 1) <= table_cells:
+                    assert calls == [(G, 0, size)]
+                    kept += 1
+                else:
+                    assert len(calls) > 1
+                    assert all(shape == G and lo % 5 == 0 and hi == min(size, lo + 5) for shape, lo, hi in calls)
+                    streamed += 1
                 assert all(b.dtype == np.int64 and b.shape[1] == parts for b in blocks)
                 assert all(len(b) == max_rows for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= max_rows
                 rows = [tuple(row) for b in blocks for row in b.tolist()]
                 assert len(set(rows)) == len(rows)  # distinct
                 # exactly one of each class {c, reversed c}
                 assert sorted(min(c, c[::-1]) for c in rows) == sorted({min(c, c[::-1]) for c in brute})
-    assert tables and max(tables) <= table_cells
+    assert kept and (streamed > 0) == (table_cells < 120 * 4)  # the largest G, (7, 4), holds 120 x 4 entries
 
 
 def palindromic_instance(rng, kind):
@@ -1434,7 +1559,7 @@ def test_mirrored_scans_give_the_full_scans_answers(monkeypatch):
         # an optimum whose occupancy is no palindrome ties with its mirror, and
         # one the stream does not carry is the mirror of a row it does carry
         ((a, _, n, _, A),) = _class_groups(inst)
-        carried = {tuple(row) for b in _mirror_blocks(n, A, 4096) for row in b.tolist()}
+        carried = {tuple(row) for b in mirror_blocks(n, A, 4096) for row in b.tolist()}
         for report in mirrored[3]:
             seen[kind, "optimum tied"] += report.optimum.occupancy != report.optimum.occupancy[::-1]
             seen[kind, "optimum from its mirror"] += report.optimum.start_counts[a - 1 : a - 1 + A] not in carried
@@ -1492,12 +1617,17 @@ def scan_answers(rows):
 
 def test_scan_family_members_get_their_own_scans_answers():
     # each member of a family scanned together answers as it does alone: its
-    # sets, NE profile counts, optima, proportions and reports, of every cost
+    # sets, NE profile counts, optima, proportions and reports, of every cost.
+    # The last input is one instance of two window groups (163,350 class
+    # configurations), whose blocks are full as well
     rng = random.Random(3503)
     seen = Counter()
-    for trial in range(48):
+    for trial in range(49):
         palindromic, kind = trial % 2 == 0, ("int", "float")[trial // 2 % 2]
-        family = random_family(rng, palindromic, kind)
+        if trial < 48:
+            family = random_family(rng, palindromic, kind)
+        else:
+            family = (AtomicInstance.create(10, [(1, 10, 2)] * 4 + [(1, 10, 3)] * 4),)
         costs = tuple(rng.sample(FAMILY_COSTS, rng.randint(1, 3)))
         together = atomic._scan(family, costs, None)
         alone = [atomic._scan((member,), costs, None)[0] for member in family]
