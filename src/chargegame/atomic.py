@@ -39,8 +39,9 @@ reversed within the window's starts, occupancy reversed.  On a symmetric
 instance with a centred window (``a - 1 == T - d``) whose slot-cost tables
 read the same reversed, the mirror has the same NE status and total cost,
 so a scan of the whole space streams one configuration of each mirror pair
-(``_mirror_pieces``, about half of them) and counts the mirrors in
-``_CostScan.add``: every answer is the full scan's.  The paper's sweeps (zero
+(``_mirror_pieces``, about half of them, from a half table read in blocks of
+at most ``_TABLE_CELLS`` entries), and ``_CostScan.add`` adds each row's
+mirror: every answer is the full scan's.  The paper's sweeps (zero
 exogenous load, full window) are all of this kind.
 
 The kernel sums in int32 while T times a table's largest entry stays below
@@ -374,7 +375,8 @@ def best_response_dynamics(
 
 # rows of a scan block, whose kernel arrays set a scan's peak memory
 _BLOCK_ROWS = 1 << 12
-# most entries (rows x parts) of any table a stream keeps, 2 MiB of int64
+# most entries (rows x parts) of a stream's tail table, and of each block of
+# a mirrored stream's half table: 2 MiB of int64
 _TABLE_CELLS = 1 << 18
 # the largest int64, which `_rows` reads every rank and key past as
 _RANK_CAP = int(np.iinfo(np.int64).max)
@@ -511,20 +513,16 @@ def _mirror_pieces(total: int, parts: int):
     # lexicographic order: by sum(x) = total - v descending, lexicographic
     # among equal sums.  Each head, a row i of G with sum s <= total / 2, is
     # joined (`_join`) for every m <= total - 2 s with its tails: the rows
-    # j <= i of G with v = m + s.  G (`_rows`) is built once when it fits in
-    # _TABLE_CELLS entries; else it streams in blocks of _BLOCK_ROWS rows,
-    # each head block meeting the tail blocks up to it.
+    # j <= i of G with v = m + s.  G comes from `_rows` in blocks of at most
+    # _TABLE_CELLS entries, so in one block whenever it fits.  The heads are
+    # G's last rows: each block holding one meets the blocks before it,
+    # unranked again, then itself.
     h, odd = divmod(parts, 2)
     shape = [(total, h + 1)]
-    size = _size(shape)
-    kept = [_rows(shape, 0, size)] if size * (h + 1) <= _TABLE_CELLS else None
-
-    def blocks():
-        return kept or (_rows(shape, lo, min(size, lo + _BLOCK_ROWS)) for lo in range(0, size, _BLOCK_ROWS))
-
+    size, step = _size(shape), max(1, _TABLE_CELLS // (h + 1))
     start = np.array([size - _size([(total - v, h + 1)]) for v in range(total + 1)] + [size])  # of each v
-    p = 0  # the head block's first row in G
-    for heads in blocks():
+    for p in range(start[total - total // 2] // step * step, size, step):  # from the first head's block
+        heads = _rows(shape, p, min(size, p + step))
         sums = total - heads[:, 0]
         # every head of sum s <= total / 2 with every m <= total - 2 s, and
         # its tails: rows of first count m + s, at most the head's own row
@@ -534,15 +532,11 @@ def _mirror_pieces(total: int, parts: int):
         m = np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps, reps)
         lo, hi = start[m + sums[i]], np.minimum(start[m + sums[i] + 1], p + i + 1)
         L = np.vstack([heads[i, 1:].T] + [m] * odd)  # [x | m] of each (head, m) pair, slot-major
-        q = 0  # the tail block's first row in G
-        for tails in blocks():
-            if not i.size or q >= p + len(heads):
-                break
+        for q in range(0, p + 1, step):
+            tails = heads if q == p else _rows(shape, q, q + step)
             first, stop = np.maximum(lo, q) - q, np.minimum(hi, q + len(tails)) - q
             pair = np.flatnonzero(stop > first)  # the pairs with tails here
             yield L.take(pair, axis=1), np.ascontiguousarray(tails[:, :0:-1].T), first[pair], stop[pair]
-            q += len(tails)
-        p += len(heads)
 
 
 def _class_groups(instance: AtomicInstance) -> list[tuple[int, int, int, int, int]]:
@@ -566,13 +560,14 @@ class _Block:
 
     Each row of ``counts`` holds one composition per group of
     ``_class_groups``: column ``first + j`` counts the group's players
-    starting in slot ``a + j``.  ``load`` lays a block out slot-major, one
-    column per configuration: ``present`` has a row per start, true where
-    some player starts there, and ``occ`` a row per slot.  ``at`` holds the
-    flat index of ``table[t, occ[t]]`` in any ``(T, I + 2)`` slot-cost
-    table, so ``at + 1`` is that of ``table[t, occ[t] + 1]``.  The
-    arrays are allocated for the largest block so far and overwritten by the
-    next ``load``.
+    starting in slot ``a + j``.  ``load`` reads the counts in place, a row
+    of ``counts.T`` per start (contiguous in ``_join``'s blocks), and lays
+    the rest out slot-major, one column per configuration: ``present`` has
+    a row per start, true where some player starts there, and ``occ`` a row
+    per slot.  ``at`` holds the flat index of ``table[t, occ[t]]`` in any
+    ``(T, I + 2)`` slot-cost table, so ``at + 1`` is that of ``table[t,
+    occ[t] + 1]``.  The arrays are allocated for the largest block so far
+    and overwritten by the next ``load``.
     """
 
     def __init__(self, groups, T: int, V: int):
@@ -583,7 +578,6 @@ class _Block:
     def _allocate(self, rows: int):
         starts, T = sum(A for *_, A in self.groups), self.offsets.shape[0]
         self.rows = rows
-        self._starts = np.empty((starts, rows), dtype=np.int64)
         self._present = np.empty((starts, rows), dtype=bool)
         self._occ, self._at = (np.empty((T, rows), dtype=np.int64) for _ in range(2))
 
@@ -591,8 +585,7 @@ class _Block:
         m = self.m = counts.shape[0]
         if m > self.rows:
             self._allocate(m)
-        starts = self._starts[:, :m]  # counts.T
-        np.copyto(starts, counts.T)
+        starts = counts.T
         self.present = np.greater(starts, 0, out=self._present[:, :m])
         # occupancy: each start count covers its group's C slots
         occ = self.occ = self._occ[:, :m]
@@ -777,12 +770,16 @@ class _CostScan:
     """One member's running answers under one cost.
 
     ``number`` is the cost's ``_CostTable.number``.  ``add`` folds in the
-    NE flags and integer sums of the member's rows of one block.
-    ``best`` holds the least ``(sum, start counts)`` and its configuration:
-    the first minimum of the full scan, whose order is lexicographic.  On a
+    NE flags and integer sums of the member's rows of one block into
+    ``ne_found``, each NE configuration with its sum.  ``ne_profiles``
+    counts the profiles behind them on a member of several window groups
+    only, the one kind whose ``ne_proportion`` reads profiles.  ``best``
+    holds the least ``(sum, start counts)`` and its configuration: the
+    first minimum of the full scan, whose order is lexicographic.  On a
     mirrored scan (``_mirrored``) a row stands for itself and its mirror,
     its start counts and occupancy reversed, of the same NE status and sum:
-    a NE row adds both, and the optimum is the least of both.
+    both go in, NE rows and minimum ties alike, so a palindrome comes twice
+    and is listed once.
     """
 
     def __init__(self, instance: AtomicInstance, groups, number):
@@ -795,14 +792,13 @@ class _CostScan:
         instance, groups = self.instance, self.groups
         idx = np.flatnonzero(ne)
         if idx.size:
-            rows, occs, sums = counts[idx], occ[idx], tc[idx].tolist()
+            rows, occs = counts[idx], occ[idx]
             if mirrored:
-                flip = np.flatnonzero((rows != rows[:, ::-1]).any(1))
-                rows, occs = np.concatenate([rows, rows[flip, ::-1]]), np.concatenate([occs, occs[flip, ::-1]])
-                sums += [sums[i] for i in flip.tolist()]
-            for c, config, total in zip(rows.tolist(), _configurations(instance, groups, rows, occs), sums):
-                self.ne_profiles += _profile_count(groups, c)
-                self.ne_found.setdefault(config, total)
+                rows, occs = np.concatenate([rows, rows[:, ::-1]]), np.concatenate([occs, occs[:, ::-1]])
+            # a palindrome comes twice, and is listed once
+            self.ne_found.update(zip(_configurations(instance, groups, rows, occs), tc[idx].tolist() * (1 + mirrored)))
+            if len(groups) > 1:  # the only members whose proportion counts profiles
+                self.ne_profiles += sum(_profile_count(groups, c) for c in rows.tolist())
         low = tc.min()
         if self.best is None or low <= self.best[0]:
             ties = np.flatnonzero(tc == low)
@@ -876,17 +872,17 @@ def _scan(family, costs: tuple, budget: Optional[int]):
 
     A member whose scan covers its whole space on a time-symmetric instance
     (``_mirrored``) streams one configuration of each mirror pair
-    (``_mirror_pieces``) and adds the mirrors in ``_CostScan.add``:
+    (``_mirror_pieces``), and ``_CostScan.add`` adds each row's mirror:
     ``examined`` still counts every configuration, and every answer is the
     full scan's.
 
     Returns, per member, per cost, the equilibrium set and the member's
-    ``_CostScan``: its exact sums, the NE profiles behind the set and the
-    least minimum-sum class configuration, each what a scan of the member
-    alone gives.  Players sharing a window are interchangeable, so NE
-    status and cost depend on the class configuration alone; distinct
-    class configurations can still share a ``ChargingConfiguration``, which
-    is listed once.
+    ``_CostScan``: its exact sums, the NE profiles behind the set (on
+    several window groups) and the least minimum-sum class configuration,
+    each what a scan of the member alone gives.  Players sharing a window
+    are interchangeable, so NE status and cost depend on the class
+    configuration alone; distinct class configurations can still share a
+    ``ChargingConfiguration``, which is listed once.
     """
     if not costs:
         raise ValueError("an atomic scan needs at least one cost")

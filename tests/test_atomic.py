@@ -1461,12 +1461,14 @@ def test_configuration_blocks_build_a_fitting_tail_once(monkeypatch):
 
 @pytest.mark.parametrize("table_cells", [1, 8, 64, 1 << 18])
 def test_mirror_blocks_hold_one_vector_of_each_mirror_pair(monkeypatch, table_cells):
-    # the half table (the compositions of up to `total` into h = parts // 2
-    # parts) is built whole only when it fits in `table_cells` entries; a
-    # longer one streams in blocks of 5 rows, each meeting the blocks before
-    # it, and no step builds a whole-table triangle of index pairs
+    # the half table G (the compositions of `total` into h + 1 parts, h =
+    # parts // 2) is unranked in blocks of max(1, table_cells // (h + 1))
+    # rows: one block whenever it fits in `table_cells` entries.  The heads
+    # are G's last rows, and each block holding one is unranked, then meets
+    # the blocks before it, unranked again, and itself, never unranked twice;
+    # no step builds a whole-table triangle of index pairs.  A shape's pieces
+    # are made once and joined at every `max_rows`
     monkeypatch.setattr(atomic, "_TABLE_CELLS", table_cells)
-    monkeypatch.setattr(atomic, "_BLOCK_ROWS", 5)
     calls = recorded_rows(monkeypatch)
 
     def forbidden(*args, **kwargs):
@@ -1477,20 +1479,23 @@ def test_mirror_blocks_hold_one_vector_of_each_mirror_pair(monkeypatch, table_ce
     for parts in range(1, 8):
         for total in range(8):
             brute = [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
-            G, h = [(total, parts // 2 + 1)], parts // 2
-            size = atomic._size(G)
+            h = parts // 2
+            G, rows_of_G = [(total, h + 1)], list(lexicographic_compositions(total, h + 1))
+            size, step = len(rows_of_G), max(1, table_cells // (h + 1))
+            blocks_of_G = [(G, lo, min(size, lo + step)) for lo in range(0, size, step)]
+            first_head = next(j for j, row in enumerate(rows_of_G) if 2 * (total - row[0]) <= total)
+            calls.clear()
+            pieces = list(atomic._mirror_pieces(total, parts))
+            assert calls == [
+                call for k in range(first_head // step, len(blocks_of_G)) for call in [blocks_of_G[k], *blocks_of_G[:k]]
+            ]
+            # a one-row G is one block whatever `table_cells` is
+            assert (len(calls) == 1) == (size * (h + 1) <= table_cells or size == 1)
+            assert all((hi - lo) * (h + 1) <= max(table_cells, h + 1) for _, lo, hi in calls)
+            kept += len(calls) == 1
+            streamed += len(calls) > 1
             for max_rows in (1, 3, 7, 4096):
-                calls.clear()
-                blocks = list(mirror_blocks(total, parts, max_rows))
-                # a kept G is one call for the whole table; a streamed G is
-                # asked for again for the tails, 5 rows at a time
-                if size * (h + 1) <= table_cells:
-                    assert calls == [(G, 0, size)]
-                    kept += 1
-                else:
-                    assert len(calls) > 1
-                    assert all(shape == G and lo % 5 == 0 and hi == min(size, lo + 5) for shape, lo, hi in calls)
-                    streamed += 1
+                blocks = list(atomic._join(iter(pieces), parts, max_rows))
                 assert all(b.dtype == np.int64 and b.shape[1] == parts for b in blocks)
                 assert all(len(b) == max_rows for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= max_rows
                 rows = [tuple(row) for b in blocks for row in b.tolist()]
@@ -1520,10 +1525,14 @@ def palindromic_instance(rng, kind):
 MIRROR_COSTS = (Monomial(1, 1), Monomial(1, 2), SquareRoot(), Monomial(1, 40))
 
 
-def test_mirrored_scans_give_the_full_scans_answers(monkeypatch):
+@pytest.mark.parametrize("table_cells", [1 << 18, 8])
+def test_mirrored_scans_give_the_full_scans_answers(monkeypatch, table_cells):
     # on a time-symmetric instance the scan streams one configuration of each
     # mirror pair; every answer must be the full scan's, types included.
-    # Zero load makes optima tie between mirrors, and palindromic NE occur
+    # Zero load makes optima tie between mirrors, and palindromic NE occur.
+    # At 8 table cells a mirrored scan's half table comes in several blocks
+    # unless it holds at most 8 entries
+    monkeypatch.setattr(atomic, "_TABLE_CELLS", table_cells)
     rng = random.Random(2015)
     seen = Counter()
 
@@ -1566,6 +1575,43 @@ def test_mirrored_scans_give_the_full_scans_answers(monkeypatch):
     for kind in ("zero", "int", "Fraction", "float"):
         assert seen[kind, "ne"] > seen[kind, "palindromic ne"] > 0 and seen[kind, "optimum tied"] > 0
     assert seen["zero", "optimum from its mirror"] > 0
+
+
+def test_profiles_are_counted_only_for_several_window_groups(monkeypatch):
+    # only `ne_proportion` of an instance of several window groups reads the
+    # NE profiles behind a scan's listing, so no one-group scan counts them:
+    # mirrored, unmirrored or cut by the budget
+    groups_counted, profile_count = [], atomic._profile_count
+
+    def recorded(groups, counts):
+        groups_counted.append(len(groups))
+        return profile_count(groups, counts)
+
+    monkeypatch.setattr(atomic, "_profile_count", recorded)
+    f = Monomial(1, 2)
+    palindromic = AtomicInstance.create(8, [(2, 7, 2)] * 4)
+    unmirrored = AtomicInstance.symmetric(6, 3, 2, exogenous=(1, 2, 3, 2, 1, 3))
+    for inst, budget, mirrored in ((palindromic, None, True), (unmirrored, None, False), (palindromic, 60, False)):
+        eq = enumerate_equilibria(inst, f, budget=budget)
+        assert eq.stats["mirrored"] == mirrored and eq.complete == (budget is None) and eq.equilibria
+        if budget is None:
+            efficiency(inst, f)
+            ne_proportion(inst, f)
+    family = tuple(AtomicInstance.create(8, [(2, 7, 2)] * I) for I in (2, 3, 5))
+    assert len(atomic._proportions(family, f, None)) == 3
+    assert groups_counted == []
+    # several groups: the profiles behind the listing are the oracle's NE profiles
+    rng = random.Random(3701)
+    several = 0
+    while several < 8:
+        inst = random_repeated_window_instance(rng)
+        if inst.is_symmetric:
+            continue
+        several += 1
+        _, ne_profiles, _ = oracle_scan(inst, f)
+        spaces = [len(action_set(inst, i)) for i in range(inst.I)]
+        assert ne_proportion(inst, f) == pytest.approx(ne_profiles / math.prod(spaces), rel=1e-15)
+    assert groups_counted and min(groups_counted) > 1
 
 
 def test_scans_that_reversal_does_not_fix_stream_every_configuration():
